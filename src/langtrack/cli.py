@@ -38,7 +38,7 @@ from .data_io import (
     write_result,
 )
 from .guidance import LanguageEmbeddingStore, language_access_forbidden
-from .inference import TrackerConfig, track_video
+from .inference import track_video
 from .metrics import BoxRecord, evaluate, render_report
 from .model import ModelConfig, params_from_tensors
 from .nn import load_checkpoint, save_checkpoint
@@ -50,7 +50,7 @@ from .synth import (
     identity_profile,
     rotation_profile,
 )
-from .trainer import ClipData, ExperimentSpec, TrainConfig, run_experiment, run_training
+from .trainer import ClipData, ExperimentSpec, run_experiment, run_training
 
 __all__ = ["main"]
 
@@ -86,7 +86,7 @@ def _resolve_config(args) -> RunConfig:
         return apply_overrides(cfg, args.set or [])
     except FileNotFoundError:
         raise _config_error(f"config file not found: {args.config}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a config value of the wrong JSON type
         raise _config_error(str(exc)) from None
 
 
@@ -277,40 +277,13 @@ def _appearance_dim_of(clips: list[ClipData]) -> int:
     return dims.pop()
 
 
-def _train_config(cfg: RunConfig, seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        level_sizes=cfg.levels,
-        batch_clips=cfg.batch_clips,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        focal_gamma=cfg.focal_gamma,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        knn_k=cfg.knn_k,
-        message_passing_steps=cfg.mp_steps,
-        threshold=cfg.threshold,
-        seed=cfg.seed if seed is None else seed,
-    )
-
-
-def _model_config(cfg: RunConfig, appearance_dim: int) -> ModelConfig:
-    return ModelConfig(
-        message_passing_steps=cfg.mp_steps,
-        edge_dim=cfg.edge_dim,
-        text_dim=cfg.text_dim,
-        node_dim=cfg.node_dim,
-        appearance_dim=appearance_dim,
-    )
-
-
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     data_dir = _path_from(args, cfg, "data")
     out = _path_from(args, cfg, "out")
     fixture = _path_from(args, cfg, "fixture", required=False)
     clips = _load_clips(data_dir)
-    train_cfg = _train_config(cfg)
+    train_cfg = cfg.train_config()
     store = None
     if fixture is not None:
         store = _read_file("fixture", fixture, read_embedding_fixture)
@@ -320,7 +293,7 @@ def cmd_train(args) -> int:
             )
     elif train_cfg.use_guidance:
         raise _usage_error("training with guidance needs --fixture (or alpha=0 and beta=0)")
-    model_cfg = _model_config(cfg, _appearance_dim_of(clips))
+    model_cfg = cfg.model_config(_appearance_dim_of(clips))
     params, history = run_training(clips, train_cfg, model_cfg, store)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.json", params.named_tensors(), {
@@ -375,11 +348,8 @@ def cmd_track(args) -> int:
         detections = to_detections(records, appearance)
     except ValueError as exc:
         raise _input_error(str(exc)) from None
-    tracker_cfg = TrackerConfig(
-        level_sizes=list(cfg.levels), knn_k=cfg.knn_k, threshold=cfg.threshold
-    )
     with language_access_forbidden():
-        result = track_video(detections, params, tracker_cfg)
+        result = track_video(detections, params, cfg.tracker_config())
     out.mkdir(parents=True, exist_ok=True)
     write_result(out / "result.txt", result)
     _write_provenance(out, "track", cfg, {
@@ -522,9 +492,9 @@ def cmd_experiment(args) -> int:
         seeds=seeds,
         include_baseline=not args.skip_baseline,
     )
-    train_cfg = _train_config(cfg)
-    model_cfg = _model_config(cfg, args.appearance_dim)
-    results = run_experiment(spec, train_cfg, model_cfg, out_dir=out)
+    results = run_experiment(
+        spec, cfg.train_config(), cfg.model_config(args.appearance_dim), out_dir=out
+    )
     summary = _experiment_summary(results)
     (out / "summary.txt").write_text(summary)
     _write_provenance(out, "experiment", cfg, {

@@ -4,16 +4,23 @@ A config file is a JSON object over exactly these keys (all optional,
 defaults below): alpha, beta, levels, knn_k, mp_steps, node_dim,
 edge_dim, text_dim, lr, weight_decay, epochs, batch_clips, focal_gamma,
 threshold, seed, and a string-valued ``paths`` object.  Unknown keys are
-rejected.  The digest is the sha256 of the canonical JSON rendering, so
-equal digests mean equal resolved configurations.
+rejected.  Each setting is checked by the library config that consumes it
+(``TrainConfig``, ``ModelConfig``, ``TrackerConfig``): a ``RunConfig``
+builds all three, so it is valid exactly when they are.  The digest is the
+sha256 of the canonical JSON rendering, so equal digests mean equal
+resolved configurations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+
+from .inference import TrackerConfig
+from .model import ModelConfig
+from .trainer import TrainConfig
 
 __all__ = [
     "RunConfig",
@@ -22,6 +29,9 @@ __all__ = [
     "config_digest",
     "apply_overrides",
 ]
+
+_SCALAR_TYPES = {"int": int, "float": float}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -46,44 +56,46 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if not self.levels:
-            raise ValueError("levels must be non-empty")
-        for name in ("knn_k", "mp_steps", "node_dim", "edge_dim", "text_dim", "batch_clips"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValueError("lr must be > 0 and weight_decay >= 0")
-        if not 0.0 <= self.threshold < 1.0:
-            raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be >= 0")
         for key, value in self.paths.items():
             if not isinstance(value, str):
                 raise ValueError(f"paths.{key} must be a string")
+        self.train_config()
+        self.model_config(appearance_dim=1)  # the real dim comes from the data
+        self.tracker_config()
+
+    def train_config(self, seed: int | None = None) -> TrainConfig:
+        return TrainConfig(
+            level_sizes=self.levels,
+            batch_clips=self.batch_clips,
+            epochs=self.epochs,
+            lr=self.lr,
+            weight_decay=self.weight_decay,
+            focal_gamma=self.focal_gamma,
+            alpha=self.alpha,
+            beta=self.beta,
+            knn_k=self.knn_k,
+            message_passing_steps=self.mp_steps,
+            threshold=self.threshold,
+            seed=self.seed if seed is None else seed,
+        )
+
+    def model_config(self, appearance_dim: int) -> ModelConfig:
+        return ModelConfig(
+            message_passing_steps=self.mp_steps,
+            edge_dim=self.edge_dim,
+            text_dim=self.text_dim,
+            node_dim=self.node_dim,
+            appearance_dim=appearance_dim,
+        )
+
+    def tracker_config(self) -> TrackerConfig:
+        return TrackerConfig(list(self.levels), self.knn_k, self.threshold)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "levels": list(self.levels),
-            "knn_k": self.knn_k,
-            "mp_steps": self.mp_steps,
-            "node_dim": self.node_dim,
-            "edge_dim": self.edge_dim,
-            "text_dim": self.text_dim,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "batch_clips": self.batch_clips,
-            "focal_gamma": self.focal_gamma,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "paths": dict(sorted(self.paths.items())),
-        }
+        doc = asdict(self)
+        doc["levels"] = list(self.levels)
+        doc["paths"] = dict(sorted(self.paths.items()))
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -91,12 +103,14 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "levels" in kwargs:
-            kwargs["levels"] = tuple(kwargs["levels"])
-        if "paths" in kwargs and not isinstance(kwargs["paths"], dict):
+        if "paths" in doc and not isinstance(doc["paths"], dict):
             raise ValueError("paths must be an object of string values")
-        return cls(**kwargs)
+        for f in fields(cls):
+            want = _SCALAR_TYPES.get(f.type)
+            # type(), not isinstance(): JSON true/false must not pass as an int
+            if want and f.name in doc and type(doc[f.name]) not in (int, want):
+                raise ValueError(f"{f.name} must be a JSON {f.type}, got {doc[f.name]!r}")
+        return cls(**doc)
 
 
 def load_config(path) -> RunConfig:
@@ -121,12 +135,7 @@ def config_digest(config: RunConfig) -> str:
 def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply ``key=value`` scalar overrides (flags never touch levels/paths)."""
     updates = {}
-    types = {
-        "alpha": float, "beta": float, "knn_k": int, "mp_steps": int,
-        "node_dim": int, "edge_dim": int, "text_dim": int, "lr": float,
-        "weight_decay": float, "epochs": int, "batch_clips": int,
-        "focal_gamma": float, "threshold": float, "seed": int,
-    }
+    types = {f.name: _SCALAR_TYPES[f.type] for f in fields(RunConfig) if f.type in _SCALAR_TYPES}
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not key=value")

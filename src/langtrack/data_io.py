@@ -158,6 +158,8 @@ def read_appearance(path) -> np.ndarray:
         values = [float(v) for v in line.split(",")]
         if len(values) != dim:
             raise ValueError(f"line {lineno}: expected {dim} values, got {len(values)}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"line {lineno}: appearance values must be finite")
         rows.append(values)
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 

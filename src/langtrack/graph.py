@@ -21,6 +21,7 @@ __all__ = [
     "TrackGraph",
     "HierarchySchedule",
     "build_hierarchy",
+    "check_level_sizes",
     "lift_detections",
     "aggregate_tracklet",
     "edge_features",
@@ -173,22 +174,25 @@ class HierarchySchedule:
     levels: list[list[tuple[int, int]]] = field(default_factory=list)
 
 
-def build_hierarchy(num_frames: int, level_sizes: Sequence[int]) -> HierarchySchedule:
-    """Tile [1, num_frames] at every level; the last window may be shorter.
-
-    Sizes must strictly increase and each must be a multiple of the
-    previous one, so every window is an exact union of child windows.
-    """
-    if num_frames < 1:
-        raise ValueError(f"num_frames must be >= 1, got {num_frames}")
+def check_level_sizes(level_sizes: Sequence[int]) -> None:
+    """Sizes must be positive, strictly increase, and each must be a multiple
+    of the previous one, so every window is an exact union of child windows."""
     sizes = list(level_sizes)
     if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("level sizes must be positive")
+        raise ValueError(f"level sizes must be non-empty and positive, got {sizes}")
     for prev, cur in zip(sizes, sizes[1:]):
         if cur <= prev or cur % prev != 0:
             raise ValueError(
                 f"level sizes must strictly increase by integer factors, got {sizes}"
             )
+
+
+def build_hierarchy(num_frames: int, level_sizes: Sequence[int]) -> HierarchySchedule:
+    """Tile [1, num_frames] at every level; the last window may be shorter."""
+    if num_frames < 1:
+        raise ValueError(f"num_frames must be >= 1, got {num_frames}")
+    sizes = list(level_sizes)
+    check_level_sizes(sizes)
     levels = []
     for size in sizes:
         windows = [

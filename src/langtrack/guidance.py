@@ -27,7 +27,6 @@ __all__ = [
     "isg_loss",
     "spg_loss",
     "total_loss",
-    "lookup_embedding",
     "language_access_forbidden",
 ]
 
@@ -92,11 +91,6 @@ class LanguageEmbeddingStore:
         return len(self._records)
 
 
-def lookup_embedding(store: LanguageEmbeddingStore, description: str) -> np.ndarray:
-    """Exact-match retrieval; unknown descriptions raise KeyError."""
-    return store.lookup(description)
-
-
 @dataclass
 class GuidanceConfig:
     """Loss weights for the two distillation terms."""
@@ -115,16 +109,12 @@ class GuidanceConfig:
 class GuidanceTerm:
     """One distillation loss value plus how many rows produced it.
 
-    ``empty`` flags the degenerate no-rows case where the value is a
-    placeholder zero; callers typically log a warning and move on.
+    A count of 0 flags the degenerate no-rows case where the value is a
+    placeholder zero.
     """
 
     value: Tensor
     count: int
-
-    @property
-    def empty(self) -> bool:
-        return self.count == 0
 
     def item(self) -> float:
         return self.value.item()

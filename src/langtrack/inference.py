@@ -22,6 +22,7 @@ from .graph import (
     aggregate_tracklet,
     build_graph,
     build_hierarchy,
+    check_level_sizes,
     lift_detections,
     tracklet_sort_key,
 )
@@ -32,7 +33,6 @@ __all__ = [
     "TrackerConfig",
     "TrackResult",
     "round_edges",
-    "assign_ids",
     "track_video",
     "gt_oracle_scorer",
 ]
@@ -51,6 +51,7 @@ class TrackerConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        check_level_sizes(self.level_sizes)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
         if self.knn_k < 1:
@@ -167,19 +168,6 @@ def merge_accepted(graph: TrackGraph, accepted: np.ndarray) -> list[Tracklet]:
     return sorted(merged, key=tracklet_sort_key)
 
 
-def assign_ids(
-    tracklets: Sequence[Tracklet], accepted_edges: Sequence[tuple[int, int]]
-) -> TrackResult:
-    """Components under accepted edges become tracks, ids 1..C by start frame."""
-    _check_degrees(accepted_edges)
-    merged = [
-        aggregate_tracklet([tracklets[i] for i in comp])
-        for comp in _components(len(tracklets), accepted_edges)
-    ]
-    merged.sort(key=tracklet_sort_key)
-    return TrackResult({tid: t.detections for tid, t in enumerate(merged, start=1)})
-
-
 def gt_oracle_scorer(graph: TrackGraph) -> np.ndarray:
     """Probability 1 iff both endpoints carry the same ground-truth id."""
     out = np.zeros(graph.num_edges)
@@ -253,4 +241,5 @@ def track_video(
                 accepted = round_edges(graph, probs, config.threshold)
                 next_level.extend(merge_accepted(graph, accepted))
             tracklets = next_level
-    return assign_ids(tracklets, [])
+    tracklets.sort(key=tracklet_sort_key)
+    return TrackResult({tid: t.detections for tid, t in enumerate(tracklets, start=1)})

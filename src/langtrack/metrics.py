@@ -13,7 +13,7 @@ per-frame matching, then 19 IoU thresholds are scored and averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,13 +21,11 @@ from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "BoxRecord",
-    "FrameMatching",
     "MotaResult",
     "Idf1Result",
     "HotaResult",
     "MetricReport",
     "iou",
-    "match_frames",
     "mota",
     "idf1",
     "hota",
@@ -94,14 +92,12 @@ def _match_one_frame(
     gt_rows: list[BoxRecord],
     pred_rows: list[BoxRecord],
     threshold: float,
-    sim: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """Optimal (count, then total IoU) matching; returns index pairs."""
     g, p = len(gt_rows), len(pred_rows)
     if g == 0 or p == 0:
         return []
-    if sim is None:
-        sim = np.array([[iou(a.box, b.box) for b in pred_rows] for a in gt_rows])
+    sim = np.array([[iou(a.box, b.box) for b in pred_rows] for a in gt_rows])
     feasible = sim >= threshold
     if not feasible.any():
         return []
@@ -110,39 +106,6 @@ def _match_one_frame(
     score = np.where(feasible, big + sim - _TIE_EPS * rank, 0.0)
     rows, cols = linear_sum_assignment(-score)
     return [(int(r), int(c)) for r, c in zip(rows, cols) if feasible[r, c]]
-
-
-@dataclass
-class FrameMatching:
-    """Per-frame matches and leftovers at one IoU threshold."""
-
-    iou_threshold: float
-    matches: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    unmatched_gt: dict[int, list[int]] = field(default_factory=dict)
-    unmatched_pred: dict[int, list[int]] = field(default_factory=dict)
-
-    @property
-    def frames(self) -> list[int]:
-        return sorted(self.matches)
-
-
-def match_frames(
-    gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float = 0.5
-) -> FrameMatching:
-    """Independent per-frame optimal matching (no temporal persistence)."""
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    out = FrameMatching(iou_threshold)
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        g_rows = gt_frames.get(f, [])
-        p_rows = pred_frames.get(f, [])
-        pairs = _match_one_frame(g_rows, p_rows, iou_threshold)
-        matched_g = {i for i, _ in pairs}
-        matched_p = {j for _, j in pairs}
-        out.matches[f] = [(g_rows[i].track_id, p_rows[j].track_id) for i, j in pairs]
-        out.unmatched_gt[f] = [r.track_id for i, r in enumerate(g_rows) if i not in matched_g]
-        out.unmatched_pred[f] = [r.track_id for j, r in enumerate(p_rows) if j not in matched_p]
-    return out
 
 
 @dataclass
@@ -277,13 +240,6 @@ class HotaResult:
     fp: np.ndarray
     ass: np.ndarray  # AssA per alpha
     undefined: bool = False
-
-    @property
-    def per_alpha_hota(self) -> np.ndarray:
-        deta = np.zeros_like(self.tp, dtype=float)
-        denom = self.tp + self.fn + self.fp
-        np.divide(self.tp, denom, out=deta, where=denom > 0)
-        return np.sqrt(deta * self.ass)
 
 
 def hota(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> HotaResult:

@@ -11,7 +11,7 @@ into the text-embedding space for the distillation losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,13 +53,7 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "message_passing_steps": self.message_passing_steps,
-            "edge_dim": self.edge_dim,
-            "text_dim": self.text_dim,
-            "node_dim": self.node_dim,
-            "appearance_dim": self.appearance_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -262,21 +256,9 @@ def classify_edges(eg: EncodedGraph, params: ModelParams) -> Tensor:
     return probs.clamp(PROB_EPS, 1.0 - PROB_EPS)
 
 
-def project_nodes_for_isg(
-    eg: EncodedGraph, params: ModelParams, use_updated: bool = False
-) -> Tensor:
-    """Project node embeddings into text space (one row per node).
-
-    By default the pre-message-passing embeddings are projected; pass
-    ``use_updated=True`` to project the refined embeddings instead.
-    """
-    if use_updated:
-        if eg.node_h is None:
-            raise RuntimeError("use_updated requires message passing to have run")
-        src = eg.node_h
-    else:
-        src = eg.node_phi
-    return mlp_forward(params.isg_projection, src)
+def project_nodes_for_isg(eg: EncodedGraph, params: ModelParams) -> Tensor:
+    """Project the pre-message-passing node embeddings into text space (one row per node)."""
+    return mlp_forward(params.isg_projection, eg.node_phi)
 
 
 def project_edges_for_spg(eg: EncodedGraph, params: ModelParams) -> Tensor:

@@ -15,9 +15,9 @@ without the guidance terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .data_io import (
     compose_instance_description,
     compose_scene_description,
 )
-from .graph import Detection, TrackGraph, Tracklet, build_graph, build_hierarchy
+from .graph import Detection, TrackGraph, Tracklet, build_graph, build_hierarchy, check_level_sizes
 from .guidance import (
     GuidanceConfig,
     LanguageEmbeddingStore,
@@ -86,6 +86,10 @@ class TrainConfig:
     guidance_enabled: bool = True
 
     def __post_init__(self):
+        check_level_sizes(self.level_sizes)
+        for name in ("lr", "weight_decay", "focal_gamma", "alpha", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_clips < 1:
             raise ValueError("batch_clips must be >= 1")
         if self.epochs < 0:
@@ -311,8 +315,15 @@ def run_training(
 ) -> tuple[ModelParams, list[dict[str, float]]]:
     """Full training run: shuffled batches, one Adam step per batch.
 
-    The store may be None only when guidance is off.
+    The store may be None only when guidance is off.  ``cfg`` and
+    ``model_cfg`` must agree on the message-passing step count, because
+    training reads it from the former and tracking from the latter.
     """
+    if cfg.message_passing_steps != model_cfg.message_passing_steps:
+        raise ValueError(
+            f"TrainConfig has {cfg.message_passing_steps} message-passing steps, "
+            f"ModelConfig {model_cfg.message_passing_steps}"
+        )
     if cfg.use_guidance and store is None:
         raise ValueError("guidance requires an embedding store")
     rng = np.random.default_rng(cfg.seed)
@@ -374,13 +385,8 @@ def _gt_records(detections: Sequence[Detection]) -> list[BoxRecord]:
 def _evaluate_arm(
     params: ModelParams,
     sequences: Sequence[ClipData],
-    cfg: TrainConfig,
+    tracker_cfg: TrackerConfig,
 ) -> MetricReport:
-    tracker_cfg = TrackerConfig(
-        level_sizes=list(cfg.level_sizes),
-        knn_k=cfg.knn_k,
-        threshold=cfg.threshold,
-    )
     pooled = {}
     for clip in sequences:
         result = track_video(clip.detections, params, tracker_cfg)
@@ -401,6 +407,7 @@ def run_experiment(
     Writes checkpoints, per-run reports, and comparison tables when an
     output directory is given.
     """
+    tracker_cfg = TrackerConfig(list(cfg.level_sizes), cfg.knn_k, cfg.threshold)
     arms = [("guided", cfg.alpha, cfg.beta)]
     if spec.include_baseline:
         arms.insert(0, ("baseline", 0.0, 0.0))
@@ -411,25 +418,11 @@ def run_experiment(
     for seed in spec.seeds:
         results[seed] = {}
         for arm_name, alpha, beta in arms:
-            arm_cfg = TrainConfig(
-                level_sizes=cfg.level_sizes,
-                batch_clips=cfg.batch_clips,
-                epochs=cfg.epochs,
-                lr=cfg.lr,
-                weight_decay=cfg.weight_decay,
-                focal_gamma=cfg.focal_gamma,
-                alpha=alpha,
-                beta=beta,
-                knn_k=cfg.knn_k,
-                message_passing_steps=cfg.message_passing_steps,
-                threshold=cfg.threshold,
-                seed=seed,
-                guidance_enabled=cfg.guidance_enabled,
-            )
+            arm_cfg = replace(cfg, alpha=alpha, beta=beta, seed=seed)
             params, _ = run_training(spec.train_clips, arm_cfg, model_cfg, spec.store)
             reports = {
-                "in_domain": _evaluate_arm(params, spec.eval_in_domain, arm_cfg),
-                "cross_domain": _evaluate_arm(params, spec.eval_cross_domain, arm_cfg),
+                "in_domain": _evaluate_arm(params, spec.eval_in_domain, tracker_cfg),
+                "cross_domain": _evaluate_arm(params, spec.eval_cross_domain, tracker_cfg),
             }
             results[seed][arm_name] = reports
             if out is not None:

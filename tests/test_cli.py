@@ -325,3 +325,64 @@ class TestProvenance:
         out = gen_data(tmp_path, config_path, extra=["--set", "seed=5"])
         record = json.loads((out / "run.json").read_text())
         assert record["config"]["seed"] == 5
+
+
+@pytest.fixture(scope="module")
+def trained_world(tmp_path_factory):
+    """A trained checkpoint, its data, a NaN appearance sidecar, and a config
+    whose levels are not nested multiples."""
+    tmp = tmp_path_factory.mktemp("world")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    data, ckpt = train_pipeline(tmp, str(config))
+    (tmp / "nan.det.txt").write_text((data / "seq00.det.txt").read_text())
+    rows = (data / "seq00.appearance.csv").read_text().splitlines()
+    rows[1] = "nan," + rows[1].split(",", 1)[1]
+    (tmp / "nan.appearance.csv").write_text("\n".join(rows) + "\n")
+    (tmp / "levels.json").write_text(json.dumps(dict(SMALL_CONFIG, levels=[5, 7])))
+    (tmp / "typed.json").write_text(json.dumps(dict(SMALL_CONFIG, lr="fast")))
+    return {
+        "config": str(config), "data": str(data), "ckpt": str(ckpt), "tmp": tmp,
+        "fixture": str(tmp / "emb" / "embeddings.json"),
+        "det": str(data / "seq00.det.txt"), "nan_det": str(tmp / "nan.det.txt"),
+    }
+
+
+def _track(w, detections):
+    return ["track", "--checkpoint", w["ckpt"], "--detections", detections]
+
+
+def _train(w):
+    return ["train", "--data", w["data"], "--fixture", w["fixture"]]
+
+
+# name -> (argv before --out, expected exit code, message prefix)
+BAD_INPUTS = {
+    "track threshold=0": (
+        lambda w: _track(w, w["det"]) + ["--config", w["config"], "--set", "threshold=0"],
+        3, "config error"),
+    "experiment threshold=0": (
+        lambda w: ["experiment", "--config", w["config"], "--set", "threshold=0",
+                   *EXPERIMENT_FLAGS], 3, "config error"),
+    "train levels [5,7]": (
+        lambda w: _train(w) + ["--config", str(w["tmp"] / "levels.json")], 3, "config error"),
+    "train alpha=nan": (
+        lambda w: _train(w) + ["--config", w["config"], "--set", "alpha=nan"], 3, "config error"),
+    "train lr=nan": (
+        lambda w: _train(w) + ["--config", w["config"], "--set", "lr=nan"], 3, "config error"),
+    "train lr of the wrong JSON type": (
+        lambda w: _train(w) + ["--config", str(w["tmp"] / "typed.json")], 3, "config error"),
+    "track NaN sidecar": (
+        lambda w: _track(w, w["nan_det"]) + ["--config", w["config"]], 4, "input error"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_exits_with_category_not_traceback(name, trained_world, tmp_path, capsys):
+    argv, code, prefix = BAD_INPUTS[name]
+    capsys.readouterr()
+    assert run(*argv(trained_world), "--out", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert f"{prefix}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

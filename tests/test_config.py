@@ -1,6 +1,7 @@
 """Config file round trips, digests, and command-line overrides."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -11,6 +12,57 @@ from langtrack.config import (
     load_config,
     save_config,
 )
+from langtrack.inference import TrackerConfig
+from langtrack.model import ModelConfig
+from langtrack.trainer import TrainConfig
+
+NAN, INF = float("nan"), float("inf")
+
+# RunConfig key -> the library config fields it feeds.
+LIBRARY_FIELDS = {
+    "alpha": [(TrainConfig, "alpha")],
+    "beta": [(TrainConfig, "beta")],
+    "levels": [(TrainConfig, "level_sizes"), (TrackerConfig, "level_sizes")],
+    "knn_k": [(TrainConfig, "knn_k"), (TrackerConfig, "knn_k")],
+    "mp_steps": [(TrainConfig, "message_passing_steps"), (ModelConfig, "message_passing_steps")],
+    "node_dim": [(ModelConfig, "node_dim")],
+    "edge_dim": [(ModelConfig, "edge_dim")],
+    "text_dim": [(ModelConfig, "text_dim")],
+    "lr": [(TrainConfig, "lr")],
+    "weight_decay": [(TrainConfig, "weight_decay")],
+    "epochs": [(TrainConfig, "epochs")],
+    "batch_clips": [(TrainConfig, "batch_clips")],
+    "focal_gamma": [(TrainConfig, "focal_gamma")],
+    "threshold": [(TrainConfig, "threshold"), (TrackerConfig, "threshold")],
+    "seed": [(TrainConfig, "seed")],
+}
+
+FLOAT_EDGES = [-1e-9, 0.0, 1e-9, 1.0, NAN, INF, -INF]
+INT_EDGES = [-1, 0, 1, 2]
+BOUNDARY_VALUES = {
+    "alpha": FLOAT_EDGES,
+    "beta": FLOAT_EDGES,
+    "levels": [(), (0,), (5,), (5, 5), (5, 7), (5, 10), (10, 5), (5, 25, 75, 150)],
+    "lr": FLOAT_EDGES,
+    "weight_decay": FLOAT_EDGES,
+    "focal_gamma": FLOAT_EDGES,
+    "threshold": [-1e-9, 0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0, NAN, INF],
+    **{key: INT_EDGES for key in (
+        "knn_k", "mp_steps", "node_dim", "edge_dim", "text_dim", "epochs", "batch_clips", "seed",
+    )},
+}
+
+
+def _raises(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+def _library_raises(key, value) -> bool:
+    return any(_raises(lambda: cls(**{name: value})) for cls, name in LIBRARY_FIELDS[key])
 
 
 class TestRunConfig:
@@ -45,11 +97,59 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="momentum"):
             RunConfig.from_dict({"momentum": 0.9})
 
+    @pytest.mark.parametrize("doc", [
+        {"epochs": 1.5}, {"knn_k": True}, {"lr": "fast"}, {"seed": None},
+    ])
+    def test_from_dict_rejects_values_of_the_wrong_type(self, doc):
+        with pytest.raises(ValueError, match=next(iter(doc))):
+            RunConfig.from_dict(doc)
+
+    def test_from_dict_accepts_an_integer_for_a_float(self):
+        assert RunConfig.from_dict({"lr": 1}).lr == 1
+
     def test_from_dict_partial_fills_defaults(self):
         cfg = RunConfig.from_dict({"alpha": 0.5, "levels": [3, 6]})
         assert cfg.alpha == 0.5
         assert cfg.levels == (3, 6)
         assert cfg.epochs == 30
+
+
+class TestOneRulePerSetting:
+    def test_every_setting_is_mapped(self):
+        assert set(LIBRARY_FIELDS) == {f.name for f in fields(RunConfig)} - {"paths"}
+        assert set(BOUNDARY_VALUES) == set(LIBRARY_FIELDS)
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key, values in BOUNDARY_VALUES.items() for value in values
+    ])
+    def test_run_config_raises_exactly_when_library_configs_raise(self, key, value):
+        assert _raises(lambda: RunConfig(**{key: value})) == _library_raises(key, value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": 0.0}, {"levels": (5, 7)}, {"alpha": NAN}, {"beta": INF},
+        {"lr": NAN}, {"weight_decay": INF}, {"focal_gamma": NAN},
+    ])
+    def test_inputs_that_used_to_slip_through_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            RunConfig(**kwargs)
+
+    def test_library_configs_carry_the_settings(self):
+        cfg = RunConfig(levels=(2, 4), knn_k=5, mp_steps=3, node_dim=8, edge_dim=4,
+                        text_dim=6, lr=1e-3, threshold=0.25, seed=9)
+        train = cfg.train_config()
+        assert (train.level_sizes, train.knn_k, train.message_passing_steps) == ((2, 4), 5, 3)
+        assert (train.lr, train.threshold, train.seed) == (1e-3, 0.25, 9)
+        assert cfg.train_config(seed=4).seed == 4
+        assert cfg.model_config(7) == ModelConfig(
+            message_passing_steps=3, edge_dim=4, text_dim=6, node_dim=8, appearance_dim=7
+        )
+        assert cfg.tracker_config() == TrackerConfig(level_sizes=[2, 4], knn_k=5, threshold=0.25)
+
+    def test_to_dict_keeps_field_order_and_json_types(self):
+        doc = RunConfig(levels=(2, 4), paths={"b": "2", "a": "1"}).to_dict()
+        assert list(doc) == [f.name for f in fields(RunConfig)]
+        assert doc["levels"] == [2, 4]
+        assert list(doc["paths"]) == ["a", "b"]
 
 
 class TestFileRoundTrip:
@@ -122,6 +222,16 @@ class TestOverrides:
     def test_bad_value_type_reported(self):
         with pytest.raises(ValueError, match="epochs"):
             apply_overrides(RunConfig(), ["epochs=three"])
+
+    @pytest.mark.parametrize("key", [
+        f.name for f in fields(RunConfig) if f.name not in ("levels", "paths")
+    ])
+    def test_every_scalar_key_can_be_overridden(self, key):
+        default = getattr(RunConfig(), key)
+        value = default / 2 if isinstance(default, float) else default + 1
+        cfg = apply_overrides(RunConfig(), [f"{key}={value}"])
+        assert getattr(cfg, key) == value
+        assert type(getattr(cfg, key)) is type(default)
 
     def test_invalid_resulting_value_rejected(self):
         with pytest.raises(ValueError):

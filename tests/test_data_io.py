@@ -171,6 +171,16 @@ class TestAppearance:
         with pytest.raises(ValueError, match="expected 3"):
             read_appearance(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "app.txt"
+        write_appearance(p, np.zeros((2, 3)))
+        lines = p.read_text().splitlines()
+        lines[2] = f"0.0,{bad},0.0"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3.*finite"):
+            read_appearance(p)
+
 
 class TestToDetections:
     def test_builds_detections_with_appearance(self):

@@ -13,7 +13,6 @@ from langtrack.guidance import (
     LanguageEmbeddingStore,
     isg_loss,
     language_access_forbidden,
-    lookup_embedding,
     spg_loss,
     total_loss,
 )
@@ -29,7 +28,7 @@ def direct_isg(nodes, targets):
 def test_isg_zero_on_identical_rows():
     rows = np.random.default_rng(0).standard_normal((4, 6))
     term = isg_loss(rows, rows.copy())
-    assert term.count == 4 and not term.empty
+    assert term.count == 4
     assert abs(term.item()) < 1e-12
 
 
@@ -71,7 +70,7 @@ def test_isg_shift_invariance_of_alignment():
 
 def test_isg_empty_returns_flagged_zero():
     term = isg_loss(np.zeros((0, 4)), np.zeros((0, 4)))
-    assert term.empty and term.item() == 0.0
+    assert term.count == 0 and term.item() == 0.0
 
 
 def test_isg_rejects_mismatch():
@@ -94,7 +93,7 @@ def test_spg_zero_on_aligned_and_empty_flag():
     scene = np.array([0.2, -1.0, 0.4])
     assert abs(spg_loss(np.tile(scene, (5, 1)), scene).item()) < 1e-12
     term = spg_loss(np.zeros((0, 3)), scene)
-    assert term.empty and term.item() == 0.0
+    assert term.count == 0 and term.item() == 0.0
 
 
 def test_spg_matches_direct_summation_randomized():
@@ -197,12 +196,12 @@ def test_store_lookup_semantics():
     vec = np.array([1.0, 2.0, 3.0])
     store = LanguageEmbeddingStore({"a red shirt": vec, "a blue shirt": vec * 2})
     assert store.dim == 3
-    got = lookup_embedding(store, "a red shirt")
+    got = store.lookup("a red shirt")
     assert np.array_equal(got, vec)
-    assert np.array_equal(lookup_embedding(store, "a red shirt"), got)
+    assert np.array_equal(store.lookup("a red shirt"), got)
     assert store.access_count == 2
     with pytest.raises(KeyError, match="green"):
-        lookup_embedding(store, "a green shirt")
+        store.lookup("a green shirt")
     with pytest.raises(ValueError):
         LanguageEmbeddingStore({"a": np.ones(3), "b": np.ones(4)})
     with pytest.raises(ValueError):
@@ -211,7 +210,7 @@ def test_store_lookup_semantics():
 
 def test_store_vectors_are_frozen():
     store = LanguageEmbeddingStore({"d": np.ones(2)})
-    vec = lookup_embedding(store, "d")
+    vec = store.lookup("d")
     with pytest.raises(ValueError):
         vec[0] = 5.0
 
@@ -220,7 +219,7 @@ def test_access_guard_blocks_lookup():
     store = LanguageEmbeddingStore({"d": np.ones(2)})
     with language_access_forbidden():
         with pytest.raises(RuntimeError):
-            lookup_embedding(store, "d")
+            store.lookup("d")
     # guard lifts cleanly
-    assert lookup_embedding(store, "d") is not None
+    assert store.lookup("d") is not None
     assert store.access_count == 1

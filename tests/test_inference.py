@@ -1,14 +1,13 @@
-"""Rounding, id assignment, and the hierarchical tracking loop."""
+"""Rounding, merging, id assignment, and the hierarchical tracking loop."""
 
 import numpy as np
 import pytest
 
 from langtrack.graph import Detection, Tracklet, build_graph, lift_detections
-from langtrack.guidance import LanguageEmbeddingStore, lookup_embedding
+from langtrack.guidance import LanguageEmbeddingStore
 from langtrack.inference import (
     TrackerConfig,
     TrackResult,
-    assign_ids,
     gt_oracle_scorer,
     merge_accepted,
     round_edges,
@@ -109,39 +108,47 @@ def test_round_feasible_and_maximal_randomized():
             assert int(g.edge_u[i]) in succ or int(g.edge_v[i]) in pred
 
 
-# -- assign_ids ----------------------------------------------------------------
+# -- id assignment: merge_accepted and track_video ------------------------------
+
+
+def edge_index(g, u_frame, v_frame):
+    """Index of the edge from the node starting at u_frame to the one at v_frame."""
+    pairs = [(g.nodes[u].start_frame, g.nodes[v].start_frame) for u, v in zip(g.edge_u, g.edge_v)]
+    return pairs.index((u_frame, v_frame))
+
+
+def no_links(graph):
+    return np.zeros(graph.num_edges)
 
 
 def test_assign_singletons():
-    tracklets = [single(f) for f in (3, 1, 2, 4)]
-    res = assign_ids(tracklets, [])
+    res = track_video([det(f) for f in (3, 1, 2, 4)], None, SMALL_CFG, edge_scorer=no_links)
     assert res.num_tracks == 4
     assert [res.trajectories[i][0].frame for i in range(1, 5)] == [1, 2, 3, 4]
 
 
 def test_assign_chain_merges_detections_in_frame_order():
-    tracklets = [single(1), single(2), single(3)]
-    res = assign_ids(tracklets, [(0, 1), (1, 2)])
-    assert res.num_tracks == 1
-    assert [d.frame for d in res.trajectories[1]] == [1, 2, 3]
+    g = build_graph([single(3), single(1), single(2)], 5, (1, 3))
+    merged = merge_accepted(g, np.array(sorted([edge_index(g, 1, 2), edge_index(g, 2, 3)])))
+    assert len(merged) == 1
+    assert [d.frame for d in merged[0].detections] == [1, 2, 3]
 
 
 def test_assign_parallel_chains_ordered_by_start():
-    late = [single(5, x=1.0), single(6, x=1.0)]
-    early = [single(2, x=9.0), single(4, x=9.0)]
-    tracklets = late + early
-    res = assign_ids(tracklets, [(0, 1), (2, 3)])
+    late = [det(5, x=1.0, gt_id=1), det(6, x=1.0, gt_id=1)]
+    early = [det(2, x=9.0, gt_id=2), det(4, x=9.0, gt_id=2)]
+    res = track_video(late + early, None, SMALL_CFG, edge_scorer=gt_oracle_scorer)
     assert res.num_tracks == 2
-    assert res.trajectories[1][0].frame == 2
-    assert res.trajectories[2][0].frame == 5
+    assert [d.frame for d in res.trajectories[1]] == [2, 4]
+    assert [d.frame for d in res.trajectories[2]] == [5, 6]
 
 
 def test_assign_rejects_degree_violation():
-    tracklets = [single(1), single(2), single(3)]
+    g = build_graph([single(1), single(2), single(3)], 5, (1, 3))
     with pytest.raises(RuntimeError):
-        assign_ids(tracklets, [(0, 2), (1, 2)])
+        merge_accepted(g, np.array(sorted([edge_index(g, 1, 3), edge_index(g, 2, 3)])))
     with pytest.raises(RuntimeError):
-        assign_ids(tracklets, [(0, 1), (0, 2)])
+        merge_accepted(g, np.array(sorted([edge_index(g, 1, 2), edge_index(g, 1, 3)])))
 
 
 def test_merge_accepted_grows_tracklets():
@@ -286,7 +293,7 @@ def test_guard_active_inside_track_video():
     store = LanguageEmbeddingStore({"desc": np.ones(4)})
 
     def leaky_scorer(graph):
-        lookup_embedding(store, "desc")  # must blow up under the guard
+        store.lookup("desc")  # must blow up under the guard
         return np.zeros(graph.num_edges)
 
     with pytest.raises(RuntimeError):

@@ -11,11 +11,11 @@ from langtrack.metrics import (
     hota,
     idf1,
     iou,
-    match_frames,
     mota,
     render_report,
     render_table,
 )
+from langtrack.metrics import _by_frame, _match_one_frame
 from reference_metrics import ref_hota, ref_idf1, ref_mota
 
 
@@ -24,6 +24,17 @@ def recs(rows):
 
 
 BOX = (0.0, 0.0, 10.0, 10.0)
+
+
+def frame_matches(gt, pred, threshold=0.5):
+    """(gt id, pred id) pairs per frame from independent per-frame matching."""
+    gt_frames, pred_frames = _by_frame(gt), _by_frame(pred)
+    out = {}
+    for f in sorted(set(gt_frames) | set(pred_frames)):
+        g_rows, p_rows = gt_frames.get(f, []), pred_frames.get(f, [])
+        pairs = _match_one_frame(g_rows, p_rows, threshold)
+        out[f] = [(g_rows[i].track_id, p_rows[j].track_id) for i, j in pairs]
+    return out
 
 
 def straight_track(tid, frames, box=BOX):
@@ -92,26 +103,22 @@ class TestIou:
 
 class TestMatchFrames:
     def test_exact_overlap_matches(self):
-        gt = recs([(1, 1, BOX)])
-        pred = recs([(1, 7, BOX)])
-        fm = match_frames(gt, pred)
-        assert fm.matches[1] == [(1, 7)]
-        assert fm.unmatched_gt[1] == []
-        assert fm.unmatched_pred[1] == []
+        assert _match_one_frame(recs([(1, 1, BOX)]), recs([(1, 7, BOX)]), 0.5) == [(0, 0)]
 
     def test_below_threshold_is_unmatched(self):
         gt = recs([(1, 1, BOX)])
         pred = recs([(1, 2, (8.0, 0.0, 10.0, 10.0))])  # IoU 1/9
-        fm = match_frames(gt, pred)
-        assert fm.matches[1] == []
-        assert fm.unmatched_gt[1] == [1]
-        assert fm.unmatched_pred[1] == [2]
+        assert _match_one_frame(gt, pred, 0.5) == []
+        assert _match_one_frame(gt, pred, 0.1) == [(0, 0)]
+        out = mota(gt, pred)
+        assert (out.tp, out.fp, out.fn) == (0, 1, 1)
 
     def test_ties_prefer_smaller_ids(self):
         gt = recs([(1, 1, BOX), (1, 2, BOX)])
         pred = recs([(1, 5, BOX), (1, 6, BOX)])
-        fm = match_frames(gt, pred)
-        assert fm.matches[1] == [(1, 5), (2, 6)]
+        assert frame_matches(gt, pred)[1] == [(1, 5), (2, 6)]
+        # rows arrive in any order; the tie still goes to the smaller ids
+        assert frame_matches(gt[::-1], pred[::-1])[1] == [(1, 5), (2, 6)]
 
     def test_prefers_more_matches(self):
         # Pairing gt 1 with the closer pred would leave gt 2 unmatched.
@@ -120,17 +127,16 @@ class TestMatchFrames:
             (1, 1, (1.0, 0.0, 10.0, 10.0)),
             (1, 2, (4.9, 0.0, 10.0, 10.0)),
         ])
-        fm = match_frames(gt, pred)
-        assert len(fm.matches[1]) == 2
-        assert fm.matches[1] == [(1, 1), (2, 2)]
+        assert frame_matches(gt, pred)[1] == [(1, 1), (2, 2)]
+        assert mota(gt, pred).tp == 2
 
     def test_duplicate_id_in_frame_rejected(self):
         with pytest.raises(ValueError, match="twice"):
-            match_frames(recs([(1, 1, BOX), (1, 1, BOX)]), [])
+            mota(recs([(1, 1, BOX), (1, 1, BOX)]), [])
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            match_frames(recs([(1, 1, (0.0, 0.0, 0.0, 5.0))]), [])
+            mota(recs([(1, 1, (0.0, 0.0, 0.0, 5.0))]), [])
 
 
 class TestMota:
@@ -180,8 +186,7 @@ class TestMota:
         out = mota(gt, pred)
         assert out.idsw == 0
         assert out.fp == 2
-        fm = match_frames(gt, pred)
-        assert fm.matches[2] == [(1, 2)]  # without persistence the exact box wins
+        assert frame_matches(gt, pred)[2] == [(1, 2)]  # without persistence the exact box wins
 
     def test_zero_gt_is_flagged_nan(self):
         out = mota([], recs([(1, 1, BOX)]))
@@ -291,12 +296,12 @@ class TestBruteForceAgreement:
         rng = np.random.default_rng(7)
         for _ in range(30):
             gt_rows, pred_rows = random_scenario(rng)
-            fm = match_frames(recs(gt_rows), recs(pred_rows))
+            matches = frame_matches(recs(gt_rows), recs(pred_rows))
             gt_by_f = group_frames(gt_rows)
             pred_by_f = group_frames(pred_rows)
             for f in sorted(set(gt_by_f) | set(pred_by_f)):
                 want = best_frame_assignment(gt_by_f.get(f, {}), pred_by_f.get(f, {}), 0.5)
-                assert sorted(fm.matches.get(f, [])) == want
+                assert sorted(matches.get(f, [])) == want
 
 
 class TestInvariants:
@@ -349,9 +354,8 @@ class TestInvariants:
             gt_rows, pred_rows = random_scenario(rng)
             gt = recs(gt_rows)
             pred = recs(pred_rows)
-            fm = match_frames(gt, pred)
             matched = [
-                (f, pid) for f, pairs in fm.matches.items() for _, pid in pairs
+                (f, pid) for f, pairs in frame_matches(gt, pred).items() for _, pid in pairs
             ]
             if not matched:
                 continue

@@ -17,6 +17,7 @@ from langtrack.model import (
     project_edges_for_spg,
     project_nodes_for_isg,
 )
+from langtrack.nn import mlp_forward
 
 CFG = ModelConfig(
     message_passing_steps=2, edge_dim=4, text_dim=3, node_dim=8, appearance_dim=5
@@ -192,8 +193,6 @@ def test_classify_before_message_pass_is_state_error():
         classify_edges(eg, params)
     with pytest.raises(RuntimeError):
         project_edges_for_spg(eg, params)
-    with pytest.raises(RuntimeError):
-        project_nodes_for_isg(eg, params, use_updated=True)
 
 
 def test_classifier_zero_weights_give_half():
@@ -230,8 +229,10 @@ def test_pre_vs_post_isg_source_differs():
     params = init_model(np.random.default_rng(21), CFG)
     g = path_graph(np.random.default_rng(22))
     eg = message_pass(encode_graph(g, params), params, steps=2)
-    pre = project_nodes_for_isg(eg, params, use_updated=False).data
-    post = project_nodes_for_isg(eg, params, use_updated=True).data
+    isg = project_nodes_for_isg(eg, params).data
+    pre = mlp_forward(params.isg_projection, eg.node_phi).data
+    post = mlp_forward(params.isg_projection, eg.node_h).data
+    assert np.array_equal(isg, pre)  # ISG reads the embeddings before message passing
     assert not np.allclose(pre, post)
 
 

@@ -340,6 +340,13 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             run_training([synth_clip("a", 3)], small_train_cfg(), MODEL_CFG, store=None)
 
+    def test_mismatched_step_counts_rejected(self):
+        # training reads the step count from TrainConfig, tracking from
+        # ModelConfig; a model trained with one count must not track with another
+        clips = [synth_clip("a", 3)]
+        with pytest.raises(ValueError, match="message-passing steps"):
+            run_training(clips, small_train_cfg(message_passing_steps=3), MODEL_CFG, store_for(*clips))
+
     def test_history_length_counts_batches(self):
         clips = [synth_clip(f"c{i}", seed=i) for i in range(3)]
         store = store_for(*clips)
