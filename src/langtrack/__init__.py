@@ -7,7 +7,7 @@ touches language.
 """
 
 from .config import RunConfig, apply_overrides, config_digest, load_config, save_config
-from .graph import Detection, TrackGraph, Tracklet, build_graph, build_hierarchy
+from .graph import Detection, TrackGraph, Tracklet, build_graph
 from .guidance import (
     GuidanceConfig,
     LanguageEmbeddingStore,
@@ -52,7 +52,6 @@ __all__ = [
     "apply_domain_shift",
     "apply_overrides",
     "build_graph",
-    "build_hierarchy",
     "config_digest",
     "embedding_store_for",
     "evaluate",

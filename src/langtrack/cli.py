@@ -39,10 +39,11 @@ from .data_io import (
 )
 from .guidance import LanguageEmbeddingStore, language_access_forbidden
 from .inference import track_video
-from .metrics import BoxRecord, evaluate, render_report
+from .metrics import BoxRecord, check_iou_threshold, evaluate, render_report
 from .model import ModelConfig, params_from_tensors
 from .nn import load_checkpoint, save_checkpoint
 from .synth import (
+    DomainProfile,
     SynthConfig,
     apply_domain_shift,
     embedding_store_for,
@@ -134,13 +135,32 @@ def _scene_from_args(args) -> SceneAttributes:
         raise _usage_error(str(exc)) from None
 
 
-def _domain_from_args(args, scene: SceneAttributes, dim: int):
-    if args.rotation_degrees == 0.0:
-        return identity_profile(args.domain, scene, dim)
-    return rotation_profile(
-        args.domain, scene, dim, args.rotation_degrees,
-        translation_scale=args.translation_scale,
-    )
+def _world_from_args(
+    args, seed: int, shift_label: str, drop_rate: float = 0.0
+) -> tuple[SynthConfig, DomainProfile, DomainProfile]:
+    """The clip config the world flags describe, the source-domain profile,
+    and the rotated profile labelled ``shift_label``; a bad flag is a usage error."""
+    scene = _scene_from_args(args)
+    dim = args.appearance_dim
+    try:
+        synth = SynthConfig(
+            num_objects=args.objects,
+            num_frames=args.frames,
+            appearance_dim=dim,
+            appearance_noise=args.appearance_noise,
+            occlusion_rate=args.occlusion_rate,
+            detection_drop_rate=drop_rate,
+            velocity_scale=args.velocity_scale,
+            box_jitter=args.box_jitter,
+            seed=seed,
+        )
+        shifted = rotation_profile(
+            shift_label, scene, dim, args.rotation_degrees,
+            translation_scale=args.translation_scale,
+        )
+    except ValueError as exc:
+        raise _usage_error(str(exc)) from None
+    return synth, identity_profile("source", scene, dim), shifted
 
 
 def _sequence_rows(detections) -> tuple[list[MotRecord], list[MotRecord], np.ndarray]:
@@ -156,24 +176,10 @@ def _sequence_rows(detections) -> tuple[list[MotRecord], list[MotRecord], np.nda
 def cmd_gen(args) -> int:
     cfg = _resolve_config(args)
     out = _path_from(args, cfg, "out")
-    if args.sequences < 1 or args.objects < 1 or args.frames < 1:
-        raise _usage_error("sequences, objects, and frames must all be >= 1")
-    scene = _scene_from_args(args)
-    domain = _domain_from_args(args, scene, args.appearance_dim)
-    try:
-        synth_base = SynthConfig(
-            num_objects=args.objects,
-            num_frames=args.frames,
-            appearance_dim=args.appearance_dim,
-            appearance_noise=args.appearance_noise,
-            occlusion_rate=args.occlusion_rate,
-            detection_drop_rate=args.drop_rate,
-            velocity_scale=args.velocity_scale,
-            box_jitter=args.box_jitter,
-            seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise _usage_error(str(exc)) from None
+    if args.sequences < 1:
+        raise _usage_error("sequences must be >= 1")
+    synth_base, source, shifted = _world_from_args(args, cfg.seed, args.domain, args.drop_rate)
+    domain = source if args.rotation_degrees == 0.0 else shifted
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.sequences):
         synth = replace(synth_base, seed=cfg.seed + i)
@@ -378,6 +384,10 @@ def _box_records(records, kind: str) -> list[BoxRecord]:
 
 
 def cmd_eval(args) -> int:
+    try:
+        check_iou_threshold(args.iou_threshold)
+    except ValueError as exc:
+        raise _usage_error(str(exc)) from None
     cfg = _resolve_config(args)
     gt_path = _path_from(args, cfg, "gt")
     result_path = _path_from(args, cfg, "result")
@@ -414,28 +424,12 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
 
 
 def _experiment_clips(args, cfg: RunConfig) -> tuple[list[ClipData], list[ClipData], list[ClipData], LanguageEmbeddingStore]:
-    scene = _scene_from_args(args)
-    dim = args.appearance_dim
-    domain_a = identity_profile("source", scene, dim)
-    domain_b = rotation_profile(
-        "shifted", scene, dim, args.rotation_degrees,
-        translation_scale=args.translation_scale,
-    )
+    synth, domain_a, domain_b = _world_from_args(args, 0, "shifted")
 
     def make(prefix: str, count: int, base_seed: int) -> list[ClipData]:
         clips = []
         for i in range(count):
-            synth = SynthConfig(
-                num_objects=args.objects,
-                num_frames=args.frames,
-                appearance_dim=dim,
-                appearance_noise=args.appearance_noise,
-                occlusion_rate=args.occlusion_rate,
-                velocity_scale=args.velocity_scale,
-                box_jitter=args.box_jitter,
-                seed=base_seed + i,
-            )
-            detections, annotations = gen_sequence(synth, domain_a)
+            detections, annotations = gen_sequence(replace(synth, seed=base_seed + i), domain_a)
             clips.append(ClipData(f"{prefix}{i:02d}", detections, annotations))
         return clips
 

@@ -4,13 +4,15 @@ Detections are lifted to single-detection tracklets, tracklets become graph
 nodes, and candidate edges connect temporally disjoint nodes (earlier node
 ends before the later one starts).  A fixed pruning score keeps each node's
 candidate set at the k most plausible successors so graph construction is
-deterministic and cheap.  Frame windows come from a multi-level hierarchy
-schedule; each level's windows are exact unions of the previous level's.
+deterministic and cheap.  This module alone knows how a level tiles a clip:
+level sizes nest by integer factors and grow until one window covers the
+whole clip, and each level groups tracklets by the window their first frame
+falls in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +21,9 @@ __all__ = [
     "Detection",
     "Tracklet",
     "TrackGraph",
-    "HierarchySchedule",
-    "build_hierarchy",
     "check_level_sizes",
+    "clip_level_sizes",
+    "group_by_window",
     "lift_detections",
     "aggregate_tracklet",
     "edge_features",
@@ -166,14 +168,6 @@ class TrackGraph:
         return int(self.edge_u.shape[0])
 
 
-@dataclass
-class HierarchySchedule:
-    """Per-level frame windows; sizes grow by integer factors."""
-
-    level_sizes: list[int]
-    levels: list[list[tuple[int, int]]] = field(default_factory=list)
-
-
 def check_level_sizes(level_sizes: Sequence[int]) -> None:
     """Sizes must be positive, strictly increase, and each must be a multiple
     of the previous one, so every window is an exact union of child windows."""
@@ -187,20 +181,29 @@ def check_level_sizes(level_sizes: Sequence[int]) -> None:
             )
 
 
-def build_hierarchy(num_frames: int, level_sizes: Sequence[int]) -> HierarchySchedule:
-    """Tile [1, num_frames] at every level; the last window may be shorter."""
-    if num_frames < 1:
-        raise ValueError(f"num_frames must be >= 1, got {num_frames}")
+def clip_level_sizes(num_frames: int, level_sizes: Sequence[int]) -> list[int]:
+    """The configured sizes, doubled past the last until one window covers
+    [1, num_frames]; a clip no longer than the last size keeps them as given."""
+    check_level_sizes(level_sizes)
     sizes = list(level_sizes)
-    check_level_sizes(sizes)
-    levels = []
-    for size in sizes:
-        windows = [
-            (start, min(start + size - 1, num_frames))
-            for start in range(1, num_frames + 1, size)
-        ]
-        levels.append(windows)
-    return HierarchySchedule(sizes, levels)
+    while sizes[-1] < num_frames:
+        sizes.append(2 * sizes[-1])
+    return sizes
+
+
+def group_by_window(
+    tracklets: Sequence[Tracklet], size: int, num_frames: int
+) -> list[tuple[tuple[int, int], list[Tracklet]]]:
+    """Group tracklets by the ``size``-frame window their first frame falls in.
+
+    Windows tile [1, num_frames] from frame 1 and the last may be shorter.
+    Returns ``(window, members)`` pairs in window order without empty
+    windows; members keep input order.
+    """
+    groups: dict[int, list[Tracklet]] = {}
+    for t in tracklets:
+        groups.setdefault((t.start_frame - 1) // size, []).append(t)
+    return [((k * size + 1, min(k * size + size, num_frames)), groups[k]) for k in sorted(groups)]
 
 
 def lift_detections(detections: Sequence[Detection]) -> list[Tracklet]:

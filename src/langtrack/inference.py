@@ -2,7 +2,9 @@
 
 Greedy flow-constrained rounding keeps at most one accepted successor and
 one accepted predecessor per node, merges the resulting chains, and repeats
-level by level until whole-clip trajectories remain.  This path is
+level by level; ``graph.py`` derives the levels and their windows, and the
+top level's one window covers the whole clip, so whole-clip trajectories
+remain.  This path is
 video-only by construction: no operation here takes the language embedding
 store, and the whole pass runs under a guard that turns any stray embedding
 access into a hard error.
@@ -21,8 +23,9 @@ from .graph import (
     Tracklet,
     aggregate_tracklet,
     build_graph,
-    build_hierarchy,
     check_level_sizes,
+    clip_level_sizes,
+    group_by_window,
     lift_detections,
     tracklet_sort_key,
 )
@@ -199,9 +202,11 @@ def track_video(
 ) -> TrackResult:
     """Hierarchical tracking over a whole clip.
 
-    Each level tiles the clip into windows, classifies candidate edges
-    inside every window, rounds them, and merges the resulting chains; the
-    next level sees the merged tracklets.  `edge_scorer` replaces the
+    Each level groups the tracklets by window (``graph.group_by_window``),
+    classifies candidate edges inside every window, rounds them, and merges
+    the resulting chains; the next level sees the merged tracklets.  Levels
+    past the configured ones double in size until one window covers the
+    whole clip (``graph.clip_level_sizes``).  `edge_scorer` replaces the
     learned classifier when given (params may then be None).  Language
     embeddings are unreachable from here.  A non-finite edge probability
     (say, from a NaN parameter) raises ValueError.
@@ -211,18 +216,12 @@ def track_video(
     if edge_scorer is None and params is None:
         raise ValueError("either model params or an edge scorer is required")
     dets = sorted(detections, key=_detection_sort_key)
-    schedule = build_hierarchy(max(d.frame for d in dets), config.level_sizes)
+    num_frames = dets[-1].frame
     tracklets = lift_detections(dets)
     with language_access_forbidden():
-        for windows in schedule.levels:
+        for size in clip_level_sizes(num_frames, config.level_sizes):
             next_level: list[Tracklet] = []
-            for window in windows:
-                members = [
-                    t for t in tracklets
-                    if window[0] <= t.start_frame and t.end_frame <= window[1]
-                ]
-                if not members:
-                    continue
+            for window, members in group_by_window(tracklets, size, num_frames):
                 graph = build_graph(members, config.knn_k, window)
                 if edge_scorer is None:
                     eg = encode_graph(graph, params)

@@ -26,6 +26,7 @@ __all__ = [
     "HotaResult",
     "MetricReport",
     "iou",
+    "check_iou_threshold",
     "mota",
     "idf1",
     "hota",
@@ -119,6 +120,13 @@ class MotaResult:
     undefined: bool = False
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """A match needs IoU >= the threshold, so it must lie in (0, 1]: at 0
+    disjoint boxes match, and above 1 nothing does."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou threshold must lie in (0, 1], got {iou_threshold}")
+
+
 def mota(
     gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float = 0.5
 ) -> MotaResult:
@@ -129,6 +137,7 @@ def mota(
     optimally.  A switch is counted when a matched gt's pred id differs
     from its most recent previously matched pred id.
     """
+    check_iou_threshold(iou_threshold)
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
     num_gt = sum(len(v) for v in gt_frames.values())
@@ -187,6 +196,7 @@ def idf1(
     trajectory unpaired costs its full length.  The exact minimum-cost
     assignment yields IDTP, and IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
     """
+    check_iou_threshold(iou_threshold)
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
     gt_ids = sorted({r.track_id for rows in gt_frames.values() for r in rows})

@@ -91,6 +91,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in (
+            "arena_width", "arena_height", "velocity_scale", "appearance_noise",
+            "occlusion_rate", "detection_drop_rate", "box_jitter",
+        ):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.num_objects < 1:
             raise ValueError(f"num_objects must be >= 1, got {self.num_objects}")
         if self.num_frames < 1:
@@ -99,8 +105,8 @@ class SynthConfig:
             raise ValueError("arena size must be positive")
         if self.appearance_dim < 2:
             raise ValueError(f"appearance_dim must be >= 2, got {self.appearance_dim}")
-        if self.appearance_noise < 0:
-            raise ValueError("appearance_noise must be >= 0")
+        if self.appearance_noise < 0 or self.velocity_scale < 0:
+            raise ValueError("appearance_noise and velocity_scale must be >= 0")
         for name in ("occlusion_rate", "detection_drop_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -185,6 +191,11 @@ def rotation_profile(
     The translation direction is a fixed function of the label, so equal
     labels always denote the same transform.
     """
+    if not (np.isfinite(degrees) and np.isfinite(translation_scale)):
+        raise ValueError(
+            f"rotation degrees and translation scale must be finite, got {degrees}"
+            f" and {translation_scale}"
+        )
     theta = float(np.deg2rad(degrees))
     rotations = tuple((2 * k, 2 * k + 1, theta) for k in range(dim // 2))
     translation = (

@@ -3,12 +3,14 @@
 Training is teacher-forced across the hierarchy: at level L every object
 contributes one tracklet per level L-1 window (single detections at the
 bottom), graphs are built per level-L window and batched into one
-disconnected union graph per level.  Tracklet embeddings are
-detection-encoding means, expressed as a constant averaging matrix times
-the encoder output so gradients reach the encoder.  The loss per clip is
-the sum over levels of focal classification loss plus the weighted
-instance- and scene-distillation terms; a batch averages clips and takes
-one Adam step.  Zero guidance weights skip the guidance computation
+disconnected union graph per level.  The levels and their windows come from
+``graph.clip_level_sizes`` and ``graph.group_by_window``, the same ones
+``track_video`` uses, so the top level covers the whole clip.  Tracklet
+embeddings are detection-encoding means, expressed as a constant averaging
+matrix times the encoder output so gradients reach the encoder.  The loss
+per clip is the sum over levels of focal classification loss plus the
+weighted instance- and scene-distillation terms; a batch averages clips and
+takes one Adam step.  Zero guidance weights skip the guidance computation
 entirely, which keeps the parameter trajectory bit-identical to a build
 without the guidance terms.
 """
@@ -27,7 +29,8 @@ from .data_io import (
     compose_instance_description,
     compose_scene_description,
 )
-from .graph import Detection, TrackGraph, Tracklet, build_graph, build_hierarchy, check_level_sizes
+from .graph import Detection, TrackGraph, Tracklet, build_graph, check_level_sizes
+from .graph import clip_level_sizes, group_by_window, lift_detections
 from .guidance import (
     GuidanceConfig,
     LanguageEmbeddingStore,
@@ -166,11 +169,11 @@ def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -
 
 def _union_graph(
     graphs: list[TrackGraph],
-    det_indices: list[list[int]],
+    row_of: dict[Detection, int],
     frame_span: tuple[int, int],
-    num_detections: int,
 ) -> tuple[TrackGraph, np.ndarray]:
-    """Batch window graphs into one disconnected graph plus its averaging matrix."""
+    """Batch window graphs into one disconnected graph plus its averaging
+    matrix, whose columns are the clip's detection rows in ``row_of``."""
     nodes: list[Tracklet] = []
     edge_u: list[np.ndarray] = []
     edge_v: list[np.ndarray] = []
@@ -188,9 +191,9 @@ def _union_graph(
         edge_features=np.vstack(feats) if feats else np.zeros((0, 6)),
         frame_span=frame_span,
     )
-    averaging = np.zeros((len(nodes), num_detections))
-    for row, indices in enumerate(det_indices):
-        averaging[row, indices] = 1.0 / len(indices)
+    averaging = np.zeros((len(nodes), len(row_of)))
+    for row, node in enumerate(nodes):
+        averaging[row, [row_of[d] for d in node.detections]] = 1.0 / len(node.detections)
     return union, averaging
 
 
@@ -205,8 +208,7 @@ def prepare_clip(
         raise ValueError(f"clip {clip.name!r} has no detections")
     if any(d.gt_id is None for d in dets):
         raise ValueError(f"clip {clip.name!r} has detections without gt ids")
-    num_frames = max(d.frame for d in dets)
-    schedule = build_hierarchy(num_frames, list(cfg.level_sizes))
+    num_frames = dets[-1].frame
     appearance = np.stack([d.appearance for d in dets])
     instance_vectors: dict[int, np.ndarray] = {}
     for gid in sorted({d.gt_id for d in dets}):
@@ -215,35 +217,23 @@ def prepare_clip(
         desc = compose_instance_description(clip.annotations.instances[gid])
         instance_vectors[gid] = store.lookup(desc)
     scene_embedding = store.lookup(compose_scene_description(clip.annotations.scene))
+    row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
+    singles = lift_detections(dets)
+    sizes = clip_level_sizes(num_frames, cfg.level_sizes)
     levels: list[_LevelBundle] = []
-    for li in range(len(cfg.level_sizes)):
-        if li == 0:
-            prev_windows = [(f, f) for f in range(1, num_frames + 1)]
-        else:
-            prev_windows = schedule.levels[li - 1]
-        fragments: list[tuple[Tracklet, list[int]]] = []
-        for lo, hi in prev_windows:
-            by_gt: dict[int, list[int]] = {}
-            for idx, d in enumerate(dets):
-                if lo <= d.frame <= hi:
-                    by_gt.setdefault(d.gt_id, []).append(idx)
-            for gid in sorted(by_gt):
-                indices = sorted(by_gt[gid], key=lambda i: dets[i].frame)
-                fragments.append((Tracklet([dets[i] for i in indices]), indices))
-        graphs: list[TrackGraph] = []
-        det_indices: list[list[int]] = []
-        for lo, hi in schedule.levels[li]:
-            in_window = [
-                (t, idxs) for t, idxs in fragments
-                if lo <= t.start_frame and t.end_frame <= hi
-            ]
-            if not in_window:
-                continue
-            window_graph = build_graph([t for t, _ in in_window], cfg.knn_k, (lo, hi))
-            index_of = {id(t): idxs for t, idxs in in_window}
-            graphs.append(window_graph)
-            det_indices.extend(index_of[id(t)] for t in window_graph.nodes)
-        union, averaging = _union_graph(graphs, det_indices, (1, num_frames), len(dets))
+    for prev_size, size in zip([1] + sizes[:-1], sizes):
+        # teacher forcing: one fragment per object per previous-level window
+        fragments: list[Tracklet] = []
+        for _, members in group_by_window(singles, prev_size, num_frames):
+            by_gt: dict[int, list[Detection]] = {}
+            for t in members:
+                by_gt.setdefault(t.gt_id, []).append(t.first)
+            fragments.extend(Tracklet(by_gt[gid]) for gid in sorted(by_gt))
+        graphs = [
+            build_graph(members, cfg.knn_k, window)
+            for window, members in group_by_window(fragments, size, num_frames)
+        ]
+        union, averaging = _union_graph(graphs, row_of, (1, num_frames))
         targets = np.stack(
             [instance_vectors[node.gt_id] for node in union.nodes]
         ) if union.nodes else np.zeros((0, scene_embedding.size))

@@ -356,14 +356,26 @@ def _train(w):
     return ["train", "--data", w["data"], "--fixture", w["fixture"]]
 
 
+def _gen(w, *flags):
+    return ["gen", "--config", w["config"], *GEN_FLAGS, *flags]
+
+
+def _experiment(w, *flags):
+    return ["experiment", "--config", w["config"], *EXPERIMENT_FLAGS, *flags]
+
+
+def _eval(w, threshold):
+    gt = str(w["tmp"] / "data" / "seq00.gt.txt")
+    return ["eval", "--gt", gt, "--result", gt, "--iou-threshold", threshold]
+
+
 # name -> (argv before --out, expected exit code, message prefix)
 BAD_INPUTS = {
     "track threshold=0": (
         lambda w: _track(w, w["det"]) + ["--config", w["config"], "--set", "threshold=0"],
         3, "config error"),
     "experiment threshold=0": (
-        lambda w: ["experiment", "--config", w["config"], "--set", "threshold=0",
-                   *EXPERIMENT_FLAGS], 3, "config error"),
+        lambda w: _experiment(w, "--set", "threshold=0"), 3, "config error"),
     "train levels [5,7]": (
         lambda w: _train(w) + ["--config", str(w["tmp"] / "levels.json")], 3, "config error"),
     "train alpha=nan": (
@@ -374,6 +386,17 @@ BAD_INPUTS = {
         lambda w: _train(w) + ["--config", str(w["tmp"] / "typed.json")], 3, "config error"),
     "track NaN sidecar": (
         lambda w: _track(w, w["nan_det"]) + ["--config", w["config"]], 4, "input error"),
+    "gen appearance-dim 0": (lambda w: _gen(w, "--appearance-dim", "0"), 2, "usage error"),
+    "gen appearance-noise nan": (
+        lambda w: _gen(w, "--appearance-noise", "nan"), 2, "usage error"),
+    "gen rotation-degrees inf": (
+        lambda w: _gen(w, "--rotation-degrees", "inf"), 2, "usage error"),
+    "gen velocity-scale -1": (lambda w: _gen(w, "--velocity-scale", "-1"), 2, "usage error"),
+    "experiment appearance-dim 0": (
+        lambda w: _experiment(w, "--appearance-dim", "0"), 2, "usage error"),
+    "experiment objects 0": (lambda w: _experiment(w, "--objects", "0"), 2, "usage error"),
+    "eval iou-threshold 2": (lambda w: _eval(w, "2"), 2, "usage error"),
+    "eval iou-threshold 0": (lambda w: _eval(w, "0"), 2, "usage error"),
 }
 
 

@@ -12,8 +12,10 @@ from langtrack.graph import (
     Tracklet,
     aggregate_tracklet,
     build_graph,
-    build_hierarchy,
+    check_level_sizes,
+    clip_level_sizes,
     edge_features,
+    group_by_window,
     lift_detections,
 )
 
@@ -29,43 +31,107 @@ def single(frame, **kw):
 # -- hierarchy ---------------------------------------------------------------
 
 
+def windows_at(num_frames, size):
+    """The windows of a clip with one detection in every frame."""
+    singles = lift_detections([det(f) for f in range(1, num_frames + 1)])
+    return [window for window, _ in group_by_window(singles, size, num_frames)]
+
+
 def test_hierarchy_window_counts_full_clip():
-    sched = build_hierarchy(150, [5, 25, 75, 150])
-    assert [len(level) for level in sched.levels] == [30, 6, 2, 1]
-    assert sched.levels[0][0] == (1, 5)
-    assert sched.levels[3][0] == (1, 150)
+    levels = [windows_at(150, size) for size in [5, 25, 75, 150]]
+    assert [len(level) for level in levels] == [30, 6, 2, 1]
+    assert levels[0][0] == (1, 5)
+    assert levels[3][0] == (1, 150)
 
 
 def test_hierarchy_single_window():
-    sched = build_hierarchy(5, [5])
-    assert sched.levels == [[(1, 5)]]
+    groups = group_by_window(lift_detections([det(1), det(5)]), 5, 5)
+    assert [window for window, _ in groups] == [(1, 5)]
+    assert [t.start_frame for t in groups[0][1]] == [1, 5]
 
 
 def test_hierarchy_truncated_tail():
-    sched = build_hierarchy(7, [5])
-    assert sched.levels == [[(1, 5), (6, 7)]]
+    assert windows_at(7, 5) == [(1, 5), (6, 7)]
+
+
+def test_empty_windows_skipped_and_input_order_kept():
+    tracklets = [single(12), single(3), single(14), single(1)]
+    groups = group_by_window(tracklets, 5, 20)
+    assert [window for window, _ in groups] == [(1, 5), (11, 15)]
+    assert groups[0][1] == [tracklets[1], tracklets[3]]
+    assert groups[1][1] == [tracklets[0], tracklets[2]]
 
 
 def test_hierarchy_rejects_non_multiple_sizes():
     with pytest.raises(ValueError):
-        build_hierarchy(100, [5, 12])
+        check_level_sizes([5, 12])
     with pytest.raises(ValueError):
-        build_hierarchy(100, [5, 5])
+        check_level_sizes([5, 5])
     with pytest.raises(ValueError):
-        build_hierarchy(0, [5])
+        check_level_sizes([0, 5])
+    with pytest.raises(ValueError):
+        clip_level_sizes(100, [5, 12])
+
+
+def test_clip_level_sizes_double_until_one_window_covers_the_clip():
+    assert clip_level_sizes(150, [5, 25, 75, 150]) == [5, 25, 75, 150]
+    assert clip_level_sizes(20, [5, 25, 75, 150]) == [5, 25, 75, 150]
+    assert clip_level_sizes(151, [5, 25, 75, 150]) == [5, 25, 75, 150, 300]
+    assert clip_level_sizes(1000, [5, 25, 75, 150]) == [5, 25, 75, 150, 300, 600, 1200]
+    assert clip_level_sizes(60, [5, 10, 20]) == [5, 10, 20, 40, 80]
+
+
+nested_sizes = st.lists(st.integers(2, 4), min_size=1, max_size=4).map(
+    lambda factors: [int(np.prod(factors[:i + 1])) for i in range(len(factors))]
+)
 
 
 @given(st.integers(1, 400))
 @settings(max_examples=100)
 def test_hierarchy_levels_nest_exactly(num_frames):
-    sched = build_hierarchy(num_frames, [5, 25, 75, 150])
-    for coarse, fine in zip(sched.levels[1:], sched.levels[:-1]):
+    sizes = clip_level_sizes(num_frames, [5, 25, 75, 150])
+    levels = [windows_at(num_frames, size) for size in sizes]
+    assert levels[-1] == [(1, num_frames)]
+    for coarse, fine in zip(levels[1:], levels[:-1]):
         fine_bounds = {w[0] for w in fine} | {w[1] + 1 for w in fine}
         for lo, hi in coarse:
             # coarse windows start/end exactly on fine-window boundaries
             assert lo in fine_bounds and hi + 1 in fine_bounds
         covered = sum(hi - lo + 1 for lo, hi in coarse)
         assert covered == num_frames
+
+
+def spanning(start, end):
+    return Tracklet([det(start)] + ([det(end)] if end > start else []))
+
+
+@given(
+    nested_sizes,
+    st.integers(1, 300),
+    st.lists(st.tuples(st.integers(0, 299), st.integers(0, 10)), max_size=60),
+)
+@settings(max_examples=100)
+def test_groups_partition_input_inside_their_windows(sizes, num_frames, spans):
+    # each tracklet lies inside one bottom-level window, as after level 0
+    tracklets = []
+    for offset, length in spans:
+        start = 1 + offset % num_frames
+        bottom_end = min((start - 1) // sizes[0] * sizes[0] + sizes[0], num_frames)
+        tracklets.append(spanning(start, min(start + length, bottom_end)))
+    for size in clip_level_sizes(num_frames, sizes):
+        groups = group_by_window(tracklets, size, num_frames)
+        members = [t for _, group in groups for t in group]
+        assert sorted(map(id, members)) == sorted(map(id, tracklets))
+        windows = [window for window, _ in groups]
+        assert windows == sorted(set(windows))
+        for (lo, hi), group in groups:
+            assert group
+            assert 1 <= lo <= hi <= num_frames and (lo - 1) % size == 0
+            assert hi - lo + 1 == size or hi == num_frames
+            assert all(lo <= t.start_frame and t.end_frame <= hi for t in group)
+            # members keep their input order
+            positions = [next(i for i, u in enumerate(tracklets) if u is t) for t in group]
+            assert positions == sorted(positions)
 
 
 # -- lifting and merging ------------------------------------------------------

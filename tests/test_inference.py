@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from langtrack.data_io import SceneAttributes
 from langtrack.graph import Detection, Tracklet, build_graph, lift_detections
 from langtrack.guidance import LanguageEmbeddingStore
 from langtrack.inference import (
@@ -13,6 +14,7 @@ from langtrack.inference import (
     round_edges,
     track_video,
 )
+from langtrack.metrics import BoxRecord, evaluate, records_from_result
 from langtrack.model import (
     ModelConfig,
     classify_edges,
@@ -21,6 +23,7 @@ from langtrack.model import (
     message_pass,
 )
 from langtrack.nn import focal_bce_tape
+from langtrack.synth import SynthConfig, gen_sequence, identity_profile
 
 
 def det(frame, x=0.0, y=0.0, app=(1.0, 0.0, 0.0), gt_id=None, w=4.0, h=8.0):
@@ -223,6 +226,23 @@ def test_oracle_handles_cross_window_gaps():
     res = track_video(dets, None, SMALL_CFG, edge_scorer=gt_oracle_scorer)
     assert res.num_tracks == 1
     assert len(res.trajectories[1]) == len(dets)
+
+
+@pytest.mark.parametrize("num_frames", [300, 600, 1000])
+def test_oracle_links_clips_longer_than_the_top_level(num_frames):
+    # criterion 5 past the configured 150-frame top level: the doubled
+    # levels must still join every object into one whole-clip trajectory
+    domain = identity_profile("source", SceneAttributes("medium", "static", "on a sunny day"), 8)
+    synth = SynthConfig(
+        num_objects=4, num_frames=num_frames, appearance_dim=8, appearance_noise=0.05,
+        occlusion_rate=0.2, velocity_scale=8.0, box_jitter=0.1, seed=12,
+    )
+    detections, _ = gen_sequence(synth, domain)
+    result = track_video(detections, None, TrackerConfig(), edge_scorer=gt_oracle_scorer)
+    gt = [BoxRecord(d.frame, d.gt_id, d.box) for d in detections]
+    rep = evaluate(gt, records_from_result(result))
+    assert rep.idf1 == 1.0
+    assert rep.hota == 1.0
 
 
 def nan_edge_classifier_model():

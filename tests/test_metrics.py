@@ -230,6 +230,23 @@ class TestIdf1:
         assert out.idfp == 1
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, 2.0, math.nan])
+def test_iou_threshold_outside_unit_interval_rejected(threshold):
+    gt = recs(straight_track(1, range(1, 4)))
+    with pytest.raises(ValueError, match="iou threshold"):
+        mota(gt, gt, threshold)
+    with pytest.raises(ValueError, match="iou threshold"):
+        idf1(gt, gt, threshold)
+    with pytest.raises(ValueError, match="iou threshold"):
+        evaluate(gt, gt, threshold)
+
+
+def test_iou_threshold_one_matches_identical_boxes():
+    gt = recs(straight_track(1, range(1, 4)))
+    assert mota(gt, gt, 1.0).value == 1.0
+    assert idf1(gt, gt, 1.0).value == 1.0
+
+
 class TestHota:
     def test_perfect(self):
         gt = recs(straight_track(1, range(1, 6)))

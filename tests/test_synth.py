@@ -41,6 +41,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="num_objects"):
             small_cfg(num_objects=0)
 
+    def test_negative_velocity_scale_rejected(self):
+        with pytest.raises(ValueError, match="velocity_scale"):
+            small_cfg(velocity_scale=-1.0)
+
+    @pytest.mark.parametrize("name", [
+        "arena_width", "arena_height", "velocity_scale", "appearance_noise",
+        "occlusion_rate", "detection_drop_rate", "box_jitter",
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_float_fields_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            small_cfg(**{name: value})
+
 
 class TestGenSequence:
     def test_deterministic_per_seed(self):
@@ -226,6 +239,13 @@ class TestDomainShift:
             for a, b in zip(dets, out)
         ]
         assert float(np.mean(cosines)) < 0.5
+
+    @pytest.mark.parametrize("degrees, scale", [
+        (np.nan, 1.0), (np.inf, 1.0), (60.0, np.nan), (60.0, -np.inf),
+    ])
+    def test_non_finite_rotation_rejected(self, degrees, scale):
+        with pytest.raises(ValueError, match="finite"):
+            rotation_profile("shifted", SCENE, 8, degrees, translation_scale=scale)
 
     def test_dim_mismatch_rejected(self):
         src = default_domain(8)
