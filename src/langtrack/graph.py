@@ -4,7 +4,11 @@ Detections are lifted to single-detection tracklets, tracklets become graph
 nodes, and candidate edges connect temporally disjoint nodes (earlier node
 ends before the later one starts).  A fixed pruning score keeps each node's
 candidate set at the k most plausible successors so graph construction is
-deterministic and cheap.  This module alone knows how a level tiles a clip:
+deterministic and cheap: ``build_graph`` scores successors as arrays, a
+block of rows at a time, and ranks only each row's near-ties to its k-th
+score with the exact scalar key (score, frame gap, node index), so the
+graph is the one a per-pair ranking gives, bit for bit.  This module alone
+knows how a level tiles a clip:
 level sizes nest by integer factors and grow until one window covers the
 whole clip, and each level groups tracklets by the window their first frame
 falls in.
@@ -26,7 +30,6 @@ __all__ = [
     "group_by_window",
     "lift_detections",
     "aggregate_tracklet",
-    "edge_features",
     "build_graph",
     "cosine_distance",
     "tracklet_sort_key",
@@ -37,6 +40,16 @@ EDGE_FEATURE_DIM = 6
 # Pruning-score weights: appearance dominates, geometry and gap break near-ties.
 _PRUNE_CENTER_WEIGHT = 0.05
 _PRUNE_GAP_WEIGHT = 0.01
+
+# A block of pruning scores holds at most this many pairs (or one row), so
+# graph building needs memory linear in nodes per window, not quadratic.
+_BLOCK_SCORES = 1 << 18
+
+# Relative width of the band kept around a row's k-th array score.  The array
+# score is off from the exact one by a few ulp plus about one ulp per
+# appearance dimension (the summation order of the dot product), far inside
+# this margin, so the exact top k always lies in the band.
+_TIE_BAND = 1e-9
 
 
 @dataclass(eq=False)
@@ -241,46 +254,22 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
-def edge_features(u: Tracklet, v: Tracklet) -> np.ndarray:
-    """Handcrafted 6-dim feature for the candidate edge u -> v.
-
-    Position offsets are normalized by the mean boundary box height, sizes
-    enter as log ratios, plus the frame gap and the cosine distance between
-    the boundary appearance vectors (u's last detection vs v's first).
-    """
-    if u.end_frame >= v.start_frame:
-        raise ValueError(
-            f"edge endpoints must be temporally disjoint, got [{u.start_frame},{u.end_frame}]"
-            f" -> [{v.start_frame},{v.end_frame}]"
-        )
-    du, dv = u.last, v.first
-    xu, yu = du.center
-    xv, yv = dv.center
-    hu, hv = du.box[3], dv.box[3]
-    wu, wv = du.box[2], dv.box[2]
-    return np.array(
-        [
-            2.0 * (xv - xu) / (hu + hv),
-            2.0 * (yv - yu) / (hu + hv),
-            np.log(hu / hv),
-            np.log(wu / wv),
-            float(v.start_frame - u.end_frame),
-            cosine_distance(du.appearance, dv.appearance),
-        ]
-    )
-
-
-def _pruning_score(du: Detection, dv: Detection, dt: int) -> float:
-    """Ranking score for candidate successors; lower is better."""
-    xu, yu = du.center
-    xv, yv = dv.center
-    scale = (du.box[3] + dv.box[3]) / 2.0
-    center = float(np.hypot(xv - xu, yv - yu)) / scale
+def _boundary(dets: Sequence[Detection]) -> tuple[np.ndarray, ...]:
+    """Centre x, centre y, height and width of each detection's box."""
+    boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
     return (
-        cosine_distance(du.appearance, dv.appearance)
-        + _PRUNE_CENTER_WEIGHT * center
-        + _PRUNE_GAP_WEIGHT * dt
+        boxes[:, 0] + boxes[:, 2] / 2.0,
+        boxes[:, 1] + boxes[:, 3] / 2.0,
+        boxes[:, 3],
+        boxes[:, 2],
     )
+
+
+def _unit_rows(dets: Sequence[Detection]) -> np.ndarray:
+    """Appearance rows scaled to unit norm; zero rows stay zero."""
+    app = np.stack([d.appearance for d in dets])
+    norms = np.linalg.norm(app, axis=1, keepdims=True)
+    return np.divide(app, norms, out=np.zeros_like(app), where=norms > 0.0)
 
 
 def build_graph(
@@ -289,8 +278,24 @@ def build_graph(
     """Connect each tracklet to its knn_k best temporal successors.
 
     Nodes are sorted by :func:`tracklet_sort_key` first, so the result does
-    not depend on input order; ranking ties fall back to (frame gap, sorted
-    node index).
+    not depend on input order.  A successor ``v`` of ``u`` starts after
+    ``u`` ends; with ``du = u.last`` and ``dv = v.first`` it is ranked by
+
+        cosine_distance(du, dv) + 0.05 * |centre offset| / mean height + 0.01 * gap
+
+    (lower is better), ties broken by (frame gap, sorted node index).
+    Scores are computed as arrays, a block of ``u`` rows at a time, so
+    memory grows linearly in nodes.  The matrix product behind the array
+    cosine rounds differently from the scalar :func:`cosine_distance`, so
+    the array scores only pick each row's band: the successors within a
+    tiny margin of its k-th score, which always holds the exact top k.
+    The band is ranked by the exact key, with one scalar
+    :func:`cosine_distance` per candidate, and the first knn_k are kept.
+    Edges come out ordered by ``u``, then by rank.
+
+    Edge features, 6 per edge: the centre offsets x and y over the mean
+    box height, the log height and width ratios ``du / dv``, the frame gap,
+    and the exact cosine distance of the ranking.
     """
     if knn_k < 1:
         raise ValueError(f"knn_k must be >= 1, got {knn_k}")
@@ -301,28 +306,71 @@ def build_graph(
                 f"tracklet spans [{t.start_frame},{t.end_frame}] outside window {window}"
             )
     nodes = sorted(tracklets, key=tracklet_sort_key)
+    n = len(nodes)
     starts = np.array([t.start_frame for t in nodes], dtype=np.int64)
     ends = np.array([t.end_frame for t in nodes], dtype=np.int64)
-    edge_u: list[int] = []
-    edge_v: list[int] = []
-    feats: list[np.ndarray] = []
-    for ui, u in enumerate(nodes):
-        later = np.nonzero(starts > ends[ui])[0]
-        if later.size == 0:
+    # nodes are sorted by start frame, so u's successors are the suffix from here
+    first_succ = np.searchsorted(starts, ends, side="right")
+    if n == 0 or first_succ.min() == n:
+        no_edges = np.zeros(0, dtype=np.intp)
+        return TrackGraph(nodes, no_edges, no_edges, np.zeros((0, EDGE_FEATURE_DIM)), (lo, hi))
+    lasts = [t.last for t in nodes]
+    firsts = [t.first for t in nodes]
+    ux, uy, uh, uw = _boundary(lasts)
+    vx, vy, vh, vw = _boundary(firsts)
+    u_unit, v_unit = _unit_rows(lasts), _unit_rows(firsts)
+
+    band_u: list[np.ndarray] = []
+    band_v: list[np.ndarray] = []
+    rows = max(1, _BLOCK_SCORES // n)
+    for r0 in range(0, n, rows):
+        r = slice(r0, min(r0 + rows, n))
+        c0 = int(first_succ[r].min())
+        if c0 == n:
             continue
-        ranked = sorted(
-            later.tolist(),
-            key=lambda vi: (
-                _pruning_score(u.last, nodes[vi].first, int(starts[vi] - ends[ui])),
-                int(starts[vi] - ends[ui]),
-                vi,
-            ),
-        )
-        for vi in ranked[:knn_k]:
-            edge_u.append(ui)
-            edge_v.append(vi)
-            feats.append(edge_features(u, nodes[vi]))
-    features = (
-        np.stack(feats) if feats else np.zeros((0, EDGE_FEATURE_DIM), dtype=np.float64)
+        c = slice(c0, n)
+        score = 1.0 - u_unit[r] @ v_unit[c].T
+        centre = np.hypot(vx[c] - ux[r, None], vy[c] - uy[r, None])
+        centre /= (uh[r, None] + vh[c]) / 2.0
+        score += _PRUNE_CENTER_WEIGHT * centre
+        score += _PRUNE_GAP_WEIGHT * (starts[c] - ends[r, None])
+        successor = np.arange(c0, n) >= first_succ[r, None]
+        score[~successor] = np.inf
+        if knn_k < n - c0:
+            kth = np.partition(score, knn_k - 1, axis=1)[:, knn_k - 1]
+        else:
+            kth = np.full(score.shape[0], np.inf)
+        cutoff = kth + _TIE_BAND * (1.0 + np.abs(kth))
+        bu, bv = np.nonzero((score <= cutoff[:, None]) & successor)
+        band_u.append(bu + r0)
+        band_v.append(bv + c0)
+
+    bu = np.concatenate(band_u)
+    bv = np.concatenate(band_v)
+    gap = starts[bv] - ends[bu]
+    dx = vx[bv] - ux[bu]
+    dy = vy[bv] - uy[bu]
+    heights = uh[bu] + vh[bv]
+    cos = np.array(
+        [cosine_distance(lasts[u].appearance, firsts[v].appearance)
+         for u, v in zip(bu.tolist(), bv.tolist())],
+        dtype=np.float64,
     )
-    return TrackGraph(nodes, np.array(edge_u), np.array(edge_v), features, (lo, hi))
+    score = (
+        cos
+        + _PRUNE_CENTER_WEIGHT * (np.hypot(dx, dy) / (heights / 2.0))
+        + _PRUNE_GAP_WEIGHT * gap
+    )
+    order = np.lexsort((bv, gap, score, bu))
+    ranked_u = bu[order]
+    rank = np.arange(order.size) - np.searchsorted(ranked_u, ranked_u, side="left")
+    keep = order[rank < knn_k]
+    features = np.column_stack([
+        2.0 * dx[keep] / heights[keep],
+        2.0 * dy[keep] / heights[keep],
+        np.log(uh[bu[keep]] / vh[bv[keep]]),
+        np.log(uw[bu[keep]] / vw[bv[keep]]),
+        gap[keep].astype(np.float64),
+        cos[keep],
+    ])
+    return TrackGraph(nodes, bu[keep], bv[keep], features, (lo, hi))

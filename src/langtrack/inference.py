@@ -108,10 +108,7 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
     starts = np.array([t.start_frame for t in graph.nodes])
     ends = np.array([t.end_frame for t in graph.nodes])
     gaps = starts[graph.edge_v] - ends[graph.edge_u]
-    order = sorted(
-        range(graph.num_edges),
-        key=lambda i: (-p[i], int(gaps[i]), int(graph.edge_u[i]), int(graph.edge_v[i])),
-    )
+    order = np.lexsort((graph.edge_v, graph.edge_u, gaps, -p)).tolist()
     succ_used: set[int] = set()
     pred_used: set[int] = set()
     accepted: list[int] = []

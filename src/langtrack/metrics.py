@@ -65,6 +65,19 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
+def _iou_matrix(a_rows: Sequence[BoxRecord], b_rows: Sequence[BoxRecord]) -> np.ndarray:
+    """IoU of every row of ``a_rows`` with every row of ``b_rows``, as one
+    (len(a), len(b)) array; bitwise equal to :func:`iou` on finite boxes."""
+    a = np.array([r.box for r in a_rows], dtype=np.float64).reshape(-1, 1, 4)
+    b = np.array([r.box for r in b_rows], dtype=np.float64).reshape(1, -1, 4)
+    lo = np.maximum(a[..., :2], b[..., :2])
+    hi = np.minimum(a[..., :2] + a[..., 2:], b[..., :2] + b[..., 2:])
+    side = np.maximum(hi - lo, 0.0)
+    inter = side[..., 0] * side[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
 def records_from_result(result) -> list[BoxRecord]:
     """Flatten an inference TrackResult into metric records."""
     return [
@@ -98,7 +111,7 @@ def _match_one_frame(
     g, p = len(gt_rows), len(pred_rows)
     if g == 0 or p == 0:
         return []
-    sim = np.array([[iou(a.box, b.box) for b in pred_rows] for a in gt_rows])
+    sim = _iou_matrix(gt_rows, pred_rows)
     feasible = sim >= threshold
     if not feasible.any():
         return []
@@ -207,14 +220,16 @@ def idf1(
     g_pos = {gid: i for i, gid in enumerate(gt_ids)}
     p_pos = {pid: j for j, pid in enumerate(pred_ids)}
     for f in sorted(set(gt_frames) | set(pred_frames)):
-        for r in gt_frames.get(f, []):
+        g_rows = gt_frames.get(f, [])
+        p_rows = pred_frames.get(f, [])
+        for r in g_rows:
             gt_len[r.track_id] += 1
-        for r in pred_frames.get(f, []):
+        for r in p_rows:
             pred_len[r.track_id] += 1
-        for a in gt_frames.get(f, []):
-            for b in pred_frames.get(f, []):
-                if iou(a.box, b.box) >= iou_threshold:
-                    overlap[g_pos[a.track_id], p_pos[b.track_id]] += 1
+        if g_rows and p_rows:
+            gi = np.array([g_pos[r.track_id] for r in g_rows])
+            pj = np.array([p_pos[r.track_id] for r in p_rows])
+            overlap[gi[:, None], pj] += _iou_matrix(g_rows, p_rows) >= iou_threshold
     total_gt = sum(gt_len.values())
     total_pred = sum(pred_len.values())
     if total_gt == 0 and total_pred == 0:
@@ -283,14 +298,14 @@ def hota(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> HotaResult:
             pred_count[p_pos[r.track_id]] += 1
         if not g_rows or not p_rows:
             continue
-        sim = np.array([[iou(a.box, b.box) for b in p_rows] for a in g_rows])
+        sim = _iou_matrix(g_rows, p_rows)
         sims[f] = sim
         denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
         norm = np.zeros_like(sim)
         np.divide(sim, denom, out=norm, where=denom > 1e-12)
-        gi = [g_pos[r.track_id] for r in g_rows]
-        pj = [p_pos[r.track_id] for r in p_rows]
-        potential[np.ix_(gi, pj)] += norm
+        gi = np.array([g_pos[r.track_id] for r in g_rows])
+        pj = np.array([p_pos[r.track_id] for r in p_rows])
+        potential[gi[:, None], pj] += norm
     alignment = potential / (gt_count[:, None] + pred_count[None, :] - potential)
     matches = np.zeros((na, ng, np_))
     for f in frames:
@@ -302,13 +317,11 @@ def hota(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> HotaResult:
         gi = np.array([g_pos[r.track_id] for r in g_rows])
         pj = np.array([p_pos[r.track_id] for r in p_rows])
         rank = np.arange(len(g_rows))[:, None] * (len(p_rows) + 1) + np.arange(len(p_rows))[None, :]
-        score = alignment[np.ix_(gi, pj)] * sim - _TIE_EPS * rank
+        score = alignment[gi[:, None], pj] * sim - _TIE_EPS * rank
         rows, cols = linear_sum_assignment(-score)
-        matched_sim = sim[rows, cols]
-        for ai, alpha in enumerate(HOTA_ALPHAS):
-            keep = matched_sim >= alpha - 1e-12
-            if keep.any():
-                matches[ai][gi[rows[keep]], pj[cols[keep]]] += 1
+        # one row per alpha; a frame's matched pairs are distinct
+        keep = sim[rows, cols] >= HOTA_ALPHAS[:, None] - 1e-12
+        matches[:, gi[rows], pj[cols]] += keep
     tp = matches.sum(axis=(1, 2))
     fn = total_gt - tp
     fp = total_pred - tp

@@ -309,6 +309,17 @@ def run_training(
     ``model_cfg`` must agree on the message-passing step count, because
     training reads it from the former and tracking from the latter.
     """
+    bundles = _prepare_clips(clips, cfg, model_cfg, store)
+    return _train_on_bundles(bundles, cfg, model_cfg, params)
+
+
+def _prepare_clips(
+    clips: Sequence[ClipData],
+    cfg: TrainConfig,
+    model_cfg: ModelConfig,
+    store: LanguageEmbeddingStore | None,
+) -> list[ClipBundle]:
+    """Check a run's settings, then prepare its clips."""
     if cfg.message_passing_steps != model_cfg.message_passing_steps:
         raise ValueError(
             f"TrainConfig has {cfg.message_passing_steps} message-passing steps, "
@@ -316,14 +327,24 @@ def run_training(
         )
     if cfg.use_guidance and store is None:
         raise ValueError("guidance requires an embedding store")
+    if store is None:
+        # labels and graphs never need text; reuse a placeholder-free path
+        store = _ZeroStore(model_cfg.text_dim)
+    return [prepare_clip(c, cfg, store) for c in clips]
+
+
+def _train_on_bundles(
+    bundles: Sequence[ClipBundle],
+    cfg: TrainConfig,
+    model_cfg: ModelConfig,
+    params: ModelParams | None,
+) -> tuple[ModelParams, list[dict[str, float]]]:
+    """The training loop of :func:`run_training` on prepared clips.  Bundles
+    depend only on the clips, the store, ``level_sizes`` and ``knn_k``, and
+    training leaves them unchanged, so runs that share those share bundles."""
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         params = init_model(rng, model_cfg)
-    if store is None:
-        # labels and graphs never need text; reuse a placeholder-free path
-        bundles = [prepare_clip(c, cfg, _ZeroStore(model_cfg.text_dim)) for c in clips]
-    else:
-        bundles = [prepare_clip(c, cfg, store) for c in clips]
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[dict[str, float]] = []
     for _ in range(cfg.epochs):
@@ -404,12 +425,15 @@ def run_experiment(
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    # every seed and arm trains on the same bundles: runs differ only in the
+    # seed and the guidance weights, which prepare_clip does not read
+    bundles = _prepare_clips(spec.train_clips, cfg, model_cfg, spec.store)
     results: dict[int, dict[str, dict[str, MetricReport]]] = {}
     for seed in spec.seeds:
         results[seed] = {}
         for arm_name, alpha, beta in arms:
             arm_cfg = replace(cfg, alpha=alpha, beta=beta, seed=seed)
-            params, _ = run_training(spec.train_clips, arm_cfg, model_cfg, spec.store)
+            params, _ = _train_on_bundles(bundles, arm_cfg, model_cfg, None)
             reports = {
                 "in_domain": _evaluate_arm(params, spec.eval_in_domain, tracker_cfg),
                 "cross_domain": _evaluate_arm(params, spec.eval_cross_domain, tracker_cfg),

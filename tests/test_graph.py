@@ -1,23 +1,30 @@
-"""Tracklet graph construction: hand examples plus structural properties."""
+"""Tracklet graph construction: hand examples, structural properties, and
+agreement with the per-pair reference in reference_graph.py."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langtrack import graph, inference
+from langtrack.data_io import SceneAttributes
 from langtrack.graph import (
     Detection,
+    TrackGraph,
     Tracklet,
     aggregate_tracklet,
     build_graph,
     check_level_sizes,
     clip_level_sizes,
-    edge_features,
     group_by_window,
     lift_detections,
 )
+from langtrack.inference import TrackerConfig, gt_oracle_scorer, track_video
+from langtrack.synth import SynthConfig, gen_sequence, identity_profile
+from reference_graph import ref_build_graph
 
 
 def det(frame, x=10.0, y=20.0, w=4.0, h=8.0, app=(1.0, 0.0), gt_id=None):
@@ -210,6 +217,13 @@ def test_detection_validation():
 # -- edge features -------------------------------------------------------------
 
 
+def edge_features(u, v):
+    """The feature row build_graph gives the one candidate edge u -> v."""
+    g = build_graph([u, v], knn_k=1, window=(1, max(u.end_frame, v.end_frame)))
+    assert g.num_edges == 1 and g.nodes[g.edge_u[0]] is u and g.nodes[g.edge_v[0]] is v
+    return g.edge_features[0]
+
+
 def test_edge_features_identity_case():
     u, v = single(1), single(2)
     assert np.allclose(edge_features(u, v), [0, 0, 0, 0, 1, 0], atol=1e-12)
@@ -246,10 +260,11 @@ def test_edge_features_uses_boundary_detections():
 
 
 def test_edge_features_rejects_overlap():
-    with pytest.raises(ValueError):
-        edge_features(single(2), single(2))
-    with pytest.raises(ValueError):
-        edge_features(Tracklet([det(1), det(3)]), single(2))
+    # overlapping tracklets get no candidate edge, and a graph holding one is refused
+    for u, v in [(single(2), single(2)), (Tracklet([det(1), det(3)]), single(2))]:
+        assert build_graph([u, v], knn_k=1, window=(1, 3)).num_edges == 0
+        with pytest.raises(ValueError):
+            TrackGraph([u, v], np.array([0]), np.array([1]), np.zeros((1, 6)), (1, 3))
 
 
 # -- graph construction ----------------------------------------------------------
@@ -331,3 +346,103 @@ def test_build_graph_invariants_random(n, k, span):
         assert counts.max() <= k
         pairs = set(zip(g.edge_u.tolist(), g.edge_v.tolist()))
         assert len(pairs) == g.num_edges
+
+
+# -- agreement with the per-pair reference ---------------------------------------
+
+
+def assert_same_graph(fast, ref):
+    assert len(fast.nodes) == len(ref.nodes)
+    assert all(a is b for a, b in zip(fast.nodes, ref.nodes))
+    assert np.array_equal(fast.edge_u, ref.edge_u)
+    assert np.array_equal(fast.edge_v, ref.edge_v)
+    assert fast.edge_features.tobytes() == ref.edge_features.tobytes()
+    assert fast.frame_span == ref.frame_span
+
+
+# Few distinct boxes and appearance rows, so pruning scores tie exactly.
+TIE_BOXES = [(10.0, 20.0, 4.0, 8.0), (12.0, 20.0, 4.0, 8.0), (10.0, 24.0, 5.0, 6.0)]
+
+
+@st.composite
+def windows(draw):
+    span = draw(st.integers(1, 12))
+    dim = draw(st.sampled_from([1, 2, 3, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # row 0 is the zero vector (cosine distance 1 to everything); the others
+    # repeat, so identical rows give identical cosines
+    apps = [np.zeros(dim)] + [rng.standard_normal(dim) for _ in range(draw(st.integers(1, 4)))]
+    tracklets = []
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(st.integers(1, span))
+        length = draw(st.integers(1, 3))
+        dets = []
+        for frame in range(start, min(start + length, span + 1)):
+            if draw(st.booleans()):
+                box = draw(st.sampled_from(TIE_BOXES))
+            else:
+                box = tuple(float(c) for c in rng.uniform(1.0, 40.0, 4))
+            app = apps[draw(st.integers(0, len(apps) - 1))]
+            if draw(st.booleans()):
+                app = app + rng.standard_normal(dim) * 1e-3
+            dets.append(Detection(frame, box, app))
+        tracklets.append(Tracklet(dets))
+    # up to past the successor count of every node
+    knn_k = draw(st.integers(1, 12))
+    return tracklets, knn_k, (1, span)
+
+
+@given(windows(), st.sampled_from([graph._BLOCK_SCORES, 40, 1]))
+@settings(max_examples=200, deadline=None)
+def test_build_graph_matches_per_pair_reference(case, block_scores):
+    # small score blocks split the window into many row blocks
+    tracklets, knn_k, window = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_SCORES", block_scores)
+        fast = build_graph(tracklets, knn_k, window)
+    assert_same_graph(fast, ref_build_graph(tracklets, knn_k, window))
+
+
+def test_build_graph_matches_reference_on_every_window_of_a_tracked_clip(monkeypatch):
+    # gt_oracle_scorer merges true links, so later levels rank multi-detection
+    # tracklets; levels 5/10/20 double to 40 and 80 to cover the 80 frames
+    domain = identity_profile("source", SceneAttributes("medium", "static", "on a sunny day"), 16)
+    synth = SynthConfig(
+        num_objects=8, num_frames=80, appearance_dim=16, appearance_noise=0.08,
+        occlusion_rate=0.2, velocity_scale=10.0, box_jitter=0.15, seed=5,
+    )
+    detections, _ = gen_sequence(synth, domain)
+    checked = []
+
+    def checked_build_graph(tracklets, knn_k, window):
+        fast = build_graph(tracklets, knn_k, window)
+        assert_same_graph(fast, ref_build_graph(tracklets, knn_k, window))
+        checked.append(window)
+        return fast
+
+    monkeypatch.setattr(inference, "build_graph", checked_build_graph)
+    config = TrackerConfig(level_sizes=[5, 10, 20], knn_k=3)
+    track_video(detections, None, config, edge_scorer=gt_oracle_scorer)
+    assert (1, 80) in checked
+    assert len(checked) == 16 + 8 + 4 + 2 + 1
+
+
+def test_build_graph_memory_is_linear_in_nodes():
+    # the untrained-model case: one window of ~4000 single-detection
+    # tracklets; a dense n x n float64 score matrix alone would be 131 MB
+    rng = np.random.default_rng(0)
+    frames = np.repeat(np.arange(1, 151), 27)
+    tracklets = [
+        single(int(f), x=float(rng.uniform(0, 900)), y=float(rng.uniform(0, 500)),
+               app=rng.standard_normal(16))
+        for f in frames
+    ]
+    n = len(tracklets)
+    tracemalloc.start()
+    try:
+        g = build_graph(tracklets, knn_k=3, window=(1, 150))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 3 * (n - 27)
+    assert peak < n * n * 8 / 4

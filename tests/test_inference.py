@@ -111,6 +111,39 @@ def test_round_feasible_and_maximal_randomized():
             assert int(g.edge_u[i]) in succ or int(g.edge_v[i]) in pred
 
 
+def greedy_by_sorted_key(g, probs, threshold):
+    """round_edges' greedy pass, visiting edges in the order of a Python sort
+    on (-p, frame gap, u, v)."""
+    gaps = [g.nodes[v].start_frame - g.nodes[u].end_frame for u, v in zip(g.edge_u, g.edge_v)]
+    order = sorted(
+        range(g.num_edges),
+        key=lambda i: (-probs[i], gaps[i], int(g.edge_u[i]), int(g.edge_v[i])),
+    )
+    succ, pred, accepted = set(), set(), []
+    for i in order:
+        u, v = int(g.edge_u[i]), int(g.edge_v[i])
+        if probs[i] > threshold and u not in succ and v not in pred:
+            succ.add(u)
+            pred.add(v)
+            accepted.append(i)
+    return sorted(accepted)
+
+
+def test_round_visits_edges_in_sorted_key_order_on_exact_ties():
+    rng = np.random.default_rng(1)
+    for trial in range(300):
+        span = int(rng.integers(2, 6))
+        tracklets = [
+            single(int(rng.integers(1, span + 1)), x=float(rng.uniform(0, 30)),
+                   app=rng.standard_normal(3))
+            for _ in range(int(rng.integers(2, 14)))
+        ]
+        g = build_graph(tracklets, int(rng.integers(1, 6)), (1, span))
+        # three levels above the threshold, so most edges tie with others
+        probs = rng.choice([0.6, 0.8, 0.9, 0.2], g.num_edges)
+        assert round_edges(g, probs, 0.5).tolist() == greedy_by_sorted_key(g, probs, 0.5)
+
+
 # -- id assignment: merge_accepted and track_video ------------------------------
 
 

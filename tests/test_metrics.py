@@ -15,7 +15,7 @@ from langtrack.metrics import (
     render_report,
     render_table,
 )
-from langtrack.metrics import _by_frame, _match_one_frame
+from langtrack.metrics import _by_frame, _iou_matrix, _match_one_frame
 from reference_metrics import ref_hota, ref_idf1, ref_mota
 
 
@@ -99,6 +99,28 @@ class TestIou:
         a = (1.0, 2.0, 7.0, 3.0)
         b = (4.0, 1.0, 5.0, 6.0)
         assert iou(a, b) == pytest.approx(iou(b, a))
+
+    def test_matrix_is_bitwise_the_scalar_iou(self):
+        rng = np.random.default_rng(0)
+        boxes = [
+            BOX,
+            (10.0, 0.0, 10.0, 10.0),  # touches BOX on its right edge
+            (0.0, 10.0, 10.0, 10.0),  # touches BOX on its bottom edge
+            (10.0, 10.0, 5.0, 5.0),  # touches BOX at a corner
+            (20.0, 0.0, 10.0, 10.0),  # disjoint
+            (2.0, 2.0, 3.0, 3.0),  # inside BOX
+            (-5.0, -5.0, 5.0, 5.0),  # touches BOX at the origin
+        ]
+        # integer grid boxes touch and coincide often; the rest overlap at random
+        boxes += [tuple(float(c) for c in rng.integers(0, 6, 2)) + tuple(
+            float(c) for c in rng.integers(1, 4, 2)) for _ in range(150)]
+        boxes += [tuple(float(c) for c in b) for b in rng.uniform(0.1, 30.0, (350, 4))]
+        rows = recs([(1, i, b) for i, b in enumerate(boxes)])
+        scalar = np.array([[iou(a, b) for b in boxes] for a in boxes])
+        matrix = _iou_matrix(rows, rows)
+        assert matrix.tobytes() == scalar.tobytes()
+        assert (matrix == 0.0).any() and (matrix == 1.0).any()
+        assert _iou_matrix(rows[:3], []).shape == (3, 0)
 
 
 class TestMatchFrames:

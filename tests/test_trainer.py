@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from langtrack import trainer
 from langtrack.data_io import AnnotationSet, InstanceAttributes, SceneAttributes
 from langtrack.graph import Detection, Tracklet, build_graph
+from langtrack.inference import TrackerConfig
 from langtrack.metrics import MetricReport
 from langtrack.model import ModelConfig, init_model
 from langtrack.synth import SynthConfig, embedding_store_for, gen_sequence, identity_profile
@@ -384,6 +386,27 @@ class TestRunExperiment:
         csv_lines = (tmp_path / "comparison.csv").read_text().splitlines()
         assert csv_lines[0] == "arm,domain,seed,mota,idf1,hota"
         assert len(csv_lines) == 5
+
+    def test_each_clip_is_prepared_once_per_experiment(self, monkeypatch):
+        prepared = []
+        real_prepare = trainer.prepare_clip
+
+        def counted_prepare(clip, cfg, store):
+            prepared.append(clip.name)
+            return real_prepare(clip, cfg, store)
+
+        monkeypatch.setattr(trainer, "prepare_clip", counted_prepare)
+        spec = self.spec()
+        spec.seeds = (0, 1)
+        cfg = small_train_cfg(epochs=1)
+        results = run_experiment(spec, cfg, MODEL_CFG)
+        assert sorted(prepared) == ["train0", "train1"]
+        # shared bundles train the same model as a run of its own
+        params, _ = run_training(spec.train_clips, small_train_cfg(epochs=1, seed=1),
+                                 MODEL_CFG, spec.store)
+        tracker_cfg = TrackerConfig(list(cfg.level_sizes), cfg.knn_k, cfg.threshold)
+        alone = trainer._evaluate_arm(params, spec.eval_in_domain, tracker_cfg)
+        assert results[1]["guided"]["in_domain"] == alone
 
     def test_no_output_dir_returns_results_only(self):
         cfg = small_train_cfg(epochs=1)
