@@ -93,9 +93,6 @@ class Tensor:
             raise ValueError(f"item() needs a single entry, got shape {self.shape}")
         return float(self.data[0, 0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -211,15 +208,6 @@ class Tensor:
                 self._accumulate(out.grad / self.data)
 
         return Tensor._make(np.log(self.data), (self,), bw)
-
-    def exp(self) -> "Tensor":
-        e = np.exp(self.data)
-
-        def bw(out: "Tensor"):
-            if self.requires_grad:
-                self._accumulate(out.grad * e)
-
-        return Tensor._make(e, (self,), bw)
 
     def powf(self, p: float) -> "Tensor":
         """Elementwise power with a constant exponent, base must be >= 0."""

@@ -75,11 +75,6 @@ class Detection:
             raise ValueError(f"visibility outside [0, 1]: {self.visibility}")
         self.appearance = np.asarray(self.appearance, dtype=np.float64).ravel()
 
-    @property
-    def center(self) -> tuple[float, float]:
-        left, top, width, height = self.box
-        return (left + width / 2.0, top + height / 2.0)
-
 
 @dataclass(eq=False)
 class Tracklet:

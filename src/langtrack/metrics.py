@@ -1,9 +1,11 @@
 """MOT evaluation: CLEAR (MOTA/IDSW), ID measures (IDF1), and HOTA.
 
-All three families work from plain (frame, track_id, box) records.  Per
-frame matching maximizes matched count and then total IoU via the
-Hungarian algorithm; exact ties resolve toward lexicographically smaller
-(gt, pred) pairs through an index perturbation far below metric tolerance.
+All three families read plain (frame, track_id, box) records, grouped by
+frame in one pass per sequence that also computes every same-frame IoU in
+bounded array blocks.  Per frame matching maximizes matched count and then
+total IoU via the Hungarian algorithm; exact ties resolve toward
+lexicographically smaller (gt, pred) pairs through an index perturbation
+far below metric tolerance.
 MOTA applies the CLEAR persistence rule (a previous frame's pairing is
 kept while its IoU stays above threshold).  IDF1 solves the global
 trajectory matching exactly.  HOTA follows the reference two-pass scheme:
@@ -13,7 +15,7 @@ per-frame matching, then 19 IoU thresholds are scored and averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,19 +67,6 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def _iou_matrix(a_rows: Sequence[BoxRecord], b_rows: Sequence[BoxRecord]) -> np.ndarray:
-    """IoU of every row of ``a_rows`` with every row of ``b_rows``, as one
-    (len(a), len(b)) array; bitwise equal to :func:`iou` on finite boxes."""
-    a = np.array([r.box for r in a_rows], dtype=np.float64).reshape(-1, 1, 4)
-    b = np.array([r.box for r in b_rows], dtype=np.float64).reshape(1, -1, 4)
-    lo = np.maximum(a[..., :2], b[..., :2])
-    hi = np.minimum(a[..., :2] + a[..., 2:], b[..., :2] + b[..., 2:])
-    side = np.maximum(hi - lo, 0.0)
-    inter = side[..., 0] * side[..., 1]
-    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-
-
 def records_from_result(result) -> list[BoxRecord]:
     """Flatten an inference TrackResult into metric records."""
     return [
@@ -86,35 +75,78 @@ def records_from_result(result) -> list[BoxRecord]:
     ]
 
 
-def _by_frame(records: Iterable[BoxRecord]) -> dict[int, list[BoxRecord]]:
-    frames: dict[int, list[BoxRecord]] = {}
-    seen: set[tuple[int, int]] = set()
-    for r in records:
-        if r.box[2] <= 0.0 or r.box[3] <= 0.0:
-            raise ValueError(f"degenerate box {r.box} at frame {r.frame}")
-        key = (r.frame, r.track_id)
-        if key in seen:
-            raise ValueError(f"track {r.track_id} appears twice in frame {r.frame}")
-        seen.add(key)
-        frames.setdefault(r.frame, []).append(r)
-    for lst in frames.values():
-        lst.sort(key=lambda r: r.track_id)
-    return frames
+# The IoU pass takes gt boxes in blocks of at most this many box pairs (or one
+# gt box), so its working arrays stay small however long the sequence is.
+_BLOCK_PAIRS = 1 << 14
 
 
-def _match_one_frame(
-    gt_rows: list[BoxRecord],
-    pred_rows: list[BoxRecord],
-    threshold: float,
-) -> list[tuple[int, int]]:
-    """Optimal (count, then total IoU) matching; returns index pairs."""
-    g, p = len(gt_rows), len(pred_rows)
-    if g == 0 or p == 0:
-        return []
-    sim = _iou_matrix(gt_rows, pred_rows)
+@dataclass
+class _Sequence:
+    """One sequence's records, validated and grouped once.  An id's position
+    is its index among its side's sorted ids, so position order is id order."""
+
+    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # gt, pred positions; IoU
+    gt_count: np.ndarray  # boxes per gt position
+    pred_count: np.ndarray
+
+
+def _sorted_records(records: Iterable[BoxRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames, id positions and boxes of the records, sorted by (frame, track
+    id); a box that is not finite or has no area, or a repeated (frame, track
+    id), raises."""
+    records = list(records)
+    boxes = np.array([r.box for r in records], dtype=np.float64).reshape(-1, 4)
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0.0) | (boxes[:, 3] <= 0.0)
+    if bad.any():
+        r = records[int(np.argmax(bad))]
+        raise ValueError(f"degenerate box {r.box} at frame {r.frame}")
+    key = np.array([(r.frame, r.track_id) for r in records], dtype=np.int64).reshape(-1, 2)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key, boxes = key[order], boxes[order]
+    twice = np.flatnonzero((key[1:] == key[:-1]).all(axis=1))
+    if twice.size:
+        raise ValueError(f"track {key[twice[0], 1]} appears twice in frame {key[twice[0], 0]}")
+    return key[:, 0], np.unique(key[:, 1], return_inverse=True)[1], boxes
+
+
+def _prepare(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> _Sequence:
+    g_frame, g_pos, g_box = _sorted_records(gt)
+    p_frame, p_pos, p_box = _sorted_records(pred)
+    frames = np.union1d(g_frame, p_frame)
+    g_end = np.searchsorted(g_frame, frames, "right")  # frame k's boxes end here
+    p_end = np.searchsorted(p_frame, frames, "right")
+    p_n = np.diff(p_end, prepend=0)
+    at = np.searchsorted(frames, g_frame)  # frame index of each gt box
+    width = p_n[at]  # pred boxes in each gt box's frame
+    offsets = np.concatenate(([0], np.cumsum(width)))  # gt box i's pairs: offsets[i:i+2]
+    shift = (p_end - p_n)[at] - offsets[:-1]  # pair index + shift = pred box index
+    flat = np.empty(int(offsets[-1]))
+    rows = max(1, _BLOCK_PAIRS // max(1, int(width.max(initial=0))))
+    for r0 in range(0, g_frame.size, rows):
+        r = slice(r0, min(r0 + rows, g_frame.size))
+        pairs = slice(offsets[r0], offsets[r.stop])
+        a = np.repeat(g_box[r], width[r], axis=0)
+        b = p_box[np.arange(pairs.start, pairs.stop) + np.repeat(shift[r], width[r])]
+        # elementwise, so bitwise equal to the scalar iou
+        lo = np.maximum(a[:, :2], b[:, :2])
+        hi = np.minimum(a[:, :2] + a[:, 2:], b[:, :2] + b[:, 2:])
+        side = np.maximum(hi - lo, 0.0)
+        inter = side[:, 0] * side[:, 1]
+        union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+        flat[pairs] = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    shapes = zip(np.diff(g_end, prepend=0), p_n)
+    sims = [m.reshape(shape) for m, shape in zip(np.split(flat, offsets[g_end[:-1]]), shapes)]
+    per_frame = zip(np.split(g_pos, g_end[:-1]), np.split(p_pos, p_end[:-1]), sims)
+    return _Sequence(list(per_frame), np.bincount(g_pos), np.bincount(p_pos))
+
+
+def _match(sim: np.ndarray, threshold: float) -> list[tuple[int, int]]:
+    """Optimal (count, then total IoU) matching on a (gt, pred) IoU matrix;
+    returns (row, col) pairs."""
     feasible = sim >= threshold
     if not feasible.any():
         return []
+    g, p = sim.shape
     big = float(min(g, p) + 1)
     rank = np.arange(g)[:, None] * (p + 1) + np.arange(p)[None, :]
     score = np.where(feasible, big + sim - _TIE_EPS * rank, 0.0)
@@ -151,40 +183,36 @@ def mota(
     from its most recent previously matched pred id.
     """
     check_iou_threshold(iou_threshold)
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    num_gt = sum(len(v) for v in gt_frames.values())
+    return _mota(_prepare(gt, pred), iou_threshold)
+
+
+def _mota(seq: _Sequence, iou_threshold: float) -> MotaResult:
+    num_gt = int(seq.gt_count.sum())
     if num_gt == 0:
-        return MotaResult(float("nan"), 0, 0, sum(len(v) for v in pred_frames.values()), 0, 0, True)
-    carried: dict[int, int] = {}  # gt id -> pred id matched in the previous frame
-    last_match: dict[int, int] = {}  # gt id -> most recent matched pred id ever
+        return MotaResult(float("nan"), 0, 0, int(seq.pred_count.sum()), 0, 0, True)
+    carried: dict[int, int] = {}  # gt -> pred matched in the previous frame
+    last_match: dict[int, int] = {}  # gt -> most recent matched pred ever
     tp = fp = fn = idsw = 0
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        g_rows = gt_frames.get(f, [])
-        p_rows = pred_frames.get(f, [])
-        g_index = {r.track_id: i for i, r in enumerate(g_rows)}
-        p_index = {r.track_id: j for j, r in enumerate(p_rows)}
-        pairs: list[tuple[int, int]] = []  # (gt_id, pred_id)
-        held_g: set[int] = set()
-        held_p: set[int] = set()
-        for gid in sorted(carried):
-            pid = carried[gid]
-            if gid in g_index and pid in p_index:
-                if iou(g_rows[g_index[gid]].box, p_rows[p_index[pid]].box) >= iou_threshold:
-                    pairs.append((gid, pid))
-                    held_g.add(gid)
-                    held_p.add(pid)
-        free_g = [r for r in g_rows if r.track_id not in held_g]
-        free_p = [r for r in p_rows if r.track_id not in held_p]
-        for i, j in _match_one_frame(free_g, free_p, iou_threshold):
-            pairs.append((free_g[i].track_id, free_p[j].track_id))
+    for g_pos, p_pos, sim in seq.frames:
+        g_ids, p_ids = g_pos.tolist(), p_pos.tolist()
+        row = {g: i for i, g in enumerate(g_ids)}
+        col = {p: j for j, p in enumerate(p_ids)}
+        held = [  # (row, col) of last frame's pairs that still overlap
+            (row[g], col[p]) for g, p in carried.items()
+            if g in row and p in col and sim[row[g], col[p]] >= iou_threshold
+        ]
+        free_g = sorted(set(range(len(g_ids))).difference(i for i, _ in held))
+        free_p = sorted(set(range(len(p_ids))).difference(j for _, j in held))
+        matched = _match(sim[free_g][:, free_p], iou_threshold)
+        pairs = sorted(held + [(free_g[i], free_p[j]) for i, j in matched])
+        pairs = [(g_ids[i], p_ids[j]) for i, j in pairs]  # as id positions
         tp += len(pairs)
-        fn += len(g_rows) - len(pairs)
-        fp += len(p_rows) - len(pairs)
-        for gid, pid in sorted(pairs):
-            if gid in last_match and last_match[gid] != pid:
+        fn += len(g_ids) - len(pairs)
+        fp += len(p_ids) - len(pairs)
+        for g, p in pairs:
+            if g in last_match and last_match[g] != p:
                 idsw += 1
-            last_match[gid] = pid
+            last_match[g] = p
         carried = dict(pairs)
     value = 1.0 - (fn + fp + idsw) / num_gt
     return MotaResult(value, idsw, tp, fp, fn, num_gt)
@@ -210,40 +238,24 @@ def idf1(
     assignment yields IDTP, and IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
     """
     check_iou_threshold(iou_threshold)
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    gt_ids = sorted({r.track_id for rows in gt_frames.values() for r in rows})
-    pred_ids = sorted({r.track_id for rows in pred_frames.values() for r in rows})
-    gt_len = {i: 0 for i in gt_ids}
-    pred_len = {j: 0 for j in pred_ids}
-    overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    g_pos = {gid: i for i, gid in enumerate(gt_ids)}
-    p_pos = {pid: j for j, pid in enumerate(pred_ids)}
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        g_rows = gt_frames.get(f, [])
-        p_rows = pred_frames.get(f, [])
-        for r in g_rows:
-            gt_len[r.track_id] += 1
-        for r in p_rows:
-            pred_len[r.track_id] += 1
-        if g_rows and p_rows:
-            gi = np.array([g_pos[r.track_id] for r in g_rows])
-            pj = np.array([p_pos[r.track_id] for r in p_rows])
-            overlap[gi[:, None], pj] += _iou_matrix(g_rows, p_rows) >= iou_threshold
-    total_gt = sum(gt_len.values())
-    total_pred = sum(pred_len.values())
+    return _idf1(_prepare(gt, pred), iou_threshold)
+
+
+def _idf1(seq: _Sequence, iou_threshold: float) -> Idf1Result:
+    total_gt = int(seq.gt_count.sum())
+    total_pred = int(seq.pred_count.sum())
     if total_gt == 0 and total_pred == 0:
         return Idf1Result(1.0, 0, 0, 0, True)
-    ng, np_ = len(gt_ids), len(pred_ids)
+    ng, np_ = seq.gt_count.size, seq.pred_count.size
+    overlap = np.zeros((ng, np_))
+    for g_pos, p_pos, sim in seq.frames:
+        overlap[g_pos[:, None], p_pos] += sim >= iou_threshold
     size = ng + np_
     blocked = float(total_gt + total_pred + 1)
     cost = np.full((size, size), blocked)
-    for i, gid in enumerate(gt_ids):
-        for j, pid in enumerate(pred_ids):
-            cost[i, j] = gt_len[gid] + pred_len[pid] - 2.0 * overlap[i, j]
-        cost[i, np_ + i] = float(gt_len[gid])  # gt left unmatched
-    for j, pid in enumerate(pred_ids):
-        cost[ng + j, j] = float(pred_len[pid])  # pred left unmatched
+    cost[:ng, :np_] = seq.gt_count[:, None] + seq.pred_count[None, :] - 2.0 * overlap
+    cost[np.arange(ng), np_ + np.arange(ng)] = seq.gt_count  # gt left unmatched
+    cost[ng + np.arange(np_), np.arange(np_)] = seq.pred_count  # pred left unmatched
     cost[ng:, np_:] = 0.0
     rows, cols = linear_sum_assignment(cost)
     mismatch = float(cost[rows, cols].sum())
@@ -269,59 +281,36 @@ class HotaResult:
 
 def hota(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> HotaResult:
     """HOTA with DetA and AssA, averaged over the 19-threshold grid."""
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    gt_ids = sorted({r.track_id for rows in gt_frames.values() for r in rows})
-    pred_ids = sorted({r.track_id for rows in pred_frames.values() for r in rows})
-    total_gt = sum(len(v) for v in gt_frames.values())
-    total_pred = sum(len(v) for v in pred_frames.values())
+    return _hota(_prepare(gt, pred))
+
+
+def _hota(seq: _Sequence) -> HotaResult:
+    total_gt = int(seq.gt_count.sum())
+    total_pred = int(seq.pred_count.sum())
     na = HOTA_ALPHAS.size
     if total_gt == 0:
         nanv = float("nan")
         zeros = np.zeros(na)
         return HotaResult(nanv, nanv, nanv, HOTA_ALPHAS.copy(), zeros,
                           zeros.copy(), np.full(na, float(total_pred)), zeros.copy(), True)
-    g_pos = {gid: i for i, gid in enumerate(gt_ids)}
-    p_pos = {pid: j for j, pid in enumerate(pred_ids)}
-    ng, np_ = len(gt_ids), len(pred_ids)
-    gt_count = np.zeros(ng)
-    pred_count = np.zeros(np_)
+    gt_count, pred_count = seq.gt_count, seq.pred_count
+    ng, np_ = gt_count.size, pred_count.size
     potential = np.zeros((ng, np_))
-    frames = sorted(set(gt_frames) | set(pred_frames))
-    sims: dict[int, np.ndarray] = {}
-    for f in frames:
-        g_rows = gt_frames.get(f, [])
-        p_rows = pred_frames.get(f, [])
-        for r in g_rows:
-            gt_count[g_pos[r.track_id]] += 1
-        for r in p_rows:
-            pred_count[p_pos[r.track_id]] += 1
-        if not g_rows or not p_rows:
-            continue
-        sim = _iou_matrix(g_rows, p_rows)
-        sims[f] = sim
+    overlapping = [(g_pos, p_pos, sim) for g_pos, p_pos, sim in seq.frames if sim.size]
+    for g_pos, p_pos, sim in overlapping:
         denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
         norm = np.zeros_like(sim)
         np.divide(sim, denom, out=norm, where=denom > 1e-12)
-        gi = np.array([g_pos[r.track_id] for r in g_rows])
-        pj = np.array([p_pos[r.track_id] for r in p_rows])
-        potential[gi[:, None], pj] += norm
+        potential[g_pos[:, None], p_pos] += norm
     alignment = potential / (gt_count[:, None] + pred_count[None, :] - potential)
     matches = np.zeros((na, ng, np_))
-    for f in frames:
-        if f not in sims:
-            continue
-        g_rows = gt_frames[f]
-        p_rows = pred_frames[f]
-        sim = sims[f]
-        gi = np.array([g_pos[r.track_id] for r in g_rows])
-        pj = np.array([p_pos[r.track_id] for r in p_rows])
-        rank = np.arange(len(g_rows))[:, None] * (len(p_rows) + 1) + np.arange(len(p_rows))[None, :]
-        score = alignment[gi[:, None], pj] * sim - _TIE_EPS * rank
+    for g_pos, p_pos, sim in overlapping:
+        rank = np.arange(sim.shape[0])[:, None] * (sim.shape[1] + 1) + np.arange(sim.shape[1])
+        score = alignment[g_pos[:, None], p_pos] * sim - _TIE_EPS * rank
         rows, cols = linear_sum_assignment(-score)
         # one row per alpha; a frame's matched pairs are distinct
         keep = sim[rows, cols] >= HOTA_ALPHAS[:, None] - 1e-12
-        matches[:, gi[rows], pj[cols]] += keep
+        matches[:, g_pos[rows], p_pos[cols]] += keep
     tp = matches.sum(axis=(1, 2))
     fn = total_gt - tp
     fp = total_pred - tp
@@ -368,15 +357,20 @@ class MetricReport:
     undefined: bool = False
 
 
+def _score(
+    gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float
+) -> tuple[MotaResult, Idf1Result, HotaResult]:
+    """The three scorers on one preparation of a sequence."""
+    check_iou_threshold(iou_threshold)
+    seq = _prepare(gt, pred)
+    return _mota(seq, iou_threshold), _idf1(seq, iou_threshold), _hota(seq)
+
+
 def evaluate(
     gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float = 0.5
 ) -> MetricReport:
     """All metrics for one sequence."""
-    gt = list(gt)
-    pred = list(pred)
-    m = mota(gt, pred, iou_threshold)
-    i = idf1(gt, pred, iou_threshold)
-    h = hota(gt, pred)
+    m, i, h = _score(gt, pred, iou_threshold)
     return MetricReport(
         mota=m.value,
         idf1=i.value,
@@ -415,29 +409,21 @@ def evaluate_sequences(
     h_ass_sum = np.zeros(na)
     any_defined = False
     for name in sorted(sequences):
-        gt, pred = sequences[name]
-        gt = list(gt)
-        pred = list(pred)
-        m = mota(gt, pred, iou_threshold)
-        i = idf1(gt, pred, iou_threshold)
-        h = hota(gt, pred)
+        m, i, h = _score(*sequences[name], iou_threshold)
+        fp += m.fp
+        idfp += i.idfp
+        h_fp += h.fp
         if m.undefined or h.undefined:
-            fp += m.fp
-            idfp += i.idfp
-            h_fp += h.fp
             continue
         any_defined = True
         tp += m.tp
-        fp += m.fp
         fn += m.fn
         idsw += m.idsw
         num_gt += m.num_gt
         idtp += i.idtp
-        idfp += i.idfp
         idfn += i.idfn
         h_tp += h.tp
         h_fn += h.fn
-        h_fp += h.fp
         h_ass_sum += h.ass * h.tp
     if not any_defined:
         nanv = float("nan")
@@ -467,16 +453,10 @@ def evaluate_sequences(
     )
 
 
-_REPORT_KEYS = (
-    "mota", "idf1", "hota", "deta", "assa", "idsw",
-    "tp", "fp", "fn", "idtp", "idfp", "idfn", "num_gt", "undefined",
-)
-
-
 def render_report(report: MetricReport) -> str:
     """Stable key=value lines, one metric per line."""
     lines = []
-    for key in _REPORT_KEYS:
+    for key in (field.name for field in fields(report)):
         value = getattr(report, key)
         if isinstance(value, bool):
             text = "true" if value else "false"

@@ -58,10 +58,6 @@ class MLPParams:
     def in_dim(self) -> int:
         return self.layers[0].w.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].w.shape[1]
-
     def named_tensors(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for i, layer in enumerate(self.layers):

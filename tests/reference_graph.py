@@ -26,6 +26,11 @@ def ref_cosine_distance(a, b):
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
+def ref_center(det):
+    left, top, width, height = det.box
+    return (left + width / 2.0, top + height / 2.0)
+
+
 def ref_edge_features(u, v):
     """Handcrafted 6-dim feature for the candidate edge u -> v."""
     if u.end_frame >= v.start_frame:
@@ -34,8 +39,8 @@ def ref_edge_features(u, v):
             f" -> [{v.start_frame},{v.end_frame}]"
         )
     du, dv = u.last, v.first
-    xu, yu = du.center
-    xv, yv = dv.center
+    xu, yu = ref_center(du)
+    xv, yv = ref_center(dv)
     hu, hv = du.box[3], dv.box[3]
     wu, wv = du.box[2], dv.box[2]
     return np.array(
@@ -52,8 +57,8 @@ def ref_edge_features(u, v):
 
 def ref_pruning_score(du, dv, dt):
     """Ranking score for candidate successors; lower is better."""
-    xu, yu = du.center
-    xv, yv = dv.center
+    xu, yu = ref_center(du)
+    xv, yv = ref_center(dv)
     scale = (du.box[3] + dv.box[3]) / 2.0
     center = float(np.hypot(xv - xu, yv - yu)) / scale
     return (

