@@ -19,7 +19,7 @@ Shape discipline: everything is 2-D.  Scalars are (1, 1), row vectors are
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -390,32 +390,40 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return Tensor._make(data, tuple(parts), bw)
 
 
-def gather_rows(t: Tensor, index: Iterable[int]) -> Tensor:
+def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Add row i of ``values`` into row ``index[i]`` of (num_rows, cols) zeros.
+
+    One ``bincount`` over flat positions adds each entry's terms in input
+    order from 0.0, as ``np.add.at`` does, so the bits are the same.
+    """
+    cols = values.shape[1]
+    flat = (index[:, None] * cols + np.arange(cols)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=num_rows * cols)
+    return sums.astype(np.float64, copy=False).reshape(num_rows, cols)  # ints if empty
+
+
+def gather_rows(t: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
     """Select rows by index (repeats allowed); gradient scatter-adds back."""
-    idx = np.asarray(list(index), dtype=np.intp)
+    idx = np.asarray(index, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
         raise IndexError("gather_rows index out of range")
     data = t.data[idx] if idx.size else np.zeros((0, t.shape[1]))
 
     def bw(out: Tensor):
         if t.requires_grad and idx.size:
-            g = np.zeros_like(t.data)
-            np.add.at(g, idx, out.grad)
-            t._accumulate(g)
+            t._accumulate(_scatter_rows(idx, out.grad, t.shape[0]))
 
     return Tensor._make(data, (t,), bw)
 
 
-def segment_sum(t: Tensor, segment: Iterable[int], num_segments: int) -> Tensor:
+def segment_sum(t: Tensor, segment: Sequence[int] | np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of `t` into `num_segments` buckets given per-row bucket ids."""
-    seg = np.asarray(list(segment), dtype=np.intp)
+    seg = np.asarray(segment, dtype=np.intp)
     if seg.size != t.shape[0]:
         raise ValueError("segment ids must cover every row")
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise IndexError("segment id out of range")
-    data = np.zeros((num_segments, t.shape[1]))
-    if seg.size:
-        np.add.at(data, seg, t.data)
+    data = _scatter_rows(seg, t.data, num_segments)
 
     def bw(out: Tensor):
         if t.requires_grad and seg.size:

@@ -6,7 +6,7 @@ ends before the later one starts).  A fixed pruning score keeps each node's
 candidate set at the k most plausible successors so graph construction is
 deterministic and cheap: ``build_graph`` scores successors as arrays, a
 block of rows at a time, and ranks only each row's near-ties to its k-th
-score with the exact scalar key (score, frame gap, node index), so the
+score with the exact per-pair key (score, frame gap, node index), so the
 graph is the one a per-pair ranking gives, bit for bit.  This module alone
 knows how a level tiles a clip:
 level sizes nest by integer factors and grow until one window covers the
@@ -31,7 +31,6 @@ __all__ = [
     "lift_detections",
     "aggregate_tracklet",
     "build_graph",
-    "cosine_distance",
     "tracklet_sort_key",
 ]
 
@@ -155,7 +154,8 @@ class TrackGraph:
         if not (self.edge_u.shape == self.edge_v.shape == (self.edge_features.shape[0],)):
             raise ValueError("edge arrays must share their length")
         if self.num_edges:
-            if self.edge_u.min() < 0 or max(self.edge_u.max(), self.edge_v.max()) >= n:
+            ids = np.concatenate([self.edge_u, self.edge_v])
+            if ids.min() < 0 or ids.max() >= n:
                 raise ValueError("edge index out of range")
             if np.any(self.edge_u == self.edge_v):
                 raise ValueError("self edges are not allowed")
@@ -240,15 +240,6 @@ def aggregate_tracklet(parts: Sequence[Tracklet]) -> Tracklet:
     return Tracklet(dets, node_embedding=embedding)
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cosine similarity; degenerate zero vectors count as distance 1."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
-
-
 def _boundary(dets: Sequence[Detection]) -> tuple[np.ndarray, ...]:
     """Centre x, centre y, height and width of each detection's box."""
     boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
@@ -260,9 +251,8 @@ def _boundary(dets: Sequence[Detection]) -> tuple[np.ndarray, ...]:
     )
 
 
-def _unit_rows(dets: Sequence[Detection]) -> np.ndarray:
-    """Appearance rows scaled to unit norm; zero rows stay zero."""
-    app = np.stack([d.appearance for d in dets])
+def _unit_rows(app: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero rows stay zero."""
     norms = np.linalg.norm(app, axis=1, keepdims=True)
     return np.divide(app, norms, out=np.zeros_like(app), where=norms > 0.0)
 
@@ -276,17 +266,17 @@ def build_graph(
     not depend on input order.  A successor ``v`` of ``u`` starts after
     ``u`` ends; with ``du = u.last`` and ``dv = v.first`` it is ranked by
 
-        cosine_distance(du, dv) + 0.05 * |centre offset| / mean height + 0.01 * gap
+        cos(du, dv) + 0.05 * |centre offset| / mean height + 0.01 * gap
 
-    (lower is better), ties broken by (frame gap, sorted node index).
+    (lower is better), ties broken by (frame gap, sorted node index), where
+    ``cos(a, b) = 1 - dot(a, b) / (|a| |b|)``, or 1 if either row is zero.
     Scores are computed as arrays, a block of ``u`` rows at a time, so
-    memory grows linearly in nodes.  The matrix product behind the array
-    cosine rounds differently from the scalar :func:`cosine_distance`, so
-    the array scores only pick each row's band: the successors within a
-    tiny margin of its k-th score, which always holds the exact top k.
-    The band is ranked by the exact key, with one scalar
-    :func:`cosine_distance` per candidate, and the first knn_k are kept.
-    Edges come out ordered by ``u``, then by rank.
+    memory grows linearly in nodes.  The matrix product behind these block
+    scores rounds differently from the exact per-pair cosine, so they only
+    pick each row's band: the successors within a tiny margin of its k-th
+    score, which always holds the exact top k.  The band is ranked by the
+    exact key and the first knn_k are kept.  Edges come out ordered by
+    ``u``, then by rank.
 
     Edge features, 6 per edge: the centre offsets x and y over the mean
     box height, the log height and width ratios ``du / dv``, the frame gap,
@@ -313,7 +303,9 @@ def build_graph(
     firsts = [t.first for t in nodes]
     ux, uy, uh, uw = _boundary(lasts)
     vx, vy, vh, vw = _boundary(firsts)
-    u_unit, v_unit = _unit_rows(lasts), _unit_rows(firsts)
+    u_app = np.stack([d.appearance for d in lasts])
+    v_app = np.stack([d.appearance for d in firsts])
+    u_unit, v_unit = _unit_rows(u_app), _unit_rows(v_app)
 
     band_u: list[np.ndarray] = []
     band_v: list[np.ndarray] = []
@@ -346,11 +338,13 @@ def build_graph(
     dx = vx[bv] - ux[bu]
     dy = vy[bv] - uy[bu]
     heights = uh[bu] + vh[bv]
-    cos = np.array(
-        [cosine_distance(lasts[u].appearance, firsts[v].appearance)
-         for u, v in zip(bu.tolist(), bv.tolist())],
-        dtype=np.float64,
-    )
+    # vecdot runs the BLAS dot of np.dot and np.linalg.norm, so each cosine is
+    # bitwise the per-pair 1 - dot(a, b) / (|a| |b|); a zero row is at distance 1
+    u_norm = np.sqrt(np.vecdot(u_app, u_app))[bu]
+    v_norm = np.sqrt(np.vecdot(v_app, v_app))[bv]
+    nonzero = (u_norm != 0.0) & (v_norm != 0.0)
+    cos = 1.0 - np.divide(np.vecdot(u_app[bu], v_app[bv]), u_norm * v_norm,
+                          out=np.zeros(bu.size), where=nonzero)
     score = (
         cos
         + _PRUNE_CENTER_WEIGHT * (np.hypot(dx, dy) / (heights / 2.0))

@@ -226,21 +226,19 @@ def message_pass(eg: EncodedGraph, params: ModelParams, steps: int) -> EncodedGr
     h, e = eg.node_phi, eg.edge_init
     if g.num_edges == 0:
         return EncodedGraph(g, eg.node_phi, eg.edge_init, node_h=h, edge_h=e)
-    u_idx = g.edge_u.tolist()
-    v_idx = g.edge_v.tolist()
     touched = np.zeros((g.num_nodes, 1))
     touched[g.edge_u] = 1.0
     touched[g.edge_v] = 1.0
     keep = Tensor(1.0 - touched)
     touched_t = Tensor(touched)
     for _ in range(steps):
-        hu = gather_rows(h, u_idx)
-        hv = gather_rows(h, v_idx)
+        hu = gather_rows(h, g.edge_u)
+        hv = gather_rows(h, g.edge_v)
         e = mlp_forward(params.edge_update, concat_cols([hu, hv, e]))
         past_msg = mlp_forward(params.node_update_past, concat_cols([hu, e]))
         future_msg = mlp_forward(params.node_update_future, concat_cols([hv, e]))
-        agg = segment_sum(past_msg, v_idx, g.num_nodes) + segment_sum(
-            future_msg, u_idx, g.num_nodes
+        agg = segment_sum(past_msg, g.edge_v, g.num_nodes) + segment_sum(
+            future_msg, g.edge_u, g.num_nodes
         )
         h = touched_t * agg + keep * h
     return EncodedGraph(g, eg.node_phi, eg.edge_init, node_h=h, edge_h=e)

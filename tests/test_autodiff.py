@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langtrack.autodiff import (
     Tensor,
@@ -144,6 +146,37 @@ def test_segment_sum_grads_and_empty_segments():
     assert np.all(out.data[1] == 0.0) and np.all(out.data[3] == 0.0)
     w = Tensor(rng.standard_normal((5, 3)))
     check_gradients(lambda ts: (segment_sum(ts[0], seg, 5) * w).sum(), [a])
+
+
+@st.composite
+def scatter_cases(draw):
+    """Segment ids (repeats, empty segments, possibly no rows) and row values
+    with zero rows, -0.0 entries and magnitudes from 1e-5 to 1e5."""
+    num_segments = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, num_segments - 1), max_size=30))
+    dim = draw(st.sampled_from([1, 16, 64, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((len(ids), dim)) * 10.0 ** draw(st.floats(-5.0, 5.0))
+    values[rng.random(len(ids)) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.1] = -0.0
+    return np.array(ids, dtype=np.intp), values, num_segments
+
+
+@given(scatter_cases())
+@settings(max_examples=200, deadline=None)
+def test_segment_ops_scatter_bitwise_as_add_at(case):
+    ids, values, num_segments = case
+    expected = np.zeros((num_segments, values.shape[1]))
+    np.add.at(expected, ids, values)
+    assert segment_sum(Tensor(values), ids, num_segments).data.tobytes() == expected.tobytes()
+    # gather_rows' backward gets a column slice of the gradient, as concat_cols
+    # passes back: upstream (values | ones) multiplies the concatenated rows
+    h = Tensor(np.ones((num_segments, values.shape[1])), requires_grad=True)
+    rest = Tensor(np.ones((len(ids), 2)))
+    upstream = Tensor(np.concatenate([values, np.ones((len(ids), 2))], axis=1))
+    (concat_cols([gather_rows(h, ids), rest]) * upstream).sum().backward()
+    grad = np.zeros_like(h.data) if h.grad is None else h.grad
+    assert grad.tobytes() == (np.zeros_like(h.data) + expected).tobytes()
 
 
 def test_gather_rows_out_of_range():

@@ -267,6 +267,27 @@ def test_edge_features_rejects_overlap():
             TrackGraph([u, v], np.array([0]), np.array([1]), np.zeros((1, 6)), (1, 3))
 
 
+# frames 1, 2 and 2: node 2 overlaps node 1 in time
+@pytest.mark.parametrize(
+    "edge_u, edge_v, message",
+    [
+        ([-1], [1], "out of range"),
+        ([0], [-1], "out of range"),
+        ([3], [1], "out of range"),
+        ([0], [3], "out of range"),
+        ([1], [1], "self edges"),
+        ([0, 0], [1, 1], "duplicate"),
+        ([1], [2], "temporally disjoint"),
+        ([0, 0], [1], "share their length"),
+    ],
+)
+def test_track_graph_rejects_invalid_edges(edge_u, edge_v, message):
+    nodes = [single(1), single(2), single(2, x=30.0)]
+    with pytest.raises(ValueError, match=message):
+        TrackGraph(nodes, np.array(edge_u), np.array(edge_v),
+                   np.zeros((len(edge_v), 6)), (1, 2))
+
+
 # -- graph construction ----------------------------------------------------------
 
 
@@ -367,7 +388,9 @@ TIE_BOXES = [(10.0, 20.0, 4.0, 8.0), (12.0, 20.0, 4.0, 8.0), (10.0, 24.0, 5.0, 6
 @st.composite
 def windows(draw):
     span = draw(st.integers(1, 12))
-    dim = draw(st.sampled_from([1, 2, 3, 64]))
+    # 33 and 129 leave a tail after the dot product's unrolled blocks
+    dim = draw(st.sampled_from([1, 2, 3, 33, 64, 129]))
+    scale = 10.0 ** draw(st.floats(-5.0, 5.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # row 0 is the zero vector (cosine distance 1 to everything); the others
     # repeat, so identical rows give identical cosines
@@ -385,7 +408,7 @@ def windows(draw):
             app = apps[draw(st.integers(0, len(apps) - 1))]
             if draw(st.booleans()):
                 app = app + rng.standard_normal(dim) * 1e-3
-            dets.append(Detection(frame, box, app))
+            dets.append(Detection(frame, box, app * scale))
         tracklets.append(Tracklet(dets))
     # up to past the successor count of every node
     knn_k = draw(st.integers(1, 12))
