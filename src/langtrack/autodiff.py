@@ -27,7 +27,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concat_cols",
-    "concat_rows",
     "gather_rows",
     "linear",
     "segment_sum",
@@ -356,22 +355,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Ten
             b._accumulate(_unbroadcast(g, b.shape))
 
     return Tensor._make(data, (x, w, b), bw)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors vertically; all must share a column count."""
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat_rows needs at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def bw(out: Tensor):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(out.grad[a:b])
-
-    return Tensor._make(data, tuple(parts), bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -40,7 +40,7 @@ from .data_io import (
 from .guidance import LanguageEmbeddingStore, language_access_forbidden
 from .inference import track_video
 from .metrics import BoxRecord, check_iou_threshold, evaluate, render_report
-from .model import ModelConfig, params_from_tensors
+from .model import ModelConfig, ModelParams, params_from_tensors
 from .nn import load_checkpoint, save_checkpoint
 from .synth import (
     DomainProfile,
@@ -270,7 +270,8 @@ def _load_clips(data_dir: Path) -> list[ClipData]:
             detections = to_detections(records, appearance, use_gt_ids=True)
         except ValueError as exc:
             raise _input_error(f"sequence {name}: {exc}") from None
-        clips.append(ClipData(name, detections, read_annotations(ann_path)))
+        annotations = _read_file("annotations", ann_path, read_annotations)
+        clips.append(ClipData(name, detections, annotations))
     if not clips:
         raise _input_error(f"no *.annotations.json sequences under {data_dir}")
     return clips
@@ -329,17 +330,8 @@ def cmd_track(args) -> int:
     checkpoint = _path_from(args, cfg, "checkpoint")
     det_path = _path_from(args, cfg, "detections")
     out = _path_from(args, cfg, "out")
-    try:
-        tensors, meta = load_checkpoint(checkpoint)
-    except FileNotFoundError:
-        raise _input_error(f"checkpoint not found: {checkpoint}") from None
-    except ValueError as exc:
-        raise _input_error(f"checkpoint {checkpoint}: {exc}") from None
-    try:
-        model_cfg = ModelConfig.from_dict(meta["model"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _input_error(f"checkpoint {checkpoint}: bad model config ({exc})") from None
-    params = params_from_tensors(tensors, model_cfg)
+    params = _read_file("checkpoint", checkpoint, _load_params)
+    model_cfg = params.config
     records = _read_file("detections", det_path, read_mot)
     if not records:
         raise _input_error(f"no detections in {det_path}")
@@ -364,6 +356,15 @@ def cmd_track(args) -> int:
     })
     print(f"tracked {len(detections)} detections into {result.num_tracks} tracks")
     return 0
+
+
+def _load_params(path: Path) -> ModelParams:
+    tensors, meta = load_checkpoint(path)
+    try:
+        model_cfg = ModelConfig.from_dict(meta["model"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad model config ({exc!r})") from None
+    return params_from_tensors(tensors, model_cfg)
 
 
 def _sidecar_for(det_path: Path) -> Path:

@@ -277,24 +277,42 @@ def write_annotations(path, annotations: AnnotationSet) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_annotations(path) -> AnnotationSet:
+def _load_object(path, kind: str) -> dict:
+    """The JSON object in ``path``; ValueError if malformed or not an object."""
     try:
         doc = json.loads(Path(path).read_text(), object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed annotation file: {exc}") from None
+        raise ValueError(f"malformed {kind}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _strings(record, keys: Sequence[str], what: str) -> list[str]:
+    """The string values of ``keys`` in the JSON object ``record``."""
+    if not isinstance(record, dict) or not all(isinstance(record.get(k), str) for k in keys):
+        raise ValueError(f"{what} must be an object with string fields {', '.join(keys)}")
+    return [record[k] for k in keys]
+
+
+def read_annotations(path) -> AnnotationSet:
+    doc = _load_object(path, "annotation file")
     if doc.get("format") != _ANNOTATION_FORMAT:
         raise ValueError(f"not an annotation file: format={doc.get('format')!r}")
     if doc.get("version") != 1:
         raise ValueError(f"unsupported annotation version {doc.get('version')!r}")
-    scene_raw = doc["scene"]
-    scene = SceneAttributes(scene_raw["viewpoint"], scene_raw["camera"], scene_raw["condition"])
+    scene_keys = ("viewpoint", "camera", "condition")
+    scene = SceneAttributes(*_strings(doc.get("scene"), scene_keys, "scene"))
+    records = doc.get("instances", {})
+    if not isinstance(records, dict):
+        raise ValueError("instances must be an object")
     instances: dict[int, InstanceAttributes] = {}
-    for key, attrs in doc.get("instances", {}).items():
+    for key, attrs in records.items():
         tid = int(key)
         if tid in instances:
             raise ValueError(f"duplicate instance record for track {tid}")
         instances[tid] = InstanceAttributes(
-            attrs["gender"], attrs["shirt_color"], attrs["pant_color"]
+            *_strings(attrs, ("gender", "shirt_color", "pant_color"), f"instance {key}")
         )
     return AnnotationSet(scene, instances)
 
@@ -309,15 +327,17 @@ def write_embedding_fixture(path, store: LanguageEmbeddingStore) -> None:
 
 
 def read_embedding_fixture(path) -> LanguageEmbeddingStore:
-    try:
-        doc = json.loads(Path(path).read_text(), object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed embedding fixture: {exc}") from None
+    doc = _load_object(path, "embedding fixture")
     if doc.get("format") != _FIXTURE_FORMAT:
         raise ValueError(f"not an embedding fixture: format={doc.get('format')!r}")
     if doc.get("version") != 1:
         raise ValueError(f"unsupported fixture version {doc.get('version')!r}")
     entries = doc.get("entries", {})
+    if not isinstance(entries, dict) or not all(
+        isinstance(vec, list) and all(isinstance(x, (int, float)) for x in vec)
+        for vec in entries.values()
+    ):
+        raise ValueError("fixture entries must map descriptions to arrays of numbers")
     if not entries:
         raise ValueError("embedding fixture has no entries")
     records = {desc: np.array(vec, dtype=np.float64) for desc, vec in entries.items()}

@@ -79,8 +79,8 @@ class Detection:
 class Tracklet:
     """A partial trajectory: detections at strictly increasing frames.
 
-    ``node_embedding`` starts as None and is filled in by the model's node
-    encoder (or by merging) once the tracklet participates in a graph.
+    ``node_embedding`` starts as None; tracking sets it to the node encoder's
+    row at the first level, and ``aggregate_tracklet`` to its parts' mean.
     """
 
     detections: list[Detection]
@@ -220,7 +220,7 @@ def lift_detections(detections: Sequence[Detection]) -> list[Tracklet]:
 
 
 def aggregate_tracklet(parts: Sequence[Tracklet]) -> Tracklet:
-    """Merge tracklets covering disjoint frames into one.
+    """Merge tracklets, given in frame order (``Tracklet`` rejects overlap).
 
     The merged embedding is the detection-count-weighted mean of the part
     embeddings (present only when every part has one), which makes merging
@@ -228,10 +228,7 @@ def aggregate_tracklet(parts: Sequence[Tracklet]) -> Tracklet:
     """
     if not parts:
         raise ValueError("nothing to merge")
-    dets = sorted((d for p in parts for d in p.detections), key=lambda d: d.frame)
-    frames = [d.frame for d in dets]
-    if len(set(frames)) != len(frames):
-        raise ValueError("cannot merge tracklets with overlapping frames")
+    dets = [d for p in parts for d in p.detections]
     embedding = None
     if all(p.node_embedding is not None for p in parts):
         weights = np.array([len(p.detections) for p in parts], dtype=np.float64)

@@ -4,8 +4,7 @@ Greedy flow-constrained rounding keeps at most one accepted successor and
 one accepted predecessor per node, merges the resulting chains, and repeats
 level by level; ``graph.py`` derives the levels and their windows, and the
 top level's one window covers the whole clip, so whole-clip trajectories
-remain.  This path is
-video-only by construction: no operation here takes the language embedding
+remain.  This path is video-only by construction: no operation here takes the language embedding
 store, and the whole pass runs under a guard that turns any stray embedding
 access into a hard error.
 """
@@ -17,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .autodiff import Tensor
 from .graph import (
     Detection,
     TrackGraph,
@@ -121,51 +121,28 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
         succ_used.add(u)
         pred_used.add(v)
         accepted.append(i)
-    out = np.array(sorted(accepted), dtype=np.intp)
-    # one accepted edge per slot, by construction; keep the cheap assert
-    assert len(succ_used) == len(accepted) and len(pred_used) == len(accepted)
-    return out
-
-
-def _components(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Connected components as sorted index lists, via union-find."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _check_degrees(pairs: Sequence[tuple[int, int]]) -> None:
-    succ: set[int] = set()
-    pred: set[int] = set()
-    for u, v in pairs:
-        if u in succ or v in pred:
-            raise RuntimeError("accepted edges violate the one-per-slot degree constraint")
-        succ.add(u)
-        pred.add(v)
+    return np.array(sorted(accepted), dtype=np.intp)
 
 
 def merge_accepted(graph: TrackGraph, accepted: np.ndarray) -> list[Tracklet]:
-    """Merge chains of accepted edges into longer tracklets."""
-    pairs = [(int(graph.edge_u[i]), int(graph.edge_v[i])) for i in accepted]
-    _check_degrees(pairs)
-    merged = [
-        aggregate_tracklet([graph.nodes[i] for i in comp])
-        for comp in _components(graph.num_nodes, pairs)
-    ]
-    return sorted(merged, key=tracklet_sort_key)
+    """Merge the chains of accepted edges into longer tracklets, in node order
+    of their heads (nodes with no accepted predecessor).  Edges run forward in
+    time, so a chain followed from its head is in frame order.  A node with a
+    second accepted successor or predecessor raises RuntimeError."""
+    succ: dict[int, int] = {}
+    has_pred: set[int] = set()
+    for u, v in zip(graph.edge_u[accepted].tolist(), graph.edge_v[accepted].tolist()):
+        if u in succ or v in has_pred:
+            raise RuntimeError("accepted edges violate the one-per-slot degree constraint")
+        succ[u] = v
+        has_pred.add(v)
+    merged = []
+    for head in sorted(set(range(graph.num_nodes)) - has_pred):
+        chain = [head]
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+        merged.append(aggregate_tracklet([graph.nodes[i] for i in chain]))
+    return merged
 
 
 def gt_oracle_scorer(graph: TrackGraph) -> np.ndarray:
@@ -216,17 +193,19 @@ def track_video(
     num_frames = dets[-1].frame
     tracklets = lift_detections(dets)
     with language_access_forbidden():
-        for size in clip_level_sizes(num_frames, config.level_sizes):
+        for level, size in enumerate(clip_level_sizes(num_frames, config.level_sizes)):
             next_level: list[Tracklet] = []
             for window, members in group_by_window(tracklets, size, num_frames):
                 graph = build_graph(members, config.knn_k, window)
                 if edge_scorer is None:
-                    eg = encode_graph(graph, params)
-                    for i, node in enumerate(graph.nodes):
-                        node.node_embedding = eg.node_phi.data[i].copy()
-                    steps = params.config.message_passing_steps
+                    node_init = None
+                    if level:  # merged tracklets carry their parts' mean embedding
+                        node_init = Tensor(np.stack([t.node_embedding for t in graph.nodes]))
+                    eg = encode_graph(graph, params, node_init)
+                    for node, row in zip(graph.nodes, eg.node_phi.data):
+                        node.node_embedding = row.copy()
                     if graph.num_edges:
-                        eg = message_pass(eg, params, steps)
+                        eg = message_pass(eg, params, params.config.message_passing_steps)
                         probs = classify_edges(eg, params).data.ravel()
                     else:
                         probs = np.zeros(0)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, concat_rows, gather_rows, segment_sum
+from .autodiff import Tensor, concat_cols, gather_rows, segment_sum
 from .graph import EDGE_FEATURE_DIM, TrackGraph
 from .nn import MLPParams, init_mlp, mlp_forward
 from .ops import PROB_EPS
@@ -161,10 +161,10 @@ def encode_graph(
 ) -> EncodedGraph:
     """Produce initial node embeddings and edge embeddings.
 
-    Node rows come from, in order of precedence: the supplied ``node_init``
-    tensor (training keeps embeddings on the tape across levels), a
-    tracklet's stored ``node_embedding``, or the node encoder applied to a
-    single detection's appearance vector.
+    Node rows are the supplied ``node_init`` tensor when given (training
+    keeps embeddings on the tape across levels, tracking passes the merged
+    tracklets' stored ones), else the node encoder applied to each node's
+    single detection; a multi-detection node then raises ValueError.
     """
     m = params.config.node_dim
     v = graph.num_nodes
@@ -172,41 +172,12 @@ def encode_graph(
         if node_init.shape != (v, m):
             raise ValueError(f"node_init shape {node_init.shape}, expected {(v, m)}")
         phi = node_init
+    elif any(len(t.detections) != 1 for t in graph.nodes):
+        raise ValueError("multi-detection tracklets need node_init to be encoded")
     else:
-        stored_rows: list[np.ndarray] = []
-        encode_rows: list[np.ndarray] = []
-        order: list[tuple[int, int]] = []  # (source list, index within it)
-        for t in graph.nodes:
-            if t.node_embedding is not None:
-                emb = np.asarray(t.node_embedding, dtype=np.float64)
-                if emb.shape != (m,):
-                    raise ValueError(f"stored embedding has dim {emb.shape}, expected ({m},)")
-                order.append((0, len(stored_rows)))
-                stored_rows.append(emb)
-            elif len(t.detections) == 1:
-                app = t.first.appearance
-                if app.shape != (params.config.appearance_dim,):
-                    raise ValueError(
-                        f"appearance dim {app.shape[0]} does not match encoder input "
-                        f"{params.config.appearance_dim}"
-                    )
-                order.append((1, len(encode_rows)))
-                encode_rows.append(app)
-            else:
-                raise ValueError(
-                    "multi-detection tracklet without a stored embedding cannot be encoded"
-                )
-        if not encode_rows:
-            phi = Tensor(np.stack(stored_rows) if stored_rows else np.zeros((0, m)))
-        else:
-            encoded = mlp_forward(params.node_encoder, Tensor(np.stack(encode_rows)))
-            if not stored_rows:
-                phi = encoded
-            else:
-                stored = Tensor(np.stack(stored_rows))
-                offsets = {0: 0, 1: len(stored_rows)}
-                perm = [offsets[src] + idx for src, idx in order]
-                phi = gather_rows(concat_rows([stored, encoded]), perm)
+        app = [t.first.appearance for t in graph.nodes]
+        rows = np.stack(app) if app else np.zeros((0, params.config.appearance_dim))
+        phi = mlp_forward(params.node_encoder, Tensor(rows))
     if graph.num_edges:
         edge_init = mlp_forward(params.edge_encoder, Tensor(graph.edge_features))
     else:

@@ -182,14 +182,21 @@ def save_checkpoint(path: str | Path, tensors: dict[str, Tensor], config: dict) 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], dict]:
-    """Read a checkpoint back as (named tensors, config)."""
+    """Read a checkpoint back as (named tensors, config); ValueError if the
+    document, its tensors or its config are missing or ill-typed."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a checkpoint file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    entries, config = payload.get("tensors"), payload.get("config")
+    if not isinstance(entries, dict) or not isinstance(config, dict):
+        raise ValueError("checkpoint needs a 'tensors' object and a 'config' object")
     tensors = {}
-    for name, entry in payload["tensors"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    for name, entry in entries.items():
+        try:
+            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"tensor {name!r} is not a shape and data: {exc!r}") from None
         tensors[name] = Tensor(arr, requires_grad=True)
-    return tensors, payload["config"]
+    return tensors, config

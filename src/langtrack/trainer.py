@@ -71,6 +71,9 @@ __all__ = [
     "run_experiment",
 ]
 
+# The report fields ``comparison.csv`` lists, in column order.
+_COMPARISON_METRICS = ("mota", "idf1", "hota")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -375,7 +378,6 @@ class ExperimentSpec:
     store: LanguageEmbeddingStore
     seeds: tuple[int, ...] = (0,)
     include_baseline: bool = True
-    metrics: tuple[str, ...] = ("mota", "idf1", "hota")
 
     def __post_init__(self):
         train_names = {c.name for c in self.train_clips}
@@ -464,12 +466,11 @@ def _comparison_csv(
     results: dict[int, dict[str, dict[str, MetricReport]]],
     spec: ExperimentSpec,
 ) -> str:
-    columns = list(spec.metrics)
-    lines = ["arm,domain,seed," + ",".join(columns)]
+    lines = ["arm,domain,seed," + ",".join(_COMPARISON_METRICS)]
     for seed in spec.seeds:
         for arm in sorted(results[seed]):
             for domain in ("in_domain", "cross_domain"):
                 report = results[seed][arm][domain]
-                values = ",".join(repr(getattr(report, c)) for c in columns)
+                values = ",".join(repr(getattr(report, c)) for c in _COMPARISON_METRICS)
                 lines.append(f"{arm},{domain},{seed},{values}")
     return "\n".join(lines) + "\n"

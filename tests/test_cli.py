@@ -1,6 +1,7 @@
 """End-to-end command-line flows on small synthetic worlds."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -341,6 +342,21 @@ def trained_world(tmp_path_factory):
     (tmp / "nan.appearance.csv").write_text("\n".join(rows) + "\n")
     (tmp / "levels.json").write_text(json.dumps(dict(SMALL_CONFIG, levels=[5, 7])))
     (tmp / "typed.json").write_text(json.dumps(dict(SMALL_CONFIG, lr="fast")))
+    annotations = json.loads((data / "seq00.annotations.json").read_text())
+    del annotations["scene"]
+    for name, text in (("malformed", "{not json"), ("sceneless", json.dumps(annotations))):
+        shutil.copytree(data, tmp / f"{name}_data")
+        (tmp / f"{name}_data" / "seq00.annotations.json").write_text(text)
+    (tmp / "sceneless.annotations.json").write_text(json.dumps(annotations))
+    (tmp / "array.annotations.json").write_text("[1, 2]")
+    fixture = json.loads((tmp / "emb" / "embeddings.json").read_text())
+    fixture["entries"] = list(fixture["entries"].values())
+    (tmp / "list_entries.json").write_text(json.dumps(fixture))
+    checkpoint = json.loads(ckpt.read_text())
+    del checkpoint["tensors"][sorted(checkpoint["tensors"])[0]]
+    (tmp / "one_tensor_short.json").write_text(json.dumps(checkpoint))
+    del checkpoint["tensors"]
+    (tmp / "no_tensors.json").write_text(json.dumps(checkpoint))
     return {
         "config": str(config), "data": str(data), "ckpt": str(ckpt), "tmp": tmp,
         "fixture": str(tmp / "emb" / "embeddings.json"),
@@ -348,12 +364,16 @@ def trained_world(tmp_path_factory):
     }
 
 
-def _track(w, detections):
-    return ["track", "--checkpoint", w["ckpt"], "--detections", detections]
+def _track(w, detections, checkpoint=None):
+    return ["track", "--checkpoint", checkpoint or w["ckpt"], "--detections", detections]
 
 
-def _train(w):
-    return ["train", "--data", w["data"], "--fixture", w["fixture"]]
+def _train(w, data=None, fixture=None):
+    return ["train", "--data", data or w["data"], "--fixture", fixture or w["fixture"]]
+
+
+def _embed(w, annotations):
+    return ["embed", "--config", w["config"], str(w["tmp"] / annotations)]
 
 
 def _gen(w, *flags):
@@ -397,6 +417,28 @@ BAD_INPUTS = {
     "experiment objects 0": (lambda w: _experiment(w, "--objects", "0"), 2, "usage error"),
     "eval iou-threshold 2": (lambda w: _eval(w, "2"), 2, "usage error"),
     "eval iou-threshold 0": (lambda w: _eval(w, "0"), 2, "usage error"),
+    "train malformed annotations": (
+        lambda w: _train(w, data=str(w["tmp"] / "malformed_data")) + ["--config", w["config"]],
+        4, "input error"),
+    "train annotations without scene": (
+        lambda w: _train(w, data=str(w["tmp"] / "sceneless_data")) + ["--config", w["config"]],
+        4, "input error"),
+    "embed annotations without scene": (
+        lambda w: _embed(w, "sceneless.annotations.json"), 4, "input error"),
+    "embed annotations holding an array": (
+        lambda w: _embed(w, "array.annotations.json"), 4, "input error"),
+    "train fixture entries a list": (
+        lambda w: _train(w, fixture=str(w["tmp"] / "list_entries.json"))
+        + ["--config", w["config"]],
+        4, "input error"),
+    "track checkpoint missing a tensor": (
+        lambda w: _track(w, w["det"], str(w["tmp"] / "one_tensor_short.json"))
+        + ["--config", w["config"]],
+        4, "input error"),
+    "track checkpoint without tensors": (
+        lambda w: _track(w, w["det"], str(w["tmp"] / "no_tensors.json"))
+        + ["--config", w["config"]],
+        4, "input error"),
 }
 
 

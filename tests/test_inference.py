@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langtrack.data_io import SceneAttributes
 from langtrack.graph import Detection, Tracklet, build_graph, lift_detections
@@ -24,6 +26,7 @@ from langtrack.model import (
 )
 from langtrack.nn import focal_bce_tape
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
+from reference_merge import ref_merge_accepted
 
 
 def det(frame, x=0.0, y=0.0, app=(1.0, 0.0, 0.0), gt_id=None, w=4.0, h=8.0):
@@ -197,6 +200,60 @@ def test_merge_accepted_grows_tracklets():
     merged = merge_accepted(g, round_edges(g, probs, 0.5))
     assert len(merged) == 1
     assert [d.frame for d in merged[0].detections] == [1, 2, 3]
+
+
+@st.composite
+def accepted_windows(draw):
+    """A window of multi-detection tracklets with random embeddings, and the
+    edges ``round_edges`` accepts at random probabilities."""
+    span = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # few distinct boxes and rows, so tracklets tie on their sort key
+    boxes = [(0.0, 0.0, 4.0, 8.0), (10.0, 0.0, 4.0, 8.0)]
+    apps = [rng.standard_normal(3) for _ in range(2)]
+    tracklets = []
+    for _ in range(draw(st.integers(1, 16))):
+        start = draw(st.integers(1, span))
+        length = draw(st.integers(1, 4))
+        dets = []
+        for frame in range(start, min(start + length, span + 1)):
+            if draw(st.booleans()):
+                box, app = boxes[draw(st.integers(0, 1))], apps[draw(st.integers(0, 1))]
+            else:
+                box, app = tuple(rng.uniform(1.0, 30.0, 4)), rng.standard_normal(3)
+            dets.append(Detection(frame, box, app))
+        t = Tracklet(dets)
+        if draw(st.integers(0, 9)):  # one node in ten has no embedding
+            t.node_embedding = rng.standard_normal(5) * 10.0 ** draw(st.floats(-5.0, 5.0))
+        tracklets.append(t)
+    g = build_graph(tracklets, draw(st.integers(1, 8)), (1, span))
+    probs = rng.uniform(0.0, 1.0, g.num_edges)
+    return g, round_edges(g, probs, draw(st.floats(0.05, 0.95)))
+
+
+def merged_parts(merged):
+    """Each merged tracklet as its detections' identities, in order."""
+    return [tuple(id(d) for d in t.detections) for t in merged]
+
+
+@given(accepted_windows())
+@settings(max_examples=300, deadline=None)
+def test_merge_accepted_matches_union_find_reference(case):
+    g, accepted = case
+    merged = merge_accepted(g, accepted)
+    ref = ref_merge_accepted(g, accepted)
+    assert sorted(merged_parts(merged)) == sorted(merged_parts(ref))
+    ref_embedding = dict(zip(merged_parts(ref), (t.node_embedding for t in ref)))
+    for key, t in zip(merged_parts(merged), merged):
+        want = ref_embedding[key]
+        if want is None:
+            assert t.node_embedding is None
+        else:
+            assert t.node_embedding.tobytes() == want.tobytes()
+    # first-node order: the merged tracklets' heads come in node order
+    node_of = {id(node.first): i for i, node in enumerate(g.nodes)}
+    heads = [node_of[id(t.first)] for t in merged]
+    assert heads == sorted(heads)
 
 
 def test_track_result_validation():

@@ -85,18 +85,20 @@ def test_encode_single_node_graph_has_no_edge_embeddings():
     assert eg.edge_init.shape == (0, CFG.edge_dim)
 
 
-def test_encode_prefers_stored_embedding_and_mixes_sources():
+def test_encode_uses_node_init_rows_verbatim():
     params = init_model(np.random.default_rng(4), CFG)
     rng = np.random.default_rng(5)
-    stored = single(1, rng=rng)
-    stored.node_embedding = np.arange(CFG.node_dim, dtype=float)
-    fresh = single(3, rng=rng)
-    g = build_graph([stored, fresh], 2, (1, 3))
-    eg = encode_graph(g, params)
-    rows = {t.start_frame: i for i, t in enumerate(g.nodes)}
-    assert np.array_equal(eg.node_phi.data[rows[1]], stored.node_embedding)
+    merged = Tracklet([single(1, rng=rng).first, single(2, rng=rng).first])
+    fresh = single(4, rng=rng)
+    g = build_graph([fresh, merged], 2, (1, 4))
+    rows = rng.standard_normal((2, CFG.node_dim))
+    eg = encode_graph(g, params, node_init=Tensor(rows))
+    assert np.array_equal(eg.node_phi.data, rows)
+    # without node_init a stored embedding is not read: the encoder runs
+    fresh.node_embedding = np.arange(CFG.node_dim, dtype=float)
+    eg = encode_graph(build_graph([fresh], 2, (4, 4)), params)
     want = manual_mlp(params.node_encoder, fresh.first.appearance.reshape(1, -1))
-    assert np.allclose(eg.node_phi.data[rows[3]], want[0], atol=1e-12)
+    assert np.allclose(eg.node_phi.data[0], want[0], atol=1e-12)
 
 
 def test_encode_rejects_bad_dims():
