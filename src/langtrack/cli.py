@@ -85,8 +85,8 @@ def _resolve_config(args) -> RunConfig:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         return apply_overrides(cfg, args.set or [])
-    except FileNotFoundError:
-        raise _config_error(f"config file not found: {args.config}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise _config_error(f"config file {args.config}: {exc.strerror or exc}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a config value of the wrong JSON type
         raise _config_error(str(exc)) from None
 
@@ -98,7 +98,12 @@ def _path_from(args, cfg: RunConfig, flag: str, required: bool = True) -> Path |
         if required:
             raise _usage_error(f"--{flag} is required (flag or paths.{flag} in the config)")
         return None
-    return Path(value)
+    path = Path(value)
+    if flag == "out":  # its nearest existing ancestor must be a directory
+        existing = next((p for p in (path, *path.parents) if p.exists()), path)
+        if not existing.is_dir():
+            raise _usage_error(f"--out {path}: {existing} is not a directory")
+    return path
 
 
 def _write_provenance(out_dir: Path, command: str, cfg: RunConfig, arguments: dict) -> None:
@@ -119,8 +124,8 @@ def _write_provenance(out_dir: Path, command: str, cfg: RunConfig, arguments: di
 def _read_file(kind: str, path: Path, reader):
     try:
         return reader(path)
-    except FileNotFoundError:
-        raise _input_error(f"{kind} file not found: {path}") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise _input_error(f"{kind} file {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise _input_error(f"{kind} file {path}: {exc}") from None
 

@@ -29,7 +29,6 @@ __all__ = [
     "clip_level_sizes",
     "group_by_window",
     "lift_detections",
-    "aggregate_tracklet",
     "build_graph",
     "tracklet_sort_key",
 ]
@@ -77,14 +76,9 @@ class Detection:
 
 @dataclass(eq=False)
 class Tracklet:
-    """A partial trajectory: detections at strictly increasing frames.
-
-    ``node_embedding`` starts as None; tracking sets it to the node encoder's
-    row at the first level, and ``aggregate_tracklet`` to its parts' mean.
-    """
+    """A partial trajectory: detections at strictly increasing frames."""
 
     detections: list[Detection]
-    node_embedding: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.detections:
@@ -217,24 +211,6 @@ def group_by_window(
 def lift_detections(detections: Sequence[Detection]) -> list[Tracklet]:
     """One single-detection tracklet per detection, in input order."""
     return [Tracklet([d]) for d in detections]
-
-
-def aggregate_tracklet(parts: Sequence[Tracklet]) -> Tracklet:
-    """Merge tracklets, given in frame order (``Tracklet`` rejects overlap).
-
-    The merged embedding is the detection-count-weighted mean of the part
-    embeddings (present only when every part has one), which makes merging
-    associative: ((a+b)+c) and (a+(b+c)) agree.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-    dets = [d for p in parts for d in p.detections]
-    embedding = None
-    if all(p.node_embedding is not None for p in parts):
-        weights = np.array([len(p.detections) for p in parts], dtype=np.float64)
-        stacked = np.stack([np.asarray(p.node_embedding, dtype=np.float64) for p in parts])
-        embedding = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
-    return Tracklet(dets, node_embedding=embedding)
 
 
 def _boundary(dets: Sequence[Detection]) -> tuple[np.ndarray, ...]:

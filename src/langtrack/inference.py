@@ -21,7 +21,6 @@ from .graph import (
     Detection,
     TrackGraph,
     Tracklet,
-    aggregate_tracklet,
     build_graph,
     check_level_sizes,
     clip_level_sizes,
@@ -30,7 +29,8 @@ from .graph import (
     tracklet_sort_key,
 )
 from .guidance import language_access_forbidden
-from .model import ModelParams, classify_edges, encode_graph, message_pass
+from .model import ModelParams, classify_edges, encode_graph, message_pass, node_means
+from .nn import mlp_forward
 
 __all__ = [
     "TrackerConfig",
@@ -127,8 +127,8 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
 def merge_accepted(graph: TrackGraph, accepted: np.ndarray) -> list[Tracklet]:
     """Merge the chains of accepted edges into longer tracklets, in node order
     of their heads (nodes with no accepted predecessor).  Edges run forward in
-    time, so a chain followed from its head is in frame order.  A node with a
-    second accepted successor or predecessor raises RuntimeError."""
+    time, so a chain's detections, followed from its head, are in frame order.
+    A node with a second accepted successor or predecessor raises RuntimeError."""
     succ: dict[int, int] = {}
     has_pred: set[int] = set()
     for u, v in zip(graph.edge_u[accepted].tolist(), graph.edge_v[accepted].tolist()):
@@ -141,7 +141,7 @@ def merge_accepted(graph: TrackGraph, accepted: np.ndarray) -> list[Tracklet]:
         chain = [head]
         while chain[-1] in succ:
             chain.append(succ[chain[-1]])
-        merged.append(aggregate_tracklet([graph.nodes[i] for i in chain]))
+        merged.append(Tracklet([d for i in chain for d in graph.nodes[i].detections]))
     return merged
 
 
@@ -180,10 +180,11 @@ def track_video(
     classifies candidate edges inside every window, rounds them, and merges
     the resulting chains; the next level sees the merged tracklets.  Levels
     past the configured ones double in size until one window covers the
-    whole clip (``graph.clip_level_sizes``).  `edge_scorer` replaces the
-    learned classifier when given (params may then be None).  Language
-    embeddings are unreachable from here.  A non-finite edge probability
-    (say, from a NaN parameter) raises ValueError.
+    whole clip (``graph.clip_level_sizes``).  As in training, every node
+    starts from ``model.node_means`` of one clip-wide encoder pass.
+    `edge_scorer` replaces the learned classifier when given (params may then
+    be None).  Language embeddings are unreachable from here.  A non-finite
+    edge probability (say, from a NaN parameter) raises ValueError.
     """
     if not detections:
         raise ValueError("track_video needs at least one detection")
@@ -193,17 +194,18 @@ def track_video(
     num_frames = dets[-1].frame
     tracklets = lift_detections(dets)
     with language_access_forbidden():
-        for level, size in enumerate(clip_level_sizes(num_frames, config.level_sizes)):
+        if edge_scorer is None:  # inference needs no gradients: drop the tape
+            app = Tensor(np.stack([d.appearance for d in dets]))
+            enc = Tensor(mlp_forward(params.node_encoder, app).data)
+            row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
+        for size in clip_level_sizes(num_frames, config.level_sizes):
             next_level: list[Tracklet] = []
             for window, members in group_by_window(tracklets, size, num_frames):
                 graph = build_graph(members, config.knn_k, window)
                 if edge_scorer is None:
-                    node_init = None
-                    if level:  # merged tracklets carry their parts' mean embedding
-                        node_init = Tensor(np.stack([t.node_embedding for t in graph.nodes]))
-                    eg = encode_graph(graph, params, node_init)
-                    for node, row in zip(graph.nodes, eg.node_phi.data):
-                        node.node_embedding = row.copy()
+                    rows = [row_of[d] for t in graph.nodes for d in t.detections]
+                    sizes = [len(t.detections) for t in graph.nodes]
+                    eg = encode_graph(graph, params, node_means(enc, rows, sizes))
                     if graph.num_edges:
                         eg = message_pass(eg, params, params.config.message_passing_steps)
                         probs = classify_edges(eg, params).data.ravel()

@@ -25,6 +25,7 @@ __all__ = [
     "ModelParams",
     "EncodedGraph",
     "init_model",
+    "node_means",
     "encode_graph",
     "message_pass",
     "classify_edges",
@@ -156,15 +157,22 @@ class EncodedGraph:
     edge_h: Tensor | None = None
 
 
+def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
+    """Node i's embedding, the mean of its ``sizes[i]`` rows of ``enc`` that
+    ``rows`` lists node by node; a single-row node is its row, bit for bit."""
+    node_ids = np.repeat(np.arange(len(sizes)), sizes)
+    summed = segment_sum(gather_rows(enc, rows), node_ids, len(sizes))
+    return summed * Tensor(1.0 / np.asarray(sizes, dtype=np.float64)[:, None])
+
+
 def encode_graph(
     graph: TrackGraph, params: ModelParams, node_init: Tensor | None = None
 ) -> EncodedGraph:
     """Produce initial node embeddings and edge embeddings.
 
-    Node rows are the supplied ``node_init`` tensor when given (training
-    keeps embeddings on the tape across levels, tracking passes the merged
-    tracklets' stored ones), else the node encoder applied to each node's
-    single detection; a multi-detection node then raises ValueError.
+    Node rows are ``node_init`` when given (training and tracking pass
+    ``node_means`` of the detections' encoder rows), else the node encoder
+    applied to each node's single detection; a multi-detection node raises.
     """
     m = params.config.node_dim
     v = graph.num_nodes

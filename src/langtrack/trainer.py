@@ -6,11 +6,10 @@ bottom), graphs are built per level-L window and batched into one
 disconnected union graph per level.  The levels and their windows come from
 ``graph.clip_level_sizes`` and ``graph.group_by_window``, the same ones
 ``track_video`` uses, so the top level covers the whole clip.  Tracklet
-embeddings are detection-encoding means, expressed as a constant averaging
-matrix times the encoder output so gradients reach the encoder.  The loss
-per clip is the sum over levels of focal classification loss plus the
-weighted instance- and scene-distillation terms; a batch averages clips and
-takes one Adam step.  Zero guidance weights skip the guidance computation
+embeddings are ``model.node_means`` of the encoder output, the rule tracking
+uses too, so gradients reach the encoder.  The loss per clip is the sum
+over levels of focal classification loss plus the weighted instance- and
+scene-distillation terms; a batch averages clips and takes one Adam step.  Zero guidance weights skip the guidance computation
 entirely, which keeps the parameter trajectory bit-identical to a build
 without the guidance terms.
 """
@@ -54,6 +53,7 @@ from .model import (
     encode_graph,
     init_model,
     message_pass,
+    node_means,
     project_edges_for_spg,
     project_nodes_for_isg,
 )
@@ -126,7 +126,8 @@ class ClipData:
 @dataclass
 class _LevelBundle:
     graph: TrackGraph
-    averaging: np.ndarray  # (nodes, detections), rows sum to 1
+    rows: np.ndarray  # each node's detection rows, node by node
+    sizes: np.ndarray  # (nodes,) detections per node
     labels: np.ndarray  # (edges,)
     instance_targets: np.ndarray  # (nodes, text_dim)
 
@@ -174,9 +175,9 @@ def _union_graph(
     graphs: list[TrackGraph],
     row_of: dict[Detection, int],
     frame_span: tuple[int, int],
-) -> tuple[TrackGraph, np.ndarray]:
-    """Batch window graphs into one disconnected graph plus its averaging
-    matrix, whose columns are the clip's detection rows in ``row_of``."""
+) -> tuple[TrackGraph, np.ndarray, np.ndarray]:
+    """Batch window graphs into one disconnected graph, plus each node's
+    detection rows in ``row_of`` (node by node) and detection count."""
     nodes: list[Tracklet] = []
     edge_u: list[np.ndarray] = []
     edge_v: list[np.ndarray] = []
@@ -194,10 +195,8 @@ def _union_graph(
         edge_features=np.vstack(feats) if feats else np.zeros((0, 6)),
         frame_span=frame_span,
     )
-    averaging = np.zeros((len(nodes), len(row_of)))
-    for row, node in enumerate(nodes):
-        averaging[row, [row_of[d] for d in node.detections]] = 1.0 / len(node.detections)
-    return union, averaging
+    rows = np.array([row_of[d] for node in nodes for d in node.detections], dtype=np.intp)
+    return union, rows, np.array([len(node.detections) for node in nodes], dtype=np.intp)
 
 
 def prepare_clip(
@@ -236,11 +235,11 @@ def prepare_clip(
             build_graph(members, cfg.knn_k, window)
             for window, members in group_by_window(fragments, size, num_frames)
         ]
-        union, averaging = _union_graph(graphs, row_of, (1, num_frames))
+        union, rows, node_sizes = _union_graph(graphs, row_of, (1, num_frames))
         targets = np.stack(
             [instance_vectors[node.gt_id] for node in union.nodes]
         ) if union.nodes else np.zeros((0, scene_embedding.size))
-        levels.append(_LevelBundle(union, averaging, edge_labels(union), targets))
+        levels.append(_LevelBundle(union, rows, node_sizes, edge_labels(union), targets))
     return ClipBundle(clip.name, appearance, levels, scene_embedding)
 
 
@@ -266,7 +265,7 @@ def train_step(
         for level in bundle.levels:
             if not level.graph.nodes:
                 continue
-            phi = as_tensor(level.averaging) @ enc
+            phi = node_means(enc, level.rows, level.sizes)
             eg = encode_graph(level.graph, params, node_init=phi)
             if cfg.use_guidance and cfg.alpha > 0.0:
                 term = isg_loss(project_nodes_for_isg(eg, params), level.instance_targets)

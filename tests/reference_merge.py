@@ -4,13 +4,10 @@ This is the merge as it was before it walked chains: union-find finds the
 components of the accepted edges, a second pass checks the one-successor,
 one-predecessor rule, each component's detections are re-sorted by frame,
 and the merged tracklets are sorted by ``tracklet_sort_key``.
-``merge_accepted`` must give the same tracklets, detection order and
-embeddings, bit for bit.
+``merge_accepted`` must give the same tracklets in the same detection order.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from langtrack.graph import Tracklet, tracklet_sort_key
 
@@ -45,17 +42,12 @@ def ref_check_degrees(pairs):
 
 
 def ref_aggregate(parts):
-    """Detections re-sorted by frame; the count-weighted mean embedding."""
+    """Detections re-sorted by frame."""
     dets = sorted((d for p in parts for d in p.detections), key=lambda d: d.frame)
     frames = [d.frame for d in dets]
     if len(set(frames)) != len(frames):
         raise ValueError("cannot merge tracklets with overlapping frames")
-    embedding = None
-    if all(p.node_embedding is not None for p in parts):
-        weights = np.array([len(p.detections) for p in parts], dtype=np.float64)
-        stacked = np.stack([np.asarray(p.node_embedding, dtype=np.float64) for p in parts])
-        embedding = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
-    return Tracklet(dets, node_embedding=embedding)
+    return Tracklet(dets)
 
 
 def ref_merge_accepted(graph, accepted):

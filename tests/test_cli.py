@@ -357,6 +357,7 @@ def trained_world(tmp_path_factory):
     (tmp / "one_tensor_short.json").write_text(json.dumps(checkpoint))
     del checkpoint["tensors"]
     (tmp / "no_tensors.json").write_text(json.dumps(checkpoint))
+    (tmp / "a_file").write_text("not a directory\n")
     return {
         "config": str(config), "data": str(data), "ckpt": str(ckpt), "tmp": tmp,
         "fixture": str(tmp / "emb" / "embeddings.json"),
@@ -384,12 +385,13 @@ def _experiment(w, *flags):
     return ["experiment", "--config", w["config"], *EXPERIMENT_FLAGS, *flags]
 
 
-def _eval(w, threshold):
-    gt = str(w["tmp"] / "data" / "seq00.gt.txt")
-    return ["eval", "--gt", gt, "--result", gt, "--iou-threshold", threshold]
+def _eval(w, *flags, gt=None):
+    gt = gt or str(w["tmp"] / "data" / "seq00.gt.txt")
+    return ["eval", "--gt", gt, "--result", gt, *flags]
 
 
-# name -> (argv before --out, expected exit code, message prefix)
+# name -> (argv, expected exit code, message prefix); "--out" follows the
+# argv unless it names one
 BAD_INPUTS = {
     "track threshold=0": (
         lambda w: _track(w, w["det"]) + ["--config", w["config"], "--set", "threshold=0"],
@@ -415,8 +417,8 @@ BAD_INPUTS = {
     "experiment appearance-dim 0": (
         lambda w: _experiment(w, "--appearance-dim", "0"), 2, "usage error"),
     "experiment objects 0": (lambda w: _experiment(w, "--objects", "0"), 2, "usage error"),
-    "eval iou-threshold 2": (lambda w: _eval(w, "2"), 2, "usage error"),
-    "eval iou-threshold 0": (lambda w: _eval(w, "0"), 2, "usage error"),
+    "eval iou-threshold 2": (lambda w: _eval(w, "--iou-threshold", "2"), 2, "usage error"),
+    "eval iou-threshold 0": (lambda w: _eval(w, "--iou-threshold", "0"), 2, "usage error"),
     "train malformed annotations": (
         lambda w: _train(w, data=str(w["tmp"] / "malformed_data")) + ["--config", w["config"]],
         4, "input error"),
@@ -439,14 +441,24 @@ BAD_INPUTS = {
         lambda w: _track(w, w["det"], str(w["tmp"] / "no_tensors.json"))
         + ["--config", w["config"]],
         4, "input error"),
+    "eval gt a directory": (lambda w: _eval(w, gt=str(w["tmp"])), 4, "input error"),
+    "eval config a directory": (
+        lambda w: _eval(w, "--config", str(w["tmp"])), 3, "config error"),
+    "gen out a file": (lambda w: _gen(w, "--out", str(w["tmp"] / "a_file")), 2, "usage error"),
+    "gen out under a file": (
+        lambda w: _gen(w, "--out", str(w["tmp"] / "a_file" / "sub")), 2, "usage error"),
+    "eval out a file": (lambda w: _eval(w, "--out", str(w["tmp"] / "a_file")), 2, "usage error"),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_INPUTS))
 def test_bad_input_exits_with_category_not_traceback(name, trained_world, tmp_path, capsys):
     argv, code, prefix = BAD_INPUTS[name]
+    argv = argv(trained_world)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
     capsys.readouterr()
-    assert run(*argv(trained_world), "--out", str(tmp_path / "out")) == code
+    assert run(*argv) == code
     err = capsys.readouterr().err
     assert f"{prefix}:" in err
     assert "Traceback" not in err

@@ -15,7 +15,6 @@ from langtrack.graph import (
     Detection,
     TrackGraph,
     Tracklet,
-    aggregate_tracklet,
     build_graph,
     check_level_sizes,
     clip_level_sizes,
@@ -141,7 +140,7 @@ def test_groups_partition_input_inside_their_windows(sizes, num_frames, spans):
             assert positions == sorted(positions)
 
 
-# -- lifting and merging ------------------------------------------------------
+# -- lifting ------------------------------------------------------------------
 
 
 def test_lift_bijection():
@@ -153,54 +152,6 @@ def test_lift_bijection():
     assert lift_detections([]) == []
 
 
-def test_aggregate_identity_and_span():
-    t = Tracklet([det(1), det(2)])
-    merged = aggregate_tracklet([t])
-    assert [d.frame for d in merged.detections] == [1, 2]
-    a = Tracklet([det(f) for f in range(1, 6)])
-    b = Tracklet([det(f) for f in range(6, 11)])
-    merged = aggregate_tracklet([a, b])
-    assert (merged.start_frame, merged.end_frame) == (1, 10)
-
-
-def test_aggregate_embedding_mean():
-    a = single(1)
-    b = single(2)
-    a.node_embedding = np.array([1.0, 1.0])
-    b.node_embedding = np.array([3.0, 3.0])
-    assert np.allclose(aggregate_tracklet([a, b]).node_embedding, [2.0, 2.0])
-
-
-def test_aggregate_count_weighted_mean_is_associative():
-    rng = np.random.default_rng(0)
-    parts = []
-    frame = 1
-    for n in (1, 3, 2):
-        t = Tracklet([det(f) for f in range(frame, frame + n)])
-        t.node_embedding = rng.standard_normal(4)
-        parts.append(t)
-        frame += n
-    left = aggregate_tracklet([aggregate_tracklet(parts[:2]), parts[2]])
-    right = aggregate_tracklet([parts[0], aggregate_tracklet(parts[1:])])
-    flat = aggregate_tracklet(parts)
-    assert np.allclose(left.node_embedding, right.node_embedding, atol=1e-12)
-    assert np.allclose(left.node_embedding, flat.node_embedding, atol=1e-12)
-    assert [d.frame for d in left.detections] == [d.frame for d in flat.detections]
-
-
-def test_aggregate_embedding_absent_if_any_part_missing():
-    a, b = single(1), single(2)
-    a.node_embedding = np.ones(2)
-    assert aggregate_tracklet([a, b]).node_embedding is None
-
-
-def test_aggregate_rejects_overlap_and_empty():
-    with pytest.raises(ValueError):
-        aggregate_tracklet([single(3), single(3)])
-    with pytest.raises(ValueError):
-        aggregate_tracklet([])
-
-
 def test_detection_validation():
     with pytest.raises(ValueError):
         det(0)
@@ -210,6 +161,8 @@ def test_detection_validation():
         Detection(1, (0, 0, 1, 1), np.ones(2), confidence=1.5)
     with pytest.raises(ValueError):
         Tracklet([det(2), det(2)])
+    with pytest.raises(ValueError):
+        Tracklet([det(3), det(2)])
     with pytest.raises(ValueError):
         Tracklet([])
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langtrack import inference
+from langtrack.autodiff import Tensor
 from langtrack.data_io import SceneAttributes
 from langtrack.graph import Detection, Tracklet, build_graph, lift_detections
 from langtrack.guidance import LanguageEmbeddingStore
@@ -24,7 +26,7 @@ from langtrack.model import (
     init_model,
     message_pass,
 )
-from langtrack.nn import focal_bce_tape
+from langtrack.nn import focal_bce_tape, mlp_forward
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
 from reference_merge import ref_merge_accepted
 
@@ -204,8 +206,8 @@ def test_merge_accepted_grows_tracklets():
 
 @st.composite
 def accepted_windows(draw):
-    """A window of multi-detection tracklets with random embeddings, and the
-    edges ``round_edges`` accepts at random probabilities."""
+    """A window of multi-detection tracklets, and the edges ``round_edges``
+    accepts at random probabilities."""
     span = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # few distinct boxes and rows, so tracklets tie on their sort key
@@ -222,10 +224,7 @@ def accepted_windows(draw):
             else:
                 box, app = tuple(rng.uniform(1.0, 30.0, 4)), rng.standard_normal(3)
             dets.append(Detection(frame, box, app))
-        t = Tracklet(dets)
-        if draw(st.integers(0, 9)):  # one node in ten has no embedding
-            t.node_embedding = rng.standard_normal(5) * 10.0 ** draw(st.floats(-5.0, 5.0))
-        tracklets.append(t)
+        tracklets.append(Tracklet(dets))
     g = build_graph(tracklets, draw(st.integers(1, 8)), (1, span))
     probs = rng.uniform(0.0, 1.0, g.num_edges)
     return g, round_edges(g, probs, draw(st.floats(0.05, 0.95)))
@@ -243,13 +242,6 @@ def test_merge_accepted_matches_union_find_reference(case):
     merged = merge_accepted(g, accepted)
     ref = ref_merge_accepted(g, accepted)
     assert sorted(merged_parts(merged)) == sorted(merged_parts(ref))
-    ref_embedding = dict(zip(merged_parts(ref), (t.node_embedding for t in ref)))
-    for key, t in zip(merged_parts(merged), merged):
-        want = ref_embedding[key]
-        if want is None:
-            assert t.node_embedding is None
-        else:
-            assert t.node_embedding.tobytes() == want.tobytes()
     # first-node order: the merged tracklets' heads come in node order
     node_of = {id(node.first): i for i, node in enumerate(g.nodes)}
     heads = [node_of[id(t.first)] for t in merged]
@@ -382,6 +374,36 @@ def test_every_detection_appears_exactly_once():
     res = track_video(dets, params, SMALL_CFG)
     seen = [(d.frame, d.box) for _, d in res.iter_detections()]
     assert sorted(seen) == sorted((d.frame, d.box) for d in dets)
+
+
+def test_every_level_starts_from_means_of_one_encoder_pass(monkeypatch):
+    # the training rule at every tracking level: a node's initial embedding
+    # is the mean of its detections' rows in one clip-wide encoder pass
+    params = tiny_model(5)
+    domain = identity_profile("source", SceneAttributes("medium", "static", "on a sunny day"), 3)
+    detections, _ = gen_sequence(SynthConfig(num_objects=3, num_frames=100, appearance_dim=3,
+                                             seed=2), domain)
+    encoded = mlp_forward(params.node_encoder, Tensor(np.stack([d.appearance for d in detections])))
+    row_of = {id(d): row for d, row in zip(detections, encoded.data)}
+    calls = []
+
+    def spy(graph, params, node_init=None):
+        calls.append((graph, node_init))
+        return encode_graph(graph, params, node_init)
+
+    monkeypatch.setattr(inference, "encode_graph", spy)
+    track_video(detections, params, SMALL_CFG)
+    level = -1
+    merged_levels = set()
+    for graph, node_init in calls:
+        level += graph.frame_span[0] == 1  # each level's first window starts at frame 1
+        assert node_init is not None and node_init.shape == (graph.num_nodes, 8)
+        for node, got in zip(graph.nodes, node_init.data):
+            want = np.mean([row_of[id(d)] for d in node.detections], axis=0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            if len(node.detections) > 1:
+                merged_levels.add(level)
+    assert level >= 2 and {1, 2} <= merged_levels
 
 
 def test_track_video_never_reads_language_store():

@@ -94,8 +94,7 @@ def test_encode_uses_node_init_rows_verbatim():
     rows = rng.standard_normal((2, CFG.node_dim))
     eg = encode_graph(g, params, node_init=Tensor(rows))
     assert np.array_equal(eg.node_phi.data, rows)
-    # without node_init a stored embedding is not read: the encoder runs
-    fresh.node_embedding = np.arange(CFG.node_dim, dtype=float)
+    # without node_init the encoder runs
     eg = encode_graph(build_graph([fresh], 2, (4, 4)), params)
     want = manual_mlp(params.node_encoder, fresh.first.appearance.reshape(1, -1))
     assert np.allclose(eg.node_phi.data[0], want[0], atol=1e-12)

@@ -1,14 +1,17 @@
 """Training loop: labels, teacher forcing, gradient flow, reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from langtrack import trainer
+from langtrack.autodiff import Tensor
 from langtrack.data_io import AnnotationSet, InstanceAttributes, SceneAttributes
 from langtrack.graph import Detection, Tracklet, build_graph
 from langtrack.inference import TrackerConfig
 from langtrack.metrics import MetricReport
-from langtrack.model import ModelConfig, init_model
+from langtrack.model import ModelConfig, init_model, node_means
 from langtrack.synth import SynthConfig, embedding_store_for, gen_sequence, identity_profile
 from langtrack.trainer import (
     ClipData,
@@ -137,16 +140,34 @@ class TestPrepareClip:
             assert level.labels.shape == (level.graph.num_edges,)
             assert level.labels.min() == 0.0 and level.labels.max() == 1.0
 
-    def test_averaging_rows_are_detection_means(self):
+    def test_node_means_are_detection_means(self):
         clip, bundle = self.bundle()
-        for level in bundle.levels:
-            rows = level.averaging
-            assert rows.shape == (level.graph.num_nodes, len(clip.detections))
-            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
-            merged = rows @ bundle.appearance
+        for depth, level in enumerate(bundle.levels):
+            assert level.sizes.shape == (level.graph.num_nodes,)
+            assert level.sizes.sum() == len(level.rows) == len(clip.detections)
+            merged = node_means(Tensor(bundle.appearance), level.rows, level.sizes).data
             for i, node in enumerate(level.graph.nodes):
                 direct = np.mean([d.appearance for d in node.detections], axis=0)
                 np.testing.assert_allclose(merged[i], direct, atol=1e-12)
+                if depth == 0:  # single-detection nodes: a pure gather
+                    assert merged[i].tobytes() == direct.tobytes()
+
+    def test_memory_is_linear_in_detections(self):
+        # a dense (nodes x detections) matrix per level would make bytes per
+        # detection grow with the clip: ~7x from 8x150 to 16x600
+        cfg = small_train_cfg(level_sizes=(5, 25, 75, 150), knn_k=10)
+        per_detection = []
+        for objects, frames in ((8, 150), (16, 600), (32, 600)):
+            clip = synth_clip("m", seed=3, num_objects=objects, num_frames=frames)
+            store = store_for(clip)
+            tracemalloc.start()
+            try:
+                prepare_clip(clip, cfg, store)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_detection.append(peak / len(clip.detections))
+        assert max(per_detection) < 2.0 * per_detection[0], per_detection
 
     def test_instance_targets_match_store(self):
         from langtrack.data_io import compose_instance_description
