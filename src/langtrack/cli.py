@@ -260,7 +260,8 @@ def cmd_embed(args) -> int:
 
 def _load_clips(data_dir: Path) -> list[ClipData]:
     if not data_dir.is_dir():
-        raise _input_error(f"data directory not found: {data_dir}")
+        reason = "Not a directory" if data_dir.exists() else "No such file or directory"
+        raise _input_error(f"data directory {data_dir}: {reason}")
     clips = []
     for ann_path in sorted(data_dir.glob("*.annotations.json")):
         name = ann_path.name[: -len(".annotations.json")]

@@ -40,8 +40,8 @@ __all__ = [
     "gt_oracle_scorer",
 ]
 
-# An edge scorer maps a graph to one probability per edge; used to swap the
-# learned classifier for an oracle in tests and diagnostics.
+# An edge scorer maps a graph to one probability in [0, 1] per edge: the
+# learned model (``_learned_scorer``), or an oracle in tests and diagnostics.
 EdgeScorer = Callable[[TrackGraph], np.ndarray]
 
 
@@ -93,18 +93,16 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
     endpoint indices); an edge is accepted iff its probability exceeds the
     threshold and both temporal slots are still free.  Returns accepted
     edge indices in ascending order.  The result is maximal: every rejected
-    above-threshold edge conflicts with an accepted one.  A non-finite
-    probability raises ValueError instead of failing the threshold.
+    above-threshold edge conflicts with an accepted one.  A probability
+    outside [0, 1] or NaN raises ValueError instead of failing the threshold.
     """
     p = np.asarray(probs, dtype=np.float64).ravel()
     if p.shape[0] != graph.num_edges:
         raise ValueError(f"{p.shape[0]} probs for {graph.num_edges} edges")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("edge probabilities must be finite")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("edge probabilities must be finite and lie in [0,1]")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0,1), got {threshold}")
-    if graph.num_edges == 0:
-        return np.zeros(0, dtype=np.intp)
     starts = np.array([t.start_frame for t in graph.nodes])
     ends = np.array([t.end_frame for t in graph.nodes])
     gaps = starts[graph.edge_v] - ends[graph.edge_u]
@@ -168,6 +166,24 @@ def _detection_sort_key(d: Detection):
     )
 
 
+def _learned_scorer(params: ModelParams, dets: list[Detection]) -> EdgeScorer:
+    """The learned model as an edge scorer for graphs over ``dets``.  As in
+    training, nodes start from ``model.node_means`` of one clip-wide encoder
+    pass, whose tape is dropped: inference needs no gradients."""
+    app = Tensor(np.stack([d.appearance for d in dets]))
+    enc = Tensor(mlp_forward(params.node_encoder, app).data)
+    row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
+
+    def score(graph: TrackGraph) -> np.ndarray:
+        rows = [row_of[d] for t in graph.nodes for d in t.detections]
+        sizes = [len(t.detections) for t in graph.nodes]
+        eg = encode_graph(graph, params, node_means(enc, rows, sizes))
+        eg = message_pass(eg, params, params.config.message_passing_steps)
+        return classify_edges(eg, params).data.ravel()
+
+    return score
+
+
 def track_video(
     detections: Sequence[Detection],
     params: ModelParams | None,
@@ -177,14 +193,14 @@ def track_video(
     """Hierarchical tracking over a whole clip.
 
     Each level groups the tracklets by window (``graph.group_by_window``),
-    classifies candidate edges inside every window, rounds them, and merges
+    scores candidate edges inside every window, rounds them, and merges
     the resulting chains; the next level sees the merged tracklets.  Levels
     past the configured ones double in size until one window covers the
-    whole clip (``graph.clip_level_sizes``).  As in training, every node
-    starts from ``model.node_means`` of one clip-wide encoder pass.
-    `edge_scorer` replaces the learned classifier when given (params may then
-    be None).  Language embeddings are unreachable from here.  A non-finite
-    edge probability (say, from a NaN parameter) raises ValueError.
+    whole clip (``graph.clip_level_sizes``).  The learned model scores the
+    edges unless `edge_scorer` replaces it (params may then be None).
+    Language embeddings are unreachable from here.  An edge probability
+    outside [0, 1] or non-finite (say, from a NaN parameter) raises
+    ValueError in ``round_edges``.
     """
     if not detections:
         raise ValueError("track_video needs at least one detection")
@@ -194,28 +210,12 @@ def track_video(
     num_frames = dets[-1].frame
     tracklets = lift_detections(dets)
     with language_access_forbidden():
-        if edge_scorer is None:  # inference needs no gradients: drop the tape
-            app = Tensor(np.stack([d.appearance for d in dets]))
-            enc = Tensor(mlp_forward(params.node_encoder, app).data)
-            row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
+        score = edge_scorer or _learned_scorer(params, dets)
         for size in clip_level_sizes(num_frames, config.level_sizes):
             next_level: list[Tracklet] = []
             for window, members in group_by_window(tracklets, size, num_frames):
                 graph = build_graph(members, config.knn_k, window)
-                if edge_scorer is None:
-                    rows = [row_of[d] for t in graph.nodes for d in t.detections]
-                    sizes = [len(t.detections) for t in graph.nodes]
-                    eg = encode_graph(graph, params, node_means(enc, rows, sizes))
-                    if graph.num_edges:
-                        eg = message_pass(eg, params, params.config.message_passing_steps)
-                        probs = classify_edges(eg, params).data.ravel()
-                    else:
-                        probs = np.zeros(0)
-                else:
-                    probs = np.asarray(edge_scorer(graph), dtype=np.float64).ravel()
-                    if np.any(probs < 0.0) or np.any(probs > 1.0):
-                        raise ValueError("edge scorer produced probabilities outside [0,1]")
-                accepted = round_edges(graph, probs, config.threshold)
+                accepted = round_edges(graph, score(graph), config.threshold)
                 next_level.extend(merge_accepted(graph, accepted))
             tracklets = next_level
     tracklets.sort(key=tracklet_sort_key)

@@ -425,9 +425,10 @@ def evaluate_sequences(
         h_tp += h.tp
         h_fn += h.fn
         h_ass_sum += h.ass * h.tp
-    if not any_defined:
+    if not any_defined:  # no ground truth anywhere: IDF1 follows _idf1's rule
         nanv = float("nan")
-        return MetricReport(nanv, 0.0, nanv, nanv, nanv, 0, 0, fp, 0, 0, idfp, 0, 0, True)
+        idf1_v = 0.0 if idfp else 1.0
+        return MetricReport(nanv, idf1_v, nanv, nanv, nanv, 0, 0, fp, 0, 0, idfp, 0, 0, True)
     mota_v = 1.0 - (fn + fp + idsw) / num_gt
     idf1_v = 2.0 * idtp / (2.0 * idtp + idfp + idfn) if (idtp + idfp + idfn) else 1.0
     deta_a = np.zeros(na)

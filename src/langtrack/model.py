@@ -79,7 +79,7 @@ def _architecture(config: ModelConfig) -> dict[str, tuple[list[int], list[str]]]
 
 @dataclass
 class ModelParams:
-    """All trainable blocks; field order fixes parameter iteration order."""
+    """All trainable blocks, iterated in ``_architecture``'s block order."""
 
     node_encoder: MLPParams
     edge_encoder: MLPParams
@@ -91,20 +91,9 @@ class ModelParams:
     spg_projection: MLPParams
     config: ModelConfig
 
-    _FIELDS = (
-        "node_encoder",
-        "edge_encoder",
-        "edge_update",
-        "node_update_past",
-        "node_update_future",
-        "edge_classifier",
-        "isg_projection",
-        "spg_projection",
-    )
-
     def named_tensors(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for name in self._FIELDS:
+        for name in _architecture(self.config):
             out.update(getattr(self, name).named_tensors(f"{name}."))
         return out
 
@@ -133,7 +122,7 @@ def params_from_tensors(tensors: dict[str, Tensor], config: ModelConfig) -> Mode
                 f"expected {t.data.shape}"
             )
     blocks = {}
-    for block_name in ModelParams._FIELDS:
+    for block_name in arch:
         layers = getattr(scratch, block_name).layers
         for i, layer in enumerate(layers):
             layer.w = tensors[f"{block_name}.{i}.w"]
@@ -186,10 +175,7 @@ def encode_graph(
         app = [t.first.appearance for t in graph.nodes]
         rows = np.stack(app) if app else np.zeros((0, params.config.appearance_dim))
         phi = mlp_forward(params.node_encoder, Tensor(rows))
-    if graph.num_edges:
-        edge_init = mlp_forward(params.edge_encoder, Tensor(graph.edge_features))
-    else:
-        edge_init = Tensor(np.zeros((0, params.config.edge_dim)))
+    edge_init = mlp_forward(params.edge_encoder, Tensor(graph.edge_features))
     return EncodedGraph(graph, phi, edge_init)
 
 
@@ -227,8 +213,6 @@ def classify_edges(eg: EncodedGraph, params: ModelParams) -> Tensor:
     """Association probability per edge, clamped strictly inside (0, 1)."""
     if eg.edge_h is None:
         raise RuntimeError("classify_edges requires message passing to have run")
-    if eg.graph.num_edges == 0:
-        return Tensor(np.zeros((0, 1)))
     probs = mlp_forward(params.edge_classifier, eg.edge_h)
     return probs.clamp(PROB_EPS, 1.0 - PROB_EPS)
 
@@ -242,6 +226,4 @@ def project_edges_for_spg(eg: EncodedGraph, params: ModelParams) -> Tensor:
     """Project final edge embeddings into text space (one row per edge)."""
     if eg.edge_h is None:
         raise RuntimeError("project_edges_for_spg requires message passing to have run")
-    if eg.graph.num_edges == 0:
-        return Tensor(np.zeros((0, params.config.text_dim)))
     return mlp_forward(params.spg_projection, eg.edge_h)

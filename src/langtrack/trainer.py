@@ -9,14 +9,18 @@ disconnected union graph per level.  The levels and their windows come from
 embeddings are ``model.node_means`` of the encoder output, the rule tracking
 uses too, so gradients reach the encoder.  The loss per clip is the sum
 over levels of focal classification loss plus the weighted instance- and
-scene-distillation terms; a batch averages clips and takes one Adam step.  Zero guidance weights skip the guidance computation
-entirely, which keeps the parameter trajectory bit-identical to a build
-without the guidance terms.
+scene-distillation terms; a batch averages clips and takes one Adam step.
+``train_step`` reads the guidance weights once (zeros when guidance is
+disabled) and computes a term only when its weight is positive, and
+``total_loss`` returns Lc itself for zero weights, so an unguided run's
+parameter trajectory is bit-identical to a build without the guidance terms.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -190,9 +194,9 @@ def _union_graph(
         feats.append(g.edge_features)
     union = TrackGraph(
         nodes=nodes,
-        edge_u=np.concatenate(edge_u) if edge_u else np.zeros(0, dtype=np.intp),
-        edge_v=np.concatenate(edge_v) if edge_v else np.zeros(0, dtype=np.intp),
-        edge_features=np.vstack(feats) if feats else np.zeros((0, 6)),
+        edge_u=np.concatenate(edge_u),
+        edge_v=np.concatenate(edge_v),
+        edge_features=np.vstack(feats),
         frame_span=frame_span,
     )
     rows = np.array([row_of[d] for node in nodes for d in node.detections], dtype=np.intp)
@@ -236,9 +240,7 @@ def prepare_clip(
             for window, members in group_by_window(fragments, size, num_frames)
         ]
         union, rows, node_sizes = _union_graph(graphs, row_of, (1, num_frames))
-        targets = np.stack(
-            [instance_vectors[node.gt_id] for node in union.nodes]
-        ) if union.nodes else np.zeros((0, scene_embedding.size))
+        targets = np.stack([instance_vectors[node.gt_id] for node in union.nodes])
         levels.append(_LevelBundle(union, rows, node_sizes, edge_labels(union), targets))
     return ClipBundle(clip.name, appearance, levels, scene_embedding)
 
@@ -256,46 +258,39 @@ def train_step(
     if not bundles:
         raise ValueError("empty batch")
     params.zero_grad()
-    inv_count = 1.0 / len(bundles)
-    lc_sum: Tensor | None = None
-    isg_sum: Tensor | None = None
-    spg_sum: Tensor | None = None
+    weights = (
+        GuidanceConfig(cfg.alpha, cfg.beta) if cfg.guidance_enabled else GuidanceConfig(0.0, 0.0)
+    )
+    lc_terms: list[Tensor] = []
+    isg_terms: list[Tensor] = []
+    spg_terms: list[Tensor] = []
     for bundle in bundles:
         enc = mlp_forward(params.node_encoder, as_tensor(bundle.appearance))
         for level in bundle.levels:
-            if not level.graph.nodes:
-                continue
             phi = node_means(enc, level.rows, level.sizes)
             eg = encode_graph(level.graph, params, node_init=phi)
-            if cfg.use_guidance and cfg.alpha > 0.0:
+            if weights.alpha > 0.0:
                 term = isg_loss(project_nodes_for_isg(eg, params), level.instance_targets)
-                isg_sum = term.value if isg_sum is None else isg_sum + term.value
+                isg_terms.append(term.value)
             if level.graph.num_edges == 0:
                 continue
             eg = message_pass(eg, params, cfg.message_passing_steps)
             probs = classify_edges(eg, params)
-            lc_level = focal_bce_tape(probs, level.labels, cfg.focal_gamma)
-            lc_sum = lc_level if lc_sum is None else lc_sum + lc_level
-            if cfg.use_guidance and cfg.beta > 0.0:
+            lc_terms.append(focal_bce_tape(probs, level.labels, cfg.focal_gamma))
+            if weights.beta > 0.0:
                 term = spg_loss(project_edges_for_spg(eg, params), bundle.scene_embedding)
-                spg_sum = term.value if spg_sum is None else spg_sum + term.value
-    if lc_sum is None:
+                spg_terms.append(term.value)
+    if not lc_terms:
         raise ValueError("batch produced no classifiable edges")
-    lc = lc_sum * inv_count
-    if cfg.use_guidance:
-        isg = isg_sum * inv_count if isg_sum is not None else Tensor(0.0)
-        spg = spg_sum * inv_count if spg_sum is not None else Tensor(0.0)
-        gcfg = GuidanceConfig(alpha=cfg.alpha, beta=cfg.beta)
-        total = total_loss(lc, isg, spg, gcfg)
-        components = {
-            "lc": lc.item(), "isg": isg.item(), "spg": spg.item(), "total": total.item(),
-        }
-    else:
-        total = lc
-        components = {"lc": lc.item(), "isg": 0.0, "spg": 0.0, "total": lc.item()}
+    inv_count = 1.0 / len(bundles)
+    lc, isg, spg = (
+        reduce(operator.add, terms) * inv_count if terms else Tensor(0.0)
+        for terms in (lc_terms, isg_terms, spg_terms)
+    )
+    total = total_loss(lc, isg, spg, weights)
     total.backward()
     adam_step(params.named_tensors(), opt)
-    return components
+    return {"lc": lc.item(), "isg": isg.item(), "spg": spg.item(), "total": total.item()}
 
 
 def run_training(

@@ -463,3 +463,11 @@ def test_bad_input_exits_with_category_not_traceback(name, trained_world, tmp_pa
     assert f"{prefix}:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_data_naming_a_file_says_not_a_directory(trained_world, tmp_path, capsys):
+    data = trained_world["tmp"] / "a_file"
+    argv = _train(trained_world, data=str(data)) + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run(*argv) == 4
+    assert f"input error: data directory {data}: Not a directory" in capsys.readouterr().err

@@ -88,6 +88,22 @@ def test_round_validates_inputs():
         round_edges(g, np.ones(g.num_edges), 1.0)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+def test_round_rejects_probabilities_outside_the_unit_interval(bad):
+    g = chain_graph(3)
+    probs = np.full(g.num_edges, 0.9)
+    probs[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        round_edges(g, probs, 0.5)
+
+
+def test_round_edgeless_graph_accepts_nothing():
+    g = build_graph([single(1), single(1, x=20.0)], 5, (1, 1))
+    assert g.num_nodes == 2 and g.num_edges == 0
+    accepted = round_edges(g, np.zeros(0), 0.5)
+    assert accepted.shape == (0,) and accepted.dtype == np.intp
+
+
 def test_round_feasible_and_maximal_randomized():
     rng = np.random.default_rng(0)
     for trial in range(300):
@@ -345,6 +361,14 @@ def test_nan_parameter_makes_backward_raise():
 def test_nan_parameter_makes_track_video_raise():
     with pytest.raises(ValueError, match="finite"):
         track_video(two_object_scene(), nan_edge_classifier_model(), SMALL_CFG)
+
+
+def test_track_video_rejects_scorer_probabilities_above_one():
+    def over_one(graph):
+        return np.full(graph.num_edges, 1.5)
+
+    with pytest.raises(ValueError, match="finite"):
+        track_video(two_object_scene(), None, SMALL_CFG, edge_scorer=over_one)
 
 
 def test_permuting_input_order_leaves_result_unchanged():

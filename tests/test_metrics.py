@@ -514,6 +514,14 @@ class TestAggregation:
         two = evaluate_sequences({"b": (gt_b, pred_b), "a": (gt_a, gt_a)})
         assert render_report(one) == render_report(two)
 
+    def test_sequences_without_ground_truth_follow_evaluate(self):
+        # no boxes at all score IDF1 1.0, predictions alone 0.0, as in evaluate
+        pred = recs(straight_track(1, range(1, 4)))
+        for sequences in ({"a": ([], [])}, {"a": ([], pred)}, {"a": ([], []), "b": ([], pred)}):
+            pooled = evaluate_sequences(sequences)
+            every = [r for _, p in sequences.values() for r in p]
+            assert render_report(pooled) == render_report(evaluate([], every))
+
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):
             evaluate_sequences({})

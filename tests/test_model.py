@@ -1,5 +1,7 @@
 """Model forward semantics: oracles, equivariance, state errors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,18 @@ def test_message_pass_no_edges_keeps_embeddings():
     g = build_graph([single(1)], 2, (1, 1))
     eg = message_pass(encode_graph(g, params), params, steps=5)
     assert np.array_equal(eg.node_h.data, eg.node_phi.data)
+
+
+def test_edgeless_graph_takes_the_general_path():
+    params = init_model(np.random.default_rng(10), CFG)
+    g = build_graph([single(1), single(1, x=20.0)], 2, (1, 1))
+    assert g.num_nodes == 2 and g.num_edges == 0
+    eg = encode_graph(g, params, node_init=Tensor(np.ones((2, CFG.node_dim))))
+    assert eg.edge_init.shape == (0, CFG.edge_dim)
+    eg = message_pass(eg, params, steps=2)
+    assert eg.edge_h.shape == (0, CFG.edge_dim)
+    assert classify_edges(eg, params).shape == (0, 1)
+    assert project_edges_for_spg(eg, params).shape == (0, CFG.text_dim)
 
 
 def test_message_pass_zero_weights_collapse():
@@ -335,3 +349,6 @@ def test_named_tensor_count_matches_architecture():
     # 6 two-layer blocks and 2 single-layer heads, each layer has w and b
     assert len(names) == (6 * 2 + 2) * 2
     assert all(n.endswith((".w", ".b")) for n in names)
+    # blocks come in field order, which fixes Adam's order and checkpoint bytes
+    blocks = list(dict.fromkeys(n.split(".")[0] for n in names))
+    assert blocks == [f.name for f in dataclasses.fields(ModelParams) if f.name != "config"]
