@@ -7,6 +7,9 @@ than thousands.  Every operation returns a new :class:`Tensor` holding the
 forward value and one backward closure, recorded as it is: called with the
 output node, it routes the output's gradient to the operation's parents.
 :func:`linear` fuses a whole affine layer and its activation into one node.
+:func:`gathered_linear` fuses one whose input is rows gathered from several
+tensors side by side (a message-passing layer's endpoints and edges): it
+projects each tensor before gathering, so no gathered input is formed.
 
 Finiteness is checked where values enter the tape and where they leave it:
 on leaves and constants (every ``Tensor(...)``), and on the loss when
@@ -26,8 +29,8 @@ import numpy as np
 __all__ = [
     "Tensor",
     "as_tensor",
-    "concat_cols",
     "gather_rows",
+    "gathered_linear",
     "linear",
     "segment_sum",
 ]
@@ -323,6 +326,19 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _activate(z: np.ndarray, activation: str):
+    """``act(z)`` and the map from the output's gradient to ``z``'s."""
+    if activation == "relu":
+        mask = z > 0.0
+        return z * mask, lambda g: g * mask
+    if activation == "sigmoid":
+        s = _sigmoid(z)
+        return s, lambda g: g * s * (1.0 - s)
+    if activation == "identity":
+        return z, lambda g: g
+    raise ValueError(f"unknown activation {activation!r}")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
     """``act(x @ w + b)`` as one tape node; act is relu, sigmoid or identity.
 
@@ -330,23 +346,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Ten
     """
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"matmul mismatch: {x.shape} @ {w.shape}")
-    z = x.data @ w.data + b.data
-    if activation == "relu":
-        mask = z > 0.0
-        data = z * mask
-    elif activation == "sigmoid":
-        data = _sigmoid(z)
-    elif activation == "identity":
-        data = z
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
+    data, grad_z = _activate(x.data @ w.data + b.data, activation)
 
     def bw(out: Tensor):
-        g = out.grad
-        if activation == "relu":
-            g = g * mask
-        elif activation == "sigmoid":
-            g = g * data * (1.0 - data)
+        g = grad_z(out.grad)
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
@@ -355,22 +358,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Ten
             b._accumulate(_unbroadcast(g, b.shape))
 
     return Tensor._make(data, (x, w, b), bw)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack tensors horizontally; all must share a row count."""
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat_cols needs at least one tensor")
-    data = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def bw(out: Tensor):
-        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(out.grad[:, a:b])
-
-    return Tensor._make(data, tuple(parts), bw)
 
 
 def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
@@ -397,6 +384,56 @@ def gather_rows(t: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
             t._accumulate(_scatter_rows(idx, out.grad, t.shape[0]))
 
     return Tensor._make(data, (t,), bw)
+
+
+def gathered_linear(
+    parts: Sequence[tuple[Tensor, Sequence[int] | np.ndarray | None]],
+    w: Tensor,
+    b: Tensor,
+    activation: str = "identity",
+) -> Tensor:
+    """``linear`` of the parts' selected rows side by side, as one tape node.
+
+    Each part is a tensor and the rows it gives, by index (repeats allowed)
+    or all of them in order (None).  ``w``'s rows split by the parts' widths
+    in order, and the node is ``act(Σ (t @ w_k)[index] + b)``: each part is
+    projected before it is gathered, so the work on gathered rows is out-wide.
+    """
+    tensors = tuple(t for t, _ in parts)
+    blocks, lo = [], 0
+    for t in tensors:
+        blocks.append(w.data[lo : lo + t.shape[1]])
+        lo += t.shape[1]
+    if lo != w.shape[0]:
+        raise ValueError(f"parts have {lo} columns, weight has {w.shape[0]} rows")
+    idxs = [None if index is None else np.asarray(index, dtype=np.intp) for _, index in parts]
+    # Indexing raises IndexError past the end; a negative index would wrap instead.
+    if any(idx is not None and idx.size and idx.min() < 0 for idx in idxs):
+        raise IndexError("gathered_linear index out of range")
+    projected = [
+        t.data @ wk if idx is None else (t.data @ wk)[idx]
+        for t, idx, wk in zip(tensors, idxs, blocks)
+    ]
+    if len({p.shape[0] for p in projected}) > 1:
+        raise ValueError("parts must give the same number of rows")
+    data, grad_z = _activate(sum(projected[1:], projected[0]) + b.data, activation)
+
+    def bw(out: Tensor):
+        g = grad_z(out.grad)
+        w_grads = []
+        for t, idx, wk in zip(tensors, idxs, blocks):
+            if t.requires_grad or w.requires_grad:
+                s = g if idx is None else _scatter_rows(idx, g, t.shape[0])
+            if t.requires_grad:
+                t._accumulate(s @ wk.T)
+            if w.requires_grad:
+                w_grads.append(t.data.T @ s)
+        if w.requires_grad:
+            w._accumulate(np.vstack(w_grads))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+
+    return Tensor._make(data, tensors + (w, b), bw)
 
 
 def segment_sum(t: Tensor, segment: Sequence[int] | np.ndarray, num_segments: int) -> Tensor:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat_cols, gather_rows, segment_sum
+from .autodiff import Tensor, gather_rows, gathered_linear, linear, segment_sum
 from .graph import EDGE_FEATURE_DIM, TrackGraph
 from .nn import MLPParams, init_mlp, mlp_forward
 from .ops import PROB_EPS
@@ -179,11 +179,24 @@ def encode_graph(
     return EncodedGraph(graph, phi, edge_init)
 
 
+def _gathered_mlp(params: MLPParams, parts) -> Tensor:
+    """``mlp_forward`` of the parts' gathered rows side by side; the first
+    layer is one ``gathered_linear``, which never forms those rows."""
+    first, *rest = params.layers
+    h = gathered_linear(parts, first.w, first.b, first.activation)
+    for layer in rest:
+        h = linear(h, layer.w, layer.b, layer.activation)
+    return h
+
+
 def message_pass(eg: EncodedGraph, params: ModelParams, steps: int) -> EncodedGraph:
     """Run `steps` rounds of edge-then-node updates.
 
-    Nodes with no incident edge keep their embedding.  Returns a new
-    EncodedGraph; the input is left untouched.
+    Each update MLP reads an edge's endpoint rows beside its edge row; its
+    first layer projects node rows before gathering them to edges
+    (:func:`~langtrack.autodiff.gathered_linear`).  Nodes with no incident
+    edge keep their embedding.  Returns a new EncodedGraph; the input is
+    left untouched.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -196,15 +209,12 @@ def message_pass(eg: EncodedGraph, params: ModelParams, steps: int) -> EncodedGr
     touched[g.edge_v] = 1.0
     keep = Tensor(1.0 - touched)
     touched_t = Tensor(touched)
+    u, v = g.edge_u, g.edge_v
     for _ in range(steps):
-        hu = gather_rows(h, g.edge_u)
-        hv = gather_rows(h, g.edge_v)
-        e = mlp_forward(params.edge_update, concat_cols([hu, hv, e]))
-        past_msg = mlp_forward(params.node_update_past, concat_cols([hu, e]))
-        future_msg = mlp_forward(params.node_update_future, concat_cols([hv, e]))
-        agg = segment_sum(past_msg, g.edge_v, g.num_nodes) + segment_sum(
-            future_msg, g.edge_u, g.num_nodes
-        )
+        e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
+        past_msg = _gathered_mlp(params.node_update_past, [(h, u), (e, None)])
+        future_msg = _gathered_mlp(params.node_update_future, [(h, v), (e, None)])
+        agg = segment_sum(past_msg, v, g.num_nodes) + segment_sum(future_msg, u, g.num_nodes)
         h = touched_t * agg + keep * h
     return EncodedGraph(g, eg.node_phi, eg.edge_init, node_h=h, edge_h=e)
 

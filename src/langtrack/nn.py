@@ -105,7 +105,7 @@ def mlp_forward(params: MLPParams, x: Tensor) -> Tensor:
 def focal_bce_tape(probs: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
     """Mean focal BCE over a (n, 1) column of edge probabilities.
 
-    Tape version of :func:`langtrack.ops.focal_bce`; `targets` is a
+    Tape version of the scalar focal BCE; `targets` is a
     constant 0/1 column of the same length.
     """
     if gamma < 0.0:

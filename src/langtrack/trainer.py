@@ -233,15 +233,16 @@ def prepare_clip(
         for _, members in group_by_window(singles, prev_size, num_frames):
             by_gt: dict[int, list[Detection]] = {}
             for t in members:
-                by_gt.setdefault(t.gt_id, []).append(t.first)
+                by_gt.setdefault(t.first.gt_id, []).append(t.first)
             fragments.extend(Tracklet(by_gt[gid]) for gid in sorted(by_gt))
         graphs = [
             build_graph(members, cfg.knn_k, window)
             for window, members in group_by_window(fragments, size, num_frames)
         ]
         union, rows, node_sizes = _union_graph(graphs, row_of, (1, num_frames))
-        targets = np.stack([instance_vectors[node.gt_id] for node in union.nodes])
-        levels.append(_LevelBundle(union, rows, node_sizes, edge_labels(union), targets))
+        gt_ids = [node.first.gt_id for node in union.nodes]  # fragments are pure
+        targets = np.stack([instance_vectors[gid] for gid in gt_ids])
+        levels.append(_LevelBundle(union, rows, node_sizes, edge_labels(union, gt_ids), targets))
     return ClipBundle(clip.name, appearance, levels, scene_embedding)
 
 

@@ -1,0 +1,31 @@
+"""Tape operations used only to cross-check the fused ones.
+
+``concat_cols`` stacks tensors side by side, as message passing did before
+``gathered_linear`` projected node rows ahead of gathering them:
+``linear(concat_cols([gather_rows(t, idx), ...]), w, b)`` is the unfused
+reference for ``gathered_linear([(t, idx), ...], w, b)``.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from langtrack.autodiff import Tensor, as_tensor
+
+
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    """Stack tensors horizontally; all must share a row count."""
+    parts = [as_tensor(p) for p in parts]
+    if not parts:
+        raise ValueError("concat_cols needs at least one tensor")
+    data = np.concatenate([p.data for p in parts], axis=1)
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+
+    def bw(out: Tensor):
+        for p, a, b in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p._accumulate(out.grad[:, a:b])
+
+    return Tensor._make(data, tuple(parts), bw)

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from langtrack.autodiff import (
     Tensor,
     as_tensor,
-    concat_cols,
     gather_rows,
+    gathered_linear,
     linear,
     segment_sum,
 )
 from gradcheck import check_gradients
+from reference_tape import concat_cols
 
 
 def leaf(rng, rows, cols, scale=1.0, shift=0.0):
@@ -113,7 +114,8 @@ def test_sum_mean_axes():
 
 
 def test_softmax_rows_matches_ops_and_grads():
-    from langtrack.ops import log_softmax, softmax
+    from langtrack.ops import log_softmax
+    from reference_ops import softmax
 
     rng = np.random.default_rng(7)
     a = leaf(rng, 4, 5, scale=3.0)
@@ -239,3 +241,76 @@ def test_fused_linear_matches_unfused_ops(activation):
     assert np.array_equal(linear(x, w, b, activation).data, unfused.data)
     c = Tensor(rng.standard_normal((6, 3)))
     check_gradients(lambda ts: (linear(*ts, activation) * c).sum(), [x, w, b])
+
+
+def _gathered_reference(parts, w, b, activation):
+    """The unfused layer: gather each part, stack the columns, one linear."""
+    cols = [t if idx is None else gather_rows(t, idx) for t, idx in parts]
+    return linear(concat_cols(cols), w, b, activation)
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_gathered_linear_grads(activation):
+    rng = np.random.default_rng(12)
+    h = leaf(rng, 5, 3)
+    e = leaf(rng, 6, 2)
+    w = leaf(rng, 8, 4)
+    b = leaf(rng, 1, 4)
+    u = [0, 0, 2, 1, 2, 0]  # repeats; node 3 and 4 never named
+    v = [1, 2, 1, 2, 1, 1]
+    c = Tensor(rng.standard_normal((6, 4)))
+
+    def f(ts):
+        node, edge, weight, bias = ts
+        parts = [(node, u), (node, v), (edge, None)]
+        return (gathered_linear(parts, weight, bias, activation) * c).sum()
+
+    assert np.all(np.abs(gathered_linear([(h, u), (h, v), (e, None)], w, b).data) > 1e-3)
+    check_gradients(f, [h, e, w, b])  # clear of relu's kink, as asserted
+    assert np.all(h.grad[3:] == 0.0)
+
+
+@st.composite
+def random_graphs(draw):
+    """Node and edge rows with random endpoints, repeats and untouched nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes, edges = draw(st.integers(1, 9)), draw(st.integers(0, 20))
+    m, k, out = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    h = Tensor(rng.standard_normal((nodes, m)), requires_grad=True)
+    e = Tensor(rng.standard_normal((edges, k)), requires_grad=True)
+    u, v = rng.integers(0, nodes, size=(2, edges))
+    w = Tensor(rng.standard_normal((2 * m + k, out)), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, out)), requires_grad=True)
+    upstream = rng.standard_normal((edges, out))
+    return [(h, u), (h, v), (e, None)], w, b, upstream
+
+
+@given(random_graphs(), st.sampled_from(["relu", "sigmoid", "identity"]))
+@settings(max_examples=60, deadline=None)
+def test_gathered_linear_matches_concatenated_linear(case, activation):
+    parts, w, b, upstream = case
+    tensors = [parts[0][0], parts[2][0], w, b]
+    results = []
+    for layer in (gathered_linear, _gathered_reference):
+        for t in tensors:
+            t.zero_grad()
+        out = layer(parts, w, b, activation)
+        (out * Tensor(upstream)).sum().backward()
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in tensors]
+        results.append([out.data] + grads)
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_gathered_linear_rejects_bad_indices_and_widths():
+    h = Tensor(np.ones((3, 2)))
+    e = Tensor(np.ones((2, 1)))
+    w, b = Tensor(np.ones((5, 4))), Tensor(np.zeros((1, 4)))
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(IndexError):
+            gathered_linear([(h, bad), (h, [0, 1]), (e, None)], w, b)
+    with pytest.raises(ValueError, match="columns"):
+        gathered_linear([(h, [0, 1]), (e, None)], w, b)
+    with pytest.raises(ValueError, match="rows"):
+        gathered_linear([(h, [0, 1, 2]), (h, [0, 1, 2]), (e, None)], w, b)

@@ -16,7 +16,7 @@ from langtrack.guidance import (
     spg_loss,
     total_loss,
 )
-from langtrack.ops import kl_divergence, softmax
+from reference_ops import kl_divergence, softmax
 
 
 def direct_isg(nodes, targets):

@@ -16,7 +16,7 @@ from langtrack.nn import (
     mlp_forward,
     save_checkpoint,
 )
-from langtrack.ops import focal_bce
+from reference_ops import focal_bce
 from gradcheck import check_gradients
 
 
