@@ -99,9 +99,10 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        if self.grad is None:  # one pass; g + 0.0 turns -0.0 into 0.0, as 0.0 + g did
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -1,8 +1,10 @@
 """MOT evaluation: CLEAR (MOTA/IDSW), ID measures (IDF1), and HOTA.
 
-All three families read plain (frame, track_id, box) records, grouped by
-frame in one pass per sequence that also computes every same-frame IoU in
-bounded array blocks.  Per frame matching maximizes matched count and then
+All three families read plain (frame, track_id, box) records, sorted by
+(frame, track id) in one pass per sequence that also computes every
+same-frame IoU in bounded array blocks.  The pass keeps the overlapping
+pairs (IoU > 0) as flat arrays in frame order; every other same-frame pair
+has IoU exactly 0.  Per frame matching maximizes matched count and then
 total IoU via the Hungarian algorithm; exact ties resolve toward
 lexicographically smaller (gt, pred) pairs through an index perturbation
 far below metric tolerance.
@@ -11,12 +13,29 @@ kept while its IoU stays above threshold).  IDF1 solves the global
 trajectory matching exactly.  HOTA follows the reference two-pass scheme:
 a global alignment score from normalized per-frame similarities guides the
 per-frame matching, then 19 IoU thresholds are scored and averaged.
+
+Only contested frames, where two candidate pairs share a box, get a dense
+IoU matrix and the solver.  The other frames are scored as arrays, with the
+same bits:
+
+- MOTA: where the pairs at IoU >= threshold share no box, the matching of
+  maximal count is exactly those pairs, whatever the previous frame carries.
+- HOTA's first pass: where the overlapping pairs share no box, a pair's row
+  and column sums are both its IoU x, so its normalized similarity
+  x / ((x + x) - x) is exactly 1.0 (0 where x <= 1e-12, by the division
+  guard).  Each pair's similarities add up in frame order, as frame by frame.
+- HOTA's second pass: where, in addition, every overlapping pair scores
+  alignment * IoU above the largest tie-break perturbation an assignment of
+  the frame can carry, every optimum holds all of those pairs; the solver's
+  other pairs have IoU 0 and count at no threshold.
+- IDF1: overlaps are integer counts, so their order does not matter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,7 +46,6 @@ __all__ = [
     "Idf1Result",
     "HotaResult",
     "MetricReport",
-    "iou",
     "check_iou_threshold",
     "mota",
     "idf1",
@@ -56,17 +74,6 @@ class BoxRecord:
     box: tuple[float, float, float, float]
 
 
-def iou(a: Sequence[float], b: Sequence[float]) -> float:
-    """Intersection over union of two (left, top, width, height) boxes."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0.0 else 0.0
-
-
 def records_from_result(result) -> list[BoxRecord]:
     """Flatten an inference TrackResult into metric records."""
     return [
@@ -82,10 +89,20 @@ _BLOCK_PAIRS = 1 << 14
 
 @dataclass
 class _Sequence:
-    """One sequence's records, validated and grouped once.  An id's position
-    is its index among its side's sorted ids, so position order is id order."""
+    """One sequence's records, validated and grouped once.  Boxes are sorted
+    by (frame, track id); an id's position is its index among its side's
+    sorted ids, so position order is id order.  Of the same-frame box pairs
+    only the overlapping ones are kept, ordered by gt box, then pred box: by
+    frame, then gt position, then pred position."""
 
-    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # gt, pred positions; IoU
+    gt_pos: np.ndarray  # id position of each gt box
+    pred_pos: np.ndarray
+    gt_start: np.ndarray  # frame k's gt boxes are gt_start[k]:gt_start[k + 1]
+    pred_start: np.ndarray
+    frame: np.ndarray  # frame index of each overlapping pair
+    gt: np.ndarray  # gt box of each overlapping pair
+    pred: np.ndarray
+    iou: np.ndarray
     gt_count: np.ndarray  # boxes per gt position
     pred_count: np.ndarray
 
@@ -95,49 +112,75 @@ def _sorted_records(records: Iterable[BoxRecord]) -> tuple[np.ndarray, np.ndarra
     id); a box that is not finite or has no area, or a repeated (frame, track
     id), raises."""
     records = list(records)
-    boxes = np.array([r.box for r in records], dtype=np.float64).reshape(-1, 4)
+    boxes = np.array(list(map(attrgetter("box"), records)), dtype=np.float64).reshape(-1, 4)
     bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0.0) | (boxes[:, 3] <= 0.0)
     if bad.any():
         r = records[int(np.argmax(bad))]
         raise ValueError(f"degenerate box {r.box} at frame {r.frame}")
-    key = np.array([(r.frame, r.track_id) for r in records], dtype=np.int64).reshape(-1, 2)
-    order = np.lexsort((key[:, 1], key[:, 0]))
-    key, boxes = key[order], boxes[order]
-    twice = np.flatnonzero((key[1:] == key[:-1]).all(axis=1))
+    frame = np.fromiter(map(attrgetter("frame"), records), np.int64, len(records))
+    track = np.fromiter(map(attrgetter("track_id"), records), np.int64, len(records))
+    order = np.lexsort((track, frame))
+    frame, track, boxes = frame[order], track[order], boxes[order]
+    twice = np.flatnonzero((frame[1:] == frame[:-1]) & (track[1:] == track[:-1]))
     if twice.size:
-        raise ValueError(f"track {key[twice[0], 1]} appears twice in frame {key[twice[0], 0]}")
-    return key[:, 0], np.unique(key[:, 1], return_inverse=True)[1], boxes
+        raise ValueError(f"track {track[twice[0]]} appears twice in frame {frame[twice[0]]}")
+    return frame, np.unique(track, return_inverse=True)[1], boxes
 
 
 def _prepare(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> _Sequence:
     g_frame, g_pos, g_box = _sorted_records(gt)
     p_frame, p_pos, p_box = _sorted_records(pred)
     frames = np.union1d(g_frame, p_frame)
-    g_end = np.searchsorted(g_frame, frames, "right")  # frame k's boxes end here
-    p_end = np.searchsorted(p_frame, frames, "right")
-    p_n = np.diff(p_end, prepend=0)
+    g_start = np.concatenate(([0], np.searchsorted(g_frame, frames, "right")))
+    p_start = np.concatenate(([0], np.searchsorted(p_frame, frames, "right")))
     at = np.searchsorted(frames, g_frame)  # frame index of each gt box
-    width = p_n[at]  # pred boxes in each gt box's frame
+    width = np.diff(p_start)[at]  # pred boxes in each gt box's frame
     offsets = np.concatenate(([0], np.cumsum(width)))  # gt box i's pairs: offsets[i:i+2]
-    shift = (p_end - p_n)[at] - offsets[:-1]  # pair index + shift = pred box index
-    flat = np.empty(int(offsets[-1]))
+    shift = p_start[at] - offsets[:-1]  # pair index + shift = pred box index
+    kept = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     rows = max(1, _BLOCK_PAIRS // max(1, int(width.max(initial=0))))
     for r0 in range(0, g_frame.size, rows):
-        r = slice(r0, min(r0 + rows, g_frame.size))
-        pairs = slice(offsets[r0], offsets[r.stop])
-        a = np.repeat(g_box[r], width[r], axis=0)
-        b = p_box[np.arange(pairs.start, pairs.stop) + np.repeat(shift[r], width[r])]
-        # elementwise, so bitwise equal to the scalar iou
+        r1 = min(r0 + rows, g_frame.size)
+        g = np.repeat(np.arange(r0, r1), width[r0:r1])  # gt box of each pair
+        p = np.arange(offsets[r0], offsets[r1]) + shift[g]
+        a, b = g_box[g], p_box[p]
+        # elementwise, so bitwise equal to the scalar IoU
         lo = np.maximum(a[:, :2], b[:, :2])
         hi = np.minimum(a[:, :2] + a[:, 2:], b[:, :2] + b[:, 2:])
         side = np.maximum(hi - lo, 0.0)
         inter = side[:, 0] * side[:, 1]
         union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
-        flat[pairs] = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-    shapes = zip(np.diff(g_end, prepend=0), p_n)
-    sims = [m.reshape(shape) for m, shape in zip(np.split(flat, offsets[g_end[:-1]]), shapes)]
-    per_frame = zip(np.split(g_pos, g_end[:-1]), np.split(p_pos, p_end[:-1]), sims)
-    return _Sequence(list(per_frame), np.bincount(g_pos), np.bincount(p_pos))
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+        hit = iou > 0.0
+        kept.append((g[hit], p[hit], iou[hit]))
+    g, p, iou = (np.concatenate(part) for part in zip(*kept))
+    return _Sequence(
+        g_pos, p_pos, g_start, p_start, at[g], g, p, iou, np.bincount(g_pos), np.bincount(p_pos)
+    )
+
+
+def _frame(seq: _Sequence, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame k's gt and pred id positions and its dense (gt, pred) IoU matrix."""
+    g0, g1 = seq.gt_start[k], seq.gt_start[k + 1]
+    p0, p1 = seq.pred_start[k], seq.pred_start[k + 1]
+    lo, hi = np.searchsorted(seq.frame, (k, k + 1))
+    sim = np.zeros((g1 - g0, p1 - p0))
+    sim[seq.gt[lo:hi] - g0, seq.pred[lo:hi] - p0] = seq.iou[lo:hi]
+    return seq.gt_pos[g0:g1], seq.pred_pos[p0:p1], sim
+
+
+def _contested(seq: _Sequence, candidate: np.ndarray | slice) -> np.ndarray:
+    """Sorted indices of the frames where two candidate pairs share a box."""
+    frame, gt, pred = seq.frame[candidate], seq.gt[candidate], seq.pred[candidate]
+    shared = (np.bincount(gt)[gt] > 1) | (np.bincount(pred)[pred] > 1)
+    return np.unique(frame[shared])
+
+
+def _outside(seq: _Sequence, frames: np.ndarray) -> np.ndarray:
+    """Which overlapping pairs lie outside the given frames."""
+    inside = np.zeros(seq.gt_start.size - 1, dtype=bool)
+    inside[frames] = True
+    return ~inside[seq.frame]
 
 
 def _match(sim: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -190,10 +233,20 @@ def _mota(seq: _Sequence, iou_threshold: float) -> MotaResult:
     num_gt = int(seq.gt_count.sum())
     if num_gt == 0:
         return MotaResult(float("nan"), 0, 0, int(seq.pred_count.sum()), 0, 0, True)
-    carried: dict[int, int] = {}  # gt -> pred matched in the previous frame
-    last_match: dict[int, int] = {}  # gt -> most recent matched pred ever
-    tp = fp = fn = idsw = 0
-    for g_pos, p_pos, sim in seq.frames:
+    feasible = seq.iou >= iou_threshold
+    contested = _contested(seq, feasible)
+    # an uncontested frame matches exactly its feasible pairs
+    easy = feasible & _outside(seq, contested)
+    frame = seq.frame[easy]
+    gt, pred = seq.gt_pos[seq.gt[easy]], seq.pred_pos[seq.pred[easy]]
+    solved: dict[int, list[tuple[int, int]]] = {}  # frame -> (gt, pred) matched
+    for k in contested.tolist():
+        if k - 1 in solved:
+            carried = dict(solved[k - 1])  # gt -> pred matched in the previous frame
+        else:
+            lo, hi = np.searchsorted(frame, (k - 1, k))
+            carried = dict(zip(gt[lo:hi].tolist(), pred[lo:hi].tolist()))
+        g_pos, p_pos, sim = _frame(seq, k)
         g_ids, p_ids = g_pos.tolist(), p_pos.tolist()
         row = {g: i for i, g in enumerate(g_ids)}
         col = {p: j for j, p in enumerate(p_ids)}
@@ -204,16 +257,21 @@ def _mota(seq: _Sequence, iou_threshold: float) -> MotaResult:
         free_g = sorted(set(range(len(g_ids))).difference(i for i, _ in held))
         free_p = sorted(set(range(len(p_ids))).difference(j for _, j in held))
         matched = _match(sim[free_g][:, free_p], iou_threshold)
-        pairs = sorted(held + [(free_g[i], free_p[j]) for i, j in matched])
-        pairs = [(g_ids[i], p_ids[j]) for i, j in pairs]  # as id positions
-        tp += len(pairs)
-        fn += len(g_ids) - len(pairs)
-        fp += len(p_ids) - len(pairs)
-        for g, p in pairs:
-            if g in last_match and last_match[g] != p:
-                idsw += 1
-            last_match[g] = p
-        carried = dict(pairs)
+        pairs = held + [(free_g[i], free_p[j]) for i, j in matched]
+        solved[k] = [(g_ids[i], p_ids[j]) for i, j in pairs]  # as id positions
+    extra = np.array(
+        [(k, g, p) for k, pairs in solved.items() for g, p in pairs], dtype=np.int64
+    ).reshape(-1, 3)
+    frame = np.concatenate((frame, extra[:, 0]))
+    gt = np.concatenate((gt, extra[:, 1]))
+    pred = np.concatenate((pred, extra[:, 2]))
+    # a switch: a gt's pred differs from the one of its previous match
+    order = np.lexsort((frame, gt))
+    gt, pred = gt[order], pred[order]
+    idsw = int(np.count_nonzero((gt[1:] == gt[:-1]) & (pred[1:] != pred[:-1])))
+    tp = int(gt.size)
+    fn = num_gt - tp
+    fp = int(seq.pred_count.sum()) - tp
     value = 1.0 - (fn + fp + idsw) / num_gt
     return MotaResult(value, idsw, tp, fp, fn, num_gt)
 
@@ -247,9 +305,9 @@ def _idf1(seq: _Sequence, iou_threshold: float) -> Idf1Result:
     if total_gt == 0 and total_pred == 0:
         return Idf1Result(1.0, 0, 0, 0, True)
     ng, np_ = seq.gt_count.size, seq.pred_count.size
-    overlap = np.zeros((ng, np_))
-    for g_pos, p_pos, sim in seq.frames:
-        overlap[g_pos[:, None], p_pos] += sim >= iou_threshold
+    hit = seq.iou >= iou_threshold
+    cell = seq.gt_pos[seq.gt[hit]] * np_ + seq.pred_pos[seq.pred[hit]]
+    overlap = np.bincount(cell, minlength=ng * np_).reshape(ng, np_)
     size = ng + np_
     blocked = float(total_gt + total_pred + 1)
     cost = np.full((size, size), blocked)
@@ -295,22 +353,38 @@ def _hota(seq: _Sequence) -> HotaResult:
                           zeros.copy(), np.full(na, float(total_pred)), zeros.copy(), True)
     gt_count, pred_count = seq.gt_count, seq.pred_count
     ng, np_ = gt_count.size, pred_count.size
-    potential = np.zeros((ng, np_))
-    overlapping = [(g_pos, p_pos, sim) for g_pos, p_pos, sim in seq.frames if sim.size]
-    for g_pos, p_pos, sim in overlapping:
+    g, p = seq.gt_pos[seq.gt], seq.pred_pos[seq.pred]
+    row = seq.gt - seq.gt_start[seq.frame]  # each pair's place in its frame's matrix
+    col = seq.pred - seq.pred_start[seq.frame]
+    contested = _contested(seq, slice(None))
+    bounds = np.searchsorted(seq.frame, np.stack((contested, contested + 1), axis=1))
+    norm = np.where(seq.iou > 1e-12, 1.0, 0.0)  # x / ((x + x) - x) where no box is shared
+    for k, (lo, hi) in zip(contested.tolist(), bounds):
+        _, _, sim = _frame(seq, k)
         denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
-        norm = np.zeros_like(sim)
-        np.divide(sim, denom, out=norm, where=denom > 1e-12)
-        potential[g_pos[:, None], p_pos] += norm
+        frame_norm = np.zeros_like(sim)
+        np.divide(sim, denom, out=frame_norm, where=denom > 1e-12)
+        norm[lo:hi] = frame_norm[row[lo:hi], col[lo:hi]]
+    potential = np.bincount(g * np_ + p, norm, minlength=ng * np_).reshape(ng, np_)
     alignment = potential / (gt_count[:, None] + pred_count[None, :] - potential)
-    matches = np.zeros((na, ng, np_))
-    for g_pos, p_pos, sim in overlapping:
+    g_n = np.diff(seq.gt_start)[seq.frame]  # boxes in each pair's frame
+    p_n = np.diff(seq.pred_start)[seq.frame]
+    largest_rank = (g_n - 1) * (p_n + 1) + p_n - 1
+    weak = alignment[g, p] * seq.iou <= _TIE_EPS * largest_rank * np.minimum(g_n, p_n)
+    solve = np.union1d(contested, seq.frame[weak])
+    easy = _outside(seq, solve)
+    matched = [(g[easy], p[easy], seq.iou[easy])]  # every optimum holds these
+    for k in solve.tolist():
+        g_pos, p_pos, sim = _frame(seq, k)
         rank = np.arange(sim.shape[0])[:, None] * (sim.shape[1] + 1) + np.arange(sim.shape[1])
         score = alignment[g_pos[:, None], p_pos] * sim - _TIE_EPS * rank
         rows, cols = linear_sum_assignment(-score)
-        # one row per alpha; a frame's matched pairs are distinct
-        keep = sim[rows, cols] >= HOTA_ALPHAS[:, None] - 1e-12
-        matches[:, g_pos[rows], p_pos[cols]] += keep
+        matched.append((g_pos[rows], p_pos[cols], sim[rows, cols]))
+    m_g, m_p, m_iou = (np.concatenate(part) for part in zip(*matched))
+    # one row per alpha; a frame's matched pairs are distinct
+    keep = m_iou >= HOTA_ALPHAS[:, None] - 1e-12
+    cell = (np.arange(na)[:, None] * ng + m_g) * np_ + m_p
+    matches = np.bincount(cell[keep], minlength=na * ng * np_).reshape(na, ng, np_).astype(float)
     tp = matches.sum(axis=(1, 2))
     fn = total_gt - tp
     fp = total_pred - tp

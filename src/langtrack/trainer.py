@@ -158,21 +158,14 @@ def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -
         raise ValueError(f"{len(gt_ids)} gt ids for {len(graph.nodes)} nodes")
     if any(g is None for g in gt_ids):
         raise ValueError("every node needs a ground-truth id for labeling")
-    by_id: dict[int, list[int]] = {}
-    for idx, gid in enumerate(gt_ids):
-        by_id.setdefault(int(gid), []).append(idx)
-    successor: dict[int, int] = {}
-    for gid, indices in by_id.items():
-        indices.sort(key=lambda i: (graph.nodes[i].start_frame, graph.nodes[i].end_frame))
-        for a, b in zip(indices, indices[1:]):
-            successor[a] = b
-    labels = np.zeros(graph.num_edges)
-    for e in range(graph.num_edges):
-        u = int(graph.edge_u[e])
-        v = int(graph.edge_v[e])
-        if successor.get(u) == v:
-            labels[e] = 1.0
-    return labels
+    ids = np.array(gt_ids, dtype=np.int64).reshape(-1)
+    starts = np.array([node.start_frame for node in graph.nodes], dtype=np.int64)
+    ends = np.array([node.end_frame for node in graph.nodes], dtype=np.int64)
+    order = np.lexsort((ends, starts, ids))  # each identity's nodes in time order, stably
+    same = ids[order[1:]] == ids[order[:-1]]
+    successor = np.full(ids.size, -1)
+    successor[order[:-1][same]] = order[1:][same]
+    return (successor[graph.edge_u] == graph.edge_v).astype(np.float64)
 
 
 def _union_graph(

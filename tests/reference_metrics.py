@@ -1,15 +1,35 @@
-"""Brute-force tracking metrics used only to cross-check the fast path.
+"""Reference tracking metrics used only to cross-check the fast path.
 
-Everything here is deliberately written from scratch: assignments are
-found by exhaustive enumeration over injective mappings rather than the
-Hungarian algorithm, and the bookkeeping uses plain dicts.  Only feasible
-for tiny scenarios (a handful of tracks over a dozen frames).
+The ``ref_*`` scorers are brute force, written from scratch: assignments
+are found by exhaustive enumeration over injective mappings rather than the
+Hungarian algorithm, and the bookkeeping uses plain dicts.  They are only
+feasible for tiny scenarios (a handful of tracks over a dozen frames).
+
+The private ``_mota``, ``_idf1`` and ``_hota`` below them are the per-frame
+scorers: one dense IoU matrix and one solver call per frame.  The scorers in
+``langtrack.metrics`` solve only contested frames and must equal these bit
+for bit.  ``iou`` is the scalar IoU the IoU pass must equal bitwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from langtrack.metrics import (
+    HOTA_ALPHAS,
+    _TIE_EPS,
+    HotaResult,
+    Idf1Result,
+    MotaResult,
+    _frame,
+    _match,
+)
 
 
 def box_iou(a, b):
@@ -224,3 +244,143 @@ def ref_hota(gt_records, pred_records):
     n = len(alphas)
     return {"hota": hota_sum / n, "deta": deta_sum / n, "assa": assa_sum / n,
             "undefined": False}
+
+
+# -- the scalar IoU and the per-frame scorers, moved here from langtrack.metrics
+
+
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection over union of two (left, top, width, height) boxes."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0.0 else 0.0
+
+
+@dataclass
+class FrameSequence:
+    """A prepared sequence as one (gt positions, pred positions, dense IoU)
+    entry per frame that has a box."""
+
+    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    gt_count: np.ndarray
+    pred_count: np.ndarray
+
+
+def per_frame(seq) -> FrameSequence:
+    """Every frame of a ``metrics._Sequence``, densely."""
+    frames = [_frame(seq, k) for k in range(seq.gt_start.size - 1)]
+    return FrameSequence(frames, seq.gt_count, seq.pred_count)
+
+
+def _mota(seq: FrameSequence, iou_threshold: float) -> MotaResult:
+    num_gt = int(seq.gt_count.sum())
+    if num_gt == 0:
+        return MotaResult(float("nan"), 0, 0, int(seq.pred_count.sum()), 0, 0, True)
+    carried: dict[int, int] = {}  # gt -> pred matched in the previous frame
+    last_match: dict[int, int] = {}  # gt -> most recent matched pred ever
+    tp = fp = fn = idsw = 0
+    for g_pos, p_pos, sim in seq.frames:
+        g_ids, p_ids = g_pos.tolist(), p_pos.tolist()
+        row = {g: i for i, g in enumerate(g_ids)}
+        col = {p: j for j, p in enumerate(p_ids)}
+        held = [  # (row, col) of last frame's pairs that still overlap
+            (row[g], col[p]) for g, p in carried.items()
+            if g in row and p in col and sim[row[g], col[p]] >= iou_threshold
+        ]
+        free_g = sorted(set(range(len(g_ids))).difference(i for i, _ in held))
+        free_p = sorted(set(range(len(p_ids))).difference(j for _, j in held))
+        matched = _match(sim[free_g][:, free_p], iou_threshold)
+        pairs = sorted(held + [(free_g[i], free_p[j]) for i, j in matched])
+        pairs = [(g_ids[i], p_ids[j]) for i, j in pairs]  # as id positions
+        tp += len(pairs)
+        fn += len(g_ids) - len(pairs)
+        fp += len(p_ids) - len(pairs)
+        for g, p in pairs:
+            if g in last_match and last_match[g] != p:
+                idsw += 1
+            last_match[g] = p
+        carried = dict(pairs)
+    value = 1.0 - (fn + fp + idsw) / num_gt
+    return MotaResult(value, idsw, tp, fp, fn, num_gt)
+
+
+def _idf1(seq: FrameSequence, iou_threshold: float) -> Idf1Result:
+    total_gt = int(seq.gt_count.sum())
+    total_pred = int(seq.pred_count.sum())
+    if total_gt == 0 and total_pred == 0:
+        return Idf1Result(1.0, 0, 0, 0, True)
+    ng, np_ = seq.gt_count.size, seq.pred_count.size
+    overlap = np.zeros((ng, np_))
+    for g_pos, p_pos, sim in seq.frames:
+        overlap[g_pos[:, None], p_pos] += sim >= iou_threshold
+    size = ng + np_
+    blocked = float(total_gt + total_pred + 1)
+    cost = np.full((size, size), blocked)
+    cost[:ng, :np_] = seq.gt_count[:, None] + seq.pred_count[None, :] - 2.0 * overlap
+    cost[np.arange(ng), np_ + np.arange(ng)] = seq.gt_count  # gt left unmatched
+    cost[ng + np.arange(np_), np.arange(np_)] = seq.pred_count  # pred left unmatched
+    cost[ng:, np_:] = 0.0
+    rows, cols = linear_sum_assignment(cost)
+    mismatch = float(cost[rows, cols].sum())
+    idtp = int(round((total_gt + total_pred - mismatch) / 2.0))
+    idfn = total_gt - idtp
+    idfp = total_pred - idtp
+    value = 2.0 * idtp / (2.0 * idtp + idfp + idfn)
+    return Idf1Result(value, idtp, idfp, idfn)
+
+
+def _hota(seq: FrameSequence) -> HotaResult:
+    total_gt = int(seq.gt_count.sum())
+    total_pred = int(seq.pred_count.sum())
+    na = HOTA_ALPHAS.size
+    if total_gt == 0:
+        nanv = float("nan")
+        zeros = np.zeros(na)
+        return HotaResult(nanv, nanv, nanv, HOTA_ALPHAS.copy(), zeros,
+                          zeros.copy(), np.full(na, float(total_pred)), zeros.copy(), True)
+    gt_count, pred_count = seq.gt_count, seq.pred_count
+    ng, np_ = gt_count.size, pred_count.size
+    potential = np.zeros((ng, np_))
+    overlapping = [(g_pos, p_pos, sim) for g_pos, p_pos, sim in seq.frames if sim.size]
+    for g_pos, p_pos, sim in overlapping:
+        denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
+        norm = np.zeros_like(sim)
+        np.divide(sim, denom, out=norm, where=denom > 1e-12)
+        potential[g_pos[:, None], p_pos] += norm
+    alignment = potential / (gt_count[:, None] + pred_count[None, :] - potential)
+    matches = np.zeros((na, ng, np_))
+    for g_pos, p_pos, sim in overlapping:
+        rank = np.arange(sim.shape[0])[:, None] * (sim.shape[1] + 1) + np.arange(sim.shape[1])
+        score = alignment[g_pos[:, None], p_pos] * sim - _TIE_EPS * rank
+        rows, cols = linear_sum_assignment(-score)
+        # one row per alpha; a frame's matched pairs are distinct
+        keep = sim[rows, cols] >= HOTA_ALPHAS[:, None] - 1e-12
+        matches[:, g_pos[rows], p_pos[cols]] += keep
+    tp = matches.sum(axis=(1, 2))
+    fn = total_gt - tp
+    fp = total_pred - tp
+    deta_a = tp / (total_gt + total_pred - tp)
+    ass_a = np.zeros(na)
+    for ai in range(na):
+        if tp[ai] == 0:
+            continue
+        mc = matches[ai]
+        pair_denom = gt_count[:, None] + pred_count[None, :] - mc
+        align = np.zeros_like(mc)
+        np.divide(mc, pair_denom, out=align, where=pair_denom > 0)
+        ass_a[ai] = float((mc * align).sum() / tp[ai])
+    hota_a = np.sqrt(deta_a * ass_a)
+    return HotaResult(
+        float(hota_a.mean()),
+        float(deta_a.mean()),
+        float(ass_a.mean()),
+        HOTA_ALPHAS.copy(),
+        tp,
+        fn,
+        fp,
+        ass_a,
+    )

@@ -191,6 +191,19 @@ def test_grad_accumulates_across_reuse():
     assert np.allclose(x.grad, [[7.0]])
 
 
+def test_first_gradient_is_a_fresh_array_as_if_added_to_zeros():
+    # -0.0 becomes 0.0, as 0.0 + g gives, and a row gradient broadcasts
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    g = np.array([[-0.0, 2.0]])
+    x._accumulate(g)
+    assert x.grad.tobytes() == (np.zeros((3, 2)) + g).tobytes()
+    assert not np.signbit(x.grad).any()
+    g[0, 1] = 5.0  # the first gradient is not aliased
+    assert x.grad[0, 1] == 2.0
+    x._accumulate(np.ones((3, 2)))
+    assert (x.grad == [[1.0, 3.0]] * 3).all()
+
+
 def test_no_tape_recording_for_constants():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))

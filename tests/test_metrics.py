@@ -1,10 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import reference_metrics as per_frame_ref
 from langtrack import metrics
+from langtrack.data_io import SceneAttributes
+from langtrack.inference import TrackerConfig, track_video
 from langtrack.metrics import (
     BoxRecord,
     HOTA_ALPHAS,
@@ -12,13 +16,14 @@ from langtrack.metrics import (
     evaluate_sequences,
     hota,
     idf1,
-    iou,
     mota,
     render_report,
     render_table,
 )
-from langtrack.metrics import _match, _prepare
-from reference_metrics import ref_hota, ref_idf1, ref_mota
+from langtrack.metrics import _frame, _match, _prepare
+from langtrack.model import ModelConfig, init_model
+from langtrack.synth import SynthConfig, gen_sequence, identity_profile
+from reference_metrics import iou, per_frame, ref_hota, ref_idf1, ref_mota
 
 
 def recs(rows):
@@ -34,9 +39,10 @@ def frame_matches(gt, pred, threshold=0.5):
     frames = sorted({r.frame for r in [*gt, *pred]})
     gt_ids = sorted({r.track_id for r in gt})
     pred_ids = sorted({r.track_id for r in pred})
-    assert len(seq.frames) == len(frames)
+    assert seq.gt_start.size - 1 == len(frames)
     out = {}
-    for f, (g_pos, p_pos, sim) in zip(frames, seq.frames):
+    for k, f in enumerate(frames):
+        g_pos, p_pos, sim = _frame(seq, k)
         pairs = _match(sim, threshold)
         out[f] = [(gt_ids[g_pos[i]], pred_ids[p_pos[j]]) for i, j in pairs]
     return out
@@ -44,8 +50,9 @@ def frame_matches(gt, pred, threshold=0.5):
 
 def frame_iou(gt, pred):
     """The IoU matrix of the only frame of ``gt`` and ``pred``."""
-    (_, _, sim), = _prepare(gt, pred).frames
-    return sim
+    seq = _prepare(gt, pred)
+    assert seq.gt_start.size == 2
+    return _frame(seq, 0)[2]
 
 
 def straight_track(tid, frames, box=BOX):
@@ -145,8 +152,10 @@ class TestIou:
             gt, pred = recs(gt_rows), recs(pred_rows)
             seq = _prepare(gt[::-1], pred)  # input order does not matter
             frames = sorted({r.frame for r in gt + pred})
-            assert len(seq.frames) == len(frames)
-            for f, (g_pos, p_pos, sim) in zip(frames, seq.frames):
+            assert seq.gt_start.size - 1 == len(frames)
+            assert (seq.iou > 0.0).all()  # only overlapping pairs are kept
+            for k, f in enumerate(frames):
+                g_pos, p_pos, sim = _frame(seq, k)
                 g_boxes = [r.box for r in sorted(gt, key=lambda r: r.track_id) if r.frame == f]
                 p_boxes = [r.box for r in sorted(pred, key=lambda r: r.track_id) if r.frame == f]
                 scalar = np.array([[iou(a, b) for b in p_boxes] for a in g_boxes])
@@ -483,6 +492,152 @@ def test_evaluate_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def assert_bitwise_equal(got, want):
+    """Every field equal with ==, NaN matching NaN; arrays in dtype and bytes."""
+    assert type(got) is type(want)
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b), field.name
+            assert a == b or (a != a and b != b), (field.name, a, b)
+
+
+def assert_scores_match_per_frame_reference(gt, pred, threshold, monkeypatch):
+    """The array scorers equal the per-frame reference bit for bit: each
+    scorer's result, HOTA's per-alpha arrays, and the evaluate report."""
+    seq = _prepare(gt, pred)
+    frames = per_frame(seq)
+    assert_bitwise_equal(metrics._mota(seq, threshold), per_frame_ref._mota(frames, threshold))
+    assert_bitwise_equal(metrics._idf1(seq, threshold), per_frame_ref._idf1(frames, threshold))
+    assert_bitwise_equal(metrics._hota(seq), per_frame_ref._hota(frames))
+    report = evaluate(gt, pred, threshold)
+    with monkeypatch.context() as patched:
+        for name in ("_mota", "_idf1", "_hota"):
+            ref = getattr(per_frame_ref, name)
+            patched.setattr(metrics, name, lambda seq, *args, ref=ref: ref(per_frame(seq), *args))
+        assert_bitwise_equal(report, evaluate(gt, pred, threshold))
+
+
+def dense_scenario(rng, boxes=7, frames=12):
+    """Boxes crowded into a small area, so most frames have competing pairs;
+    ids drop out, swap and reappear, and some boxes are detected twice."""
+    gt, pred = [], []
+    centre = rng.uniform(0.0, 30.0, (boxes, 2))
+    for f in range(1, frames + 1):
+        centre += rng.normal(0.0, 2.0, centre.shape)
+        ids = rng.permutation(boxes) + 50
+        for t in range(boxes):
+            x, y = centre[t]
+            if rng.random() < 0.85:
+                gt.append((f, t, (x, y, 10.0, 14.0)))
+            if rng.random() < 0.8:
+                jitter = rng.normal(0.0, rng.choice([0.1, 1.5]), 4)
+                box = (x + jitter[0], y + jitter[1], 10.0 + abs(jitter[2]), 14.0 + abs(jitter[3]))
+                pred.append((f, int(ids[t]) if rng.random() < 0.3 else t, box))
+            if rng.random() < 0.2:  # a near-duplicate detection
+                pred.append((f, 100 + t, (x + 0.1, y, 10.0, 14.0)))
+    return gt, pred
+
+
+def tracked_clip(objects, frames, seed):
+    """Ground truth and the tracks of an untrained model on a synthetic clip;
+    the model's mistakes make switches and competing pairs."""
+    dim = 16
+    scene = SceneAttributes("medium", "static", "on a sunny day")
+    cfg = SynthConfig(
+        num_objects=objects, num_frames=frames, appearance_dim=dim, appearance_noise=0.08,
+        occlusion_rate=0.2, velocity_scale=10.0, box_jitter=0.15, seed=seed,
+    )
+    detections, _ = gen_sequence(cfg, identity_profile("source", scene, dim))
+    params = init_model(np.random.default_rng(seed), ModelConfig(
+        message_passing_steps=2, edge_dim=8, text_dim=8, node_dim=16, appearance_dim=dim))
+    result = track_video(detections, params, TrackerConfig(level_sizes=[5, 25, 75, 150], knn_k=3))
+    gt = [BoxRecord(d.frame, d.gt_id, tuple(d.box)) for d in detections]
+    return gt, metrics.records_from_result(result)
+
+
+class TestPerFrameReference:
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+    def test_random_scenarios(self, threshold, monkeypatch):
+        rng = np.random.default_rng(int(threshold * 10))
+        for _ in range(40):
+            gt_rows, pred_rows = random_scenario(rng)
+            assert_scores_match_per_frame_reference(
+                recs(gt_rows), recs(pred_rows), threshold, monkeypatch)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+    def test_dense_frames_where_candidates_compete(self, threshold, monkeypatch):
+        rng = np.random.default_rng(17)
+        contested = 0
+        for _ in range(8):
+            gt, pred = (recs(rows) for rows in dense_scenario(rng))
+            seq = _prepare(gt, pred)
+            contested += metrics._contested(seq, seq.iou >= threshold).size
+            assert_scores_match_per_frame_reference(gt, pred, threshold, monkeypatch)
+        assert contested >= 20  # of 96 frames
+
+    def test_tiny_overlap_sends_the_frame_to_the_solver(self, monkeypatch):
+        # In frames 2 and 3, gt 2 and pred 2 overlap by a sliver (IoU ~1e-11 and
+        # ~1e-13): no box is shared, but alignment * IoU is below the tie-break
+        # margin, so HOTA solves those frames.
+        gt_rows, pred_rows = [], []
+        for f, sliver in ((1, 5.0), (2, 1e-9), (3, 1e-11), (4, 5.0)):
+            gt_rows += [(f, 1, BOX), (f, 2, (30.0, 0.0, 10.0, 10.0))]
+            pred_rows += [(f, 1, BOX), (f, 2, (40.0 - sliver, 0.0, 10.0, 10.0))]
+        gt, pred = recs(gt_rows), recs(pred_rows)
+        seq = _prepare(gt, pred)
+        assert metrics._contested(seq, slice(None)).size == 0
+        assert 0.0 < seq.iou.min() <= 1e-12
+        calls = []
+        real = metrics.linear_sum_assignment
+        monkeypatch.setattr(
+            metrics, "linear_sum_assignment", lambda cost: calls.append(cost.shape) or real(cost))
+        metrics._hota(seq)
+        assert calls == [(2, 2), (2, 2)]
+        monkeypatch.undo()
+        for threshold in (1e-12, 0.3, 0.5):
+            assert_scores_match_per_frame_reference(gt, pred, threshold, monkeypatch)
+
+    def test_match_carried_across_a_frame_gap(self, monkeypatch):
+        # gt 1 holds pred 1 through frame 2; frame 3 has no boxes, so frame 4's
+        # previous entry is frame 2, and pred 1 is kept although pred 2 fits better.
+        # In frames 6-8 a gt-only frame 7 comes between: nothing is carried into 8.
+        near = (1.0, 0.0, 10.0, 10.0)
+        gt_rows = [(f, 1, BOX) for f in (1, 2, 4, 5, 6, 7, 8)]
+        pred_rows = [(f, 1, near) for f in (1, 2, 4, 5, 6, 8)] + [(f, 2, BOX) for f in (4, 5, 8)]
+        gt, pred = recs(gt_rows), recs(pred_rows)
+        out = mota(gt, pred)
+        assert (out.idsw, out.tp, out.fp, out.fn) == (1, 6, 3, 1)
+        for threshold in (0.5, 0.9):
+            assert_scores_match_per_frame_reference(gt, pred, threshold, monkeypatch)
+
+    @pytest.mark.parametrize("objects,frames", [(4, 1200), (32, 150)])
+    def test_tracked_clip(self, objects, frames, monkeypatch):
+        gt, pred = tracked_clip(objects, frames, seed=7)
+        seq = _prepare(gt, pred)
+        assert metrics._contested(seq, seq.iou >= 0.5).size > 0
+        assert mota(gt, pred).idsw > 0
+        assert_scores_match_per_frame_reference(gt, pred, 0.5, monkeypatch)
+
+
+def test_clean_sequence_calls_the_solver_only_for_idf1(monkeypatch):
+    # 600 frames of 6 far-apart objects, each matched exactly: no frame is
+    # contested, so only IDF1's global assignment reaches the solver
+    gt = [BoxRecord(f, t, (100.0 * t + f, 50.0, 20.0, 40.0)) for f in range(600) for t in range(6)]
+    pred = [BoxRecord(r.frame, 10 + r.track_id, r.box) for r in gt]
+    calls = []
+    real = metrics.linear_sum_assignment
+    monkeypatch.setattr(
+        metrics, "linear_sum_assignment", lambda cost: calls.append(cost.shape) or real(cost))
+    report = evaluate(gt, pred)
+    assert calls == [(12, 12)]
+    assert (report.mota, report.idf1, report.idsw) == (1.0, 1.0, 0)
+    assert report.hota == pytest.approx(1.0)
 
 
 class TestAggregation:

@@ -69,6 +69,24 @@ def det(frame: int, gt_id: int, x: float = 0.0) -> Detection:
     return Detection(frame, (x, 0.0, 10.0, 10.0), np.ones(8), gt_id=gt_id)
 
 
+def loop_edge_labels(graph, gt_ids):
+    """The per-edge loop edge_labels replaced: each identity's nodes sorted
+    stably by (start, end), each linked to the next."""
+    by_id = {}
+    for idx, gid in enumerate(gt_ids):
+        by_id.setdefault(int(gid), []).append(idx)
+    successor = {}
+    for indices in by_id.values():
+        indices.sort(key=lambda i: (graph.nodes[i].start_frame, graph.nodes[i].end_frame))
+        for a, b in zip(indices, indices[1:]):
+            successor[a] = b
+    labels = np.zeros(graph.num_edges)
+    for e in range(graph.num_edges):
+        if successor.get(int(graph.edge_u[e])) == int(graph.edge_v[e]):
+            labels[e] = 1.0
+    return labels
+
+
 class TestEdgeLabels:
     def test_consecutive_same_id_edges_positive(self):
         tracklets = [
@@ -115,6 +133,23 @@ class TestEdgeLabels:
         graph = build_graph(tracklets, knn_k=2, window=(1, 2))
         with pytest.raises(ValueError):
             edge_labels(graph)
+
+    def test_matches_the_per_edge_loop(self):
+        rng = np.random.default_rng(3)
+        positives = 0
+        for seed in (1, 2):
+            clip = synth_clip("c", seed, num_objects=4, num_frames=40)
+            bundle = prepare_clip(clip, small_train_cfg(), store_for(clip))
+            for level in bundle.levels:
+                graph = level.graph
+                gt_ids = [node.first.gt_id for node in graph.nodes]
+                assert level.labels.tobytes() == loop_edge_labels(graph, gt_ids).tobytes()
+                # few shared ids: many same-identity nodes tie on (start, end)
+                shared = rng.integers(0, 3, graph.num_nodes).tolist()
+                got = edge_labels(graph, shared)
+                assert got.tobytes() == loop_edge_labels(graph, shared).tobytes()
+                positives += got.sum()
+        assert positives > 0
 
     def test_id_list_length_checked(self):
         graph = build_graph([Tracklet([det(1, 1)]), Tracklet([det(2, 1)])], 2, (1, 2))
