@@ -37,7 +37,7 @@ from .data_io import (
     write_mot,
     write_result,
 )
-from .guidance import LanguageEmbeddingStore, language_access_forbidden
+from .guidance import LanguageEmbeddingStore
 from .inference import track_video
 from .metrics import BoxRecord, check_iou_threshold, evaluate, render_report
 from .model import ModelConfig, ModelParams, params_from_tensors
@@ -352,8 +352,7 @@ def cmd_track(args) -> int:
         detections = to_detections(records, appearance)
     except ValueError as exc:
         raise _input_error(str(exc)) from None
-    with language_access_forbidden():
-        result = track_video(detections, params, cfg.tracker_config())
+    result = track_video(detections, params, cfg.tracker_config())
     out.mkdir(parents=True, exist_ok=True)
     write_result(out / "result.txt", result)
     _write_provenance(out, "track", cfg, {

@@ -107,14 +107,9 @@ class GuidanceConfig:
 
 @dataclass
 class GuidanceTerm:
-    """One distillation loss value plus how many rows produced it.
-
-    A count of 0 flags the degenerate no-rows case where the value is a
-    placeholder zero.
-    """
+    """One distillation loss value; with no rows it is a placeholder zero."""
 
     value: Tensor
-    count: int
 
     def item(self) -> float:
         return self.value.item()
@@ -142,13 +137,13 @@ def isg_loss(projected_nodes, instance_embeddings) -> GuidanceTerm:
     if targets.ndim == 1:
         targets = targets.reshape(1, -1)
     if nodes.shape[0] == 0:
-        return GuidanceTerm(Tensor(0.0), 0)
+        return GuidanceTerm(Tensor(0.0))
     if nodes.shape != targets.shape:
         raise ValueError(
             f"projected nodes {nodes.shape} and instance embeddings "
             f"{targets.shape} must align row for row"
         )
-    return GuidanceTerm(_mean_kl_to_targets(nodes, log_softmax(targets)), nodes.shape[0])
+    return GuidanceTerm(_mean_kl_to_targets(nodes, log_softmax(targets)))
 
 
 def spg_loss(projected_edges, scene_embedding) -> GuidanceTerm:
@@ -159,13 +154,13 @@ def spg_loss(projected_edges, scene_embedding) -> GuidanceTerm:
         dtype=np.float64,
     ).ravel()
     if edges.shape[0] == 0:
-        return GuidanceTerm(Tensor(0.0), 0)
+        return GuidanceTerm(Tensor(0.0))
     if edges.shape[1] != scene.size:
         raise ValueError(
             f"projected edges have dim {edges.shape[1]}, scene embedding {scene.size}"
         )
     log_q = log_softmax(scene).reshape(1, -1)
-    return GuidanceTerm(_mean_kl_to_targets(edges, log_q), edges.shape[0])
+    return GuidanceTerm(_mean_kl_to_targets(edges, log_q))
 
 
 def total_loss(lc, l_isg, l_spg, cfg: GuidanceConfig):

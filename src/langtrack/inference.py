@@ -4,15 +4,15 @@ Greedy flow-constrained rounding keeps at most one accepted successor and
 one accepted predecessor per node, merges the resulting chains, and repeats
 level by level; ``graph.py`` derives the levels and their windows, and the
 top level's one window covers the whole clip, so whole-clip trajectories
-remain.  This path is video-only by construction: no operation here takes the language embedding
-store, and the whole pass runs under a guard that turns any stray embedding
-access into a hard error.
+remain; ``run_levels`` is that loop for tracking and training alike.  Tracking
+is video-only by construction: no operation here takes the language embedding
+store, and it runs under a guard that turns any embedding access into an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,13 +29,14 @@ from .graph import (
     tracklet_sort_key,
 )
 from .guidance import language_access_forbidden
-from .model import ModelParams, classify_edges, encode_graph, message_pass, node_means
+from .model import ModelParams, classify_edges, encode_graph, message_pass, node_means, node_rows
 from .nn import mlp_forward
 
 __all__ = [
     "TrackerConfig",
     "TrackResult",
     "round_edges",
+    "run_levels",
     "track_video",
     "gt_oracle_scorer",
 ]
@@ -175,13 +176,25 @@ def _learned_scorer(params: ModelParams, dets: list[Detection]) -> EdgeScorer:
     row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
 
     def score(graph: TrackGraph) -> np.ndarray:
-        rows = [row_of[d] for t in graph.nodes for d in t.detections]
-        sizes = [len(t.detections) for t in graph.nodes]
-        eg = encode_graph(graph, params, node_means(enc, rows, sizes))
+        eg = encode_graph(graph, params, node_means(enc, *node_rows(graph.nodes, row_of)))
         eg = message_pass(eg, params, params.config.message_passing_steps)
         return classify_edges(eg, params).data.ravel()
 
     return score
+
+
+def run_levels(
+    tracklets: Sequence[Tracklet], num_frames: int, level_sizes: Sequence[int], knn_k: int,
+    merge: Callable[[TrackGraph], list[Tracklet]],
+) -> Iterator[tuple[list[TrackGraph], list[Tracklet]]]:
+    """The levels of ``graph.clip_level_sizes``: each groups the tracklets by
+    window, builds one graph per window and merges its nodes by ``merge``, and
+    the next level sees the merged tracklets.  Yields (graphs, merged) per level."""
+    for size in clip_level_sizes(num_frames, level_sizes):
+        graphs = [build_graph(members, knn_k, window)
+                  for window, members in group_by_window(tracklets, size, num_frames)]
+        tracklets = [t for g in graphs for t in merge(g)]
+        yield graphs, tracklets
 
 
 def track_video(
@@ -192,31 +205,25 @@ def track_video(
 ) -> TrackResult:
     """Hierarchical tracking over a whole clip.
 
-    Each level groups the tracklets by window (``graph.group_by_window``),
-    scores candidate edges inside every window, rounds them, and merges
-    the resulting chains; the next level sees the merged tracklets.  Levels
-    past the configured ones double in size until one window covers the
-    whole clip (``graph.clip_level_sizes``).  The learned model scores the
-    edges unless `edge_scorer` replaces it (params may then be None).
-    Language embeddings are unreachable from here.  An edge probability
-    outside [0, 1] or non-finite (say, from a NaN parameter) raises
-    ValueError in ``round_edges``.
+    In each level of ``run_levels``, each window's candidate edges are scored
+    and rounded, and their chains merged.  Levels past the configured ones double
+    in size until one window covers the whole clip.  The learned model
+    scores the edges unless `edge_scorer` replaces it (params may then be
+    None).  Language embeddings are unreachable from here.  An edge
+    probability outside [0, 1] or non-finite (say, from a NaN parameter)
+    raises ValueError in ``round_edges``.
     """
     if not detections:
         raise ValueError("track_video needs at least one detection")
     if edge_scorer is None and params is None:
         raise ValueError("either model params or an edge scorer is required")
     dets = sorted(detections, key=_detection_sort_key)
-    num_frames = dets[-1].frame
-    tracklets = lift_detections(dets)
     with language_access_forbidden():
         score = edge_scorer or _learned_scorer(params, dets)
-        for size in clip_level_sizes(num_frames, config.level_sizes):
-            next_level: list[Tracklet] = []
-            for window, members in group_by_window(tracklets, size, num_frames):
-                graph = build_graph(members, config.knn_k, window)
-                accepted = round_edges(graph, score(graph), config.threshold)
-                next_level.extend(merge_accepted(graph, accepted))
-            tracklets = next_level
+        for _, tracklets in run_levels(
+            lift_detections(dets), dets[-1].frame, config.level_sizes, config.knn_k,
+            lambda g: merge_accepted(g, round_edges(g, score(g), config.threshold)),
+        ):
+            pass  # a level's graphs are dropped once the next level's are built
     tracklets.sort(key=tracklet_sort_key)
     return TrackResult({tid: t.detections for tid, t in enumerate(tracklets, start=1)})

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor, gather_rows, gathered_linear, linear, segment_sum
-from .graph import EDGE_FEATURE_DIM, TrackGraph
+from .graph import EDGE_FEATURE_DIM, Detection, TrackGraph, Tracklet
 from .nn import MLPParams, init_mlp, mlp_forward
 from .ops import PROB_EPS
 
@@ -26,6 +26,7 @@ __all__ = [
     "EncodedGraph",
     "init_model",
     "node_means",
+    "node_rows",
     "encode_graph",
     "message_pass",
     "classify_edges",
@@ -152,6 +153,13 @@ def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
     node_ids = np.repeat(np.arange(len(sizes)), sizes)
     summed = segment_sum(gather_rows(enc, rows), node_ids, len(sizes))
     return summed * Tensor(1.0 / np.asarray(sizes, dtype=np.float64)[:, None])
+
+
+def node_rows(nodes: list[Tracklet], row_of: dict[Detection, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``rows`` and ``sizes`` of ``node_means`` for these nodes: each
+    node's detection rows in ``row_of``, node by node, and its detection count."""
+    rows = np.array([row_of[d] for t in nodes for d in t.detections], dtype=np.intp)
+    return rows, np.array([len(t.detections) for t in nodes], dtype=np.intp)
 
 
 def encode_graph(

@@ -1,13 +1,13 @@
 """Training loop and the intra-/cross-domain experiment driver.
 
-Training is teacher-forced across the hierarchy: at level L every object
-contributes one tracklet per level L-1 window (single detections at the
-bottom), graphs are built per level-L window and batched into one
-disconnected union graph per level.  The levels and their windows come from
-``graph.clip_level_sizes`` and ``graph.group_by_window``, the same ones
-``track_video`` uses, so the top level covers the whole clip.  Tracklet
-embeddings are ``model.node_means`` of the encoder output, the rule tracking
-uses too, so gradients reach the encoder.  The loss per clip is the sum
+Training and tracking run one level loop, ``inference.run_levels``, so they
+see the same levels and windows, and the top level covers the whole clip.
+Teacher forcing is training's merge rule: each window's nodes join into one
+tracklet per ground-truth id, so at level L every object contributes one
+tracklet per level L-1 window (single detections at the bottom).  Each
+level's window graphs are batched into one disconnected union graph.
+Tracklet embeddings are ``model.node_means`` of the encoder output, the rule
+tracking uses too, so gradients reach the encoder.  The loss per clip is the sum
 over levels of focal classification loss plus the weighted instance- and
 scene-distillation terms; a batch averages clips and takes one Adam step.
 ``train_step`` reads the guidance weights once (zeros when guidance is
@@ -32,8 +32,8 @@ from .data_io import (
     compose_instance_description,
     compose_scene_description,
 )
-from .graph import Detection, TrackGraph, Tracklet, build_graph, check_level_sizes
-from .graph import clip_level_sizes, group_by_window, lift_detections
+from .graph import Detection, TrackGraph, Tracklet, check_level_sizes, lift_detections
+from .graph import build_graph  # noqa: F401  (bench/run.py traces trainer.build_graph)
 from .guidance import (
     GuidanceConfig,
     LanguageEmbeddingStore,
@@ -41,7 +41,7 @@ from .guidance import (
     spg_loss,
     total_loss,
 )
-from .inference import TrackerConfig, track_video
+from .inference import TrackerConfig, run_levels, track_video
 from .metrics import (
     BoxRecord,
     MetricReport,
@@ -58,6 +58,7 @@ from .model import (
     init_model,
     message_pass,
     node_means,
+    node_rows,
     project_edges_for_spg,
     project_nodes_for_isg,
 )
@@ -168,32 +169,25 @@ def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -
     return (successor[graph.edge_u] == graph.edge_v).astype(np.float64)
 
 
-def _union_graph(
-    graphs: list[TrackGraph],
-    row_of: dict[Detection, int],
-    frame_span: tuple[int, int],
-) -> tuple[TrackGraph, np.ndarray, np.ndarray]:
-    """Batch window graphs into one disconnected graph, plus each node's
-    detection rows in ``row_of`` (node by node) and detection count."""
-    nodes: list[Tracklet] = []
-    edge_u: list[np.ndarray] = []
-    edge_v: list[np.ndarray] = []
-    feats: list[np.ndarray] = []
-    for g in graphs:
-        offset = len(nodes)
-        nodes.extend(g.nodes)
-        edge_u.append(g.edge_u + offset)
-        edge_v.append(g.edge_v + offset)
-        feats.append(g.edge_features)
-    union = TrackGraph(
-        nodes=nodes,
-        edge_u=np.concatenate(edge_u),
-        edge_v=np.concatenate(edge_v),
-        edge_features=np.vstack(feats),
+def _union_graph(graphs: list[TrackGraph], frame_span: tuple[int, int]) -> TrackGraph:
+    """Batch window graphs into one disconnected graph."""
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
+    return TrackGraph(
+        nodes=[t for g in graphs for t in g.nodes],
+        edge_u=np.concatenate([g.edge_u + o for g, o in zip(graphs, offsets)]),
+        edge_v=np.concatenate([g.edge_v + o for g, o in zip(graphs, offsets)]),
+        edge_features=np.vstack([g.edge_features for g in graphs]),
         frame_span=frame_span,
     )
-    rows = np.array([row_of[d] for node in nodes for d in node.detections], dtype=np.intp)
-    return union, rows, np.array([len(node.detections) for node in nodes], dtype=np.intp)
+
+
+def _merge_by_identity(graph: TrackGraph) -> list[Tracklet]:
+    """Teacher forcing: one tracklet per ground-truth id of the window's
+    nodes, which are pure and, per id, in time order."""
+    by_gt: dict[int, list[Detection]] = {}
+    for node in graph.nodes:
+        by_gt.setdefault(node.first.gt_id, []).extend(node.detections)
+    return [Tracklet(dets) for dets in by_gt.values()]
 
 
 def prepare_clip(
@@ -201,7 +195,8 @@ def prepare_clip(
     cfg: TrainConfig,
     store: LanguageEmbeddingStore,
 ) -> ClipBundle:
-    """Precompute the teacher-forced hierarchy, labels, and loss targets."""
+    """Precompute the teacher-forced hierarchy, labels, and loss targets: the
+    levels of ``run_levels``, tracking's loop, with ``_merge_by_identity`` merges."""
     dets = sorted(clip.detections, key=lambda d: (d.frame, d.gt_id if d.gt_id is not None else -1))
     if not dets:
         raise ValueError(f"clip {clip.name!r} has no detections")
@@ -217,25 +212,14 @@ def prepare_clip(
         instance_vectors[gid] = store.lookup(desc)
     scene_embedding = store.lookup(compose_scene_description(clip.annotations.scene))
     row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
-    singles = lift_detections(dets)
-    sizes = clip_level_sizes(num_frames, cfg.level_sizes)
     levels: list[_LevelBundle] = []
-    for prev_size, size in zip([1] + sizes[:-1], sizes):
-        # teacher forcing: one fragment per object per previous-level window
-        fragments: list[Tracklet] = []
-        for _, members in group_by_window(singles, prev_size, num_frames):
-            by_gt: dict[int, list[Detection]] = {}
-            for t in members:
-                by_gt.setdefault(t.first.gt_id, []).append(t.first)
-            fragments.extend(Tracklet(by_gt[gid]) for gid in sorted(by_gt))
-        graphs = [
-            build_graph(members, cfg.knn_k, window)
-            for window, members in group_by_window(fragments, size, num_frames)
-        ]
-        union, rows, node_sizes = _union_graph(graphs, row_of, (1, num_frames))
-        gt_ids = [node.first.gt_id for node in union.nodes]  # fragments are pure
+    for graphs, _ in run_levels(lift_detections(dets), num_frames, cfg.level_sizes,
+                                cfg.knn_k, _merge_by_identity):
+        union = _union_graph(graphs, (1, num_frames))
+        gt_ids = [node.first.gt_id for node in union.nodes]  # teacher-forced nodes are pure
         targets = np.stack([instance_vectors[gid] for gid in gt_ids])
-        levels.append(_LevelBundle(union, rows, node_sizes, edge_labels(union, gt_ids), targets))
+        levels.append(_LevelBundle(union, *node_rows(union.nodes, row_of),
+                                   edge_labels(union, gt_ids), targets))
     return ClipBundle(clip.name, appearance, levels, scene_embedding)
 
 

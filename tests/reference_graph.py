@@ -1,17 +1,33 @@
-"""Per-pair candidate-graph construction used only to cross-check the fast path.
+"""Reference graph builders used only to cross-check the library.
 
-Every candidate pair is ranked with scalar Python arithmetic and its edge
-feature built one edge at a time, exactly as ``graph.build_graph`` did
-before it scored successors as arrays.  ``build_graph`` must reproduce
-these nodes, edges and features bitwise.  Quadratic in tracklets per
-window with a large constant: keep the inputs small.
+``ref_build_graph`` ranks every candidate pair with scalar Python arithmetic
+and builds each edge feature one edge at a time, exactly as
+``graph.build_graph`` did before it scored successors as arrays.
+``build_graph`` must reproduce these nodes, edges and features bitwise.
+Quadratic in tracklets per window with a large constant: keep the inputs
+small.
+
+``ref_teacher_forced_levels`` is the fragment loop ``trainer.prepare_clip``
+ran before teacher forcing became a merge rule of the level loop shared with
+tracking; ``prepare_clip`` must reproduce its levels bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from langtrack.graph import EDGE_FEATURE_DIM, TrackGraph, tracklet_sort_key
+from langtrack.data_io import compose_instance_description
+from langtrack.graph import (
+    EDGE_FEATURE_DIM,
+    TrackGraph,
+    Tracklet,
+    build_graph,
+    clip_level_sizes,
+    group_by_window,
+    lift_detections,
+    tracklet_sort_key,
+)
+from langtrack.trainer import edge_labels
 
 _PRUNE_CENTER_WEIGHT = 0.05
 _PRUNE_GAP_WEIGHT = 0.01
@@ -90,3 +106,41 @@ def ref_build_graph(tracklets, knn_k, window):
             feats.append(ref_edge_features(u, nodes[vi]))
     features = np.stack(feats) if feats else np.zeros((0, EDGE_FEATURE_DIM))
     return TrackGraph(nodes, np.array(edge_u), np.array(edge_v), features, tuple(window))
+
+
+def ref_teacher_forced_levels(clip, cfg, store):
+    """Per level of the teacher-forced hierarchy: the union of its window
+    graphs, each node's detection rows and count, edge labels and instance
+    targets.  At each level every object contributes one fragment per
+    previous-level window (single detections at the bottom)."""
+    dets = sorted(clip.detections, key=lambda d: (d.frame, d.gt_id))
+    num_frames = dets[-1].frame
+    row_of = {d: i for i, d in enumerate(dets)}
+    singles = lift_detections(dets)
+    sizes = clip_level_sizes(num_frames, cfg.level_sizes)
+    levels = []
+    for prev_size, size in zip([1] + sizes[:-1], sizes):
+        fragments = []
+        for _, members in group_by_window(singles, prev_size, num_frames):
+            by_gt = {}
+            for t in members:
+                by_gt.setdefault(t.first.gt_id, []).append(t.first)
+            fragments.extend(Tracklet(by_gt[gid]) for gid in sorted(by_gt))
+        nodes, edge_u, edge_v, feats = [], [], [], []
+        for window, members in group_by_window(fragments, size, num_frames):
+            g = build_graph(members, cfg.knn_k, window)
+            edge_u.append(g.edge_u + len(nodes))
+            edge_v.append(g.edge_v + len(nodes))
+            feats.append(g.edge_features)
+            nodes.extend(g.nodes)
+        union = TrackGraph(nodes, np.concatenate(edge_u), np.concatenate(edge_v),
+                           np.vstack(feats), (1, num_frames))
+        rows = np.array([row_of[d] for t in nodes for d in t.detections], dtype=np.intp)
+        counts = np.array([len(t.detections) for t in nodes], dtype=np.intp)
+        gt_ids = [t.first.gt_id for t in nodes]
+        targets = np.stack([
+            store.lookup(compose_instance_description(clip.annotations.instances[gid]))
+            for gid in gt_ids
+        ])
+        levels.append((union, rows, counts, edge_labels(union, gt_ids), targets))
+    return levels

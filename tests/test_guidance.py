@@ -28,7 +28,7 @@ def direct_isg(nodes, targets):
 def test_isg_zero_on_identical_rows():
     rows = np.random.default_rng(0).standard_normal((4, 6))
     term = isg_loss(rows, rows.copy())
-    assert term.count == 4
+    assert term.value.shape == (1, 1)  # one scalar loss over the four rows
     assert abs(term.item()) < 1e-12
 
 
@@ -70,7 +70,7 @@ def test_isg_shift_invariance_of_alignment():
 
 def test_isg_empty_returns_flagged_zero():
     term = isg_loss(np.zeros((0, 4)), np.zeros((0, 4)))
-    assert term.count == 0 and term.item() == 0.0
+    assert term.value.shape == (1, 1) and term.item() == 0.0
 
 
 def test_isg_rejects_mismatch():
@@ -93,7 +93,7 @@ def test_spg_zero_on_aligned_and_empty_flag():
     scene = np.array([0.2, -1.0, 0.4])
     assert abs(spg_loss(np.tile(scene, (5, 1)), scene).item()) < 1e-12
     term = spg_loss(np.zeros((0, 3)), scene)
-    assert term.count == 0 and term.item() == 0.0
+    assert term.value.shape == (1, 1) and term.item() == 0.0
 
 
 def test_spg_matches_direct_summation_randomized():

@@ -343,6 +343,23 @@ def test_oracle_links_clips_longer_than_the_top_level(num_frames):
     assert rep.hota == 1.0
 
 
+def test_run_levels_feeds_each_level_the_merges_of_the_one_before():
+    # one object over 40 frames; levels 5 and 10 double to 20 and 40, and
+    # each window merges into one tracklet
+    def merge_window(g):
+        return [Tracklet([d for t in g.nodes for d in t.detections])]
+
+    singles = lift_detections([det(f, x=float(f)) for f in range(1, 41)])
+    levels = list(inference.run_levels(singles, 40, [5, 10], 3, merge_window))
+    assert [len(graphs) for graphs, _ in levels] == [8, 4, 2, 1]
+    assert [sum(g.num_nodes for g in graphs) for graphs, _ in levels] == [40, 8, 4, 2]
+    assert [g.frame_span for g in levels[-1][0]] == [(1, 40)]
+    for graphs, merged in levels:
+        assert len(merged) == len(graphs)
+    (whole,) = levels[-1][1]
+    assert [d.frame for d in whole.detections] == list(range(1, 41))
+
+
 def nan_edge_classifier_model():
     params = tiny_model()
     params.edge_classifier.layers[0].w.data[0, 0] = np.nan

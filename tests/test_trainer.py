@@ -23,6 +23,7 @@ from langtrack.trainer import (
     run_training,
     train_step,
 )
+from reference_graph import ref_teacher_forced_levels
 
 SCENE = SceneAttributes("medium", "static", "on a sunny day")
 
@@ -186,6 +187,30 @@ class TestPrepareClip:
                 np.testing.assert_allclose(merged[i], direct, atol=1e-12)
                 if depth == 0:  # single-detection nodes: a pure gather
                     assert merged[i].tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("objects,frames", [(8, 150), (4, 317), (4, 1200)])
+    def test_levels_match_the_fragment_loop_bitwise(self, objects, frames):
+        # 4 x 317 and 4 x 1200 run past the last configured size, into the
+        # doubled levels and their partial last windows
+        cfg = small_train_cfg(level_sizes=(5, 25, 75, 150), knn_k=10)
+        clip = synth_clip("r", seed=5, num_objects=objects, num_frames=frames)
+        store = store_for(clip)
+        bundle = prepare_clip(clip, cfg, store)
+        reference = ref_teacher_forced_levels(clip, cfg, store)
+        assert len(bundle.levels) == len(reference)
+        for level, (union, rows, sizes, labels, targets) in zip(bundle.levels, reference):
+            graph = level.graph
+            assert [[id(d) for d in t.detections] for t in graph.nodes] == [
+                [id(d) for d in t.detections] for t in union.nodes
+            ]
+            assert graph.frame_span == union.frame_span
+            for got, want in (
+                (graph.edge_u, union.edge_u), (graph.edge_v, union.edge_v),
+                (graph.edge_features, union.edge_features), (level.rows, rows),
+                (level.sizes, sizes), (level.labels, labels), (level.instance_targets, targets),
+            ):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_memory_is_linear_in_detections(self):
         # a dense (nodes x detections) matrix per level would make bytes per
