@@ -168,20 +168,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        other = as_tensor(other)
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"matmul mismatch: {self.shape} @ {other.shape}")
-        data = self.data @ other.data
-
-        def bw(out: "Tensor"):
-            if self.requires_grad:
-                self._accumulate(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ out.grad)
-
-        return Tensor._make(data, (self, other), bw)
-
     # -- elementwise nonlinearities ---------------------------------------
 
     def relu(self) -> "Tensor":

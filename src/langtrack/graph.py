@@ -31,6 +31,7 @@ __all__ = [
     "lift_detections",
     "build_graph",
     "tracklet_sort_key",
+    "union_graph",
 ]
 
 EDGE_FEATURE_DIM = 6
@@ -124,6 +125,26 @@ def tracklet_sort_key(t: Tracklet):
     )
 
 
+def _sorted_with_keys(tracklets: Sequence[Tracklet]) -> tuple[list[Tracklet], np.ndarray]:
+    """``sorted(tracklets, key=tracklet_sort_key)`` and, in that order, their
+    frame and box keys: start, end, first box, last box (10 columns).  One
+    lexsort orders the keys; only runs that tie on all of them (-0.0 equals
+    0.0 there, as in the tuple key) compare appearance bytes."""
+    keys = np.array([(t.detections[0].frame, t.detections[-1].frame,
+                      *t.detections[0].box, *t.detections[-1].box) for t in tracklets],
+                    dtype=np.float64).reshape(-1, 10)
+    order = np.lexsort(keys.T[::-1])
+    ordered = [tracklets[i] for i in order.tolist()]
+    keys = keys[order]
+    same = np.all(keys[1:] == keys[:-1], axis=1)
+    if same.any():
+        bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))  # run starts, end
+        tied = np.diff(bounds) > 1
+        for a, b in zip(bounds[:-1][tied].tolist(), bounds[1:][tied].tolist()):
+            ordered[a:b] = sorted(ordered[a:b], key=tracklet_sort_key)
+    return ordered, keys
+
+
 @dataclass(eq=False)
 class TrackGraph:
     """Immutable candidate graph for one frame window.
@@ -157,8 +178,7 @@ class TrackGraph:
             starts = np.array([t.start_frame for t in self.nodes])
             if np.any(ends[self.edge_u] >= starts[self.edge_v]):
                 raise ValueError("edges must connect temporally disjoint tracklets")
-            pairs = set(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-            if len(pairs) != self.num_edges:
+            if np.unique(self.edge_u * n + self.edge_v).size != self.num_edges:
                 raise ValueError("duplicate edges")
 
     @property
@@ -168,6 +188,19 @@ class TrackGraph:
     @property
     def num_edges(self) -> int:
         return int(self.edge_u.shape[0])
+
+
+def union_graph(graphs: Sequence[TrackGraph], frame_span: tuple[int, int]) -> TrackGraph:
+    """Batch window graphs into one disconnected graph over ``frame_span``:
+    their nodes side by side, in graph order, and their edges re-indexed."""
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
+    return TrackGraph(
+        nodes=[t for g in graphs for t in g.nodes],
+        edge_u=np.concatenate([g.edge_u + o for g, o in zip(graphs, offsets)]),
+        edge_v=np.concatenate([g.edge_v + o for g, o in zip(graphs, offsets)]),
+        edge_features=np.vstack([g.edge_features for g in graphs]),
+        frame_span=frame_span,
+    )
 
 
 def check_level_sizes(level_sizes: Sequence[int]) -> None:
@@ -213,9 +246,8 @@ def lift_detections(detections: Sequence[Detection]) -> list[Tracklet]:
     return [Tracklet([d]) for d in detections]
 
 
-def _boundary(dets: Sequence[Detection]) -> tuple[np.ndarray, ...]:
-    """Centre x, centre y, height and width of each detection's box."""
-    boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
+def _boundary(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Centre x, centre y, height and width of each (left, top, width, height) row."""
     return (
         boxes[:, 0] + boxes[:, 2] / 2.0,
         boxes[:, 1] + boxes[:, 3] / 2.0,
@@ -258,24 +290,25 @@ def build_graph(
     if knn_k < 1:
         raise ValueError(f"knn_k must be >= 1, got {knn_k}")
     lo, hi = window
-    for t in tracklets:
-        if t.start_frame < lo or t.end_frame > hi:
-            raise ValueError(
-                f"tracklet spans [{t.start_frame},{t.end_frame}] outside window {window}"
-            )
-    nodes = sorted(tracklets, key=tracklet_sort_key)
+    nodes, keys = _sorted_with_keys(tracklets)
     n = len(nodes)
-    starts = np.array([t.start_frame for t in nodes], dtype=np.int64)
-    ends = np.array([t.end_frame for t in nodes], dtype=np.int64)
+    starts = keys[:, 0].astype(np.int64)
+    ends = keys[:, 1].astype(np.int64)
+    outside = np.flatnonzero((starts < lo) | (ends > hi))
+    if outside.size:
+        t = nodes[outside[0]]
+        raise ValueError(
+            f"tracklet spans [{t.start_frame},{t.end_frame}] outside window {window}"
+        )
     # nodes are sorted by start frame, so u's successors are the suffix from here
     first_succ = np.searchsorted(starts, ends, side="right")
     if n == 0 or first_succ.min() == n:
         no_edges = np.zeros(0, dtype=np.intp)
         return TrackGraph(nodes, no_edges, no_edges, np.zeros((0, EDGE_FEATURE_DIM)), (lo, hi))
+    vx, vy, vh, vw = _boundary(keys[:, 2:6])
+    ux, uy, uh, uw = _boundary(keys[:, 6:10])
     lasts = [t.last for t in nodes]
     firsts = [t.first for t in nodes]
-    ux, uy, uh, uw = _boundary(lasts)
-    vx, vy, vh, vw = _boundary(firsts)
     u_app = np.stack([d.appearance for d in lasts])
     v_app = np.stack([d.appearance for d in firsts])
     u_unit, v_unit = _unit_rows(u_app), _unit_rows(v_app)

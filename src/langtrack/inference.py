@@ -4,9 +4,14 @@ Greedy flow-constrained rounding keeps at most one accepted successor and
 one accepted predecessor per node, merges the resulting chains, and repeats
 level by level; ``graph.py`` derives the levels and their windows, and the
 top level's one window covers the whole clip, so whole-clip trajectories
-remain; ``run_levels`` is that loop for tracking and training alike.  Tracking
-is video-only by construction: no operation here takes the language embedding
-store, and it runs under a guard that turns any embedding access into an error.
+remain; ``run_levels`` is that loop for tracking and training alike.
+Tracking scores a level's windows in cache-sized batches: consecutive whole
+windows are joined into one disconnected graph of at most ``_BATCH_EDGES``
+candidate edges, which gets one model pass, one rounding and one merge.
+Windows share no nodes, so a batch accepts and merges exactly what its
+windows would one by one.  Tracking is video-only by construction: no
+operation here takes the language embedding store, and it runs under a guard
+that turns any embedding access into an error.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .graph import (
     group_by_window,
     lift_detections,
     tracklet_sort_key,
+    union_graph,
 )
 from .guidance import language_access_forbidden
 from .model import ModelParams, classify_edges, encode_graph, message_pass, node_means, node_rows
@@ -44,6 +50,12 @@ __all__ = [
 # An edge scorer maps a graph to one probability in [0, 1] per edge: the
 # learned model (``_learned_scorer``), or an oracle in tests and diagnostics.
 EdgeScorer = Callable[[TrackGraph], np.ndarray]
+
+# Tracking joins consecutive whole windows into batches of at most this many
+# candidate edges (a larger window is scored alone).  The widest batch array,
+# 1024 edges x 64 float64 columns, is 512 KB and stays inside a 2 MiB L2
+# cache; a whole level's union does not, and is slower on crowded clips.
+_BATCH_EDGES = 1024
 
 
 @dataclass
@@ -145,14 +157,13 @@ def merge_accepted(graph: TrackGraph, accepted: np.ndarray) -> list[Tracklet]:
 
 
 def gt_oracle_scorer(graph: TrackGraph) -> np.ndarray:
-    """Probability 1 iff both endpoints carry the same ground-truth id."""
-    out = np.zeros(graph.num_edges)
-    for i in range(graph.num_edges):
-        gu = graph.nodes[int(graph.edge_u[i])].gt_id
-        gv = graph.nodes[int(graph.edge_v[i])].gt_id
-        if gu is not None and gu == gv:
-            out[i] = 1.0
-    return out
+    """Probability 1 iff both endpoints carry the same ground-truth id (a
+    node whose detections mix ids, or have none, matches nothing)."""
+    ids = [node.gt_id for node in graph.nodes]
+    known = np.array([gid is not None for gid in ids], dtype=bool)
+    gid = np.array([gid or 0 for gid in ids], dtype=np.int64)
+    u, v = graph.edge_u, graph.edge_v
+    return (known[u] & known[v] & (gid[u] == gid[v])).astype(np.float64)
 
 
 def _detection_sort_key(d: Detection):
@@ -183,17 +194,33 @@ def _learned_scorer(params: ModelParams, dets: list[Detection]) -> EdgeScorer:
     return score
 
 
+def _batches(graphs: list[TrackGraph]) -> Iterator[list[TrackGraph]]:
+    """Consecutive whole windows, at most ``_BATCH_EDGES`` candidate edges
+    per batch; a window with more edges than that is a batch of its own."""
+    batch: list[TrackGraph] = []
+    edges = 0
+    for g in graphs:
+        if batch and edges + g.num_edges > _BATCH_EDGES:
+            yield batch
+            batch, edges = [], 0
+        batch.append(g)
+        edges += g.num_edges
+    if batch:
+        yield batch
+
+
 def run_levels(
     tracklets: Sequence[Tracklet], num_frames: int, level_sizes: Sequence[int], knn_k: int,
-    merge: Callable[[TrackGraph], list[Tracklet]],
+    merge: Callable[[list[TrackGraph]], list[Tracklet]],
 ) -> Iterator[tuple[list[TrackGraph], list[Tracklet]]]:
     """The levels of ``graph.clip_level_sizes``: each groups the tracklets by
-    window, builds one graph per window and merges its nodes by ``merge``, and
-    the next level sees the merged tracklets.  Yields (graphs, merged) per level."""
+    window and builds one graph per window, ``merge`` turns the level's window
+    graphs, in window order, into merged tracklets, and the next level sees
+    those.  Yields (graphs, merged) per level."""
     for size in clip_level_sizes(num_frames, level_sizes):
         graphs = [build_graph(members, knn_k, window)
                   for window, members in group_by_window(tracklets, size, num_frames)]
-        tracklets = [t for g in graphs for t in merge(g)]
+        tracklets = merge(graphs)
         yield graphs, tracklets
 
 
@@ -205,24 +232,33 @@ def track_video(
 ) -> TrackResult:
     """Hierarchical tracking over a whole clip.
 
-    In each level of ``run_levels``, each window's candidate edges are scored
-    and rounded, and their chains merged.  Levels past the configured ones double
-    in size until one window covers the whole clip.  The learned model
-    scores the edges unless `edge_scorer` replaces it (params may then be
-    None).  Language embeddings are unreachable from here.  An edge
-    probability outside [0, 1] or non-finite (say, from a NaN parameter)
-    raises ValueError in ``round_edges``.
+    In each level of ``run_levels``, the window graphs are joined in batches
+    of consecutive whole windows of at most ``_BATCH_EDGES`` candidate edges
+    (``graph.union_graph``); each batch is scored and rounded at once and its
+    chains merged, which gives the merges of each window alone.  Levels past
+    the configured ones double in size until one window covers the whole
+    clip.  The learned model scores the batches unless `edge_scorer` replaces
+    it (params may then be None).  Language embeddings are unreachable from
+    here.  An edge probability outside [0, 1] or non-finite (say, from a NaN
+    parameter) raises ValueError in ``round_edges``.
     """
     if not detections:
         raise ValueError("track_video needs at least one detection")
     if edge_scorer is None and params is None:
         raise ValueError("either model params or an edge scorer is required")
     dets = sorted(detections, key=_detection_sort_key)
+
+    def merge(graphs: list[TrackGraph]) -> list[Tracklet]:
+        merged = []
+        for batch in _batches(graphs):
+            g = union_graph(batch, (batch[0].frame_span[0], batch[-1].frame_span[1]))
+            merged.extend(merge_accepted(g, round_edges(g, score(g), config.threshold)))
+        return merged
+
     with language_access_forbidden():
         score = edge_scorer or _learned_scorer(params, dets)
         for _, tracklets in run_levels(
-            lift_detections(dets), dets[-1].frame, config.level_sizes, config.knn_k,
-            lambda g: merge_accepted(g, round_edges(g, score(g), config.threshold)),
+            lift_detections(dets), dets[-1].frame, config.level_sizes, config.knn_k, merge
         ):
             pass  # a level's graphs are dropped once the next level's are built
     tracklets.sort(key=tracklet_sort_key)

@@ -5,7 +5,7 @@ see the same levels and windows, and the top level covers the whole clip.
 Teacher forcing is training's merge rule: each window's nodes join into one
 tracklet per ground-truth id, so at level L every object contributes one
 tracklet per level L-1 window (single detections at the bottom).  Each
-level's window graphs are batched into one disconnected union graph.
+level's window graphs are batched into one disconnected ``graph.union_graph``.
 Tracklet embeddings are ``model.node_means`` of the encoder output, the rule
 tracking uses too, so gradients reach the encoder.  The loss per clip is the sum
 over levels of focal classification loss plus the weighted instance- and
@@ -32,7 +32,7 @@ from .data_io import (
     compose_instance_description,
     compose_scene_description,
 )
-from .graph import Detection, TrackGraph, Tracklet, check_level_sizes, lift_detections
+from .graph import Detection, TrackGraph, Tracklet, check_level_sizes, lift_detections, union_graph
 from .graph import build_graph  # noqa: F401  (bench/run.py traces trainer.build_graph)
 from .guidance import (
     GuidanceConfig,
@@ -169,25 +169,16 @@ def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -
     return (successor[graph.edge_u] == graph.edge_v).astype(np.float64)
 
 
-def _union_graph(graphs: list[TrackGraph], frame_span: tuple[int, int]) -> TrackGraph:
-    """Batch window graphs into one disconnected graph."""
-    offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
-    return TrackGraph(
-        nodes=[t for g in graphs for t in g.nodes],
-        edge_u=np.concatenate([g.edge_u + o for g, o in zip(graphs, offsets)]),
-        edge_v=np.concatenate([g.edge_v + o for g, o in zip(graphs, offsets)]),
-        edge_features=np.vstack([g.edge_features for g in graphs]),
-        frame_span=frame_span,
-    )
-
-
-def _merge_by_identity(graph: TrackGraph) -> list[Tracklet]:
-    """Teacher forcing: one tracklet per ground-truth id of the window's
+def _merge_by_identity(graphs: list[TrackGraph]) -> list[Tracklet]:
+    """Teacher forcing: one tracklet per ground-truth id of each window's
     nodes, which are pure and, per id, in time order."""
-    by_gt: dict[int, list[Detection]] = {}
-    for node in graph.nodes:
-        by_gt.setdefault(node.first.gt_id, []).extend(node.detections)
-    return [Tracklet(dets) for dets in by_gt.values()]
+    merged = []
+    for graph in graphs:
+        by_gt: dict[int, list[Detection]] = {}
+        for node in graph.nodes:
+            by_gt.setdefault(node.first.gt_id, []).extend(node.detections)
+        merged.extend(Tracklet(dets) for dets in by_gt.values())
+    return merged
 
 
 def prepare_clip(
@@ -215,7 +206,7 @@ def prepare_clip(
     levels: list[_LevelBundle] = []
     for graphs, _ in run_levels(lift_detections(dets), num_frames, cfg.level_sizes,
                                 cfg.knn_k, _merge_by_identity):
-        union = _union_graph(graphs, (1, num_frames))
+        union = union_graph(graphs, (1, num_frames))
         gt_ids = [node.first.gt_id for node in union.nodes]  # teacher-forced nodes are pure
         targets = np.stack([instance_vectors[gid] for gid in gt_ids])
         levels.append(_LevelBundle(union, *node_rows(union.nodes, row_of),

@@ -10,6 +10,11 @@ small.
 ``ref_teacher_forced_levels`` is the fragment loop ``trainer.prepare_clip``
 ran before teacher forcing became a merge rule of the level loop shared with
 tracking; ``prepare_clip`` must reproduce its levels bitwise.
+
+``ref_track_per_window`` is ``inference.track_video`` as it ran before it
+scored windows in batches: every window of every level gets its own model
+pass, rounding and merge.  ``track_video`` must reproduce its trajectories,
+detection by detection and in order.
 """
 
 from __future__ import annotations
@@ -26,6 +31,12 @@ from langtrack.graph import (
     group_by_window,
     lift_detections,
     tracklet_sort_key,
+)
+from langtrack.inference import (
+    _detection_sort_key,
+    _learned_scorer,
+    merge_accepted,
+    round_edges,
 )
 from langtrack.trainer import edge_labels
 
@@ -144,3 +155,18 @@ def ref_teacher_forced_levels(clip, cfg, store):
         ])
         levels.append((union, rows, counts, edge_labels(union, gt_ids), targets))
     return levels
+
+
+def ref_track_per_window(detections, params, config, edge_scorer=None):
+    """The final tracklets of the per-window level loop, in track-id order."""
+    dets = sorted(detections, key=_detection_sort_key)
+    score = edge_scorer or _learned_scorer(params, dets)
+    num_frames = dets[-1].frame
+    tracklets = lift_detections(dets)
+    for size in clip_level_sizes(num_frames, config.level_sizes):
+        merged = []
+        for window, members in group_by_window(tracklets, size, num_frames):
+            g = build_graph(members, config.knn_k, window)
+            merged.extend(merge_accepted(g, round_edges(g, score(g), config.threshold)))
+        tracklets = merged
+    return sorted(tracklets, key=tracklet_sort_key)

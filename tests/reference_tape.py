@@ -1,5 +1,8 @@
 """Tape operations used only to cross-check the fused ones.
 
+``matmul`` is the tape's plain matrix product: ``matmul(x, w) + b`` is the
+unfused reference for ``linear(x, w, b)``.
+
 ``concat_cols`` stacks tensors side by side, as message passing did before
 ``gathered_linear`` projected node rows ahead of gathering them:
 ``linear(concat_cols([gather_rows(t, idx), ...]), w, b)`` is the unfused
@@ -13,6 +16,21 @@ from typing import Sequence
 import numpy as np
 
 from langtrack.autodiff import Tensor, as_tensor
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` as one tape node."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul mismatch: {a.shape} @ {b.shape}")
+
+    def bw(out: Tensor):
+        if a.requires_grad:
+            a._accumulate(out.grad @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ out.grad)
+
+    return Tensor._make(a.data @ b.data, (a, b), bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -20,6 +20,7 @@ from langtrack.graph import (
     clip_level_sizes,
     group_by_window,
     lift_detections,
+    tracklet_sort_key,
 )
 from langtrack.inference import TrackerConfig, gt_oracle_scorer, track_video
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
@@ -239,6 +240,37 @@ def test_track_graph_rejects_invalid_edges(edge_u, edge_v, message):
     with pytest.raises(ValueError, match=message):
         TrackGraph(nodes, np.array(edge_u), np.array(edge_v),
                    np.zeros((len(edge_v), 6)), (1, 2))
+
+
+# -- node order ------------------------------------------------------------------
+
+# Boxes and appearance rows that differ only in the sign of a zero or in the
+# last bit: the boxes tie or not as the tuple key compares them, and the rows
+# differ only in their bytes.
+_UP = float(np.nextafter(1.0, 2.0))
+SORT_BOXES = [(0.0, 0.0, 4.0, 8.0), (-0.0, 0.0, 4.0, 8.0), (1.0, 0.0, 4.0, 8.0),
+              (_UP, 0.0, 4.0, 8.0)]
+SORT_ROWS = [np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.0, _UP])]
+
+
+@st.composite
+def tied_tracklets(draw):
+    tracklets = []
+    for _ in range(draw(st.integers(0, 25))):
+        start = draw(st.integers(1, 3))
+        frames = range(start, start + draw(st.integers(1, 2)))
+        tracklets.append(Tracklet([
+            Detection(f, draw(st.sampled_from(SORT_BOXES)), draw(st.sampled_from(SORT_ROWS)))
+            for f in frames
+        ]))
+    return tracklets
+
+
+@given(tied_tracklets())
+@settings(max_examples=300, deadline=None)
+def test_node_order_is_the_tuple_key_order(tracklets):
+    got, _ = graph._sorted_with_keys(tracklets)
+    assert [id(t) for t in got] == [id(t) for t in sorted(tracklets, key=tracklet_sort_key)]
 
 
 # -- graph construction ----------------------------------------------------------

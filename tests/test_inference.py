@@ -1,5 +1,8 @@
 """Rounding, merging, id assignment, and the hierarchical tracking loop."""
 
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,14 @@ from hypothesis import strategies as st
 from langtrack import inference
 from langtrack.autodiff import Tensor
 from langtrack.data_io import SceneAttributes
-from langtrack.graph import Detection, Tracklet, build_graph, lift_detections
+from langtrack.graph import (
+    Detection,
+    TrackGraph,
+    Tracklet,
+    build_graph,
+    lift_detections,
+    union_graph,
+)
 from langtrack.guidance import LanguageEmbeddingStore
 from langtrack.inference import (
     TrackerConfig,
@@ -25,9 +35,11 @@ from langtrack.model import (
     encode_graph,
     init_model,
     message_pass,
+    params_from_tensors,
 )
-from langtrack.nn import focal_bce_tape, mlp_forward
+from langtrack.nn import focal_bce_tape, load_checkpoint, mlp_forward
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
+from reference_graph import ref_track_per_window
 from reference_merge import ref_merge_accepted
 
 
@@ -326,6 +338,17 @@ def test_oracle_handles_cross_window_gaps():
     assert len(res.trajectories[1]) == len(dets)
 
 
+def test_oracle_matches_pure_nodes_of_one_id_only():
+    # nodes: id 1, id 1, id 2, mixed ids 1 and 2, unlabeled, unlabeled
+    mixed = Tracklet([det(4, gt_id=1), det(5, gt_id=2)])
+    nodes = [single(1, gt_id=1), single(2, gt_id=1), single(3, gt_id=2), mixed,
+             single(6), single(7)]
+    u = [0, 0, 0, 3, 4, 1]
+    v = [1, 2, 3, 4, 5, 5]
+    graph = TrackGraph(nodes, u, v, np.zeros((6, 6)), (1, 7))
+    assert gt_oracle_scorer(graph).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("num_frames", [300, 600, 1000])
 def test_oracle_links_clips_longer_than_the_top_level(num_frames):
     # criterion 5 past the configured 150-frame top level: the doubled
@@ -346,11 +369,11 @@ def test_oracle_links_clips_longer_than_the_top_level(num_frames):
 def test_run_levels_feeds_each_level_the_merges_of_the_one_before():
     # one object over 40 frames; levels 5 and 10 double to 20 and 40, and
     # each window merges into one tracklet
-    def merge_window(g):
-        return [Tracklet([d for t in g.nodes for d in t.detections])]
+    def merge_windows(graphs):
+        return [Tracklet([d for t in g.nodes for d in t.detections]) for g in graphs]
 
     singles = lift_detections([det(f, x=float(f)) for f in range(1, 41)])
-    levels = list(inference.run_levels(singles, 40, [5, 10], 3, merge_window))
+    levels = list(inference.run_levels(singles, 40, [5, 10], 3, merge_windows))
     assert [len(graphs) for graphs, _ in levels] == [8, 4, 2, 1]
     assert [sum(g.num_nodes for g in graphs) for graphs, _ in levels] == [40, 8, 4, 2]
     assert [g.frame_span for g in levels[-1][0]] == [(1, 40)]
@@ -358,6 +381,95 @@ def test_run_levels_feeds_each_level_the_merges_of_the_one_before():
         assert len(merged) == len(graphs)
     (whole,) = levels[-1][1]
     assert [d.frame for d in whole.detections] == list(range(1, 41))
+
+
+# -- batches of whole windows ------------------------------------------------------
+
+# The benchmark's trained desk model and its tracker settings, on clips of its world.
+DESK_CHECKPOINT = Path(__file__).resolve().parent.parent / "bench/fixtures/desk30.checkpoint.json"
+DESK_CFG = TrackerConfig(level_sizes=[5, 25, 75, 150], knn_k=3)
+
+
+def desk_model():
+    tensors, meta = load_checkpoint(DESK_CHECKPOINT)
+    return params_from_tensors(tensors, ModelConfig.from_dict(meta["model"]))
+
+
+def desk_clip(objects, frames, seed):
+    cfg = SynthConfig(num_objects=objects, num_frames=frames, appearance_dim=64,
+                      appearance_noise=0.08, occlusion_rate=0.2, velocity_scale=10.0,
+                      box_jitter=0.15, seed=seed)
+    scene = SceneAttributes("medium", "static", "on a sunny day")
+    detections, _ = gen_sequence(cfg, identity_profile("source", scene, 64))
+    return detections
+
+
+def trajectory_ids(result):
+    """Each trajectory as its detections' identities, in track-id order."""
+    return [tuple(id(d) for d in result.trajectories[tid]) for tid in sorted(result.trajectories)]
+
+
+@pytest.mark.parametrize("objects,frames", [(4, 1200), (32, 150), (8, 150)])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_batched_tracking_matches_the_per_window_loop_bitwise(objects, frames, oracle):
+    detections = desk_clip(objects, frames, seed=frames + objects)
+    params = desk_model()
+    scorer = gt_oracle_scorer if oracle else None
+    result = track_video(detections, params, DESK_CFG, edge_scorer=scorer)
+    reference = ref_track_per_window(detections, params, DESK_CFG, edge_scorer=scorer)
+    assert trajectory_ids(result) == merged_parts(reference)
+
+
+def test_batches_hold_whole_consecutive_windows_within_the_edge_budget(monkeypatch):
+    monkeypatch.setattr(inference, "_BATCH_EDGES", 8)
+    graphs = [SimpleNamespace(num_edges=k) for k in (0, 3, 5, 0, 20, 0, 2, 7, 8, 0)]
+    batches = list(inference._batches(graphs))
+    # edgeless windows join a batch, a window over the budget is scored alone
+    assert [[g.num_edges for g in b] for b in batches] == [[0, 3, 5, 0], [20], [0, 2], [7],
+                                                           [8, 0]]
+    assert [g for b in batches for g in b] == graphs
+
+
+@pytest.mark.parametrize("budget", [0, 50, 1 << 30])
+def test_every_budget_scores_whole_windows_and_gives_the_per_window_merges(monkeypatch, budget):
+    # budget 0 scores each window with edges alone; 1 << 30 unions whole levels
+    monkeypatch.setattr(inference, "_BATCH_EDGES", budget)
+    windows, batches = [], []
+
+    def record_windows(*args):
+        windows.append(build_graph(*args))
+        return windows[-1]
+
+    def record_batch(graphs, frame_span):
+        batches.append(list(graphs))
+        return union_graph(graphs, frame_span)
+
+    monkeypatch.setattr(inference, "build_graph", record_windows)
+    monkeypatch.setattr(inference, "union_graph", record_batch)
+    detections = desk_clip(4, 317, seed=11)
+    params = desk_model()
+    result = track_video(detections, params, DESK_CFG)
+    assert [g for b in batches for g in b] == windows  # no window split, none skipped
+    for batch in batches:
+        assert len(batch) == 1 or sum(g.num_edges for g in batch) <= budget
+    reference = ref_track_per_window(detections, params, DESK_CFG)
+    assert trajectory_ids(result) == merged_parts(reference)
+
+
+def test_a_batch_merges_its_windows_in_window_order():
+    # two windows of two parallel chains each: the batch's merged tracklets
+    # come out window by window, each window's in its own head order
+    windows = [
+        build_graph([single(f, x=10.0 * k + f, app=(1.0, k, 0.0), gt_id=k)
+                     for f in range(lo, lo + 3) for k in (1, 2)], 3, (lo, lo + 4))
+        for lo in (1, 6)
+    ]
+    batch = union_graph(windows, (1, 10))
+    merged = merge_accepted(batch, round_edges(batch, gt_oracle_scorer(batch), 0.5))
+    alone = [t for g in windows
+             for t in merge_accepted(g, round_edges(g, gt_oracle_scorer(g), 0.5))]
+    assert merged_parts(merged) == merged_parts(alone)
+    assert len(merged) == 4
 
 
 def nan_edge_classifier_model():
