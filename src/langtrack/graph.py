@@ -1,23 +1,24 @@
 """Association graphs over tracklets.
 
 Detections are lifted to single-detection tracklets, tracklets become graph
-nodes, and candidate edges connect temporally disjoint nodes (earlier node
-ends before the later one starts).  A fixed pruning score keeps each node's
-candidate set at the k most plausible successors so graph construction is
-deterministic and cheap: ``build_graph`` scores successors as arrays, a
-block of rows at a time, and ranks only each row's near-ties to its k-th
-score with the exact per-pair key (score, frame gap, node index), so the
-graph is the one a per-pair ranking gives, bit for bit.  This module alone
-knows how a level tiles a clip:
-level sizes nest by integer factors and grow until one window covers the
-whole clip, and each level groups tracklets by the window their first frame
-falls in.
+nodes, and candidate edges connect temporally disjoint nodes of one window
+(earlier node ends before the later one starts).  A fixed pruning score
+keeps each node's candidate set at the k most plausible successors so graph
+construction is deterministic and cheap: ``build_graph`` scores successors
+as arrays, in chunks of whole windows padded to the largest, and ranks only
+each row's near-ties to its k-th score with the exact per-pair key (score,
+frame gap, node index), so the graph is the one a per-pair ranking gives,
+bit for bit.  This module alone knows how a level tiles a clip: level sizes
+nest by integer factors and grow until one window covers the whole clip,
+each tracklet belongs to the window its first frame falls in, and one
+``build_graph`` call gives a level's graph, the disjoint union of its window
+graphs, whose windows ``window_offsets`` slices into contiguous node ranges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,11 +28,10 @@ __all__ = [
     "TrackGraph",
     "check_level_sizes",
     "clip_level_sizes",
-    "group_by_window",
     "lift_detections",
     "build_graph",
     "tracklet_sort_key",
-    "union_graph",
+    "window_offsets",
 ]
 
 EDGE_FEATURE_DIM = 6
@@ -40,9 +40,10 @@ EDGE_FEATURE_DIM = 6
 _PRUNE_CENTER_WEIGHT = 0.05
 _PRUNE_GAP_WEIGHT = 0.01
 
-# A block of pruning scores holds at most this many pairs (or one row), so
-# graph building needs memory linear in nodes per window, not quadratic.
-_BLOCK_SCORES = 1 << 18
+# A chunk of pruning scores, and each of its gathered appearance arrays, holds
+# at most this many elements (or one row), so graph building needs memory
+# linear in nodes per window, not quadratic; 1 << 15 float64 is 256 KB.
+_BLOCK_SCORES = 1 << 15
 
 # Relative width of the band kept around a row's k-th array score.  The array
 # score is off from the exact one by a few ulp plus about one ulp per
@@ -147,10 +148,12 @@ def _sorted_with_keys(tracklets: Sequence[Tracklet]) -> tuple[list[Tracklet], np
 
 @dataclass(eq=False)
 class TrackGraph:
-    """Immutable candidate graph for one frame window.
+    """Immutable candidate graph over the frames of ``frame_span``: one
+    window, or a level of windows that no edge crosses.
 
     Edges are stored as index arrays into ``nodes``; ``edge_u[i]`` always
-    ends strictly before ``edge_v[i]`` starts.
+    ends strictly before ``edge_v[i]`` starts.  ``starts`` and ``ends`` hold
+    each node's first and last frame.
     """
 
     nodes: list[Tracklet]
@@ -158,6 +161,8 @@ class TrackGraph:
     edge_v: np.ndarray
     edge_features: np.ndarray
     frame_span: tuple[int, int]
+    starts: np.ndarray = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.edge_u = np.asarray(self.edge_u, dtype=np.intp)
@@ -166,6 +171,8 @@ class TrackGraph:
             -1, EDGE_FEATURE_DIM
         )
         n = len(self.nodes)
+        self.starts = np.fromiter((t.detections[0].frame for t in self.nodes), np.int64, n)
+        self.ends = np.fromiter((t.detections[-1].frame for t in self.nodes), np.int64, n)
         if not (self.edge_u.shape == self.edge_v.shape == (self.edge_features.shape[0],)):
             raise ValueError("edge arrays must share their length")
         if self.num_edges:
@@ -174,9 +181,7 @@ class TrackGraph:
                 raise ValueError("edge index out of range")
             if np.any(self.edge_u == self.edge_v):
                 raise ValueError("self edges are not allowed")
-            ends = np.array([t.end_frame for t in self.nodes])
-            starts = np.array([t.start_frame for t in self.nodes])
-            if np.any(ends[self.edge_u] >= starts[self.edge_v]):
+            if np.any(self.ends[self.edge_u] >= self.starts[self.edge_v]):
                 raise ValueError("edges must connect temporally disjoint tracklets")
             if np.unique(self.edge_u * n + self.edge_v).size != self.num_edges:
                 raise ValueError("duplicate edges")
@@ -188,19 +193,6 @@ class TrackGraph:
     @property
     def num_edges(self) -> int:
         return int(self.edge_u.shape[0])
-
-
-def union_graph(graphs: Sequence[TrackGraph], frame_span: tuple[int, int]) -> TrackGraph:
-    """Batch window graphs into one disconnected graph over ``frame_span``:
-    their nodes side by side, in graph order, and their edges re-indexed."""
-    offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
-    return TrackGraph(
-        nodes=[t for g in graphs for t in g.nodes],
-        edge_u=np.concatenate([g.edge_u + o for g, o in zip(graphs, offsets)]),
-        edge_v=np.concatenate([g.edge_v + o for g, o in zip(graphs, offsets)]),
-        edge_features=np.vstack([g.edge_features for g in graphs]),
-        frame_span=frame_span,
-    )
 
 
 def check_level_sizes(level_sizes: Sequence[int]) -> None:
@@ -226,19 +218,13 @@ def clip_level_sizes(num_frames: int, level_sizes: Sequence[int]) -> list[int]:
     return sizes
 
 
-def group_by_window(
-    tracklets: Sequence[Tracklet], size: int, num_frames: int
-) -> list[tuple[tuple[int, int], list[Tracklet]]]:
-    """Group tracklets by the ``size``-frame window their first frame falls in.
-
-    Windows tile [1, num_frames] from frame 1 and the last may be shorter.
-    Returns ``(window, members)`` pairs in window order without empty
-    windows; members keep input order.
-    """
-    groups: dict[int, list[Tracklet]] = {}
-    for t in tracklets:
-        groups.setdefault((t.start_frame - 1) // size, []).append(t)
-    return [((k * size + 1, min(k * size + size, num_frames)), groups[k]) for k in sorted(groups)]
+def window_offsets(starts: np.ndarray, first: int, size: int) -> np.ndarray:
+    """Node offsets of the windows of nodes sorted by start frame: windows of
+    ``size`` frames tile the frames from ``first``, a node belongs to the one
+    its start frame falls in, and window j of those that hold nodes holds
+    nodes ``offsets[j]:offsets[j + 1]``."""
+    window = (np.asarray(starts) - first) // size
+    return np.append(np.searchsorted(window, np.unique(window)), window.size)
 
 
 def lift_detections(detections: Sequence[Detection]) -> list[Tracklet]:
@@ -257,15 +243,46 @@ def _boundary(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _unit_rows(app: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; zero rows stay zero."""
-    norms = np.linalg.norm(app, axis=1, keepdims=True)
+    """Rows (along the last axis) scaled to unit norm; zero rows stay zero."""
+    norms = np.linalg.norm(app, axis=-1, keepdims=True)
     return np.divide(app, norms, out=np.zeros_like(app), where=norms > 0.0)
 
 
+def _chunks(counts: list[int], dim: int) -> Iterator[tuple[int, int, int, int]]:
+    """Windows ``w0:w1`` and rows ``r0:r1`` per chunk: consecutive whole
+    windows of ``counts`` nodes, padded to the widest, whose scores and
+    gathered ``dim``-column appearance rows hold at most ``_BLOCK_SCORES``
+    elements each; a window over that alone is split into blocks of rows,
+    whose scores span the columns from their first row on."""
+    groups = []
+    first, widest = 0, 0
+    for w, m in enumerate(counts):
+        wide = max(widest, m)
+        if w > first and (w + 1 - first) * wide * max(wide, dim) > _BLOCK_SCORES:
+            groups.append((first, w, widest))
+            first, wide = w, m
+        widest = wide
+    if counts:
+        groups.append((first, len(counts), widest))
+    for w0, w1, wide in groups:
+        r0 = 0
+        while r0 < wide:  # rows from r0 score columns from r0 on (see build_graph)
+            r1 = min(wide, r0 + max(1, _BLOCK_SCORES // ((w1 - w0) * max(wide - r0, dim))))
+            yield w0, w1, r0, r1
+            r0 = r1
+
+
 def build_graph(
-    tracklets: Sequence[Tracklet], knn_k: int, window: tuple[int, int]
+    tracklets: Sequence[Tracklet], knn_k: int, window: tuple[int, int], size: int | None = None
 ) -> TrackGraph:
-    """Connect each tracklet to its knn_k best temporal successors.
+    """Connect each tracklet to its knn_k best temporal successors in its window.
+
+    Windows of ``size`` frames tile ``window`` from its first frame (the
+    last may be shorter); each tracklet belongs to the one its first frame
+    falls in and must end inside it.  Without ``size`` the whole ``window``
+    is one window.  So one call builds a whole level: its graph is the union
+    of the window graphs, window by window, and
+    ``window_offsets(graph.starts, window[0], size)`` slices it into them.
 
     Nodes are sorted by :func:`tracklet_sort_key` first, so the result does
     not depend on input order.  A successor ``v`` of ``u`` starts after
@@ -275,13 +292,13 @@ def build_graph(
 
     (lower is better), ties broken by (frame gap, sorted node index), where
     ``cos(a, b) = 1 - dot(a, b) / (|a| |b|)``, or 1 if either row is zero.
-    Scores are computed as arrays, a block of ``u`` rows at a time, so
-    memory grows linearly in nodes.  The matrix product behind these block
-    scores rounds differently from the exact per-pair cosine, so they only
-    pick each row's band: the successors within a tiny margin of its k-th
-    score, which always holds the exact top k.  The band is ranked by the
-    exact key and the first knn_k are kept.  Edges come out ordered by
-    ``u``, then by rank.
+    Scores are computed as arrays, one padded batched product per chunk of
+    whole windows (or per block of a large window's rows), so memory grows
+    linearly in nodes.  The products round differently from the exact
+    per-pair cosine, so they only pick each row's band: the successors
+    within a tiny margin of its k-th score, which always holds the exact
+    top k.  The band is ranked by the exact key and the first knn_k are
+    kept.  Edges come out ordered by ``u``, then by rank.
 
     Edge features, 6 per edge: the centre offsets x and y over the mean
     box height, the log height and width ratios ``du / dv``, the frame gap,
@@ -290,82 +307,90 @@ def build_graph(
     if knn_k < 1:
         raise ValueError(f"knn_k must be >= 1, got {knn_k}")
     lo, hi = window
+    if size is None:
+        size = max(hi - lo + 1, 1)
+    elif size < 1:
+        raise ValueError(f"window size must be >= 1, got {size}")
     nodes, keys = _sorted_with_keys(tracklets)
-    n = len(nodes)
     starts = keys[:, 0].astype(np.int64)
     ends = keys[:, 1].astype(np.int64)
-    outside = np.flatnonzero((starts < lo) | (ends > hi))
+    own_lo = lo + (starts - lo) // size * size  # each node's window
+    own_hi = np.minimum(own_lo + size - 1, hi)
+    outside = np.flatnonzero((starts < lo) | (ends > own_hi))
     if outside.size:
-        t = nodes[outside[0]]
-        raise ValueError(
-            f"tracklet spans [{t.start_frame},{t.end_frame}] outside window {window}"
-        )
-    # nodes are sorted by start frame, so u's successors are the suffix from here
-    first_succ = np.searchsorted(starts, ends, side="right")
-    if n == 0 or first_succ.min() == n:
+        i = outside[0]
+        own = window if starts[i] < lo else (int(own_lo[i]), int(own_hi[i]))
+        raise ValueError(f"tracklet spans [{starts[i]},{ends[i]}] outside window {own}")
+    if not nodes:
         no_edges = np.zeros(0, dtype=np.intp)
         return TrackGraph(nodes, no_edges, no_edges, np.zeros((0, EDGE_FEATURE_DIM)), (lo, hi))
     vx, vy, vh, vw = _boundary(keys[:, 2:6])
     ux, uy, uh, uw = _boundary(keys[:, 6:10])
-    lasts = [t.last for t in nodes]
-    firsts = [t.first for t in nodes]
-    u_app = np.stack([d.appearance for d in lasts])
-    v_app = np.stack([d.appearance for d in firsts])
-    u_unit, v_unit = _unit_rows(u_app), _unit_rows(v_app)
-
-    band_u: list[np.ndarray] = []
-    band_v: list[np.ndarray] = []
-    rows = max(1, _BLOCK_SCORES // n)
-    for r0 in range(0, n, rows):
-        r = slice(r0, min(r0 + rows, n))
-        c0 = int(first_succ[r].min())
-        if c0 == n:
-            continue
-        c = slice(c0, n)
-        score = 1.0 - u_unit[r] @ v_unit[c].T
-        centre = np.hypot(vx[c] - ux[r, None], vy[c] - uy[r, None])
-        centre /= (uh[r, None] + vh[c]) / 2.0
-        score += _PRUNE_CENTER_WEIGHT * centre
-        score += _PRUNE_GAP_WEIGHT * (starts[c] - ends[r, None])
-        successor = np.arange(c0, n) >= first_succ[r, None]
-        score[~successor] = np.inf
-        if knn_k < n - c0:
-            kth = np.partition(score, knn_k - 1, axis=1)[:, knn_k - 1]
-        else:
-            kth = np.full(score.shape[0], np.inf)
-        cutoff = kth + _TIE_BAND * (1.0 + np.abs(kth))
-        bu, bv = np.nonzero((score <= cutoff[:, None]) & successor)
-        band_u.append(bu + r0)
-        band_v.append(bv + c0)
-
-    bu = np.concatenate(band_u)
-    bv = np.concatenate(band_v)
-    gap = starts[bv] - ends[bu]
-    dx = vx[bv] - ux[bu]
-    dy = vy[bv] - uy[bu]
-    heights = uh[bu] + vh[bv]
+    u_app = np.stack([t.detections[-1].appearance for t in nodes])
+    v_app = np.stack([t.detections[0].appearance for t in nodes])
     # vecdot runs the BLAS dot of np.dot and np.linalg.norm, so each cosine is
     # bitwise the per-pair 1 - dot(a, b) / (|a| |b|); a zero row is at distance 1
-    u_norm = np.sqrt(np.vecdot(u_app, u_app))[bu]
-    v_norm = np.sqrt(np.vecdot(v_app, v_app))[bv]
-    nonzero = (u_norm != 0.0) & (v_norm != 0.0)
-    cos = 1.0 - np.divide(np.vecdot(u_app[bu], v_app[bv]), u_norm * v_norm,
-                          out=np.zeros(bu.size), where=nonzero)
-    score = (
-        cos
-        + _PRUNE_CENTER_WEIGHT * (np.hypot(dx, dy) / (heights / 2.0))
-        + _PRUNE_GAP_WEIGHT * gap
-    )
-    order = np.lexsort((bv, gap, score, bu))
-    ranked_u = bu[order]
-    rank = np.arange(order.size) - np.searchsorted(ranked_u, ranked_u, side="left")
-    keep = order[rank < knn_k]
+    u_norm = np.sqrt(np.vecdot(u_app, u_app))
+    v_norm = np.sqrt(np.vecdot(v_app, v_app))
+    offsets = window_offsets(starts, lo, size)
+    counts = np.diff(offsets)
+
+    kept_u, kept_v, kept_cos = [], [], []  # per chunk; there is at least one
+    chunk = None
+    for w0, w1, r0, r1 in _chunks(counts.tolist(), u_app.shape[1]):
+        if chunk != (w0, w1):  # a chunk's blocks of rows share its columns
+            chunk = (w0, w1)
+            # (windows, columns) node indices, each window padded with its last node
+            wide = int(counts[w0:w1].max())
+            cols = offsets[w0:w1, None] + np.minimum(np.arange(wide), counts[w0:w1, None] - 1)
+            valid = np.arange(wide) < counts[w0:w1, None]
+            v_unit = _unit_rows(v_app[cols]).transpose(0, 2, 1)
+            c = cols[:, None, :]
+            cx, cy, ch, cs = vx[c], vy[c], vh[c], starts[c]
+        # nodes are sorted by start frame, so row i's successors are columns > i
+        r, k = cols[:, r0:r1, None], slice(r0, None)
+        score = 1.0 - _unit_rows(u_app[r[..., 0]]) @ v_unit[..., k]
+        centre = np.hypot(cx[..., k] - ux[r], cy[..., k] - uy[r])
+        centre /= (uh[r] + ch[..., k]) / 2.0
+        score += _PRUNE_CENTER_WEIGHT * centre
+        score += _PRUNE_GAP_WEIGHT * (cs[..., k] - ends[r])
+        successor = (cs[..., k] > ends[r]) & valid[:, None, k] & valid[:, r0:r1, None]
+        score[~successor] = np.inf
+        if knn_k < wide - r0:
+            kth = np.partition(score, knn_k - 1, axis=-1)[..., knn_k - 1]
+        else:
+            kth = np.full(score.shape[:-1], np.inf)
+        cutoff = kth + _TIE_BAND * (1.0 + np.abs(kth))
+        bw, bi, bj = np.nonzero((score <= cutoff[..., None]) & successor)
+        bu, bv = cols[bw, bi + r0], cols[bw, bj + r0]
+
+        # the band, ranked by the exact per-pair key
+        gap = starts[bv] - ends[bu]
+        heights = uh[bu] + vh[bv]
+        un, vn = u_norm[bu], v_norm[bv]
+        cos = 1.0 - np.divide(np.vecdot(u_app[bu], v_app[bv]), un * vn,
+                              out=np.zeros(bu.size), where=(un != 0.0) & (vn != 0.0))
+        exact = (
+            cos
+            + _PRUNE_CENTER_WEIGHT * (np.hypot(vx[bv] - ux[bu], vy[bv] - uy[bu]) / (heights / 2.0))
+            + _PRUNE_GAP_WEIGHT * gap
+        )
+        order = np.lexsort((bv, gap, exact, bu))
+        ranked_u = bu[order]
+        rank = np.arange(order.size) - np.searchsorted(ranked_u, ranked_u, side="left")
+        keep = order[rank < knn_k]
+        kept_u.append(bu[keep])
+        kept_v.append(bv[keep])
+        kept_cos.append(cos[keep])
+
+    eu, ev = np.concatenate(kept_u), np.concatenate(kept_v)
+    heights = uh[eu] + vh[ev]
     features = np.column_stack([
-        2.0 * dx[keep] / heights[keep],
-        2.0 * dy[keep] / heights[keep],
-        np.log(uh[bu[keep]] / vh[bv[keep]]),
-        np.log(uw[bu[keep]] / vw[bv[keep]]),
-        gap[keep].astype(np.float64),
-        cos[keep],
+        2.0 * (vx[ev] - ux[eu]) / heights,
+        2.0 * (vy[ev] - uy[eu]) / heights,
+        np.log(uh[eu] / vh[ev]),
+        np.log(uw[eu] / vw[ev]),
+        (starts[ev] - ends[eu]).astype(np.float64),
+        np.concatenate(kept_cos),
     ])
-    return TrackGraph(nodes, bu[keep], bv[keep], features, (lo, hi))
+    return TrackGraph(nodes, eu, ev, features, (lo, hi))

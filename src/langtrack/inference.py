@@ -4,14 +4,15 @@ Greedy flow-constrained rounding keeps at most one accepted successor and
 one accepted predecessor per node, merges the resulting chains, and repeats
 level by level; ``graph.py`` derives the levels and their windows, and the
 top level's one window covers the whole clip, so whole-clip trajectories
-remain; ``run_levels`` is that loop for tracking and training alike.
-Tracking scores a level's windows in cache-sized batches: consecutive whole
-windows are joined into one disconnected graph of at most ``_BATCH_EDGES``
-candidate edges, which gets one model pass, one rounding and one merge.
-Windows share no nodes, so a batch accepts and merges exactly what its
-windows would one by one.  Tracking is video-only by construction: no
-operation here takes the language embedding store, and it runs under a guard
-that turns any embedding access into an error.
+remain; ``run_levels`` is that loop for tracking and training alike, with
+one ``build_graph`` call per level.  Tracking scores a level in cache-sized
+batches: slices of the level graph over consecutive whole windows, of at
+most ``_BATCH_EDGES`` candidate edges, each of which gets one model pass,
+one rounding and one merge.  Windows share no nodes or edges, so a batch
+accepts and merges exactly what its windows would one by one.  Tracking is
+video-only by construction: no operation here takes the language embedding
+store, and it runs under a guard that turns any embedding access into an
+error.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .graph import (
     build_graph,
     check_level_sizes,
     clip_level_sizes,
-    group_by_window,
     lift_detections,
     tracklet_sort_key,
-    union_graph,
+    window_offsets,
 )
 from .guidance import language_access_forbidden
 from .model import ModelParams, classify_edges, encode_graph, message_pass, node_means, node_rows
@@ -51,10 +51,10 @@ __all__ = [
 # learned model (``_learned_scorer``), or an oracle in tests and diagnostics.
 EdgeScorer = Callable[[TrackGraph], np.ndarray]
 
-# Tracking joins consecutive whole windows into batches of at most this many
+# Tracking scores consecutive whole windows in batches of at most this many
 # candidate edges (a larger window is scored alone).  The widest batch array,
 # 1024 edges x 64 float64 columns, is 512 KB and stays inside a 2 MiB L2
-# cache; a whole level's union does not, and is slower on crowded clips.
+# cache; a whole level does not, and is slower on crowded clips.
 _BATCH_EDGES = 1024
 
 
@@ -116,9 +116,7 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
         raise ValueError("edge probabilities must be finite and lie in [0,1]")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0,1), got {threshold}")
-    starts = np.array([t.start_frame for t in graph.nodes])
-    ends = np.array([t.end_frame for t in graph.nodes])
-    gaps = starts[graph.edge_v] - ends[graph.edge_u]
+    gaps = graph.starts[graph.edge_v] - graph.ends[graph.edge_u]
     order = np.lexsort((graph.edge_v, graph.edge_u, gaps, -p)).tolist()
     succ_used: set[int] = set()
     pred_used: set[int] = set()
@@ -194,34 +192,31 @@ def _learned_scorer(params: ModelParams, dets: list[Detection]) -> EdgeScorer:
     return score
 
 
-def _batches(graphs: list[TrackGraph]) -> Iterator[list[TrackGraph]]:
-    """Consecutive whole windows, at most ``_BATCH_EDGES`` candidate edges
-    per batch; a window with more edges than that is a batch of its own."""
-    batch: list[TrackGraph] = []
-    edges = 0
-    for g in graphs:
-        if batch and edges + g.num_edges > _BATCH_EDGES:
-            yield batch
-            batch, edges = [], 0
-        batch.append(g)
-        edges += g.num_edges
-    if batch:
-        yield batch
+def _batches(edge_offsets: list[int]) -> Iterator[tuple[int, int]]:
+    """Runs ``w0:w1`` of consecutive whole windows, where window w's edges
+    are ``edge_offsets[w]:edge_offsets[w + 1]``: at most ``_BATCH_EDGES``
+    candidate edges per run, and a window with more than that alone."""
+    first = 0
+    for w in range(1, len(edge_offsets) - 1):
+        if edge_offsets[w + 1] - edge_offsets[first] > _BATCH_EDGES:
+            yield first, w
+            first = w
+    if len(edge_offsets) > 1:
+        yield first, len(edge_offsets) - 1
 
 
 def run_levels(
     tracklets: Sequence[Tracklet], num_frames: int, level_sizes: Sequence[int], knn_k: int,
-    merge: Callable[[list[TrackGraph]], list[Tracklet]],
-) -> Iterator[tuple[list[TrackGraph], list[Tracklet]]]:
-    """The levels of ``graph.clip_level_sizes``: each groups the tracklets by
-    window and builds one graph per window, ``merge`` turns the level's window
-    graphs, in window order, into merged tracklets, and the next level sees
-    those.  Yields (graphs, merged) per level."""
+    merge: Callable[[TrackGraph, np.ndarray], list[Tracklet]],
+) -> Iterator[tuple[TrackGraph, list[Tracklet]]]:
+    """The levels of ``graph.clip_level_sizes``: each builds one graph of all
+    its windows, ``merge`` turns that level graph and its window node offsets
+    (``graph.window_offsets``) into merged tracklets, and the next level sees
+    those.  Yields (graph, merged) per level."""
     for size in clip_level_sizes(num_frames, level_sizes):
-        graphs = [build_graph(members, knn_k, window)
-                  for window, members in group_by_window(tracklets, size, num_frames)]
-        tracklets = merge(graphs)
-        yield graphs, tracklets
+        graph = build_graph(tracklets, knn_k, (1, num_frames), size)
+        tracklets = merge(graph, window_offsets(graph.starts, 1, size))
+        yield graph, tracklets
 
 
 def track_video(
@@ -232,12 +227,11 @@ def track_video(
 ) -> TrackResult:
     """Hierarchical tracking over a whole clip.
 
-    In each level of ``run_levels``, the window graphs are joined in batches
-    of consecutive whole windows of at most ``_BATCH_EDGES`` candidate edges
-    (``graph.union_graph``); each batch is scored and rounded at once and its
-    chains merged, which gives the merges of each window alone.  Levels past
-    the configured ones double in size until one window covers the whole
-    clip.  The learned model scores the batches unless `edge_scorer` replaces
+    Each level graph of ``run_levels`` is cut into batches, slices over
+    consecutive whole windows of at most ``_BATCH_EDGES`` candidate edges;
+    each batch is scored and rounded at once and its chains merged, which
+    gives the merges of each window alone.  Levels past the configured ones
+    double in size until one window covers the whole clip.  The learned model scores the batches unless `edge_scorer` replaces
     it (params may then be None).  Language embeddings are unreachable from
     here.  An edge probability outside [0, 1] or non-finite (say, from a NaN
     parameter) raises ValueError in ``round_edges``.
@@ -248,10 +242,16 @@ def track_video(
         raise ValueError("either model params or an edge scorer is required")
     dets = sorted(detections, key=_detection_sort_key)
 
-    def merge(graphs: list[TrackGraph]) -> list[Tracklet]:
+    def merge(graph: TrackGraph, offsets: np.ndarray) -> list[Tracklet]:
+        # edges are ordered by u and no edge leaves its window, so a run of
+        # windows holds a contiguous range of nodes and one of edges
+        nodes = offsets.tolist()
+        edges = np.searchsorted(graph.edge_u, offsets).tolist()
         merged = []
-        for batch in _batches(graphs):
-            g = union_graph(batch, (batch[0].frame_span[0], batch[-1].frame_span[1]))
+        for w0, w1 in _batches(edges):
+            a, b, e0, e1 = nodes[w0], nodes[w1], edges[w0], edges[w1]
+            g = TrackGraph(graph.nodes[a:b], graph.edge_u[e0:e1] - a, graph.edge_v[e0:e1] - a,
+                           graph.edge_features[e0:e1], graph.frame_span)
             merged.extend(merge_accepted(g, round_edges(g, score(g), config.threshold)))
         return merged
 

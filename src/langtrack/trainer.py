@@ -5,7 +5,7 @@ see the same levels and windows, and the top level covers the whole clip.
 Teacher forcing is training's merge rule: each window's nodes join into one
 tracklet per ground-truth id, so at level L every object contributes one
 tracklet per level L-1 window (single detections at the bottom).  Each
-level's window graphs are batched into one disconnected ``graph.union_graph``.
+level's bundle holds its one level graph, whose windows share no edges.
 Tracklet embeddings are ``model.node_means`` of the encoder output, the rule
 tracking uses too, so gradients reach the encoder.  The loss per clip is the sum
 over levels of focal classification loss plus the weighted instance- and
@@ -32,7 +32,7 @@ from .data_io import (
     compose_instance_description,
     compose_scene_description,
 )
-from .graph import Detection, TrackGraph, Tracklet, check_level_sizes, lift_detections, union_graph
+from .graph import Detection, TrackGraph, Tracklet, check_level_sizes, lift_detections
 from .graph import build_graph  # noqa: F401  (bench/run.py traces trainer.build_graph)
 from .guidance import (
     GuidanceConfig,
@@ -160,22 +160,22 @@ def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -
     if any(g is None for g in gt_ids):
         raise ValueError("every node needs a ground-truth id for labeling")
     ids = np.array(gt_ids, dtype=np.int64).reshape(-1)
-    starts = np.array([node.start_frame for node in graph.nodes], dtype=np.int64)
-    ends = np.array([node.end_frame for node in graph.nodes], dtype=np.int64)
-    order = np.lexsort((ends, starts, ids))  # each identity's nodes in time order, stably
+    # each identity's nodes in time order, stably
+    order = np.lexsort((graph.ends, graph.starts, ids))
     same = ids[order[1:]] == ids[order[:-1]]
     successor = np.full(ids.size, -1)
     successor[order[:-1][same]] = order[1:][same]
     return (successor[graph.edge_u] == graph.edge_v).astype(np.float64)
 
 
-def _merge_by_identity(graphs: list[TrackGraph]) -> list[Tracklet]:
+def _merge_by_identity(graph: TrackGraph, offsets: np.ndarray) -> list[Tracklet]:
     """Teacher forcing: one tracklet per ground-truth id of each window's
-    nodes, which are pure and, per id, in time order."""
+    nodes (``graph.nodes[offsets[j]:offsets[j + 1]]`` for window j), which
+    are pure and, per id, in time order."""
     merged = []
-    for graph in graphs:
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
         by_gt: dict[int, list[Detection]] = {}
-        for node in graph.nodes:
+        for node in graph.nodes[a:b]:
             by_gt.setdefault(node.first.gt_id, []).extend(node.detections)
         merged.extend(Tracklet(dets) for dets in by_gt.values())
     return merged
@@ -204,13 +204,12 @@ def prepare_clip(
     scene_embedding = store.lookup(compose_scene_description(clip.annotations.scene))
     row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
     levels: list[_LevelBundle] = []
-    for graphs, _ in run_levels(lift_detections(dets), num_frames, cfg.level_sizes,
-                                cfg.knn_k, _merge_by_identity):
-        union = union_graph(graphs, (1, num_frames))
-        gt_ids = [node.first.gt_id for node in union.nodes]  # teacher-forced nodes are pure
+    for graph, _ in run_levels(lift_detections(dets), num_frames, cfg.level_sizes,
+                               cfg.knn_k, _merge_by_identity):
+        gt_ids = [node.first.gt_id for node in graph.nodes]  # teacher-forced nodes are pure
         targets = np.stack([instance_vectors[gid] for gid in gt_ids])
-        levels.append(_LevelBundle(union, *node_rows(union.nodes, row_of),
-                                   edge_labels(union, gt_ids), targets))
+        levels.append(_LevelBundle(graph, *node_rows(graph.nodes, row_of),
+                                   edge_labels(graph, gt_ids), targets))
     return ClipBundle(clip.name, appearance, levels, scene_embedding)
 
 

@@ -7,6 +7,11 @@ and builds each edge feature one edge at a time, exactly as
 Quadratic in tracklets per window with a large constant: keep the inputs
 small.
 
+``group_by_window`` and ``union_graph`` are the per-window helpers the level
+loop used before ``build_graph`` built a whole level in one call:
+``ref_level_graph`` builds each window alone and joins them, and a level
+``build_graph`` must reproduce that union bitwise.
+
 ``ref_teacher_forced_levels`` is the fragment loop ``trainer.prepare_clip``
 ran before teacher forcing became a merge rule of the level loop shared with
 tracking; ``prepare_clip`` must reproduce its levels bitwise.
@@ -19,6 +24,8 @@ detection by detection and in order.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from langtrack.data_io import compose_instance_description
@@ -28,7 +35,6 @@ from langtrack.graph import (
     Tracklet,
     build_graph,
     clip_level_sizes,
-    group_by_window,
     lift_detections,
     tracklet_sort_key,
 )
@@ -42,6 +48,46 @@ from langtrack.trainer import edge_labels
 
 _PRUNE_CENTER_WEIGHT = 0.05
 _PRUNE_GAP_WEIGHT = 0.01
+
+
+def group_by_window(
+    tracklets: Sequence[Tracklet], size: int, num_frames: int
+) -> list[tuple[tuple[int, int], list[Tracklet]]]:
+    """Group tracklets by the ``size``-frame window their first frame falls in.
+
+    Windows tile [1, num_frames] from frame 1 and the last may be shorter.
+    Returns ``(window, members)`` pairs in window order without empty
+    windows; members keep input order.
+    """
+    groups: dict[int, list[Tracklet]] = {}
+    for t in tracklets:
+        groups.setdefault((t.start_frame - 1) // size, []).append(t)
+    return [((k * size + 1, min(k * size + size, num_frames)), groups[k]) for k in sorted(groups)]
+
+
+def union_graph(graphs: Sequence[TrackGraph], frame_span: tuple[int, int]) -> TrackGraph:
+    """Batch window graphs into one disconnected graph over ``frame_span``:
+    their nodes side by side, in graph order, and their edges re-indexed."""
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
+    return TrackGraph(
+        nodes=[t for g in graphs for t in g.nodes],
+        edge_u=np.concatenate([g.edge_u + o for g, o in zip(graphs, offsets)]),
+        edge_v=np.concatenate([g.edge_v + o for g, o in zip(graphs, offsets)]),
+        edge_features=np.vstack([g.edge_features for g in graphs]),
+        frame_span=frame_span,
+    )
+
+
+def ref_level_graph(tracklets, knn_k, size, num_frames, build=build_graph):
+    """One level as the union of its window graphs, each built alone by
+    ``build``, over [1, num_frames], and each window's node offset (plus
+    the node count)."""
+    graphs = [build(members, knn_k, window)
+              for window, members in group_by_window(tracklets, size, num_frames)]
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    if not graphs:
+        return build([], knn_k, (1, num_frames)), offsets
+    return union_graph(graphs, (1, num_frames)), offsets
 
 
 def ref_cosine_distance(a, b):

@@ -1,5 +1,5 @@
 """Tracklet graph construction: hand examples, structural properties, and
-agreement with the per-pair reference in reference_graph.py."""
+agreement with the per-pair and per-window references in reference_graph.py."""
 
 import math
 import tracemalloc
@@ -18,13 +18,13 @@ from langtrack.graph import (
     build_graph,
     check_level_sizes,
     clip_level_sizes,
-    group_by_window,
     lift_detections,
     tracklet_sort_key,
+    window_offsets,
 )
 from langtrack.inference import TrackerConfig, gt_oracle_scorer, track_video
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
-from reference_graph import ref_build_graph
+from reference_graph import group_by_window, ref_build_graph, ref_level_graph
 
 
 def det(frame, x=10.0, y=20.0, w=4.0, h=8.0, app=(1.0, 0.0), gt_id=None):
@@ -422,10 +422,12 @@ def test_build_graph_matches_reference_on_every_window_of_a_tracked_clip(monkeyp
     detections, _ = gen_sequence(synth, domain)
     checked = []
 
-    def checked_build_graph(tracklets, knn_k, window):
-        fast = build_graph(tracklets, knn_k, window)
-        assert_same_graph(fast, ref_build_graph(tracklets, knn_k, window))
-        checked.append(window)
+    def checked_build_graph(tracklets, knn_k, window, size):
+        fast = build_graph(tracklets, knn_k, window, size)
+        ref, offsets = ref_level_graph(tracklets, knn_k, size, window[1], build=ref_build_graph)
+        assert_same_graph(fast, ref)
+        assert window_offsets(fast.starts, window[0], size).tolist() == offsets.tolist()
+        checked.extend(w for w, _ in group_by_window(tracklets, size, window[1]))
         return fast
 
     monkeypatch.setattr(inference, "build_graph", checked_build_graph)
@@ -433,6 +435,87 @@ def test_build_graph_matches_reference_on_every_window_of_a_tracked_clip(monkeyp
     track_video(detections, None, config, edge_scorer=gt_oracle_scorer)
     assert (1, 80) in checked
     assert len(checked) == 16 + 8 + 4 + 2 + 1
+
+
+# -- one call per level ----------------------------------------------------------
+
+
+def test_chunks_join_whole_windows_and_split_a_large_one_into_rows(monkeypatch):
+    # 64 elements, 2 appearance columns: windows of 3, 2 and 4 nodes pad to
+    # 3 x 4 x 4 = 48 scores; the 9-node window alone needs 81, so it is split
+    # into rows, the later ones scoring fewer columns
+    monkeypatch.setattr(graph, "_BLOCK_SCORES", 64)
+    assert list(graph._chunks([3, 2, 4, 9, 1], 2)) == [
+        (0, 3, 0, 4), (3, 4, 0, 7), (3, 4, 7, 9), (4, 5, 0, 1)]
+    assert list(graph._chunks([], 2)) == []
+
+
+@st.composite
+def levels(draw):
+    """A level: tracklets inside windows of ``size`` frames, some windows
+    empty and some with one node, keys that tie and zero appearance rows."""
+    num_frames = draw(st.integers(1, 30))
+    size = draw(st.integers(1, 8))
+    dim = draw(st.sampled_from([1, 2, 3, 33, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    apps = [np.zeros(dim)] + [rng.standard_normal(dim) for _ in range(draw(st.integers(1, 3)))]
+    tracklets = []
+    for _ in range(draw(st.integers(0, 40))):
+        start = draw(st.integers(1, num_frames))
+        last = min((start - 1) // size * size + size, num_frames)  # its window's last frame
+        frames = range(start, min(start + draw(st.integers(1, 3)), last + 1))
+        tracklets.append(Tracklet([
+            Detection(f, draw(st.sampled_from(TIE_BOXES)), apps[draw(st.integers(0, len(apps) - 1))])
+            for f in frames
+        ]))
+    # from 1 to past the largest window's successor count
+    return tracklets, draw(st.integers(1, size * 6)), size, num_frames
+
+
+@given(levels(), st.sampled_from([graph._BLOCK_SCORES, 64, 1]))
+@settings(max_examples=200, deadline=None)
+def test_level_graph_is_its_window_graphs_bitwise(case, block_scores):
+    # a small budget splits levels into chunks of a few windows, and large
+    # windows into blocks of rows
+    tracklets, knn_k, size, num_frames = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_SCORES", block_scores)
+        level = build_graph(tracklets, knn_k, (1, num_frames), size)
+    ref, offsets = ref_level_graph(tracklets, knn_k, size, num_frames, build=ref_build_graph)
+    assert_same_graph(level, ref)
+    assert level.edge_u.dtype == ref.edge_u.dtype and level.edge_v.dtype == ref.edge_v.dtype
+    got = window_offsets(level.starts, 1, size)
+    assert got.tolist() == offsets.tolist()
+
+
+def test_level_build_rejects_a_tracklet_leaving_its_window():
+    # frames 4-6 start in window (1, 5) of size 5 and end outside it
+    crossing = Tracklet([det(4), det(6)])
+    with pytest.raises(ValueError, match=r"\[4,6\] outside window \(1, 5\)"):
+        build_graph([single(1), crossing], 3, (1, 10), 5)
+    with pytest.raises(ValueError):
+        build_graph([single(1)], 3, (1, 10), 0)
+    assert build_graph([single(1), crossing], 3, (1, 10), 10).num_edges == 1
+
+
+def test_level_build_memory_stays_bounded():
+    # level 5 of a 4 x 1200 clip: 3.8k single detections in 240 windows;
+    # scoring the whole level's band at once peaks near 18 MB
+    domain = identity_profile("source", SceneAttributes("medium", "static", "on a sunny day"), 64)
+    synth = SynthConfig(
+        num_objects=4, num_frames=1200, appearance_dim=64, appearance_noise=0.08,
+        occlusion_rate=0.2, velocity_scale=10.0, box_jitter=0.15, seed=3,
+    )
+    detections, _ = gen_sequence(synth, domain)
+    singles = lift_detections(detections)
+    tracemalloc.start()
+    try:
+        g = build_graph(singles, 10, (1, 1200), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_nodes == len(detections)
+    assert peak < 12e6, peak
 
 
 def test_build_graph_memory_is_linear_in_nodes():

@@ -1,7 +1,6 @@
 """Rounding, merging, id assignment, and the hierarchical tracking loop."""
 
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from langtrack.graph import (
     Tracklet,
     build_graph,
     lift_detections,
-    union_graph,
+    window_offsets,
 )
 from langtrack.guidance import LanguageEmbeddingStore
 from langtrack.inference import (
@@ -369,16 +368,19 @@ def test_oracle_links_clips_longer_than_the_top_level(num_frames):
 def test_run_levels_feeds_each_level_the_merges_of_the_one_before():
     # one object over 40 frames; levels 5 and 10 double to 20 and 40, and
     # each window merges into one tracklet
-    def merge_windows(graphs):
-        return [Tracklet([d for t in g.nodes for d in t.detections]) for g in graphs]
+    windows = []
+
+    def merge_windows(graph, offsets):
+        windows.append(len(offsets) - 1)
+        return [Tracklet([d for t in graph.nodes[a:b] for d in t.detections])
+                for a, b in zip(offsets[:-1], offsets[1:])]
 
     singles = lift_detections([det(f, x=float(f)) for f in range(1, 41)])
     levels = list(inference.run_levels(singles, 40, [5, 10], 3, merge_windows))
-    assert [len(graphs) for graphs, _ in levels] == [8, 4, 2, 1]
-    assert [sum(g.num_nodes for g in graphs) for graphs, _ in levels] == [40, 8, 4, 2]
-    assert [g.frame_span for g in levels[-1][0]] == [(1, 40)]
-    for graphs, merged in levels:
-        assert len(merged) == len(graphs)
+    assert windows == [8, 4, 2, 1]
+    assert [graph.num_nodes for graph, _ in levels] == [40, 8, 4, 2]
+    assert [graph.frame_span for graph, _ in levels] == [(1, 40)] * 4
+    assert [len(merged) for _, merged in levels] == windows
     (whole,) = levels[-1][1]
     assert [d.frame for d in whole.detections] == list(range(1, 41))
 
@@ -422,36 +424,47 @@ def test_batched_tracking_matches_the_per_window_loop_bitwise(objects, frames, o
 
 def test_batches_hold_whole_consecutive_windows_within_the_edge_budget(monkeypatch):
     monkeypatch.setattr(inference, "_BATCH_EDGES", 8)
-    graphs = [SimpleNamespace(num_edges=k) for k in (0, 3, 5, 0, 20, 0, 2, 7, 8, 0)]
-    batches = list(inference._batches(graphs))
+    counts = [0, 3, 5, 0, 20, 0, 2, 7, 8, 0]  # edges per window
+    batches = list(inference._batches(np.cumsum([0] + counts).tolist()))
     # edgeless windows join a batch, a window over the budget is scored alone
-    assert [[g.num_edges for g in b] for b in batches] == [[0, 3, 5, 0], [20], [0, 2], [7],
-                                                           [8, 0]]
-    assert [g for b in batches for g in b] == graphs
+    assert [counts[w0:w1] for w0, w1 in batches] == [[0, 3, 5, 0], [20], [0, 2], [7], [8, 0]]
+    assert [w for w0, w1 in batches for w in range(w0, w1)] == list(range(len(counts)))
+    assert list(inference._batches([0])) == []
 
 
 @pytest.mark.parametrize("budget", [0, 50, 1 << 30])
 def test_every_budget_scores_whole_windows_and_gives_the_per_window_merges(monkeypatch, budget):
-    # budget 0 scores each window with edges alone; 1 << 30 unions whole levels
+    # budget 0 scores each window with edges alone; 1 << 30 scores whole levels
     monkeypatch.setattr(inference, "_BATCH_EDGES", budget)
-    windows, batches = [], []
+    levels = []
 
-    def record_windows(*args):
-        windows.append(build_graph(*args))
-        return windows[-1]
+    def record_level(tracklets, knn_k, window, size):
+        level = build_graph(tracklets, knn_k, window, size)
+        levels.append((level, window_offsets(level.starts, window[0], size).tolist(), []))
+        return level
 
-    def record_batch(graphs, frame_span):
-        batches.append(list(graphs))
-        return union_graph(graphs, frame_span)
+    def record_batch(graph, probs, threshold):
+        levels[-1][2].append(graph)
+        return round_edges(graph, probs, threshold)
 
-    monkeypatch.setattr(inference, "build_graph", record_windows)
-    monkeypatch.setattr(inference, "union_graph", record_batch)
+    monkeypatch.setattr(inference, "build_graph", record_level)
+    monkeypatch.setattr(inference, "round_edges", record_batch)
     detections = desk_clip(4, 317, seed=11)
     params = desk_model()
     result = track_video(detections, params, DESK_CFG)
-    assert [g for b in batches for g in b] == windows  # no window split, none skipped
-    for batch in batches:
-        assert len(batch) == 1 or sum(g.num_edges for g in batch) <= budget
+    for level, offsets, batches in levels:
+        a = e = 0  # each batch is the slice of the level from node a and edge e
+        for batch in batches:
+            b, f = a + batch.num_nodes, e + batch.num_edges
+            assert a in offsets and b in offsets  # whole windows
+            assert all(x is y for x, y in zip(batch.nodes, level.nodes[a:b]))
+            assert np.array_equal(batch.edge_u + a, level.edge_u[e:f])
+            assert np.array_equal(batch.edge_v + a, level.edge_v[e:f])
+            assert batch.edge_features.tobytes() == level.edge_features[e:f].tobytes()
+            windows = sum(a <= o < b for o in offsets[:-1])
+            assert windows == 1 or batch.num_edges <= budget
+            a, e = b, f
+        assert (a, e) == (level.num_nodes, level.num_edges)  # no window split, none skipped
     reference = ref_track_per_window(detections, params, DESK_CFG)
     assert trajectory_ids(result) == merged_parts(reference)
 
@@ -459,12 +472,10 @@ def test_every_budget_scores_whole_windows_and_gives_the_per_window_merges(monke
 def test_a_batch_merges_its_windows_in_window_order():
     # two windows of two parallel chains each: the batch's merged tracklets
     # come out window by window, each window's in its own head order
-    windows = [
-        build_graph([single(f, x=10.0 * k + f, app=(1.0, k, 0.0), gt_id=k)
-                     for f in range(lo, lo + 3) for k in (1, 2)], 3, (lo, lo + 4))
-        for lo in (1, 6)
-    ]
-    batch = union_graph(windows, (1, 10))
+    members = [[single(f, x=10.0 * k + f, app=(1.0, k, 0.0), gt_id=k)
+                for f in range(lo, lo + 3) for k in (1, 2)] for lo in (1, 6)]
+    windows = [build_graph(m, 3, (lo, lo + 4)) for m, lo in zip(members, (1, 6))]
+    batch = build_graph(members[0] + members[1], 3, (1, 10), 5)
     merged = merge_accepted(batch, round_edges(batch, gt_oracle_scorer(batch), 0.5))
     alone = [t for g in windows
              for t in merge_accepted(g, round_edges(g, gt_oracle_scorer(g), 0.5))]
@@ -540,16 +551,24 @@ def test_every_level_starts_from_means_of_one_encoder_pass(monkeypatch):
     row_of = {id(d): row for d, row in zip(detections, encoded.data)}
     calls = []
 
+    def level_spy(*args):
+        calls.append(None)  # a level starts
+        return build_graph(*args)
+
     def spy(graph, params, node_init=None):
         calls.append((graph, node_init))
         return encode_graph(graph, params, node_init)
 
+    monkeypatch.setattr(inference, "build_graph", level_spy)
     monkeypatch.setattr(inference, "encode_graph", spy)
     track_video(detections, params, SMALL_CFG)
     level = -1
     merged_levels = set()
-    for graph, node_init in calls:
-        level += graph.frame_span[0] == 1  # each level's first window starts at frame 1
+    for call in calls:
+        if call is None:
+            level += 1
+            continue
+        graph, node_init = call
         assert node_init is not None and node_init.shape == (graph.num_nodes, 8)
         for node, got in zip(graph.nodes, node_init.data):
             want = np.mean([row_of[id(d)] for d in node.detections], axis=0)

@@ -240,7 +240,7 @@ class TestPrepareClip:
                 np.testing.assert_array_equal(level.instance_targets[i], store.lookup(desc))
 
     def test_edges_stay_inside_level_windows(self):
-        # union graphs batch per-window subgraphs; no edge may cross windows
+        # a level graph joins its window graphs; no edge may cross windows
         _, bundle = self.bundle()
         sizes = (5, 10, 20)
         for size, level in zip(sizes, bundle.levels):
