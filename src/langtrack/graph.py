@@ -2,39 +2,53 @@
 
 Detections are lifted to single-detection tracklets, tracklets become graph
 nodes, and candidate edges connect temporally disjoint nodes of one window
-(earlier node ends before the later one starts).  A fixed pruning score
-keeps each node's candidate set at the k most plausible successors so graph
-construction is deterministic and cheap: ``build_graph`` scores successors
-as arrays, in chunks of whole windows padded to the largest, and ranks only
-each row's near-ties to its k-th score with the exact per-pair key (score,
-frame gap, node index), so the graph is the one a per-pair ranking gives,
-bit for bit.  This module alone knows how a level tiles a clip: level sizes
-nest by integer factors and grow until one window covers the whole clip,
-each tracklet belongs to the window its first frame falls in, and one
-``build_graph`` call gives a level's graph, the disjoint union of its window
-graphs, whose windows ``window_offsets`` slices into contiguous node ranges.
+(earlier node ends before the later one starts).  A level's tracklets are
+one ``TrackletRows``: rows of the clip's detection arrays (frames, boxes,
+appearance and ground-truth ids, built once per clip and shared by every
+level), tracklet by tracklet in frame order, so sorting, gathering and
+merging tracklets move index arrays, and a ``Tracklet`` object is made only
+when one is indexed.  A fixed pruning score keeps each node's candidate set
+at the k most plausible successors so graph construction is deterministic
+and cheap: ``build_graph`` scores successors as arrays, in chunks of whole
+windows padded to the largest, and ranks only each row's near-ties to its
+k-th score with the exact per-pair key (score, frame gap, node index), so
+the graph is the one a per-pair ranking gives, bit for bit.  This module
+alone knows how a level tiles a clip: level sizes nest by integer factors
+and grow until one window covers the whole clip, each tracklet belongs to
+the window its first frame falls in, and one ``build_graph`` call gives a
+level's graph, the disjoint union of its window graphs, whose windows
+``window_offsets`` slices into contiguous node ranges.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Detection",
+    "DetectionArrays",
     "Tracklet",
+    "TrackletRows",
     "TrackGraph",
     "check_level_sizes",
     "clip_level_sizes",
+    "detection_order",
     "lift_detections",
     "build_graph",
+    "tracklet_order",
     "tracklet_sort_key",
     "window_offsets",
 ]
 
 EDGE_FEATURE_DIM = 6
+
+_INF = math.inf
 
 # Pruning-score weights: appearance dominates, geometry and gap break near-ties.
 _PRUNE_CENTER_WEIGHT = 0.05
@@ -67,8 +81,15 @@ class Detection:
         if self.frame < 1:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
         left, top, width, height = self.box
-        if width <= 0.0 or height <= 0.0:
+        # NaN fails every comparison, so this one test passes only finite boxes
+        # of positive size; the messages tell the two faults apart
+        if not (abs(left) < _INF and abs(top) < _INF
+                and 0.0 < width < _INF and 0.0 < height < _INF):
+            if not all(map(math.isfinite, self.box)):
+                raise ValueError(f"box coordinates must be finite, got {self.box}")
             raise ValueError(f"box must have positive size, got {self.box}")
+        if self.gt_id is not None and not -(1 << 63) <= self.gt_id < 1 << 63:
+            raise ValueError(f"gt id must fit in 64 bits, got {self.gt_id}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
         if not 0.0 <= self.visibility <= 1.0:
@@ -126,24 +147,174 @@ def tracklet_sort_key(t: Tracklet):
     )
 
 
-def _sorted_with_keys(tracklets: Sequence[Tracklet]) -> tuple[list[Tracklet], np.ndarray]:
-    """``sorted(tracklets, key=tracklet_sort_key)`` and, in that order, their
-    frame and box keys: start, end, first box, last box (10 columns).  One
-    lexsort orders the keys; only runs that tie on all of them (-0.0 equals
-    0.0 there, as in the tuple key) compare appearance bytes."""
-    keys = np.array([(t.detections[0].frame, t.detections[-1].frame,
-                      *t.detections[0].box, *t.detections[-1].box) for t in tracklets],
-                    dtype=np.float64).reshape(-1, 10)
-    order = np.lexsort(keys.T[::-1])
-    ordered = [tracklets[i] for i in order.tolist()]
-    keys = keys[order]
-    same = np.all(keys[1:] == keys[:-1], axis=1)
-    if same.any():
-        bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))  # run starts, end
-        tied = np.diff(bounds) > 1
-        for a, b in zip(bounds[:-1][tied].tolist(), bounds[1:][tied].tolist()):
-            ordered[a:b] = sorted(ordered[a:b], key=tracklet_sort_key)
-    return ordered, keys
+@dataclass(frozen=True, eq=False)
+class DetectionArrays:
+    """A clip's detections and, row by row, their frames, boxes, ground-truth
+    ids (``gt`` is 0 where ``has_gt`` is False) and appearance rows, stacked
+    on first use, so a clip that is only sorted never stacks them."""
+
+    detections: list[Detection]
+    frames: np.ndarray
+    boxes: np.ndarray
+    gt: np.ndarray
+    has_gt: np.ndarray
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> "DetectionArrays":
+        dets = list(detections)
+        n = len(dets)
+        return cls(
+            dets,
+            np.fromiter((d.frame for d in dets), np.int64, n),
+            np.array([d.box for d in dets], dtype=np.float64).reshape(n, 4),
+            np.fromiter((d.gt_id or 0 for d in dets), np.int64, n),
+            np.fromiter((d.gt_id is not None for d in dets), bool, n),
+        )
+
+    @functools.cached_property
+    def app(self) -> np.ndarray:
+        dets = self.detections
+        return np.stack([d.appearance for d in dets]) if dets else np.zeros((0, 0))
+
+    def take(self, order: np.ndarray) -> "DetectionArrays":
+        """The detections ``order`` lists, in that order."""
+        return DetectionArrays(
+            [self.detections[i] for i in order.tolist()], self.frames[order],
+            self.boxes[order], self.gt[order], self.has_gt[order],
+        )
+
+
+class TrackletRows(Sequence[Tracklet]):
+    """Tracklets as rows of one clip's ``DetectionArrays``: tracklet i is the
+    detections ``clip.detections[r]`` for r in ``rows[offsets[i]:offsets[i +
+    1]]``, in frame order.  Indexing makes that ``Tracklet``; slicing gives a
+    view that shares the clip."""
+
+    __slots__ = ("clip", "rows", "offsets")
+
+    def __init__(self, clip: DetectionArrays, rows: np.ndarray, offsets: np.ndarray):
+        self.clip = clip
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+
+    @classmethod
+    def of(cls, tracklets: Sequence[Tracklet]) -> "TrackletRows":
+        """``tracklets`` itself if already rows, else rows of a new clip of
+        their detections, tracklet by tracklet."""
+        if isinstance(tracklets, TrackletRows):
+            return tracklets
+        tracklets = list(tracklets)
+        sizes = [len(t.detections) for t in tracklets]
+        clip = DetectionArrays.of([d for t in tracklets for d in t.detections])
+        return cls(clip, np.arange(len(clip.detections)), np.cumsum([0] + sizes))
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            a, b, step = i.indices(len(self))
+            if step != 1:
+                return self.take(np.arange(a, b, step))
+            b = max(a, b)
+            o = self.offsets
+            return TrackletRows(self.clip, self.rows[o[a]:o[b]], o[a:b + 1] - o[a])
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"tracklet {i} of {len(self)}")
+        i %= len(self)
+        rows = self.rows[self.offsets[i]:self.offsets[i + 1]].tolist()
+        return Tracklet([self.clip.detections[r] for r in rows])
+
+    def __iter__(self) -> Iterator[Tracklet]:
+        dets, rows, offsets = self.clip.detections, self.rows.tolist(), self.offsets.tolist()
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            yield Tracklet([dets[r] for r in rows[a:b]])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Detections per tracklet."""
+        return np.diff(self.offsets)
+
+    @property
+    def firsts(self) -> np.ndarray:
+        """Each tracklet's first detection row."""
+        return self.rows[self.offsets[:-1]]
+
+    @property
+    def lasts(self) -> np.ndarray:
+        """Each tracklet's last detection row."""
+        return self.rows[self.offsets[1:] - 1]
+
+    def take(self, order: np.ndarray, group: np.ndarray | None = None) -> "TrackletRows":
+        """The tracklets ``order`` lists, in that order; where ``group`` (one
+        value per listed tracklet) is given, each run of equal values joins
+        into one tracklet."""
+        sizes = self.sizes[order]
+        starts = np.cumsum(sizes) - sizes
+        gather = np.repeat(self.offsets[order] - starts, sizes) + np.arange(sizes.sum())
+        if group is not None:
+            joined = np.zeros(len(group), dtype=bool)
+            joined[1:] = group[1:] == group[:-1]
+            starts = starts[~joined]
+        return TrackletRows(self.clip, self.rows[gather], np.append(starts, gather.size))
+
+    def node_gt(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each tracklet's first ground-truth id (0 for none), and whether all
+        its detections carry that one id (``Tracklet.gt_id`` is not None)."""
+        gt = self.clip.gt[self.firsts]
+        node = np.repeat(np.arange(len(self)), self.sizes)
+        differs = (self.clip.gt[self.rows] != gt[node]) | ~self.clip.has_gt[self.rows]
+        return gt, np.bincount(node, weights=differs, minlength=len(self)) == 0
+
+
+def _lexsort_runs(keys: list[np.ndarray], tie_key: Callable[[int], object]) -> np.ndarray:
+    """The stable order of ``keys``, most significant first; runs that tie on
+    every key (-0.0 equals 0.0, as in a tuple key) are sorted by ``tie_key``
+    of their indices.  Each key after the first re-sorts only the runs that
+    tie on the keys before it, so a key that ties nowhere costs no sort."""
+    order = np.argsort(keys[0], kind="stable")
+    k = keys[0][order]
+    same = k[1:] == k[:-1]  # neighbours that tie on the keys so far
+    for key in keys[1:]:
+        if not same.any():
+            return order
+        run = np.cumsum(np.concatenate(([True], ~same)))  # run number from 1
+        tied = np.flatnonzero(np.bincount(run)[run] > 1)
+        order[tied] = order[tied[np.lexsort((key[order[tied]], run[tied]))]]
+        k = key[order]
+        same &= k[1:] == k[:-1]
+    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))  # run starts, end
+    tied = np.diff(bounds) > 1
+    for a, b in zip(bounds[:-1][tied].tolist(), bounds[1:][tied].tolist()):
+        order[a:b] = sorted(order[a:b].tolist(), key=tie_key)
+    return order
+
+
+def tracklet_order(nodes: TrackletRows) -> np.ndarray:
+    """The permutation that sorts ``nodes`` by :func:`tracklet_sort_key`:
+    start, end, first box and last box as arrays, and appearance bytes only
+    within runs that tie on all of those."""
+    first, last, clip = nodes.firsts, nodes.lasts, nodes.clip
+    return _lexsort_runs(
+        [clip.frames[first], clip.frames[last], *clip.boxes[first].T, *clip.boxes[last].T],
+        lambda i: (clip.app[first[i]].tobytes(), clip.app[last[i]].tobytes()),
+    )
+
+
+def detection_order(clip: DetectionArrays) -> np.ndarray:
+    """The permutation that sorts detections by frame, box, confidence,
+    visibility, no gt id before a gt id, gt id, and appearance bytes: the
+    numbers as arrays, and appearance bytes only within runs that tie on all
+    of them."""
+    dets = clip.detections
+    n = len(dets)
+    confidence = np.fromiter((d.confidence for d in dets), np.float64, n)
+    visibility = np.fromiter((d.visibility for d in dets), np.float64, n)
+    return _lexsort_runs(
+        [clip.frames, *clip.boxes.T, confidence, visibility, ~clip.has_gt, clip.gt],
+        lambda i: dets[i].appearance.tobytes(),
+    )
 
 
 @dataclass(eq=False)
@@ -153,10 +324,11 @@ class TrackGraph:
 
     Edges are stored as index arrays into ``nodes``; ``edge_u[i]`` always
     ends strictly before ``edge_v[i]`` starts.  ``starts`` and ``ends`` hold
-    each node's first and last frame.
+    each node's first and last frame.  Nodes given as a list of tracklets
+    become ``TrackletRows`` of their detections.
     """
 
-    nodes: list[Tracklet]
+    nodes: TrackletRows
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_features: np.ndarray
@@ -170,9 +342,10 @@ class TrackGraph:
         self.edge_features = np.asarray(self.edge_features, dtype=np.float64).reshape(
             -1, EDGE_FEATURE_DIM
         )
+        self.nodes = TrackletRows.of(self.nodes)
         n = len(self.nodes)
-        self.starts = np.fromiter((t.detections[0].frame for t in self.nodes), np.int64, n)
-        self.ends = np.fromiter((t.detections[-1].frame for t in self.nodes), np.int64, n)
+        self.starts = self.nodes.clip.frames[self.nodes.firsts]
+        self.ends = self.nodes.clip.frames[self.nodes.lasts]
         if not (self.edge_u.shape == self.edge_v.shape == (self.edge_features.shape[0],)):
             raise ValueError("edge arrays must share their length")
         if self.num_edges:
@@ -227,9 +400,12 @@ def window_offsets(starts: np.ndarray, first: int, size: int) -> np.ndarray:
     return np.append(np.searchsorted(window, np.unique(window)), window.size)
 
 
-def lift_detections(detections: Sequence[Detection]) -> list[Tracklet]:
+def lift_detections(detections: Sequence[Detection] | DetectionArrays) -> TrackletRows:
     """One single-detection tracklet per detection, in input order."""
-    return [Tracklet([d]) for d in detections]
+    if not isinstance(detections, DetectionArrays):
+        detections = DetectionArrays.of(detections)
+    n = len(detections.detections)
+    return TrackletRows(detections, np.arange(n), np.arange(n + 1))
 
 
 def _boundary(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -285,8 +461,10 @@ def build_graph(
     ``window_offsets(graph.starts, window[0], size)`` slices it into them.
 
     Nodes are sorted by :func:`tracklet_sort_key` first, so the result does
-    not depend on input order.  A successor ``v`` of ``u`` starts after
-    ``u`` ends; with ``du = u.last`` and ``dv = v.first`` it is ranked by
+    not depend on input order; they are rows of the clip of ``tracklets``
+    when those are ``TrackletRows``, else of a new clip of their detections.
+    A successor ``v`` of ``u`` starts after ``u`` ends; with ``du = u.last``
+    and ``dv = v.first`` it is ranked by
 
         cos(du, dv) + 0.05 * |centre offset| / mean height + 0.01 * gap
 
@@ -311,9 +489,10 @@ def build_graph(
         size = max(hi - lo + 1, 1)
     elif size < 1:
         raise ValueError(f"window size must be >= 1, got {size}")
-    nodes, keys = _sorted_with_keys(tracklets)
-    starts = keys[:, 0].astype(np.int64)
-    ends = keys[:, 1].astype(np.int64)
+    nodes = TrackletRows.of(tracklets)
+    nodes = nodes.take(tracklet_order(nodes))
+    first, last, clip = nodes.firsts, nodes.lasts, nodes.clip
+    starts, ends = clip.frames[first], clip.frames[last]
     own_lo = lo + (starts - lo) // size * size  # each node's window
     own_hi = np.minimum(own_lo + size - 1, hi)
     outside = np.flatnonzero((starts < lo) | (ends > own_hi))
@@ -321,35 +500,34 @@ def build_graph(
         i = outside[0]
         own = window if starts[i] < lo else (int(own_lo[i]), int(own_hi[i]))
         raise ValueError(f"tracklet spans [{starts[i]},{ends[i]}] outside window {own}")
-    if not nodes:
+    if not len(nodes):
         no_edges = np.zeros(0, dtype=np.intp)
         return TrackGraph(nodes, no_edges, no_edges, np.zeros((0, EDGE_FEATURE_DIM)), (lo, hi))
-    vx, vy, vh, vw = _boundary(keys[:, 2:6])
-    ux, uy, uh, uw = _boundary(keys[:, 6:10])
-    u_app = np.stack([t.detections[-1].appearance for t in nodes])
-    v_app = np.stack([t.detections[0].appearance for t in nodes])
+    vx, vy, vh, vw = _boundary(clip.boxes[first])
+    ux, uy, uh, uw = _boundary(clip.boxes[last])
+    app = clip.app  # u's rows are app[last], v's app[first], gathered only as needed
     # vecdot runs the BLAS dot of np.dot and np.linalg.norm, so each cosine is
     # bitwise the per-pair 1 - dot(a, b) / (|a| |b|); a zero row is at distance 1
-    u_norm = np.sqrt(np.vecdot(u_app, u_app))
-    v_norm = np.sqrt(np.vecdot(v_app, v_app))
+    norm = np.sqrt(np.vecdot(app, app))
+    u_norm, v_norm = norm[last], norm[first]
     offsets = window_offsets(starts, lo, size)
     counts = np.diff(offsets)
 
     kept_u, kept_v, kept_cos = [], [], []  # per chunk; there is at least one
     chunk = None
-    for w0, w1, r0, r1 in _chunks(counts.tolist(), u_app.shape[1]):
+    for w0, w1, r0, r1 in _chunks(counts.tolist(), app.shape[1]):
         if chunk != (w0, w1):  # a chunk's blocks of rows share its columns
             chunk = (w0, w1)
             # (windows, columns) node indices, each window padded with its last node
             wide = int(counts[w0:w1].max())
             cols = offsets[w0:w1, None] + np.minimum(np.arange(wide), counts[w0:w1, None] - 1)
             valid = np.arange(wide) < counts[w0:w1, None]
-            v_unit = _unit_rows(v_app[cols]).transpose(0, 2, 1)
+            v_unit = _unit_rows(app[first[cols]]).transpose(0, 2, 1)
             c = cols[:, None, :]
             cx, cy, ch, cs = vx[c], vy[c], vh[c], starts[c]
         # nodes are sorted by start frame, so row i's successors are columns > i
         r, k = cols[:, r0:r1, None], slice(r0, None)
-        score = 1.0 - _unit_rows(u_app[r[..., 0]]) @ v_unit[..., k]
+        score = 1.0 - _unit_rows(app[last[r[..., 0]]]) @ v_unit[..., k]
         centre = np.hypot(cx[..., k] - ux[r], cy[..., k] - uy[r])
         centre /= (uh[r] + ch[..., k]) / 2.0
         score += _PRUNE_CENTER_WEIGHT * centre
@@ -368,7 +546,7 @@ def build_graph(
         gap = starts[bv] - ends[bu]
         heights = uh[bu] + vh[bv]
         un, vn = u_norm[bu], v_norm[bv]
-        cos = 1.0 - np.divide(np.vecdot(u_app[bu], v_app[bv]), un * vn,
+        cos = 1.0 - np.divide(np.vecdot(app[last[bu]], app[first[bv]]), un * vn,
                               out=np.zeros(bu.size), where=(un != 0.0) & (vn != 0.0))
         exact = (
             cos

@@ -5,14 +5,18 @@ one accepted predecessor per node, merges the resulting chains, and repeats
 level by level; ``graph.py`` derives the levels and their windows, and the
 top level's one window covers the whole clip, so whole-clip trajectories
 remain; ``run_levels`` is that loop for tracking and training alike, with
-one ``build_graph`` call per level.  Tracking scores a level in cache-sized
+one ``build_graph`` call per level.  A level's tracklets are rows of the
+clip's detection arrays (``graph.TrackletRows``): rounding accepts the
+locally dominant edges in array rounds, merging orders each chain's nodes by
+pointer jumping and gathers their rows, and ``Detection`` lists are made
+only for the final ``TrackResult``.  Tracking scores a level in cache-sized
 batches: slices of the level graph over consecutive whole windows, of at
-most ``_BATCH_EDGES`` candidate edges, each of which gets one model pass,
-one rounding and one merge.  Windows share no nodes or edges, so a batch
-accepts and merges exactly what its windows would one by one.  Tracking is
-video-only by construction: no operation here takes the language embedding
-store, and it runs under a guard that turns any embedding access into an
-error.
+most ``_BATCH_EDGES`` candidate edges, each of which gets one model pass
+and one rounding; the level's accepted edges then merge at once.  Windows
+share no nodes or edges, so a batch accepts and merges exactly what its
+windows would one by one.  Tracking is video-only by construction: no
+operation here takes the language embedding store, and it runs under a
+guard that turns any embedding access into an error.
 """
 
 from __future__ import annotations
@@ -25,17 +29,20 @@ import numpy as np
 from .autodiff import Tensor
 from .graph import (
     Detection,
+    DetectionArrays,
     TrackGraph,
     Tracklet,
+    TrackletRows,
     build_graph,
     check_level_sizes,
     clip_level_sizes,
+    detection_order,
     lift_detections,
-    tracklet_sort_key,
+    tracklet_order,
     window_offsets,
 )
 from .guidance import language_access_forbidden
-from .model import ModelParams, classify_edges, encode_graph, message_pass, node_means, node_rows
+from .model import ModelParams, classify_edges, encode_graph, message_pass, node_means
 from .nn import mlp_forward
 
 __all__ = [
@@ -102,12 +109,17 @@ class TrackResult:
 def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.ndarray:
     """Greedy rounding under the one-successor/one-predecessor constraint.
 
-    Edges are visited by descending probability (ties by frame gap, then
-    endpoint indices); an edge is accepted iff its probability exceeds the
-    threshold and both temporal slots are still free.  Returns accepted
-    edge indices in ascending order.  The result is maximal: every rejected
-    above-threshold edge conflicts with an accepted one.  A probability
-    outside [0, 1] or NaN raises ValueError instead of failing the threshold.
+    Greedy visits edges by descending probability (ties by frame gap, then
+    endpoint indices) and accepts an edge iff its probability exceeds the
+    threshold and both temporal slots are still free.  Under that strict
+    order greedy accepts exactly the locally dominant edges (Manne and
+    Bisseling, PPAM 2007), which are found in rounds over the edges above the
+    threshold: a round accepts every edge that comes first at both its u
+    out-slot and its v in-slot, then drops the edges that share a slot with
+    an accepted one.  Returns accepted edge indices in ascending order.  The
+    result is maximal: every rejected above-threshold edge conflicts with an
+    accepted one.  A probability outside [0, 1] or NaN raises ValueError
+    instead of failing the threshold.
     """
     p = np.asarray(probs, dtype=np.float64).ravel()
     if p.shape[0] != graph.num_edges:
@@ -116,76 +128,69 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
         raise ValueError("edge probabilities must be finite and lie in [0,1]")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0,1), got {threshold}")
-    gaps = graph.starts[graph.edge_v] - graph.ends[graph.edge_u]
-    order = np.lexsort((graph.edge_v, graph.edge_u, gaps, -p)).tolist()
-    succ_used: set[int] = set()
-    pred_used: set[int] = set()
-    accepted: list[int] = []
-    for i in order:
-        if p[i] <= threshold:
-            break  # descending order: nothing below passes either
-        u, v = int(graph.edge_u[i]), int(graph.edge_v[i])
-        if u in succ_used or v in pred_used:
-            continue
-        succ_used.add(u)
-        pred_used.add(v)
-        accepted.append(i)
-    return np.array(sorted(accepted), dtype=np.intp)
+    edges = np.flatnonzero(p > threshold)
+    u, v = graph.edge_u[edges], graph.edge_v[edges]
+    order = np.lexsort((v, u, graph.starts[v] - graph.ends[u], -p[edges]))
+    edges, u, v = edges[order], u[order], v[order]
+    rank = np.arange(edges.size)
+    free_u = np.ones(graph.num_nodes, dtype=bool)
+    free_v = np.ones(graph.num_nodes, dtype=bool)
+    accepted = [edges[:0]]
+    while edges.size:
+        first_u = np.full(graph.num_nodes, edges.size)
+        first_v = np.full(graph.num_nodes, edges.size)
+        np.minimum.at(first_u, u, rank)
+        np.minimum.at(first_v, v, rank)
+        win = (first_u[u] == rank) & (first_v[v] == rank)
+        accepted.append(edges[win])
+        free_u[u[win]] = False
+        free_v[v[win]] = False
+        keep = free_u[u] & free_v[v]
+        edges, u, v, rank = edges[keep], u[keep], v[keep], np.arange(keep.sum())
+    return np.sort(np.concatenate(accepted))
 
 
-def merge_accepted(graph: TrackGraph, accepted: np.ndarray) -> list[Tracklet]:
+def merge_accepted(graph: TrackGraph, accepted: np.ndarray) -> TrackletRows:
     """Merge the chains of accepted edges into longer tracklets, in node order
-    of their heads (nodes with no accepted predecessor).  Edges run forward in
-    time, so a chain's detections, followed from its head, are in frame order.
-    A node with a second accepted successor or predecessor raises RuntimeError."""
-    succ: dict[int, int] = {}
-    has_pred: set[int] = set()
-    for u, v in zip(graph.edge_u[accepted].tolist(), graph.edge_v[accepted].tolist()):
-        if u in succ or v in has_pred:
-            raise RuntimeError("accepted edges violate the one-per-slot degree constraint")
-        succ[u] = v
-        has_pred.add(v)
-    merged = []
-    for head in sorted(set(range(graph.num_nodes)) - has_pred):
-        chain = [head]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        merged.append(Tracklet([d for i in chain for d in graph.nodes[i].detections]))
-    return merged
+    of their heads (nodes with no accepted predecessor).  Pointer jumping
+    gives each node its head and its depth below it, and the chains are the
+    nodes ordered by (head, depth); edges run forward in time, so a chain's
+    detections are in frame order.  A node with a second accepted successor
+    or predecessor raises RuntimeError."""
+    u, v = graph.edge_u[accepted], graph.edge_v[accepted]
+    if np.any(np.bincount(u) > 1) or np.any(np.bincount(v) > 1):
+        raise RuntimeError("accepted edges violate the one-per-slot degree constraint")
+    head = np.arange(graph.num_nodes)
+    head[v] = u  # each node's predecessor, and a head its own
+    depth = np.zeros(graph.num_nodes, dtype=np.intp)
+    depth[v] = 1
+    while True:
+        up = head[head]
+        if np.array_equal(up, head):
+            break
+        depth += depth[head]
+        head = up
+    order = np.lexsort((depth, head))
+    return graph.nodes.take(order, group=head[order])
 
 
 def gt_oracle_scorer(graph: TrackGraph) -> np.ndarray:
     """Probability 1 iff both endpoints carry the same ground-truth id (a
     node whose detections mix ids, or have none, matches nothing)."""
-    ids = [node.gt_id for node in graph.nodes]
-    known = np.array([gid is not None for gid in ids], dtype=bool)
-    gid = np.array([gid or 0 for gid in ids], dtype=np.int64)
+    gid, pure = graph.nodes.node_gt()
     u, v = graph.edge_u, graph.edge_v
-    return (known[u] & known[v] & (gid[u] == gid[v])).astype(np.float64)
+    return (pure[u] & pure[v] & (gid[u] == gid[v])).astype(np.float64)
 
 
-def _detection_sort_key(d: Detection):
-    return (
-        d.frame,
-        d.box,
-        d.confidence,
-        d.visibility,
-        d.gt_id is None,
-        d.gt_id or 0,
-        d.appearance.tobytes(),
-    )
-
-
-def _learned_scorer(params: ModelParams, dets: list[Detection]) -> EdgeScorer:
-    """The learned model as an edge scorer for graphs over ``dets``.  As in
-    training, nodes start from ``model.node_means`` of one clip-wide encoder
-    pass, whose tape is dropped: inference needs no gradients."""
-    app = Tensor(np.stack([d.appearance for d in dets]))
-    enc = Tensor(mlp_forward(params.node_encoder, app).data)
-    row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
+def _learned_scorer(params: ModelParams, clip: DetectionArrays) -> EdgeScorer:
+    """The learned model as an edge scorer for graphs over rows of ``clip``.
+    As in training, nodes start from ``model.node_means`` of one clip-wide
+    encoder pass, whose tape is dropped: inference needs no gradients."""
+    enc = Tensor(mlp_forward(params.node_encoder, Tensor(clip.app)).data)
 
     def score(graph: TrackGraph) -> np.ndarray:
-        eg = encode_graph(graph, params, node_means(enc, *node_rows(graph.nodes, row_of)))
+        nodes = graph.nodes
+        eg = encode_graph(graph, params, node_means(enc, nodes.rows, nodes.sizes))
         eg = message_pass(eg, params, params.config.message_passing_steps)
         return classify_edges(eg, params).data.ravel()
 
@@ -207,8 +212,8 @@ def _batches(edge_offsets: list[int]) -> Iterator[tuple[int, int]]:
 
 def run_levels(
     tracklets: Sequence[Tracklet], num_frames: int, level_sizes: Sequence[int], knn_k: int,
-    merge: Callable[[TrackGraph, np.ndarray], list[Tracklet]],
-) -> Iterator[tuple[TrackGraph, list[Tracklet]]]:
+    merge: Callable[[TrackGraph, np.ndarray], Sequence[Tracklet]],
+) -> Iterator[tuple[TrackGraph, Sequence[Tracklet]]]:
     """The levels of ``graph.clip_level_sizes``: each builds one graph of all
     its windows, ``merge`` turns that level graph and its window node offsets
     (``graph.window_offsets``) into merged tracklets, and the next level sees
@@ -227,39 +232,46 @@ def track_video(
 ) -> TrackResult:
     """Hierarchical tracking over a whole clip.
 
-    Each level graph of ``run_levels`` is cut into batches, slices over
-    consecutive whole windows of at most ``_BATCH_EDGES`` candidate edges;
-    each batch is scored and rounded at once and its chains merged, which
-    gives the merges of each window alone.  Levels past the configured ones
-    double in size until one window covers the whole clip.  The learned model scores the batches unless `edge_scorer` replaces
-    it (params may then be None).  Language embeddings are unreachable from
-    here.  An edge probability outside [0, 1] or non-finite (say, from a NaN
-    parameter) raises ValueError in ``round_edges``.
+    The detections are sorted (``graph.detection_order``) and lifted once;
+    every level's tracklets are rows of those detections.  Each level graph
+    of ``run_levels`` is cut into batches, slices over consecutive whole
+    windows of at most ``_BATCH_EDGES`` candidate edges; each batch is scored
+    and rounded at once, which gives the accepted edges of each window alone,
+    and the level's accepted edges merge in one ``merge_accepted`` call.
+    Levels past the configured ones double in size until one window covers
+    the whole clip.  The learned model scores the batches unless
+    `edge_scorer` replaces it (params may then be None).  Language
+    embeddings are unreachable from here.  An edge probability outside
+    [0, 1] or non-finite (say, from a NaN parameter) raises ValueError in
+    ``round_edges``.
     """
     if not detections:
         raise ValueError("track_video needs at least one detection")
     if edge_scorer is None and params is None:
         raise ValueError("either model params or an edge scorer is required")
-    dets = sorted(detections, key=_detection_sort_key)
+    clip = DetectionArrays.of(detections)
+    clip = clip.take(detection_order(clip))
 
-    def merge(graph: TrackGraph, offsets: np.ndarray) -> list[Tracklet]:
+    def merge(graph: TrackGraph, offsets: np.ndarray) -> TrackletRows:
         # edges are ordered by u and no edge leaves its window, so a run of
         # windows holds a contiguous range of nodes and one of edges
         nodes = offsets.tolist()
         edges = np.searchsorted(graph.edge_u, offsets).tolist()
-        merged = []
+        accepted = []
         for w0, w1 in _batches(edges):
             a, b, e0, e1 = nodes[w0], nodes[w1], edges[w0], edges[w1]
             g = TrackGraph(graph.nodes[a:b], graph.edge_u[e0:e1] - a, graph.edge_v[e0:e1] - a,
                            graph.edge_features[e0:e1], graph.frame_span)
-            merged.extend(merge_accepted(g, round_edges(g, score(g), config.threshold)))
-        return merged
+            accepted.append(e0 + round_edges(g, score(g), config.threshold))
+        return merge_accepted(graph, np.concatenate(accepted))
 
     with language_access_forbidden():
-        score = edge_scorer or _learned_scorer(params, dets)
+        score = edge_scorer or _learned_scorer(params, clip)
         for _, tracklets in run_levels(
-            lift_detections(dets), dets[-1].frame, config.level_sizes, config.knn_k, merge
+            lift_detections(clip), int(clip.frames[-1]), config.level_sizes, config.knn_k, merge
         ):
             pass  # a level's graphs are dropped once the next level's are built
-    tracklets.sort(key=tracklet_sort_key)
-    return TrackResult({tid: t.detections for tid, t in enumerate(tracklets, start=1)})
+    tracklets = tracklets.take(tracklet_order(tracklets))
+    dets, rows, offsets = clip.detections, tracklets.rows.tolist(), tracklets.offsets.tolist()
+    return TrackResult({tid: [dets[r] for r in rows[a:b]]
+                        for tid, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]), start=1)})

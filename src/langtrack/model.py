@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor, gather_rows, gathered_linear, linear, segment_sum
-from .graph import EDGE_FEATURE_DIM, Detection, TrackGraph, Tracklet
+from .graph import EDGE_FEATURE_DIM, TrackGraph
 from .nn import MLPParams, init_mlp, mlp_forward
 from .ops import PROB_EPS
 
@@ -26,7 +26,6 @@ __all__ = [
     "EncodedGraph",
     "init_model",
     "node_means",
-    "node_rows",
     "encode_graph",
     "message_pass",
     "classify_edges",
@@ -155,13 +154,6 @@ def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
     return summed * Tensor(1.0 / np.asarray(sizes, dtype=np.float64)[:, None])
 
 
-def node_rows(nodes: list[Tracklet], row_of: dict[Detection, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``rows`` and ``sizes`` of ``node_means`` for these nodes: each
-    node's detection rows in ``row_of``, node by node, and its detection count."""
-    rows = np.array([row_of[d] for t in nodes for d in t.detections], dtype=np.intp)
-    return rows, np.array([len(t.detections) for t in nodes], dtype=np.intp)
-
-
 def encode_graph(
     graph: TrackGraph, params: ModelParams, node_init: Tensor | None = None
 ) -> EncodedGraph:
@@ -177,12 +169,12 @@ def encode_graph(
         if node_init.shape != (v, m):
             raise ValueError(f"node_init shape {node_init.shape}, expected {(v, m)}")
         phi = node_init
-    elif any(len(t.detections) != 1 for t in graph.nodes):
+    elif np.any(graph.nodes.sizes != 1):
         raise ValueError("multi-detection tracklets need node_init to be encoded")
     else:
-        app = [t.first.appearance for t in graph.nodes]
-        rows = np.stack(app) if app else np.zeros((0, params.config.appearance_dim))
-        phi = mlp_forward(params.node_encoder, Tensor(rows))
+        nodes = graph.nodes
+        app = nodes.clip.app[nodes.rows] if v else np.zeros((0, params.config.appearance_dim))
+        phi = mlp_forward(params.node_encoder, Tensor(app))
     edge_init = mlp_forward(params.edge_encoder, Tensor(graph.edge_features))
     return EncodedGraph(graph, phi, edge_init)
 

@@ -4,8 +4,11 @@ Training and tracking run one level loop, ``inference.run_levels``, so they
 see the same levels and windows, and the top level covers the whole clip.
 Teacher forcing is training's merge rule: each window's nodes join into one
 tracklet per ground-truth id, so at level L every object contributes one
-tracklet per level L-1 window (single detections at the bottom).  Each
-level's bundle holds its one level graph, whose windows share no edges.
+tracklet per level L-1 window (single detections at the bottom).  Like
+tracking's, every level's tracklets are rows of the clip's detection arrays,
+so teacher forcing regroups rows and a level's node rows and sizes are read
+off its graph's nodes.  Each level's bundle holds its one level graph, whose
+windows share no edges.
 Tracklet embeddings are ``model.node_means`` of the encoder output, the rule
 tracking uses too, so gradients reach the encoder.  The loss per clip is the sum
 over levels of focal classification loss plus the weighted instance- and
@@ -32,7 +35,14 @@ from .data_io import (
     compose_instance_description,
     compose_scene_description,
 )
-from .graph import Detection, TrackGraph, Tracklet, check_level_sizes, lift_detections
+from .graph import (
+    Detection,
+    DetectionArrays,
+    TrackGraph,
+    TrackletRows,
+    check_level_sizes,
+    lift_detections,
+)
 from .graph import build_graph  # noqa: F401  (bench/run.py traces trainer.build_graph)
 from .guidance import (
     GuidanceConfig,
@@ -58,7 +68,6 @@ from .model import (
     init_model,
     message_pass,
     node_means,
-    node_rows,
     project_edges_for_spg,
     project_nodes_for_isg,
 )
@@ -151,15 +160,20 @@ def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -
     """1 for edges joining temporally consecutive same-identity nodes.
 
     Consecutive means no other node of the same identity starts between
-    the two; every other edge is 0.
+    the two; every other edge is 0.  Without ``gt_ids`` each node's id is
+    its ``Tracklet.gt_id``.
     """
     if gt_ids is None:
-        gt_ids = [node.gt_id for node in graph.nodes]
-    if len(gt_ids) != len(graph.nodes):
-        raise ValueError(f"{len(gt_ids)} gt ids for {len(graph.nodes)} nodes")
-    if any(g is None for g in gt_ids):
-        raise ValueError("every node needs a ground-truth id for labeling")
-    ids = np.array(gt_ids, dtype=np.int64).reshape(-1)
+        ids, pure = graph.nodes.node_gt()
+        if not pure.all():
+            raise ValueError("every node needs a ground-truth id for labeling")
+    else:
+        ids = np.asarray(gt_ids)
+        if len(ids) != graph.num_nodes:
+            raise ValueError(f"{len(ids)} gt ids for {graph.num_nodes} nodes")
+        if ids.dtype == object and any(g is None for g in ids):
+            raise ValueError("every node needs a ground-truth id for labeling")
+        ids = ids.astype(np.int64).reshape(-1)
     # each identity's nodes in time order, stably
     order = np.lexsort((graph.ends, graph.starts, ids))
     same = ids[order[1:]] == ids[order[:-1]]
@@ -168,16 +182,22 @@ def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -
     return (successor[graph.edge_u] == graph.edge_v).astype(np.float64)
 
 
-def _merge_by_identity(graph: TrackGraph, offsets: np.ndarray) -> list[Tracklet]:
+def _merge_by_identity(graph: TrackGraph, offsets: np.ndarray) -> TrackletRows:
     """Teacher forcing: one tracklet per ground-truth id of each window's
-    nodes (``graph.nodes[offsets[j]:offsets[j + 1]]`` for window j), which
-    are pure and, per id, in time order."""
-    merged = []
-    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        by_gt: dict[int, list[Detection]] = {}
-        for node in graph.nodes[a:b]:
-            by_gt.setdefault(node.first.gt_id, []).extend(node.detections)
-        merged.extend(Tracklet(dets) for dets in by_gt.values())
+    nodes (``graph.nodes[offsets[j]:offsets[j + 1]]`` for window j), keyed by
+    each node's first detection, in the order of each id's first node; the
+    nodes are pure and, per id, in time order."""
+    nodes = graph.nodes
+    window = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    key = np.column_stack((window, nodes.clip.has_gt[nodes.firsts], nodes.clip.gt[nodes.firsts]))
+    _, lead, which = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    lead = lead[which]  # each node's id's first node in its window
+    order = np.argsort(lead, kind="stable")
+    merged = nodes.take(order, group=lead[order])
+    steps = np.diff(nodes.clip.frames[merged.rows])
+    steps[merged.offsets[1:-1] - 1] = 1  # from one tracklet to the next
+    if np.any(steps <= 0):
+        raise ValueError("detection frames of one identity must strictly increase")
     return merged
 
 
@@ -188,29 +208,29 @@ def prepare_clip(
 ) -> ClipBundle:
     """Precompute the teacher-forced hierarchy, labels, and loss targets: the
     levels of ``run_levels``, tracking's loop, with ``_merge_by_identity`` merges."""
-    dets = sorted(clip.detections, key=lambda d: (d.frame, d.gt_id if d.gt_id is not None else -1))
-    if not dets:
+    dets = DetectionArrays.of(clip.detections)
+    if not dets.detections:
         raise ValueError(f"clip {clip.name!r} has no detections")
-    if any(d.gt_id is None for d in dets):
+    if not dets.has_gt.all():
         raise ValueError(f"clip {clip.name!r} has detections without gt ids")
-    num_frames = dets[-1].frame
-    appearance = np.stack([d.appearance for d in dets])
-    instance_vectors: dict[int, np.ndarray] = {}
-    for gid in sorted({d.gt_id for d in dets}):
+    dets = dets.take(np.lexsort((dets.gt, dets.frames)))
+    ids = np.unique(dets.gt)
+    vectors = []
+    for gid in ids.tolist():
         if gid not in clip.annotations.instances:
             raise KeyError(f"clip {clip.name!r}: no instance annotation for gt id {gid}")
-        desc = compose_instance_description(clip.annotations.instances[gid])
-        instance_vectors[gid] = store.lookup(desc)
+        vectors.append(store.lookup(compose_instance_description(clip.annotations.instances[gid])))
+    instance_vectors = np.stack(vectors)
     scene_embedding = store.lookup(compose_scene_description(clip.annotations.scene))
-    row_of = {d: i for i, d in enumerate(dets)}  # Detection hashes by identity
     levels: list[_LevelBundle] = []
-    for graph, _ in run_levels(lift_detections(dets), num_frames, cfg.level_sizes,
+    for graph, _ in run_levels(lift_detections(dets), int(dets.frames[-1]), cfg.level_sizes,
                                cfg.knn_k, _merge_by_identity):
-        gt_ids = [node.first.gt_id for node in graph.nodes]  # teacher-forced nodes are pure
-        targets = np.stack([instance_vectors[gid] for gid in gt_ids])
-        levels.append(_LevelBundle(graph, *node_rows(graph.nodes, row_of),
+        nodes = graph.nodes
+        gt_ids = dets.gt[nodes.firsts]  # teacher-forced nodes are pure
+        targets = instance_vectors[np.searchsorted(ids, gt_ids)]
+        levels.append(_LevelBundle(graph, nodes.rows, nodes.sizes,
                                    edge_labels(graph, gt_ids), targets))
-    return ClipBundle(clip.name, appearance, levels, scene_embedding)
+    return ClipBundle(clip.name, dets.app, levels, scene_embedding)
 
 
 def train_step(

@@ -17,9 +17,21 @@ ran before teacher forcing became a merge rule of the level loop shared with
 tracking; ``prepare_clip`` must reproduce its levels bitwise.
 
 ``ref_track_per_window`` is ``inference.track_video`` as it ran before it
-scored windows in batches: every window of every level gets its own model
-pass, rounding and merge.  ``track_video`` must reproduce its trajectories,
-detection by detection and in order.
+scored windows in batches and before its tracklets became rows of the
+clip's detection arrays: the detections sorted by a tuple key, lists of
+``Tracklet`` objects, and every window of every level with its own model
+pass (node rows found through a detection dict), greedy rounding and merge.
+``track_video`` must reproduce its trajectories, detection by detection and
+in order.
+
+``ref_sorted_with_keys`` is the per-tracklet node sort ``build_graph`` ran
+before it sorted rows of detection arrays; ``graph.tracklet_order`` must
+give its order.
+
+``ref_prepare_levels`` is ``trainer.prepare_clip``'s level loop in list
+form: ``run_levels`` over lists of ``Tracklet`` objects, with the dict walk
+teacher forcing merged by before it moved rows.  ``prepare_clip`` must
+reproduce its levels bitwise.
 """
 
 from __future__ import annotations
@@ -35,16 +47,14 @@ from langtrack.graph import (
     Tracklet,
     build_graph,
     clip_level_sizes,
-    lift_detections,
     tracklet_sort_key,
 )
-from langtrack.inference import (
-    _detection_sort_key,
-    _learned_scorer,
-    merge_accepted,
-    round_edges,
-)
+from langtrack.autodiff import Tensor
+from langtrack.inference import run_levels
+from langtrack.model import classify_edges, encode_graph, message_pass, node_means
+from langtrack.nn import mlp_forward
 from langtrack.trainer import edge_labels
+from reference_merge import ref_merge_walk, ref_round_edges
 
 _PRUNE_CENTER_WEIGHT = 0.05
 _PRUNE_GAP_WEIGHT = 0.01
@@ -173,7 +183,7 @@ def ref_teacher_forced_levels(clip, cfg, store):
     dets = sorted(clip.detections, key=lambda d: (d.frame, d.gt_id))
     num_frames = dets[-1].frame
     row_of = {d: i for i, d in enumerate(dets)}
-    singles = lift_detections(dets)
+    singles = [Tracklet([d]) for d in dets]
     sizes = clip_level_sizes(num_frames, cfg.level_sizes)
     levels = []
     for prev_size, size in zip([1] + sizes[:-1], sizes):
@@ -203,16 +213,101 @@ def ref_teacher_forced_levels(clip, cfg, store):
     return levels
 
 
+def ref_detection_sort_key(d):
+    return (
+        d.frame,
+        d.box,
+        d.confidence,
+        d.visibility,
+        d.gt_id is None,
+        d.gt_id or 0,
+        d.appearance.tobytes(),
+    )
+
+
+def ref_sorted_with_keys(tracklets):
+    """``sorted(tracklets, key=tracklet_sort_key)`` and, in that order, their
+    frame and box keys: start, end, first box, last box (10 columns).  One
+    lexsort orders the keys; only runs that tie on all of them (-0.0 equals
+    0.0 there, as in the tuple key) compare appearance bytes."""
+    keys = np.array([(t.detections[0].frame, t.detections[-1].frame,
+                      *t.detections[0].box, *t.detections[-1].box) for t in tracklets],
+                    dtype=np.float64).reshape(-1, 10)
+    order = np.lexsort(keys.T[::-1])
+    ordered = [tracklets[i] for i in order.tolist()]
+    keys = keys[order]
+    same = np.all(keys[1:] == keys[:-1], axis=1)
+    if same.any():
+        bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))  # run starts, end
+        tied = np.diff(bounds) > 1
+        for a, b in zip(bounds[:-1][tied].tolist(), bounds[1:][tied].tolist()):
+            ordered[a:b] = sorted(ordered[a:b], key=tracklet_sort_key)
+    return ordered, keys
+
+
+def ref_node_rows(nodes, row_of):
+    """Each node's detection rows in ``row_of`` (keyed by detection
+    identity), node by node, and its detection count."""
+    rows = np.array([row_of[id(d)] for t in nodes for d in t.detections], dtype=np.intp)
+    return rows, np.array([len(t.detections) for t in nodes], dtype=np.intp)
+
+
+def ref_learned_scorer(params, dets):
+    """The learned model over graphs of any tracklets of ``dets``: node rows
+    looked up by detection, one clip-wide encoder pass."""
+    enc = Tensor(mlp_forward(params.node_encoder,
+                             Tensor(np.stack([d.appearance for d in dets]))).data)
+    row_of = {id(d): i for i, d in enumerate(dets)}
+
+    def score(graph):
+        eg = encode_graph(graph, params, node_means(enc, *ref_node_rows(graph.nodes, row_of)))
+        eg = message_pass(eg, params, params.config.message_passing_steps)
+        return classify_edges(eg, params).data.ravel()
+
+    return score
+
+
 def ref_track_per_window(detections, params, config, edge_scorer=None):
     """The final tracklets of the per-window level loop, in track-id order."""
-    dets = sorted(detections, key=_detection_sort_key)
-    score = edge_scorer or _learned_scorer(params, dets)
+    dets = sorted(detections, key=ref_detection_sort_key)
+    score = edge_scorer or ref_learned_scorer(params, dets)
     num_frames = dets[-1].frame
-    tracklets = lift_detections(dets)
+    tracklets = [Tracklet([d]) for d in dets]
     for size in clip_level_sizes(num_frames, config.level_sizes):
         merged = []
         for window, members in group_by_window(tracklets, size, num_frames):
             g = build_graph(members, config.knn_k, window)
-            merged.extend(merge_accepted(g, round_edges(g, score(g), config.threshold)))
+            merged.extend(ref_merge_walk(g, ref_round_edges(g, score(g), config.threshold)))
         tracklets = merged
     return sorted(tracklets, key=tracklet_sort_key)
+
+
+def ref_merge_by_identity(graph, offsets):
+    """Teacher forcing as a dict walk: one tracklet per first-detection gt
+    id of each window's nodes, in the order of each id's first node."""
+    merged = []
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        by_gt = {}
+        for node in graph.nodes[a:b]:
+            by_gt.setdefault(node.first.gt_id, []).extend(node.detections)
+        merged.extend(Tracklet(dets) for dets in by_gt.values())
+    return merged
+
+
+def ref_prepare_levels(clip, cfg, store):
+    """Per level of ``prepare_clip``'s hierarchy, run over lists of
+    tracklets: the level graph, each node's detection rows and count, edge
+    labels and instance targets."""
+    dets = sorted(clip.detections, key=lambda d: (d.frame, d.gt_id))
+    row_of = {id(d): i for i, d in enumerate(dets)}
+    levels = []
+    for graph, _ in run_levels([Tracklet([d]) for d in dets], dets[-1].frame,
+                               cfg.level_sizes, cfg.knn_k, ref_merge_by_identity):
+        gt_ids = [t.first.gt_id for t in graph.nodes]
+        targets = np.stack([
+            store.lookup(compose_instance_description(clip.annotations.instances[gid]))
+            for gid in gt_ids
+        ])
+        levels.append((graph, *ref_node_rows(graph.nodes, row_of),
+                       edge_labels(graph, gt_ids), targets))
+    return levels

@@ -340,6 +340,12 @@ def trained_world(tmp_path_factory):
     rows = (data / "seq00.appearance.csv").read_text().splitlines()
     rows[1] = "nan," + rows[1].split(",", 1)[1]
     (tmp / "nan.appearance.csv").write_text("\n".join(rows) + "\n")
+    det_rows = (data / "seq00.det.txt").read_text().splitlines()
+    for name, field, value in (("nan_left", 2, "nan"), ("inf_width", 4, "inf")):
+        bad = det_rows[0].split(",")
+        bad[field] = value
+        (tmp / f"{name}.det.txt").write_text("\n".join([",".join(bad)] + det_rows[1:]) + "\n")
+        shutil.copy(data / "seq00.appearance.csv", tmp / f"{name}.appearance.csv")
     (tmp / "levels.json").write_text(json.dumps(dict(SMALL_CONFIG, levels=[5, 7])))
     (tmp / "typed.json").write_text(json.dumps(dict(SMALL_CONFIG, lr="fast")))
     annotations = json.loads((data / "seq00.annotations.json").read_text())
@@ -408,6 +414,12 @@ BAD_INPUTS = {
         lambda w: _train(w) + ["--config", str(w["tmp"] / "typed.json")], 3, "config error"),
     "track NaN sidecar": (
         lambda w: _track(w, w["nan_det"]) + ["--config", w["config"]], 4, "input error"),
+    "track NaN box left": (
+        lambda w: _track(w, str(w["tmp"] / "nan_left.det.txt")) + ["--config", w["config"]],
+        4, "input error"),
+    "track infinite box width": (
+        lambda w: _track(w, str(w["tmp"] / "inf_width.det.txt")) + ["--config", w["config"]],
+        4, "input error"),
     "gen appearance-dim 0": (lambda w: _gen(w, "--appearance-dim", "0"), 2, "usage error"),
     "gen appearance-noise nan": (
         lambda w: _gen(w, "--appearance-noise", "nan"), 2, "usage error"),

@@ -15,6 +15,7 @@ from langtrack.graph import (
     Detection,
     TrackGraph,
     Tracklet,
+    TrackletRows,
     build_graph,
     check_level_sizes,
     clip_level_sizes,
@@ -24,7 +25,13 @@ from langtrack.graph import (
 )
 from langtrack.inference import TrackerConfig, gt_oracle_scorer, track_video
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
-from reference_graph import group_by_window, ref_build_graph, ref_level_graph
+from reference_graph import (
+    group_by_window,
+    ref_build_graph,
+    ref_detection_sort_key,
+    ref_level_graph,
+    ref_sorted_with_keys,
+)
 
 
 def det(frame, x=10.0, y=20.0, w=4.0, h=8.0, app=(1.0, 0.0), gt_id=None):
@@ -150,7 +157,8 @@ def test_lift_bijection():
     assert len(tracklets) == 3
     assert all(len(t.detections) == 1 for t in tracklets)
     assert tracklets[2].start_frame == tracklets[2].end_frame == 7
-    assert lift_detections([]) == []
+    assert [t.first for t in tracklets] == dets  # Detection compares by identity
+    assert len(lift_detections([])) == 0
 
 
 def test_detection_validation():
@@ -158,6 +166,12 @@ def test_detection_validation():
         det(0)
     with pytest.raises(ValueError):
         det(1, w=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("x", "y", "w", "h"):
+            with pytest.raises(ValueError, match="finite"):
+                det(1, **{field: bad})
+    with pytest.raises(ValueError, match="64 bits"):
+        det(1, gt_id=2**63)
     with pytest.raises(ValueError):
         Detection(1, (0, 0, 1, 1), np.ones(2), confidence=1.5)
     with pytest.raises(ValueError):
@@ -174,7 +188,9 @@ def test_detection_validation():
 def edge_features(u, v):
     """The feature row build_graph gives the one candidate edge u -> v."""
     g = build_graph([u, v], knn_k=1, window=(1, max(u.end_frame, v.end_frame)))
-    assert g.num_edges == 1 and g.nodes[g.edge_u[0]] is u and g.nodes[g.edge_v[0]] is v
+    assert g.num_edges == 1
+    assert g.nodes[g.edge_u[0]].detections == u.detections  # the same Detection objects
+    assert g.nodes[g.edge_v[0]].detections == v.detections
     return g.edge_features[0]
 
 
@@ -269,8 +285,50 @@ def tied_tracklets(draw):
 @given(tied_tracklets())
 @settings(max_examples=300, deadline=None)
 def test_node_order_is_the_tuple_key_order(tracklets):
-    got, _ = graph._sorted_with_keys(tracklets)
-    assert [id(t) for t in got] == [id(t) for t in sorted(tracklets, key=tracklet_sort_key)]
+    order = graph.tracklet_order(TrackletRows.of(tracklets)).tolist()
+    assert [id(tracklets[i]) for i in order] == [
+        id(t) for t in sorted(tracklets, key=tracklet_sort_key)]
+    ref, _ = ref_sorted_with_keys(tracklets)
+    assert [id(tracklets[i]) for i in order] == [id(t) for t in ref]
+
+
+@st.composite
+def tied_detections(draw):
+    return [
+        Detection(draw(st.integers(1, 2)), draw(st.sampled_from(SORT_BOXES)),
+                  draw(st.sampled_from(SORT_ROWS)),
+                  confidence=draw(st.sampled_from([0.0, -0.0, 0.5, 1.0])),
+                  visibility=draw(st.sampled_from([1.0, float(np.nextafter(1.0, 0.0))])),
+                  gt_id=draw(st.sampled_from([None, 0, 1, -1, 2**63 - 1, -(2**63)])))
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+
+
+@given(tied_detections())
+@settings(max_examples=300, deadline=None)
+def test_detection_order_is_the_tuple_key_order(detections):
+    order = graph.detection_order(graph.DetectionArrays.of(detections)).tolist()
+    assert [id(detections[i]) for i in order] == [
+        id(d) for d in sorted(detections, key=ref_detection_sort_key)]
+
+
+@given(tied_tracklets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tracklet_rows_index_slice_and_take_like_a_list(tracklets, data):
+    rows = TrackletRows.of(tracklets)
+    as_ids = lambda ts: [[id(d) for d in t.detections] for t in ts]  # noqa: E731
+    assert len(rows) == len(tracklets)
+    assert as_ids(rows) == as_ids(tracklets)
+    assert as_ids(rows[i] for i in range(-len(rows), len(rows))) == as_ids(tracklets * 2)
+    a, b = data.draw(st.integers(-30, 30)), data.draw(st.integers(-30, 30))
+    step = data.draw(st.sampled_from([None, 1, 2, -1]))
+    assert as_ids(rows[a:b:step]) == as_ids(tracklets[a:b:step])
+    assert as_ids(rows[a:b][::-1]) == as_ids(tracklets[a:b][::-1])
+    order = data.draw(st.permutations(range(len(tracklets))))
+    assert as_ids(rows.take(np.array(order, dtype=np.intp))) == as_ids(
+        [tracklets[i] for i in order])
+    with pytest.raises(IndexError):
+        rows[len(tracklets)]
 
 
 # -- graph construction ----------------------------------------------------------
@@ -359,7 +417,7 @@ def test_build_graph_invariants_random(n, k, span):
 
 def assert_same_graph(fast, ref):
     assert len(fast.nodes) == len(ref.nodes)
-    assert all(a is b for a, b in zip(fast.nodes, ref.nodes))
+    assert all(a.detections == b.detections for a, b in zip(fast.nodes, ref.nodes))
     assert np.array_equal(fast.edge_u, ref.edge_u)
     assert np.array_equal(fast.edge_v, ref.edge_v)
     assert fast.edge_features.tobytes() == ref.edge_features.tobytes()

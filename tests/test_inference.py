@@ -38,8 +38,8 @@ from langtrack.model import (
 )
 from langtrack.nn import focal_bce_tape, load_checkpoint, mlp_forward
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
-from reference_graph import ref_track_per_window
-from reference_merge import ref_merge_accepted
+from reference_graph import ref_learned_scorer, ref_track_per_window
+from reference_merge import ref_merge_accepted, ref_merge_walk, ref_round_edges
 
 
 def det(frame, x=0.0, y=0.0, app=(1.0, 0.0, 0.0), gt_id=None, w=4.0, h=8.0):
@@ -174,6 +174,94 @@ def test_round_visits_edges_in_sorted_key_order_on_exact_ties():
         # three levels above the threshold, so most edges tie with others
         probs = rng.choice([0.6, 0.8, 0.9, 0.2], g.num_edges)
         assert round_edges(g, probs, 0.5).tolist() == greedy_by_sorted_key(g, probs, 0.5)
+
+
+# -- agreement with the greedy loop and the chain walk (reference_merge.py) ------
+
+
+@st.composite
+def scored_graphs(draw):
+    """A graph of multi-detection tracklets in any node order (so a chain's
+    nodes need not come in node order), random edges forward in time in any
+    order, and edge probabilities that are uniform, rounded to 0.1 (ties on
+    p, broken by gap and endpoints) or all equal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = []
+    for _ in range(draw(st.integers(0, 16))):
+        start = int(rng.integers(1, 12))
+        frames = range(start, start + int(rng.integers(1, 4)))
+        nodes.append(Tracklet([det(f, x=float(rng.integers(0, 3))) for f in frames]))
+    pairs = [(i, j) for i, a in enumerate(nodes) for j, b in enumerate(nodes)
+             if a.end_frame < b.start_frame]
+    rng.shuffle(pairs)
+    pairs = pairs[:int(len(pairs) * draw(st.floats(0.0, 1.0)))]
+    u = np.array([i for i, _ in pairs], dtype=np.intp)
+    v = np.array([j for _, j in pairs], dtype=np.intp)
+    g = TrackGraph(nodes, u, v, np.zeros((len(pairs), 6)), (1, 14))
+    probs = rng.uniform(0.0, 1.0, g.num_edges)
+    kind = draw(st.sampled_from(["uniform", "tenths", "equal"]))
+    if kind == "tenths":
+        probs = np.round(probs, 1)
+    elif kind == "equal":
+        probs = np.full(g.num_edges, 0.7)
+    return g, probs
+
+
+@given(scored_graphs(), st.sampled_from([0.05, 0.5, 0.65, 0.95]))
+@settings(max_examples=400, deadline=None)
+def test_round_edges_matches_the_greedy_loop(case, threshold):
+    g, probs = case
+    got = round_edges(g, probs, threshold)
+    want = ref_round_edges(g, probs, threshold)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(scored_graphs(), st.sampled_from([0.05, 0.5, 0.95]))
+@settings(max_examples=400, deadline=None)
+def test_merge_accepted_matches_the_chain_walk(case, threshold):
+    g, probs = case
+    accepted = ref_round_edges(g, probs, threshold)
+    merged = merge_accepted(g, accepted)
+    assert merged_parts(merged) == merged_parts(ref_merge_walk(g, accepted))
+    assert len(merged) == g.num_nodes - accepted.size
+
+
+@pytest.mark.parametrize("objects,frames", [(4, 600), (16, 150)])
+def test_learned_rounding_and_merging_match_the_loops_at_every_level(objects, frames):
+    detections = desk_clip(objects, frames, seed=objects + frames)
+    score = ref_learned_scorer(desk_model(), detections)
+
+    def checked_merge(graph, offsets):
+        probs = score(graph)
+        accepted = round_edges(graph, probs, DESK_CFG.threshold)
+        assert accepted.tobytes() == ref_round_edges(graph, probs, DESK_CFG.threshold).tobytes()
+        merged = merge_accepted(graph, accepted)
+        assert merged_parts(merged) == merged_parts(ref_merge_walk(graph, accepted))
+        return merged
+
+    levels = list(inference.run_levels(lift_detections(detections), frames,
+                                       DESK_CFG.level_sizes, DESK_CFG.knn_k, checked_merge))
+    assert sum(graph.num_nodes - len(merged) for graph, merged in levels) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+def test_round_edges_rejects_what_the_greedy_loop_rejects(bad):
+    g = chain_graph(4)
+    probs = np.full(g.num_edges, 0.9)
+    probs[-1] = bad
+    for rounding in (round_edges, ref_round_edges):
+        with pytest.raises(ValueError, match="finite"):
+            rounding(g, probs, 0.5)
+
+
+def test_merge_accepted_rejects_a_double_slot_like_the_chain_walk():
+    g = chain_graph(3)  # edges 1->2, 1->3 and 2->3
+    for accepted in ([edge_index(g, 1, 2), edge_index(g, 1, 3)],
+                     [edge_index(g, 1, 3), edge_index(g, 2, 3)],
+                     [edge_index(g, 1, 2), edge_index(g, 1, 2)]):
+        for merge in (merge_accepted, ref_merge_walk):
+            with pytest.raises(RuntimeError, match="one-per-slot"):
+                merge(g, np.array(accepted))
 
 
 # -- id assignment: merge_accepted and track_video ------------------------------
@@ -457,7 +545,7 @@ def test_every_budget_scores_whole_windows_and_gives_the_per_window_merges(monke
         for batch in batches:
             b, f = a + batch.num_nodes, e + batch.num_edges
             assert a in offsets and b in offsets  # whole windows
-            assert all(x is y for x, y in zip(batch.nodes, level.nodes[a:b]))
+            assert [x.detections for x in batch.nodes] == [y.detections for y in level.nodes[a:b]]
             assert np.array_equal(batch.edge_u + a, level.edge_u[e:f])
             assert np.array_equal(batch.edge_v + a, level.edge_v[e:f])
             assert batch.edge_features.tobytes() == level.edge_features[e:f].tobytes()

@@ -8,7 +8,7 @@ import pytest
 from langtrack import trainer
 from langtrack.autodiff import Tensor
 from langtrack.data_io import AnnotationSet, InstanceAttributes, SceneAttributes
-from langtrack.graph import Detection, Tracklet, build_graph
+from langtrack.graph import Detection, Tracklet, build_graph, lift_detections, window_offsets
 from langtrack.inference import TrackerConfig
 from langtrack.metrics import MetricReport
 from langtrack.model import ModelConfig, init_model, node_means
@@ -23,7 +23,9 @@ from langtrack.trainer import (
     run_training,
     train_step,
 )
-from reference_graph import ref_teacher_forced_levels
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_graph import ref_merge_by_identity, ref_prepare_levels, ref_teacher_forced_levels
 
 SCENE = SceneAttributes("medium", "static", "on a sunny day")
 
@@ -207,6 +209,27 @@ class TestPrepareClip:
             for got, want in (
                 (graph.edge_u, union.edge_u), (graph.edge_v, union.edge_v),
                 (graph.edge_features, union.edge_features), (level.rows, rows),
+                (level.sizes, sizes), (level.labels, labels), (level.instance_targets, targets),
+            ):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("objects,frames,knn_k", [(8, 150, 3), (4, 317, 10), (4, 1200, 3)])
+    def test_bundle_matches_the_list_form_level_loop_bitwise(self, objects, frames, knn_k):
+        # the same levels run over lists of Tracklet objects, teacher forcing
+        # as a dict walk and node rows looked up by detection
+        cfg = small_train_cfg(level_sizes=(5, 25, 75, 150), knn_k=knn_k)
+        clip = synth_clip("l", seed=9, num_objects=objects, num_frames=frames)
+        store = store_for(clip)
+        bundle = prepare_clip(clip, cfg, store)
+        reference = ref_prepare_levels(clip, cfg, store)
+        assert len(bundle.levels) == len(reference)
+        for level, (graph, rows, sizes, labels, targets) in zip(bundle.levels, reference):
+            assert [t.detections for t in level.graph.nodes] == [t.detections for t in graph.nodes]
+            assert level.graph.frame_span == graph.frame_span
+            for got, want in (
+                (level.graph.edge_u, graph.edge_u), (level.graph.edge_v, graph.edge_v),
+                (level.graph.edge_features, graph.edge_features), (level.rows, rows),
                 (level.sizes, sizes), (level.labels, labels), (level.instance_targets, targets),
             ):
                 assert got.dtype == want.dtype and got.shape == want.shape
@@ -514,3 +537,23 @@ class TestRunExperiment:
         train = [synth_clip("a", 3)]
         with pytest.raises(ValueError):
             ExperimentSpec(train, [], [], store_for(*train), seeds=())
+
+
+@given(st.lists(st.tuples(st.integers(1, 12), st.sampled_from([None, 1, 2, 3]),
+                          st.integers(0, 2)), max_size=40),
+       st.sampled_from([1, 2, 3, 5]))
+@settings(max_examples=300, deadline=None)
+def test_merge_by_identity_matches_the_dict_walk(rows, size):
+    # ids repeat within a frame and some are missing: both merges must then
+    # reject the same inputs, and otherwise give the same tracklets
+    detections = [Detection(f, (float(x), 0.0, 4.0, 8.0), np.ones(2), gt_id=gid)
+                  for f, gid, x in rows]
+    graph = build_graph(lift_detections(detections), 3, (1, 12), size)
+    offsets = window_offsets(graph.starts, 1, size)
+    try:
+        want = [t.detections for t in ref_merge_by_identity(graph, offsets)]
+    except ValueError:
+        with pytest.raises(ValueError):
+            trainer._merge_by_identity(graph, offsets)
+        return
+    assert [t.detections for t in trainer._merge_by_identity(graph, offsets)] == want
