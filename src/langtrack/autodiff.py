@@ -11,6 +11,14 @@ output node, it routes the output's gradient to the operation's parents.
 tensors side by side (a message-passing layer's endpoints and edges): it
 projects each tensor before gathering, so no gathered input is formed.
 
+Every sum of rows selected by an index is a product by a constant 0/1
+``scipy.sparse`` CSR matrix.  A scatter (``segment_sum``, and the backward
+of a gather) goes through an :class:`Incidence`, whose matrix holds each
+output row's terms in input order and is built once, however many products
+use it; the CSR product adds them in that order from 0.0, so each sum has
+the bits of ``np.add.at``.  :func:`sparse_matmul` takes any such matrix
+(``model.node_means``' node membership) and transposes it for the gradient.
+
 Finiteness is checked where values enter the tape and where they leave it:
 on leaves and constants (every ``Tensor(...)``), and on the loss when
 :meth:`Tensor.backward` starts.  Intermediate results skip the check, so a
@@ -25,14 +33,17 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
+    "Incidence",
     "Tensor",
     "as_tensor",
     "gather_rows",
     "gathered_linear",
     "linear",
     "segment_sum",
+    "sparse_matmul",
 ]
 
 
@@ -347,44 +358,77 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Ten
     return Tensor._make(data, (x, w, b), bw)
 
 
-def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """Add row i of ``values`` into row ``index[i]`` of (num_rows, cols) zeros.
-
-    One ``bincount`` over flat positions adds each entry's terms in input
-    order from 0.0, as ``np.add.at`` does, so the bits are the same.
+class Incidence:
+    """Where a scatter adds rows: row i of the values goes to row ``index[i]``
+    of ``num_rows``.  Its 0/1 CSR matrix, ``num_rows`` x ``len(index)`` with
+    each row's columns in input order, is built on first use and kept, so a
+    graph's endpoint lists are checked and laid out once for every product.
     """
-    cols = values.shape[1]
-    flat = (index[:, None] * cols + np.arange(cols)).ravel()
-    sums = np.bincount(flat, weights=values.ravel(), minlength=num_rows * cols)
-    return sums.astype(np.float64, copy=False).reshape(num_rows, cols)  # ints if empty
+
+    __slots__ = ("index", "num_rows", "_matrix")
+
+    def __init__(self, index: Sequence[int] | np.ndarray, num_rows: int):
+        idx = np.asarray(index, dtype=np.intp)
+        if idx.ndim != 1:
+            raise ValueError(f"an incidence index is 1-D, got shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+            raise IndexError(f"row index out of range for {num_rows} rows")
+        self.index = idx
+        self.num_rows = num_rows
+        self._matrix = None
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Add row i of ``values`` into row ``index[i]`` of (num_rows, cols) zeros.
+
+        The CSR product adds each output row's terms in column order from
+        0.0, which is input order: the bits of ``np.add.at``, -0.0 + 0.0
+        included.
+        """
+        if self._matrix is None:
+            n = self.index.size
+            indptr = np.zeros(self.num_rows + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.index, minlength=self.num_rows), out=indptr[1:])
+            # a stable argsort of 8- or 16-bit keys is a radix sort
+            keys = self.index.astype(np.min_scalar_type(max(self.num_rows - 1, 0)))
+            order = np.argsort(keys, kind="stable")
+            self._matrix = sparse.csr_array((np.ones(n), order, indptr), shape=(self.num_rows, n))
+        return self._matrix @ values
 
 
-def gather_rows(t: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
+def _incidence(index: Incidence | Sequence[int] | np.ndarray, num_rows: int) -> Incidence:
+    """``index`` as an Incidence into ``num_rows`` rows; one given is reused."""
+    if not isinstance(index, Incidence):
+        return Incidence(index, num_rows)
+    if index.num_rows != num_rows:
+        raise ValueError(f"incidence into {index.num_rows} rows used for {num_rows}")
+    return index
+
+
+def gather_rows(t: Tensor, index: Incidence | Sequence[int] | np.ndarray) -> Tensor:
     """Select rows by index (repeats allowed); gradient scatter-adds back."""
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
-        raise IndexError("gather_rows index out of range")
-    data = t.data[idx] if idx.size else np.zeros((0, t.shape[1]))
+    inc = _incidence(index, t.shape[0])
+    data = t.data[inc.index]
 
     def bw(out: Tensor):
-        if t.requires_grad and idx.size:
-            t._accumulate(_scatter_rows(idx, out.grad, t.shape[0]))
+        if t.requires_grad and inc.index.size:
+            t._accumulate(inc.scatter(out.grad))
 
     return Tensor._make(data, (t,), bw)
 
 
 def gathered_linear(
-    parts: Sequence[tuple[Tensor, Sequence[int] | np.ndarray | None]],
+    parts: Sequence[tuple[Tensor, Incidence | Sequence[int] | np.ndarray | None]],
     w: Tensor,
     b: Tensor,
     activation: str = "identity",
 ) -> Tensor:
     """``linear`` of the parts' selected rows side by side, as one tape node.
 
-    Each part is a tensor and the rows it gives, by index (repeats allowed)
-    or all of them in order (None).  ``w``'s rows split by the parts' widths
-    in order, and the node is ``act(Σ (t @ w_k)[index] + b)``: each part is
-    projected before it is gathered, so the work on gathered rows is out-wide.
+    Each part is a tensor and the rows it gives, by index or incidence
+    (repeats allowed) or all of them in order (None).  ``w``'s rows split by
+    the parts' widths in order, and the node is ``act(Σ (t @ w_k)[index] +
+    b)``: each part is projected before it is gathered, so the work on
+    gathered rows is out-wide.
     """
     tensors = tuple(t for t, _ in parts)
     blocks, lo = [], 0
@@ -393,13 +437,10 @@ def gathered_linear(
         lo += t.shape[1]
     if lo != w.shape[0]:
         raise ValueError(f"parts have {lo} columns, weight has {w.shape[0]} rows")
-    idxs = [None if index is None else np.asarray(index, dtype=np.intp) for _, index in parts]
-    # Indexing raises IndexError past the end; a negative index would wrap instead.
-    if any(idx is not None and idx.size and idx.min() < 0 for idx in idxs):
-        raise IndexError("gathered_linear index out of range")
+    incs = [None if index is None else _incidence(index, t.shape[0]) for t, index in parts]
     projected = [
-        t.data @ wk if idx is None else (t.data @ wk)[idx]
-        for t, idx, wk in zip(tensors, idxs, blocks)
+        t.data @ wk if inc is None else (t.data @ wk)[inc.index]
+        for t, inc, wk in zip(tensors, incs, blocks)
     ]
     if len({p.shape[0] for p in projected}) > 1:
         raise ValueError("parts must give the same number of rows")
@@ -408,9 +449,9 @@ def gathered_linear(
     def bw(out: Tensor):
         g = grad_z(out.grad)
         w_grads = []
-        for t, idx, wk in zip(tensors, idxs, blocks):
+        for t, inc, wk in zip(tensors, incs, blocks):
             if t.requires_grad or w.requires_grad:
-                s = g if idx is None else _scatter_rows(idx, g, t.shape[0])
+                s = g if inc is None else inc.scatter(g)
             if t.requires_grad:
                 t._accumulate(s @ wk.T)
             if w.requires_grad:
@@ -423,17 +464,30 @@ def gathered_linear(
     return Tensor._make(data, tensors + (w, b), bw)
 
 
-def segment_sum(t: Tensor, segment: Sequence[int] | np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(
+    t: Tensor, segment: Incidence | Sequence[int] | np.ndarray, num_segments: int
+) -> Tensor:
     """Sum rows of `t` into `num_segments` buckets given per-row bucket ids."""
-    seg = np.asarray(segment, dtype=np.intp)
-    if seg.size != t.shape[0]:
+    inc = _incidence(segment, num_segments)
+    if inc.index.size != t.shape[0]:
         raise ValueError("segment ids must cover every row")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise IndexError("segment id out of range")
-    data = _scatter_rows(seg, t.data, num_segments)
 
     def bw(out: Tensor):
-        if t.requires_grad and seg.size:
-            t._accumulate(out.grad[seg])
+        if t.requires_grad and inc.index.size:
+            t._accumulate(out.grad[inc.index])
 
-    return Tensor._make(data, (t,), bw)
+    return Tensor._make(inc.scatter(t.data), (t,), bw)
+
+
+def sparse_matmul(m: sparse.csr_array, t: Tensor) -> Tensor:
+    """``m @ t`` for a constant sparse matrix ``m``, as one tape node; the
+    gradient is ``m.T @ grad``, exact where each column of ``m`` holds at
+    most one 1 (each row of ``t`` is used at most once, as itself)."""
+    if m.shape[1] != t.shape[0]:
+        raise ValueError(f"matmul mismatch: {m.shape} @ {t.shape}")
+
+    def bw(out: Tensor):
+        if t.requires_grad:
+            t._accumulate(m.T.tocsr() @ out.grad)
+
+    return Tensor._make(m @ t.data, (t,), bw)

@@ -4,18 +4,19 @@ Detections are lifted to single-detection tracklets, tracklets become graph
 nodes, and candidate edges connect temporally disjoint nodes of one window
 (earlier node ends before the later one starts).  A level's tracklets are
 one ``TrackletRows``: rows of the clip's detection arrays (frames, boxes,
-appearance and ground-truth ids, built once per clip and shared by every
-level), tracklet by tracklet in frame order, so sorting, gathering and
-merging tracklets move index arrays, and a ``Tracklet`` object is made only
-when one is indexed.  A fixed pruning score keeps each node's candidate set
-at the k most plausible successors so graph construction is deterministic
-and cheap: ``build_graph`` scores successors as arrays, in chunks of whole
-windows padded to the largest, and ranks only each row's near-ties to its
-k-th score with the exact per-pair key (score, frame gap, node index), so
-the graph is the one a per-pair ranking gives, bit for bit.  This module
-alone knows how a level tiles a clip: level sizes nest by integer factors
-and grow until one window covers the whole clip, each tracklet belongs to
-the window its first frame falls in, and one ``build_graph`` call gives a
+appearance with its row norms and unit rows, and ground-truth ids, built
+once per clip and shared by every level), tracklet by tracklet in frame
+order, so sorting, gathering and merging tracklets move index arrays, and a
+``Tracklet`` object is made only when one is indexed.  A fixed pruning
+score keeps each node's candidate set at the k most plausible successors so
+graph construction is deterministic and cheap: ``build_graph`` scores
+successors as arrays of gathered unit rows, in chunks of whole windows
+padded to the largest, and ranks only each row's near-ties to its k-th
+score with the exact per-pair key (score, frame gap, node index), so the
+graph is the one a per-pair ranking gives, bit for bit.  This module alone
+knows how a level tiles a clip: level sizes nest by integer factors and
+grow until one window covers the whole clip, each tracklet belongs to the
+window its first frame falls in, and one ``build_graph`` call gives a
 level's graph, the disjoint union of its window graphs, whose windows
 ``window_offsets`` slices into contiguous node ranges.
 """
@@ -151,7 +152,8 @@ def tracklet_sort_key(t: Tracklet):
 class DetectionArrays:
     """A clip's detections and, row by row, their frames, boxes, ground-truth
     ids (``gt`` is 0 where ``has_gt`` is False) and appearance rows, stacked
-    on first use, so a clip that is only sorted never stacks them."""
+    on first use, so a clip that is only sorted never stacks them; so are
+    the rows' norms and unit rows, which every level's graph gathers."""
 
     detections: list[Detection]
     frames: np.ndarray
@@ -175,6 +177,18 @@ class DetectionArrays:
     def app(self) -> np.ndarray:
         dets = self.detections
         return np.stack([d.appearance for d in dets]) if dets else np.zeros((0, 0))
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """``app``'s row norms by ``vecdot``, which runs the BLAS dot of
+        ``np.dot`` and of ``np.linalg.norm`` on one row."""
+        return np.sqrt(np.vecdot(self.app, self.app))
+
+    @functools.cached_property
+    def unit_app(self) -> np.ndarray:
+        """``app``'s rows scaled to unit norm; zero rows stay zero."""
+        norms = np.linalg.norm(self.app, axis=-1, keepdims=True)
+        return np.divide(self.app, norms, out=np.zeros_like(self.app), where=norms > 0.0)
 
     def take(self, order: np.ndarray) -> "DetectionArrays":
         """The detections ``order`` lists, in that order."""
@@ -418,12 +432,6 @@ def _boundary(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def _unit_rows(app: np.ndarray) -> np.ndarray:
-    """Rows (along the last axis) scaled to unit norm; zero rows stay zero."""
-    norms = np.linalg.norm(app, axis=-1, keepdims=True)
-    return np.divide(app, norms, out=np.zeros_like(app), where=norms > 0.0)
-
-
 def _chunks(counts: list[int], dim: int) -> Iterator[tuple[int, int, int, int]]:
     """Windows ``w0:w1`` and rows ``r0:r1`` per chunk: consecutive whole
     windows of ``counts`` nodes, padded to the widest, whose scores and
@@ -505,11 +513,11 @@ def build_graph(
         return TrackGraph(nodes, no_edges, no_edges, np.zeros((0, EDGE_FEATURE_DIM)), (lo, hi))
     vx, vy, vh, vw = _boundary(clip.boxes[first])
     ux, uy, uh, uw = _boundary(clip.boxes[last])
-    app = clip.app  # u's rows are app[last], v's app[first], gathered only as needed
-    # vecdot runs the BLAS dot of np.dot and np.linalg.norm, so each cosine is
-    # bitwise the per-pair 1 - dot(a, b) / (|a| |b|); a zero row is at distance 1
-    norm = np.sqrt(np.vecdot(app, app))
-    u_norm, v_norm = norm[last], norm[first]
+    # u's rows are app[last], v's app[first], gathered only as needed; each
+    # exact cosine is bitwise the per-pair 1 - dot(a, b) / (|a| |b|), and a
+    # zero row is at distance 1
+    app, unit = clip.app, clip.unit_app
+    u_norm, v_norm = clip.norms[last], clip.norms[first]
     offsets = window_offsets(starts, lo, size)
     counts = np.diff(offsets)
 
@@ -522,12 +530,12 @@ def build_graph(
             wide = int(counts[w0:w1].max())
             cols = offsets[w0:w1, None] + np.minimum(np.arange(wide), counts[w0:w1, None] - 1)
             valid = np.arange(wide) < counts[w0:w1, None]
-            v_unit = _unit_rows(app[first[cols]]).transpose(0, 2, 1)
+            v_unit = unit[first[cols]].transpose(0, 2, 1)
             c = cols[:, None, :]
             cx, cy, ch, cs = vx[c], vy[c], vh[c], starts[c]
         # nodes are sorted by start frame, so row i's successors are columns > i
         r, k = cols[:, r0:r1, None], slice(r0, None)
-        score = 1.0 - _unit_rows(app[last[r[..., 0]]]) @ v_unit[..., k]
+        score = 1.0 - unit[last[r[..., 0]]] @ v_unit[..., k]
         centre = np.hypot(cx[..., k] - ux[r], cy[..., k] - uy[r])
         centre /= (uh[r] + ch[..., k]) / 2.0
         score += _PRUNE_CENTER_WEIGHT * centre

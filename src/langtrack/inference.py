@@ -9,12 +9,13 @@ one ``build_graph`` call per level.  A level's tracklets are rows of the
 clip's detection arrays (``graph.TrackletRows``): rounding accepts the
 locally dominant edges in array rounds, merging orders each chain's nodes by
 pointer jumping and gathers their rows, and ``Detection`` lists are made
-only for the final ``TrackResult``.  Tracking scores a level in cache-sized
-batches: slices of the level graph over consecutive whole windows, of at
-most ``_BATCH_EDGES`` candidate edges, each of which gets one model pass
-and one rounding; the level's accepted edges then merge at once.  Windows
-share no nodes or edges, so a batch accepts and merges exactly what its
-windows would one by one.  Tracking is video-only by construction: no
+only for the final ``TrackResult``.  Tracking takes a level's node means in
+one product, then scores the level in cache-sized batches: slices of the
+level graph over consecutive whole windows, of at most ``_BATCH_EDGES``
+candidate edges, each of which takes its rows of those means and gets one
+model pass and one rounding; the level's accepted edges then merge at once.
+Windows share no nodes or edges, so a batch accepts and merges exactly what
+its windows would one by one.  Tracking is video-only by construction: no
 operation here takes the language embedding store, and it runs under a
 guard that turns any embedding access into an error.
 """
@@ -54,9 +55,13 @@ __all__ = [
     "gt_oracle_scorer",
 ]
 
-# An edge scorer maps a graph to one probability in [0, 1] per edge: the
-# learned model (``_learned_scorer``), or an oracle in tests and diagnostics.
+# An edge scorer maps a graph to one probability in [0, 1] per edge: an oracle
+# in tests and diagnostics.  The learned model (``_learned_scorer``) is a level
+# scorer: given a level graph, it scores slices of it, each a graph of the
+# level's nodes from a first index on.
 EdgeScorer = Callable[[TrackGraph], np.ndarray]
+BatchScorer = Callable[[TrackGraph, int], np.ndarray]
+LevelScorer = Callable[[TrackGraph], BatchScorer]
 
 # Tracking scores consecutive whole windows in batches of at most this many
 # candidate edges (a larger window is scored alone).  The widest batch array,
@@ -106,6 +111,29 @@ class TrackResult:
                 yield tid, det
 
 
+def _first_at_both_slots(u: np.ndarray, v: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Which edges, listed in rank order, come first at both their u out-slot
+    and their v in-slot among the listed edges."""
+    rank = np.arange(u.size)
+    first_u = np.full(num_nodes, u.size)
+    first_v = np.full(num_nodes, u.size)
+    np.minimum.at(first_u, u, rank)
+    np.minimum.at(first_v, v, rank)
+    return (first_u[u] == rank) & (first_v[v] == rank)
+
+
+def _greedy_pass(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Positions of the edges, listed in rank order, that the sequential
+    greedy pass accepts: each one whose two slots no earlier acceptance took."""
+    taken_u, taken_v, won = set(), set(), []
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        if a not in taken_u and b not in taken_v:
+            taken_u.add(a)
+            taken_v.add(b)
+            won.append(i)
+    return np.array(won, dtype=np.intp)
+
+
 def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.ndarray:
     """Greedy rounding under the one-successor/one-predecessor constraint.
 
@@ -116,10 +144,13 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
     Bisseling, PPAM 2007), which are found in rounds over the edges above the
     threshold: a round accepts every edge that comes first at both its u
     out-slot and its v in-slot, then drops the edges that share a slot with
-    an accepted one.  Returns accepted edge indices in ascending order.  The
-    result is maximal: every rejected above-threshold edge conflicts with an
-    accepted one.  A probability outside [0, 1] or NaN raises ValueError
-    instead of failing the threshold.
+    an accepted one.  A round that removes under a quarter of the edges left
+    (a chain of edges, each outranked at a shared slot by the one before,
+    loses two per round) hands the rest, still in order, to the sequential
+    greedy pass, so there are O(log edges) rounds.  Returns accepted edge
+    indices in ascending order.  The result is maximal: every rejected
+    above-threshold edge conflicts with an accepted one.  A probability
+    outside [0, 1] or NaN raises ValueError instead of failing the threshold.
     """
     p = np.asarray(probs, dtype=np.float64).ravel()
     if p.shape[0] != graph.num_edges:
@@ -132,21 +163,20 @@ def round_edges(graph: TrackGraph, probs: np.ndarray, threshold: float) -> np.nd
     u, v = graph.edge_u[edges], graph.edge_v[edges]
     order = np.lexsort((v, u, graph.starts[v] - graph.ends[u], -p[edges]))
     edges, u, v = edges[order], u[order], v[order]
-    rank = np.arange(edges.size)
     free_u = np.ones(graph.num_nodes, dtype=bool)
     free_v = np.ones(graph.num_nodes, dtype=bool)
     accepted = [edges[:0]]
     while edges.size:
-        first_u = np.full(graph.num_nodes, edges.size)
-        first_v = np.full(graph.num_nodes, edges.size)
-        np.minimum.at(first_u, u, rank)
-        np.minimum.at(first_v, v, rank)
-        win = (first_u[u] == rank) & (first_v[v] == rank)
+        win = _first_at_both_slots(u, v, graph.num_nodes)
         accepted.append(edges[win])
         free_u[u[win]] = False
         free_v[v[win]] = False
         keep = free_u[u] & free_v[v]
-        edges, u, v, rank = edges[keep], u[keep], v[keep], np.arange(keep.sum())
+        left = edges.size
+        edges, u, v = edges[keep], u[keep], v[keep]
+        if 4 * edges.size > 3 * left:
+            accepted.append(edges[_greedy_pass(u, v)])
+            break
     return np.sort(np.concatenate(accepted))
 
 
@@ -182,19 +212,26 @@ def gt_oracle_scorer(graph: TrackGraph) -> np.ndarray:
     return (pure[u] & pure[v] & (gid[u] == gid[v])).astype(np.float64)
 
 
-def _learned_scorer(params: ModelParams, clip: DetectionArrays) -> EdgeScorer:
-    """The learned model as an edge scorer for graphs over rows of ``clip``.
+def _learned_scorer(params: ModelParams, clip: DetectionArrays) -> LevelScorer:
+    """The learned model as a level scorer for graphs over rows of ``clip``.
     As in training, nodes start from ``model.node_means`` of one clip-wide
-    encoder pass, whose tape is dropped: inference needs no gradients."""
+    encoder pass, whose tape is dropped: inference needs no gradients.  The
+    means are taken once per level graph; a batch's nodes are a run of the
+    level's, and each node's mean is the same bits wherever it is taken."""
     enc = Tensor(mlp_forward(params.node_encoder, Tensor(clip.app)).data)
 
-    def score(graph: TrackGraph) -> np.ndarray:
-        nodes = graph.nodes
-        eg = encode_graph(graph, params, node_means(enc, nodes.rows, nodes.sizes))
-        eg = message_pass(eg, params, params.config.message_passing_steps)
-        return classify_edges(eg, params).data.ravel()
+    def for_level(level: TrackGraph) -> BatchScorer:
+        means = node_means(enc, level.nodes.rows, level.nodes.sizes).data
 
-    return score
+        def score(graph: TrackGraph, first: int) -> np.ndarray:
+            node_init = Tensor(means[first : first + graph.num_nodes])
+            eg = encode_graph(graph, params, node_init)
+            eg = message_pass(eg, params, params.config.message_passing_steps)
+            return classify_edges(eg, params).data.ravel()
+
+        return score
+
+    return for_level
 
 
 def _batches(edge_offsets: list[int]) -> Iterator[tuple[int, int]]:
@@ -257,16 +294,18 @@ def track_video(
         # windows holds a contiguous range of nodes and one of edges
         nodes = offsets.tolist()
         edges = np.searchsorted(graph.edge_u, offsets).tolist()
+        score = for_level(graph)
         accepted = []
         for w0, w1 in _batches(edges):
             a, b, e0, e1 = nodes[w0], nodes[w1], edges[w0], edges[w1]
             g = TrackGraph(graph.nodes[a:b], graph.edge_u[e0:e1] - a, graph.edge_v[e0:e1] - a,
                            graph.edge_features[e0:e1], graph.frame_span)
-            accepted.append(e0 + round_edges(g, score(g), config.threshold))
+            accepted.append(e0 + round_edges(g, score(g, a), config.threshold))
         return merge_accepted(graph, np.concatenate(accepted))
 
     with language_access_forbidden():
-        score = edge_scorer or _learned_scorer(params, clip)
+        for_level = (_learned_scorer(params, clip) if edge_scorer is None
+                     else lambda level: lambda graph, first: edge_scorer(graph))
         for _, tracklets in run_levels(
             lift_detections(clip), int(clip.frames[-1]), config.level_sizes, config.knn_k, merge
         ):

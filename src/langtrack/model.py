@@ -6,7 +6,11 @@ aggregate message from edges arriving out of its past and one from edges
 leaving toward its future (separate MLPs for the two directions).  A
 sigmoid MLP head turns final edge embeddings into association
 probabilities, and two linear projection heads map node/edge embeddings
-into the text-embedding space for the distillation losses.
+into the text-embedding space for the distillation losses.  A tracklet node
+starts from the mean encoder row of its detections (``node_means``, one
+sparse product per graph).  Message passing gathers and sums through the
+incidences of the edge endpoints, built once per call and shared by every
+step, forward and backward.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows, gathered_linear, linear, segment_sum
+from scipy import sparse
+
+from .autodiff import Incidence, Tensor, gathered_linear, linear, segment_sum, sparse_matmul
 from .graph import EDGE_FEATURE_DIM, TrackGraph
 from .nn import MLPParams, init_mlp, mlp_forward
 from .ops import PROB_EPS
@@ -148,10 +154,22 @@ class EncodedGraph:
 
 def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
     """Node i's embedding, the mean of its ``sizes[i]`` rows of ``enc`` that
-    ``rows`` lists node by node; a single-row node is its row, bit for bit."""
-    node_ids = np.repeat(np.arange(len(sizes)), sizes)
-    summed = segment_sum(gather_rows(enc, rows), node_ids, len(sizes))
-    return summed * Tensor(1.0 / np.asarray(sizes, dtype=np.float64)[:, None])
+    ``rows`` lists node by node; a single-row node is its row, bit for bit.
+
+    The sums are one product by the 0/1 (nodes, rows of ``enc``) matrix
+    whose row i lists node i's rows in order, so each adds its rows in that
+    order from 0.0 and no gathered copy is made.  Each row of ``enc``
+    belongs to at most one node, so the gradient, the transposed product,
+    hands each row its node's gradient exactly.
+    """
+    rows, sizes = np.asarray(rows, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    if indptr[-1] != rows.size:
+        raise ValueError(f"sizes add up to {indptr[-1]}, not to the {rows.size} rows")
+    if rows.size and (rows.min() < 0 or rows.max() >= enc.shape[0]):
+        raise IndexError("node_means row out of range")
+    members = sparse.csr_array((np.ones(rows.size), rows, indptr), (sizes.size, enc.shape[0]))
+    return sparse_matmul(members, enc) * Tensor(1.0 / sizes.astype(np.float64)[:, None])
 
 
 def encode_graph(
@@ -194,9 +212,11 @@ def message_pass(eg: EncodedGraph, params: ModelParams, steps: int) -> EncodedGr
 
     Each update MLP reads an edge's endpoint rows beside its edge row; its
     first layer projects node rows before gathering them to edges
-    (:func:`~langtrack.autodiff.gathered_linear`).  Nodes with no incident
-    edge keep their embedding.  Returns a new EncodedGraph; the input is
-    left untouched.
+    (:func:`~langtrack.autodiff.gathered_linear`).  Every gather to edges
+    and every sum over them, forward and backward, goes through the two
+    incidences of ``edge_u`` and ``edge_v``, built once per call.  Nodes
+    with no incident edge keep their embedding.  Returns a new EncodedGraph;
+    the input is left untouched.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -209,7 +229,7 @@ def message_pass(eg: EncodedGraph, params: ModelParams, steps: int) -> EncodedGr
     touched[g.edge_v] = 1.0
     keep = Tensor(1.0 - touched)
     touched_t = Tensor(touched)
-    u, v = g.edge_u, g.edge_v
+    u, v = Incidence(g.edge_u, g.num_nodes), Incidence(g.edge_v, g.num_nodes)
     for _ in range(steps):
         e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
         past_msg = _gathered_mlp(params.node_update_past, [(h, u), (e, None)])

@@ -7,6 +7,10 @@ unfused reference for ``linear(x, w, b)``.
 ``gathered_linear`` projected node rows ahead of gathering them:
 ``linear(concat_cols([gather_rows(t, idx), ...]), w, b)`` is the unfused
 reference for ``gathered_linear([(t, idx), ...], w, b)``.
+
+``scatter_rows`` is the row scatter the tape ran before its sums became
+products by ``autodiff.Incidence`` matrices: one ``bincount`` over flat
+positions.  ``Incidence.scatter`` must give the same bits.
 """
 
 from __future__ import annotations
@@ -47,3 +51,15 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
                 p._accumulate(out.grad[:, a:b])
 
     return Tensor._make(data, tuple(parts), bw)
+
+
+def scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Add row i of ``values`` into row ``index[i]`` of (num_rows, cols) zeros.
+
+    One ``bincount`` over flat positions adds each entry's terms in input
+    order from 0.0, as ``np.add.at`` does, so the bits are the same.
+    """
+    cols = values.shape[1]
+    flat = (index[:, None] * cols + np.arange(cols)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=num_rows * cols)
+    return sums.astype(np.float64, copy=False).reshape(num_rows, cols)  # ints if empty

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langtrack.autodiff import (
+    Incidence,
     Tensor,
     as_tensor,
     gather_rows,
@@ -14,7 +15,7 @@ from langtrack.autodiff import (
     segment_sum,
 )
 from gradcheck import check_gradients
-from reference_tape import concat_cols, matmul
+from reference_tape import concat_cols, matmul, scatter_rows
 
 
 def leaf(rng, rows, cols, scale=1.0, shift=0.0):
@@ -145,20 +146,70 @@ def test_segment_sum_grads_and_empty_segments():
     assert np.all(out.data[1] == 0.0) and np.all(out.data[3] == 0.0)
     w = Tensor(rng.standard_normal((5, 3)))
     check_gradients(lambda ts: (segment_sum(ts[0], seg, 5) * w).sum(), [a])
+    # one incidence serves both sums, as message passing shares its endpoints
+    inc = Incidence(seg, 5)
+    check_gradients(
+        lambda ts: (segment_sum(ts[0], inc, 5) * w + segment_sum(ts[0] * ts[0], inc, 5)).sum(),
+        [a],
+    )
+
+
+def test_incidence_rejects_bad_ids_and_row_counts():
+    for bad in ([0, 5], [-1, 0]):
+        with pytest.raises(IndexError):
+            Incidence(bad, 5)
+    with pytest.raises(ValueError, match="1-D"):
+        Incidence([[0, 1]], 5)
+    inc = Incidence([0, 1, 1], 5)
+    with pytest.raises(ValueError, match="5 rows"):
+        segment_sum(Tensor(np.ones((3, 2))), inc, 4)
+    with pytest.raises(ValueError, match="cover"):
+        segment_sum(Tensor(np.ones((2, 2))), inc, 5)
 
 
 @st.composite
 def scatter_cases(draw):
-    """Segment ids (repeats, empty segments, possibly no rows) and row values
-    with zero rows, -0.0 entries and magnitudes from 1e-5 to 1e5."""
+    """Segment ids (repeats, empty segments, possibly no rows, and at times
+    one segment of 500 or more rows) and row values with zero rows, -0.0
+    entries and magnitudes from 1e-5 to 1e5, at times a column slice of a
+    wider array, so not contiguous."""
     num_segments = draw(st.integers(1, 12))
     ids = draw(st.lists(st.integers(0, num_segments - 1), max_size=30))
+    ids += [draw(st.integers(0, num_segments - 1))] * draw(st.sampled_from([0, 0, 500, 777]))
+    draw(st.randoms()).shuffle(ids)
     dim = draw(st.sampled_from([1, 16, 64, 129]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.standard_normal((len(ids), dim)) * 10.0 ** draw(st.floats(-5.0, 5.0))
+    values = rng.standard_normal((len(ids), dim + 3)) * 10.0 ** draw(st.floats(-5.0, 5.0))
     values[rng.random(len(ids)) < 0.2] = 0.0
     values[rng.random(values.shape) < 0.1] = -0.0
+    values = values[:, 1 : dim + 1] if draw(st.booleans()) else values[:, :dim].copy()
     return np.array(ids, dtype=np.intp), values, num_segments
+
+
+@given(scatter_cases())
+@settings(max_examples=300, deadline=None)
+def test_incidence_sums_are_the_bincount_sums_bitwise(case):
+    ids, values, num_segments = case
+    expected = scatter_rows(ids, values, num_segments)
+    inc = Incidence(ids, num_segments)
+    for _ in range(2):  # the matrix is built once and then reused
+        got = inc.scatter(values)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    assert segment_sum(Tensor(values), inc, num_segments).data.tobytes() == expected.tobytes()
+    # backward scatters, by plain ids and by the shared incidence: gather_rows'
+    # gradient, and gathered_linear's through an identity block
+    dim = values.shape[1]
+    w = Tensor(np.vstack([np.eye(dim), np.ones((1, dim))]))
+    b = Tensor(np.zeros((1, dim)))
+    want = (np.zeros((num_segments, dim)) + expected).tobytes()
+    for index in (ids, inc):
+        h = Tensor(np.ones((num_segments, dim)), requires_grad=True)
+        (gather_rows(h, index) * Tensor(values)).sum().backward()
+        assert (np.zeros_like(h.data) if h.grad is None else h.grad).tobytes() == want
+        h.zero_grad()
+        e = Tensor(np.ones((len(ids), 1)))
+        (gathered_linear([(h, index), (e, None)], w, b) * Tensor(values)).sum().backward()
+        assert (np.zeros_like(h.data) if h.grad is None else h.grad).tobytes() == want
 
 
 @given(scatter_cases())
@@ -262,8 +313,9 @@ def _gathered_reference(parts, w, b, activation):
     return linear(concat_cols(cols), w, b, activation)
 
 
+@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("activation", ["relu", "identity"])
-def test_gathered_linear_grads(activation):
+def test_gathered_linear_grads(activation, shared):
     rng = np.random.default_rng(12)
     h = leaf(rng, 5, 3)
     e = leaf(rng, 6, 2)
@@ -271,12 +323,18 @@ def test_gathered_linear_grads(activation):
     b = leaf(rng, 1, 4)
     u = [0, 0, 2, 1, 2, 0]  # repeats; node 3 and 4 never named
     v = [1, 2, 1, 2, 1, 1]
+    if shared:  # built once, used by both layers below and by their backward
+        u, v = Incidence(u, 5), Incidence(v, 5)
     c = Tensor(rng.standard_normal((6, 4)))
 
     def f(ts):
         node, edge, weight, bias = ts
         parts = [(node, u), (node, v), (edge, None)]
-        return (gathered_linear(parts, weight, bias, activation) * c).sum()
+        out = (gathered_linear(parts, weight, bias, activation) * c).sum()
+        if shared:
+            again = gathered_linear([(node, v), (node, u), (edge, None)], weight, bias)
+            out = out + (again * c).sum()
+        return out
 
     assert np.all(np.abs(gathered_linear([(h, u), (h, v), (e, None)], w, b).data) > 1e-3)
     check_gradients(f, [h, e, w, b])  # clear of relu's kink, as asserted

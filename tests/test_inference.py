@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from langtrack.model import (
     encode_graph,
     init_model,
     message_pass,
+    node_means,
     params_from_tensors,
 )
 from langtrack.nn import focal_bce_tape, load_checkpoint, mlp_forward
@@ -207,13 +210,55 @@ def scored_graphs(draw):
     return g, probs
 
 
+def counted_rounds(monkeypatch):
+    """A list that grows by one per array round of ``round_edges``."""
+    rounds = []
+    first_at_both_slots = inference._first_at_both_slots
+
+    def counted(u, v, num_nodes):
+        rounds.append(u.size)
+        return first_at_both_slots(u, v, num_nodes)
+
+    monkeypatch.setattr(inference, "_first_at_both_slots", counted)
+    return rounds
+
+
 @given(scored_graphs(), st.sampled_from([0.05, 0.5, 0.65, 0.95]))
 @settings(max_examples=400, deadline=None)
 def test_round_edges_matches_the_greedy_loop(case, threshold):
     g, probs = case
-    got = round_edges(g, probs, threshold)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rounds = counted_rounds(monkeypatch)
+        got = round_edges(g, probs, threshold)
     want = ref_round_edges(g, probs, threshold)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # each round but the last removes a quarter of the edges left, or is the last
+    assert all(4 * b <= 3 * a for a, b in zip(rounds, rounds[1:]))
+    assert len(rounds) <= 1 + math.log(max(g.num_edges, 1)) / math.log(4 / 3)
+
+
+def dominance_chain(n):
+    """A one-object path of n nodes with edges i->i+1 and i->i+2, in that
+    order, at probabilities that fall along it: each edge is outranked at a
+    shared slot by the one before, so an array round accepts one edge."""
+    nodes = [single(i + 1, x=float(i)) for i in range(n)]
+    u = np.repeat(np.arange(n), 2)[:-2]
+    v = u + np.tile([1, 2], n)[: u.size]
+    keep = v < n
+    u, v = u[keep], v[keep]
+    g = TrackGraph(nodes, u, v, np.zeros((u.size, 6)), (1, n))
+    return g, 0.99 - 0.4 * np.arange(u.size) / u.size
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_round_edges_takes_few_rounds_on_a_dominance_chain(monkeypatch, n):
+    g, probs = dominance_chain(n)
+    rounds = counted_rounds(monkeypatch)
+    got = round_edges(g, probs, 0.5)
+    want = ref_round_edges(g, probs, 0.5)
+    assert got.tobytes() == want.tobytes()
+    assert want.size == n - 1  # the whole path, one edge at a time
+    assert len(rounds) <= 2  # the first round removes 2 edges, so greedy takes over
 
 
 @given(scored_graphs(), st.sampled_from([0.05, 0.5, 0.95]))
@@ -508,6 +553,37 @@ def test_batched_tracking_matches_the_per_window_loop_bitwise(objects, frames, o
     result = track_video(detections, params, DESK_CFG, edge_scorer=scorer)
     reference = ref_track_per_window(detections, params, DESK_CFG, edge_scorer=scorer)
     assert trajectory_ids(result) == merged_parts(reference)
+
+
+def test_level_node_means_sliced_are_the_batch_node_means_bitwise(monkeypatch):
+    # tracking takes node means once per level and slices them per batch
+    monkeypatch.setattr(inference, "_BATCH_EDGES", 50)  # several batches per level
+    levels = []
+
+    def record_level(tracklets, knn_k, window, size):
+        levels.append((build_graph(tracklets, knn_k, window, size), []))
+        return levels[-1][0]
+
+    def record_batch(graph, probs, threshold):
+        levels[-1][1].append(graph)
+        return round_edges(graph, probs, threshold)
+
+    monkeypatch.setattr(inference, "build_graph", record_level)
+    monkeypatch.setattr(inference, "round_edges", record_batch)
+    params = desk_model()
+    track_video(desk_clip(4, 317, seed=11), params, DESK_CFG)
+    clip = levels[0][0].nodes.clip
+    enc = Tensor(mlp_forward(params.node_encoder, Tensor(clip.app)).data)
+    for level, batches in levels:
+        means = node_means(enc, level.nodes.rows, level.nodes.sizes).data
+        a = 0
+        for batch in batches:
+            alone = node_means(enc, batch.nodes.rows, batch.nodes.sizes).data
+            assert means[a : a + batch.num_nodes].tobytes() == alone.tobytes()
+            a += batch.num_nodes
+        assert a == level.num_nodes
+    assert sum(len(batches) > 1 for _, batches in levels) >= 3
+    assert any(np.any(level.nodes.sizes > 1) for level, _ in levels)
 
 
 def test_batches_hold_whole_consecutive_windows_within_the_edge_budget(monkeypatch):

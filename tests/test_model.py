@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from langtrack.autodiff import Tensor
+from langtrack.autodiff import Tensor, gather_rows, segment_sum
 from langtrack.graph import Detection, TrackGraph, Tracklet, build_graph
 from langtrack.model import (
     EncodedGraph,
@@ -15,11 +15,13 @@ from langtrack.model import (
     encode_graph,
     init_model,
     message_pass,
+    node_means,
     params_from_tensors,
     project_edges_for_spg,
     project_nodes_for_isg,
 )
 from langtrack.nn import mlp_forward
+from gradcheck import check_gradients
 
 CFG = ModelConfig(
     message_passing_steps=2, edge_dim=4, text_dim=3, node_dim=8, appearance_dim=5
@@ -352,3 +354,43 @@ def test_named_tensor_count_matches_architecture():
     # blocks come in field order, which fixes Adam's order and checkpoint bytes
     blocks = list(dict.fromkeys(n.split(".")[0] for n in names))
     assert blocks == [f.name for f in dataclasses.fields(ModelParams) if f.name != "config"]
+
+
+def gathered_means(enc, rows, sizes):
+    """``node_means`` as a row gather, a segment sum and one scale."""
+    node_ids = np.repeat(np.arange(len(sizes)), sizes)
+    summed = segment_sum(gather_rows(enc, rows), node_ids, len(sizes))
+    return summed * Tensor(1.0 / np.asarray(sizes, dtype=np.float64)[:, None])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_node_means_are_the_gathered_sums_bitwise_forward_and_backward(seed):
+    # nodes take rows in any order, not every row is used, none twice
+    rng = np.random.default_rng(seed)
+    enc_rows = int(rng.integers(1, 40))
+    data = rng.standard_normal((enc_rows, 6)) * 10.0 ** rng.uniform(-5, 5)
+    data[rng.random(data.shape) < 0.1] = -0.0
+    rows = rng.permutation(enc_rows)[: int(rng.integers(1, enc_rows + 1))]
+    cuts = np.sort(rng.choice(np.arange(1, rows.size), int(rng.integers(0, rows.size)), False))
+    sizes = np.diff(np.concatenate(([0], cuts, [rows.size])))
+    upstream = Tensor(rng.standard_normal((sizes.size, 6)))
+    results = []
+    for means in (node_means, gathered_means):
+        enc = Tensor(data, requires_grad=True)
+        out = means(enc, rows, sizes)
+        (out * upstream).sum().backward()
+        results.append((out.data.tobytes(), enc.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_node_means_gradients_and_bad_rows():
+    rng = np.random.default_rng(41)
+    enc = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+    rows, sizes = np.array([4, 0, 2, 6, 5]), np.array([2, 1, 2])
+    c = Tensor(rng.standard_normal((3, 3)))
+    check_gradients(lambda ts: (node_means(ts[0], rows, sizes) * c).sum(), [enc])
+    assert np.all(enc.grad[[1, 3]] == 0.0)  # rows no node holds
+    with pytest.raises(IndexError):
+        node_means(enc, np.array([0, 7]), np.array([2]))
+    with pytest.raises(ValueError, match="add up"):
+        node_means(enc, rows, np.array([2, 2]))
