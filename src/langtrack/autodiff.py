@@ -39,7 +39,6 @@ __all__ = [
     "Incidence",
     "Tensor",
     "as_tensor",
-    "gather_rows",
     "gathered_linear",
     "linear",
     "segment_sum",
@@ -402,18 +401,6 @@ def _incidence(index: Incidence | Sequence[int] | np.ndarray, num_rows: int) -> 
     if index.num_rows != num_rows:
         raise ValueError(f"incidence into {index.num_rows} rows used for {num_rows}")
     return index
-
-
-def gather_rows(t: Tensor, index: Incidence | Sequence[int] | np.ndarray) -> Tensor:
-    """Select rows by index (repeats allowed); gradient scatter-adds back."""
-    inc = _incidence(index, t.shape[0])
-    data = t.data[inc.index]
-
-    def bw(out: Tensor):
-        if t.requires_grad and inc.index.size:
-            t._accumulate(inc.scatter(out.grad))
-
-    return Tensor._make(data, (t,), bw)
 
 
 def gathered_linear(

@@ -121,6 +121,13 @@ def _write_provenance(out_dir: Path, command: str, cfg: RunConfig, arguments: di
     print(f"resolved config digest: {digest}")
 
 
+def _parsed_flags(args, **parsed) -> dict:
+    """The subcommand's own flags as parsed, ``parsed`` replacing raw values;
+    the record holds the config, its overrides and the output elsewhere."""
+    skip = {"command", "config", "set", "out", "handler"}
+    return {k: v for k, v in vars(args).items() if k not in skip} | parsed
+
+
 def _read_file(kind: str, path: Path, reader):
     try:
         return reader(path)
@@ -195,15 +202,7 @@ def cmd_gen(args) -> int:
         write_mot(out / f"{name}.det.txt", det_rows)
         write_appearance(out / f"{name}.appearance.csv", appearance)
         write_annotations(out / f"{name}.annotations.json", annotations)
-    _write_provenance(out, "gen", cfg, {
-        "sequences": args.sequences, "objects": args.objects, "frames": args.frames,
-        "appearance_dim": args.appearance_dim, "appearance_noise": args.appearance_noise,
-        "occlusion_rate": args.occlusion_rate, "drop_rate": args.drop_rate,
-        "velocity_scale": args.velocity_scale, "box_jitter": args.box_jitter,
-        "domain": args.domain, "rotation_degrees": args.rotation_degrees,
-        "translation_scale": args.translation_scale, "viewpoint": args.viewpoint,
-        "camera": args.camera, "condition": args.condition, "prefix": args.prefix,
-    })
+    _write_provenance(out, "gen", cfg, _parsed_flags(args))
     print(f"wrote {args.sequences} sequences to {out}")
     return 0
 
@@ -218,6 +217,12 @@ def _descriptions_for(annotation_sets) -> list[str]:
         for tid in sorted(ann.instances):
             seen.setdefault(compose_instance_description(ann.instances[tid]))
     return list(seen)
+
+
+def _check_coverage(store: LanguageEmbeddingStore, annotation_sets, what: str) -> None:
+    missing = [d for d in _descriptions_for(annotation_sets) if d not in store]
+    if missing:
+        raise _input_error(f"{what} is missing {len(missing)} descriptions, first: {missing[0]!r}")
 
 
 def cmd_embed(args) -> int:
@@ -236,11 +241,7 @@ def cmd_embed(args) -> int:
             raise _input_error(
                 f"fixture dimension {store.dim} does not match expected {dim}"
             )
-        missing = [d for d in _descriptions_for(annotation_sets) if d not in store]
-        if missing:
-            raise _input_error(
-                f"fixture is missing {len(missing)} descriptions, first: {missing[0]!r}"
-            )
+        _check_coverage(store, annotation_sets, "fixture")
         print(f"fixture {args.validate} covers all {len(store)} descriptions at dim {dim}")
         return 0
     out = _path_from(args, cfg, "out")
@@ -277,6 +278,13 @@ def _load_clips(data_dir: Path) -> list[ClipData]:
         except ValueError as exc:
             raise _input_error(f"sequence {name}: {exc}") from None
         annotations = _read_file("annotations", ann_path, read_annotations)
+        seen = set()
+        for r in records:
+            if r.id not in annotations.instances:
+                raise _input_error(f"sequence {name}: gt id {r.id} has no instance record")
+            if (r.frame, r.id) in seen:
+                raise _input_error(f"sequence {name}: gt id {r.id} twice in frame {r.frame}")
+            seen.add((r.frame, r.id))
         clips.append(ClipData(name, detections, annotations))
     if not clips:
         raise _input_error(f"no *.annotations.json sequences under {data_dir}")
@@ -304,6 +312,8 @@ def cmd_train(args) -> int:
             raise _input_error(
                 f"fixture dimension {store.dim} does not match text_dim {cfg.text_dim}"
             )
+        for clip in clips:
+            _check_coverage(store, [clip.annotations], f"sequence {clip.name}: fixture {fixture}")
     elif train_cfg.use_guidance:
         raise _usage_error("training with guidance needs --fixture (or alpha=0 and beta=0)")
     model_cfg = cfg.model_config(_appearance_dim_of(clips))
@@ -497,17 +507,7 @@ def cmd_experiment(args) -> int:
     )
     summary = _experiment_summary(results)
     (out / "summary.txt").write_text(summary)
-    _write_provenance(out, "experiment", cfg, {
-        "seeds": list(seeds), "train_sequences": args.train_sequences,
-        "eval_sequences": args.eval_sequences, "objects": args.objects,
-        "frames": args.frames, "appearance_dim": args.appearance_dim,
-        "appearance_noise": args.appearance_noise, "occlusion_rate": args.occlusion_rate,
-        "velocity_scale": args.velocity_scale, "box_jitter": args.box_jitter,
-        "rotation_degrees": args.rotation_degrees,
-        "translation_scale": args.translation_scale, "viewpoint": args.viewpoint,
-        "camera": args.camera, "condition": args.condition,
-        "skip_baseline": args.skip_baseline,
-    })
+    _write_provenance(out, "experiment", cfg, _parsed_flags(args, seeds=list(seeds)))
     print(summary, end="")
     return 0
 

@@ -225,9 +225,9 @@ def _learned_scorer(params: ModelParams, clip: DetectionArrays) -> LevelScorer:
 
         def score(graph: TrackGraph, first: int) -> np.ndarray:
             node_init = Tensor(means[first : first + graph.num_nodes])
-            eg = encode_graph(graph, params, node_init)
-            eg = message_pass(eg, params, params.config.message_passing_steps)
-            return classify_edges(eg, params).data.ravel()
+            h, e = encode_graph(graph, params, node_init)
+            e = message_pass(graph, h, e, params, params.config.message_passing_steps)
+            return classify_edges(e, params).data.ravel()
 
         return score
 

@@ -1,16 +1,17 @@
-"""The learnable association model.
+"""The learnable association model, as functions of tensors.
 
-Node and edge encoders followed by time-aware message passing: every step
-refreshes each edge embedding from its endpoints, then every node sums one
-aggregate message from edges arriving out of its past and one from edges
-leaving toward its future (separate MLPs for the two directions).  A
-sigmoid MLP head turns final edge embeddings into association
-probabilities, and two linear projection heads map node/edge embeddings
-into the text-embedding space for the distillation losses.  A tracklet node
-starts from the mean encoder row of its detections (``node_means``, one
-sparse product per graph).  Message passing gathers and sums through the
-incidences of the edge endpoints, built once per call and shared by every
-step, forward and backward.
+Node and edge encoders followed by time-aware message passing: every round
+refreshes each edge embedding from its endpoints, then sets every node to
+the sum of one message from edges arriving out of its past and one from
+edges leaving toward its future (separate MLPs for the two directions).
+The last round stops after its edge update.  A sigmoid MLP head turns the
+final edge embeddings into association probabilities, and two linear
+projection heads map node/edge embeddings into the text-embedding space
+for the distillation losses.  A tracklet node starts from the mean encoder
+row of its detections (``node_means``, one sparse product per graph).
+Message passing gathers and sums through the incidences of the edge
+endpoints, built once per call and shared by every round, forward and
+backward.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .ops import PROB_EPS
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "EncodedGraph",
     "init_model",
     "node_means",
     "encode_graph",
@@ -137,21 +137,6 @@ def params_from_tensors(tensors: dict[str, Tensor], config: ModelConfig) -> Mode
     return ModelParams(config=config, **blocks)
 
 
-@dataclass(eq=False)
-class EncodedGraph:
-    """A graph plus its tensors on the tape.
-
-    ``node_phi``/``edge_init`` are the encoder outputs; ``node_h``/``edge_h``
-    appear after message passing (``edge_h`` is the classified embedding).
-    """
-
-    graph: TrackGraph
-    node_phi: Tensor
-    edge_init: Tensor
-    node_h: Tensor | None = None
-    edge_h: Tensor | None = None
-
-
 def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
     """Node i's embedding, the mean of its ``sizes[i]`` rows of ``enc`` that
     ``rows`` lists node by node; a single-row node is its row, bit for bit.
@@ -174,8 +159,8 @@ def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
 
 def encode_graph(
     graph: TrackGraph, params: ModelParams, node_init: Tensor | None = None
-) -> EncodedGraph:
-    """Produce initial node embeddings and edge embeddings.
+) -> tuple[Tensor, Tensor]:
+    """Initial node rows and edge rows of ``graph``.
 
     Node rows are ``node_init`` when given (training and tracking pass
     ``node_means`` of the detections' encoder rows), else the node encoder
@@ -186,15 +171,14 @@ def encode_graph(
     if node_init is not None:
         if node_init.shape != (v, m):
             raise ValueError(f"node_init shape {node_init.shape}, expected {(v, m)}")
-        phi = node_init
+        h = node_init
     elif np.any(graph.nodes.sizes != 1):
         raise ValueError("multi-detection tracklets need node_init to be encoded")
     else:
         nodes = graph.nodes
         app = nodes.clip.app[nodes.rows] if v else np.zeros((0, params.config.appearance_dim))
-        phi = mlp_forward(params.node_encoder, Tensor(app))
-    edge_init = mlp_forward(params.edge_encoder, Tensor(graph.edge_features))
-    return EncodedGraph(graph, phi, edge_init)
+        h = mlp_forward(params.node_encoder, Tensor(app))
+    return h, mlp_forward(params.edge_encoder, Tensor(graph.edge_features))
 
 
 def _gathered_mlp(params: MLPParams, parts) -> Tensor:
@@ -207,53 +191,46 @@ def _gathered_mlp(params: MLPParams, parts) -> Tensor:
     return h
 
 
-def message_pass(eg: EncodedGraph, params: ModelParams, steps: int) -> EncodedGraph:
-    """Run `steps` rounds of edge-then-node updates.
+def message_pass(
+    graph: TrackGraph, h: Tensor, e: Tensor, params: ModelParams, steps: int
+) -> Tensor:
+    """The edge rows after ``steps`` rounds of edge-then-node updates over
+    ``graph``, from node rows ``h`` and edge rows ``e``.
 
     Each update MLP reads an edge's endpoint rows beside its edge row; its
     first layer projects node rows before gathering them to edges
     (:func:`~langtrack.autodiff.gathered_linear`).  Every gather to edges
     and every sum over them, forward and backward, goes through the two
-    incidences of ``edge_u`` and ``edge_v``, built once per call.  Nodes
-    with no incident edge keep their embedding.  Returns a new EncodedGraph;
-    the input is left untouched.
+    incidences of ``edge_u`` and ``edge_v``, built once per call.  A node
+    with no edge gets 0, which no edge reads.  The last round stops after
+    its edge update: nothing reads the node rows after it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    g = eg.graph
-    h, e = eg.node_phi, eg.edge_init
-    if g.num_edges == 0:
-        return EncodedGraph(g, eg.node_phi, eg.edge_init, node_h=h, edge_h=e)
-    touched = np.zeros((g.num_nodes, 1))
-    touched[g.edge_u] = 1.0
-    touched[g.edge_v] = 1.0
-    keep = Tensor(1.0 - touched)
-    touched_t = Tensor(touched)
-    u, v = Incidence(g.edge_u, g.num_nodes), Incidence(g.edge_v, g.num_nodes)
-    for _ in range(steps):
-        e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
+    if graph.num_edges == 0:
+        return e
+    n = graph.num_nodes
+    u, v = Incidence(graph.edge_u, n), Incidence(graph.edge_v, n)
+    e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
+    for _ in range(steps - 1):
         past_msg = _gathered_mlp(params.node_update_past, [(h, u), (e, None)])
         future_msg = _gathered_mlp(params.node_update_future, [(h, v), (e, None)])
-        agg = segment_sum(past_msg, v, g.num_nodes) + segment_sum(future_msg, u, g.num_nodes)
-        h = touched_t * agg + keep * h
-    return EncodedGraph(g, eg.node_phi, eg.edge_init, node_h=h, edge_h=e)
+        h = segment_sum(past_msg, v, n) + segment_sum(future_msg, u, n)
+        e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
+    return e
 
 
-def classify_edges(eg: EncodedGraph, params: ModelParams) -> Tensor:
-    """Association probability per edge, clamped strictly inside (0, 1)."""
-    if eg.edge_h is None:
-        raise RuntimeError("classify_edges requires message passing to have run")
-    probs = mlp_forward(params.edge_classifier, eg.edge_h)
+def classify_edges(e: Tensor, params: ModelParams) -> Tensor:
+    """Association probability per edge row, clamped strictly inside (0, 1)."""
+    probs = mlp_forward(params.edge_classifier, e)
     return probs.clamp(PROB_EPS, 1.0 - PROB_EPS)
 
 
-def project_nodes_for_isg(eg: EncodedGraph, params: ModelParams) -> Tensor:
-    """Project the pre-message-passing node embeddings into text space (one row per node)."""
-    return mlp_forward(params.isg_projection, eg.node_phi)
+def project_nodes_for_isg(h: Tensor, params: ModelParams) -> Tensor:
+    """Project node rows (those before message passing) into text space."""
+    return mlp_forward(params.isg_projection, h)
 
 
-def project_edges_for_spg(eg: EncodedGraph, params: ModelParams) -> Tensor:
-    """Project final edge embeddings into text space (one row per edge)."""
-    if eg.edge_h is None:
-        raise RuntimeError("project_edges_for_spg requires message passing to have run")
-    return mlp_forward(params.spg_projection, eg.edge_h)
+def project_edges_for_spg(e: Tensor, params: ModelParams) -> Tensor:
+    """Project final edge rows into text space (one row per edge)."""
+    return mlp_forward(params.spg_projection, e)

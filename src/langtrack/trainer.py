@@ -256,17 +256,17 @@ def train_step(
         enc = mlp_forward(params.node_encoder, as_tensor(bundle.appearance))
         for level in bundle.levels:
             phi = node_means(enc, level.rows, level.sizes)
-            eg = encode_graph(level.graph, params, node_init=phi)
+            h, e = encode_graph(level.graph, params, node_init=phi)
             if weights.alpha > 0.0:
-                term = isg_loss(project_nodes_for_isg(eg, params), level.instance_targets)
+                term = isg_loss(project_nodes_for_isg(h, params), level.instance_targets)
                 isg_terms.append(term.value)
             if level.graph.num_edges == 0:
                 continue
-            eg = message_pass(eg, params, cfg.message_passing_steps)
-            probs = classify_edges(eg, params)
+            e = message_pass(level.graph, h, e, params, cfg.message_passing_steps)
+            probs = classify_edges(e, params)
             lc_terms.append(focal_bce_tape(probs, level.labels, cfg.focal_gamma))
             if weights.beta > 0.0:
-                term = spg_loss(project_edges_for_spg(eg, params), bundle.scene_embedding)
+                term = spg_loss(project_edges_for_spg(e, params), bundle.scene_embedding)
                 spg_terms.append(term.value)
     if not lc_terms:
         raise ValueError("batch produced no classifiable edges")

@@ -260,9 +260,9 @@ def ref_learned_scorer(params, dets):
     row_of = {id(d): i for i, d in enumerate(dets)}
 
     def score(graph):
-        eg = encode_graph(graph, params, node_means(enc, *ref_node_rows(graph.nodes, row_of)))
-        eg = message_pass(eg, params, params.config.message_passing_steps)
-        return classify_edges(eg, params).data.ravel()
+        h, e = encode_graph(graph, params, node_means(enc, *ref_node_rows(graph.nodes, row_of)))
+        e = message_pass(graph, h, e, params, params.config.message_passing_steps)
+        return classify_edges(e, params).data.ravel()
 
     return score
 

@@ -3,8 +3,9 @@
 ``matmul`` is the tape's plain matrix product: ``matmul(x, w) + b`` is the
 unfused reference for ``linear(x, w, b)``.
 
-``concat_cols`` stacks tensors side by side, as message passing did before
-``gathered_linear`` projected node rows ahead of gathering them:
+``gather_rows`` and ``concat_cols`` select rows and stack tensors side by
+side, as message passing did before ``gathered_linear`` projected node rows
+ahead of gathering them:
 ``linear(concat_cols([gather_rows(t, idx), ...]), w, b)`` is the unfused
 reference for ``gathered_linear([(t, idx), ...], w, b)``.
 
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from langtrack.autodiff import Tensor, as_tensor
+from langtrack.autodiff import Incidence, Tensor, _incidence, as_tensor
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -35,6 +36,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(a.data.T @ out.grad)
 
     return Tensor._make(a.data @ b.data, (a, b), bw)
+
+
+def gather_rows(t: Tensor, index: Incidence | Sequence[int] | np.ndarray) -> Tensor:
+    """Select rows by index (repeats allowed); gradient scatter-adds back."""
+    inc = _incidence(index, t.shape[0])
+    data = t.data[inc.index]
+
+    def bw(out: Tensor):
+        if t.requires_grad and inc.index.size:
+            t._accumulate(inc.scatter(out.grad))
+
+    return Tensor._make(data, (t,), bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -99,11 +99,11 @@ def test_01_full_loss_gradients_match_finite_differences():
         )
 
         def full_loss(_):
-            eg = encode_graph(graph, params)
-            isg = isg_loss(project_nodes_for_isg(eg, params), inst_targets)
-            eg = message_pass(eg, params, GRAD_CFG.message_passing_steps)
-            lc = focal_bce_tape(classify_edges(eg, params), labels, 1.0)
-            spg = spg_loss(project_edges_for_spg(eg, params), scene_target)
+            h, e = encode_graph(graph, params)
+            isg = isg_loss(project_nodes_for_isg(h, params), inst_targets)
+            e = message_pass(graph, h, e, params, GRAD_CFG.message_passing_steps)
+            lc = focal_bce_tape(classify_edges(e, params), labels, 1.0)
+            spg = spg_loss(project_edges_for_spg(e, params), scene_target)
             return total_loss(lc, isg.value, spg.value, weights)
 
         tensors = list(params.named_tensors().values())

@@ -9,13 +9,12 @@ from langtrack.autodiff import (
     Incidence,
     Tensor,
     as_tensor,
-    gather_rows,
     gathered_linear,
     linear,
     segment_sum,
 )
 from gradcheck import check_gradients
-from reference_tape import concat_cols, matmul, scatter_rows
+from reference_tape import concat_cols, gather_rows, matmul, scatter_rows
 
 
 def leaf(rng, rows, cols, scale=1.0, shift=0.0):

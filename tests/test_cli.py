@@ -1,13 +1,15 @@
 """End-to-end command-line flows on small synthetic worlds."""
 
+import argparse
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from langtrack.cli import main
+from langtrack.cli import build_parser, main
 from langtrack.data_io import (
+    compose_instance_description,
     read_annotations,
     read_appearance,
     read_embedding_fixture,
@@ -322,6 +324,20 @@ class TestProvenance:
         assert record["config"]["epochs"] == 1
         assert len(record["config_digest"]) == 64
 
+    @pytest.mark.parametrize("command, flags", [
+        ("gen", GEN_FLAGS), ("experiment", ["--set", "epochs=0", *EXPERIMENT_FLAGS]),
+    ])
+    def test_recorded_arguments_are_the_parsers_flags(self, command, flags, tmp_path,
+                                                      config_path):
+        out = tmp_path / command
+        assert run(command, "--config", config_path, "--out", str(out), *flags) == 0
+        record = json.loads((out / "run.json").read_text())
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert set(record["arguments"]) == dests - {"help", "config", "set", "out"}
+        if command == "experiment":
+            assert record["arguments"]["seeds"] == [0]
+
     def test_scalar_override_lands_in_provenance(self, tmp_path, config_path):
         out = gen_data(tmp_path, config_path, extra=["--set", "seed=5"])
         record = json.loads((out / "run.json").read_text())
@@ -354,8 +370,22 @@ def trained_world(tmp_path_factory):
         shutil.copytree(data, tmp / f"{name}_data")
         (tmp / f"{name}_data" / "seq00.annotations.json").write_text(text)
     (tmp / "sceneless.annotations.json").write_text(json.dumps(annotations))
+    # a gt id without an instance record, and one gt row (with its appearance
+    # row) given twice
+    unknown = shutil.copytree(data, tmp / "unknown_id_data")
+    records = json.loads((data / "seq00.annotations.json").read_text())
+    del records["instances"][min(records["instances"], key=int)]
+    (unknown / "seq00.annotations.json").write_text(json.dumps(records))
+    twice = shutil.copytree(data, tmp / "twice_in_frame_data")
+    for suffix in ("gt.txt", "appearance.csv"):
+        lines = (data / f"seq00.{suffix}").read_text().splitlines()
+        (twice / f"seq00.{suffix}").write_text("\n".join(lines + lines[-1:]) + "\n")
     (tmp / "array.annotations.json").write_text("[1, 2]")
     fixture = json.loads((tmp / "emb" / "embeddings.json").read_text())
+    instance = read_annotations(data / "seq00.annotations.json").instances
+    short = dict(fixture, entries=dict(fixture["entries"]))
+    del short["entries"][compose_instance_description(instance[min(instance)])]
+    (tmp / "short_fixture.json").write_text(json.dumps(short))
     fixture["entries"] = list(fixture["entries"].values())
     (tmp / "list_entries.json").write_text(json.dumps(fixture))
     checkpoint = json.loads(ckpt.read_text())
@@ -441,6 +471,17 @@ BAD_INPUTS = {
         lambda w: _embed(w, "sceneless.annotations.json"), 4, "input error"),
     "embed annotations holding an array": (
         lambda w: _embed(w, "array.annotations.json"), 4, "input error"),
+    "train gt id without instance record": (
+        lambda w: _train(w, data=str(w["tmp"] / "unknown_id_data")) + ["--config", w["config"]],
+        4, "input error: sequence seq00"),
+    "train gt id twice in a frame": (
+        lambda w: _train(w, data=str(w["tmp"] / "twice_in_frame_data"))
+        + ["--config", w["config"]],
+        4, "input error: sequence seq00"),
+    "train fixture missing a description": (
+        lambda w: _train(w, fixture=str(w["tmp"] / "short_fixture.json"))
+        + ["--config", w["config"]],
+        4, "input error: sequence seq00"),
     "train fixture entries a list": (
         lambda w: _train(w, fixture=str(w["tmp"] / "list_entries.json"))
         + ["--config", w["config"]],

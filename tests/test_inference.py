@@ -656,8 +656,8 @@ def nan_edge_classifier_model():
 def test_nan_parameter_makes_backward_raise():
     params = nan_edge_classifier_model()
     graph = build_graph(lift_detections(two_object_scene()), 10, (1, 10))
-    eg = message_pass(encode_graph(graph, params), params, 2)
-    loss = focal_bce_tape(classify_edges(eg, params), np.ones(graph.num_edges), 1.0)
+    e = message_pass(graph, *encode_graph(graph, params), params, 2)
+    loss = focal_bce_tape(classify_edges(e, params), np.ones(graph.num_edges), 1.0)
     with pytest.raises(ValueError, match="not finite"):
         loss.backward()
 

@@ -1,14 +1,15 @@
-"""Model forward semantics: oracles, equivariance, state errors."""
+"""Model forward semantics: oracles, equivariance, round counts."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from langtrack.autodiff import Tensor, gather_rows, segment_sum
+from langtrack.autodiff import Tensor, segment_sum
 from langtrack.graph import Detection, TrackGraph, Tracklet, build_graph
+from langtrack import model
 from langtrack.model import (
-    EncodedGraph,
     ModelConfig,
     ModelParams,
     classify_edges,
@@ -20,8 +21,8 @@ from langtrack.model import (
     project_edges_for_spg,
     project_nodes_for_isg,
 )
-from langtrack.nn import mlp_forward
 from gradcheck import check_gradients
+from reference_tape import gather_rows
 
 CFG = ModelConfig(
     message_passing_steps=2, edge_dim=4, text_dim=3, node_dim=8, appearance_dim=5
@@ -67,26 +68,26 @@ def test_config_validation():
 def test_encode_zero_weights_gives_zero_embeddings():
     rng = np.random.default_rng(1)
     g = path_graph(rng)
-    eg = encode_graph(g, zero_params())
-    assert np.all(eg.node_phi.data == 0.0)
-    assert np.all(eg.edge_init.data == 0.0)
-    assert eg.node_phi.shape == (3, CFG.node_dim)
-    assert eg.edge_init.shape == (g.num_edges, CFG.edge_dim)
+    h, e = encode_graph(g, zero_params())
+    assert np.all(h.data == 0.0)
+    assert np.all(e.data == 0.0)
+    assert h.shape == (3, CFG.node_dim)
+    assert e.shape == (g.num_edges, CFG.edge_dim)
 
 
 def test_encode_identical_detections_identical_embeddings():
     params = init_model(np.random.default_rng(2), CFG)
     app = np.arange(5, dtype=float)
     g = build_graph([single(1, app=app), single(2, app=app)], 2, (1, 2))
-    eg = encode_graph(g, params)
-    assert np.array_equal(eg.node_phi.data[0], eg.node_phi.data[1])
+    h, _ = encode_graph(g, params)
+    assert np.array_equal(h.data[0], h.data[1])
 
 
 def test_encode_single_node_graph_has_no_edge_embeddings():
     params = init_model(np.random.default_rng(3), CFG)
     g = build_graph([single(1)], 2, (1, 1))
-    eg = encode_graph(g, params)
-    assert eg.edge_init.shape == (0, CFG.edge_dim)
+    _, e = encode_graph(g, params)
+    assert e.shape == (0, CFG.edge_dim)
 
 
 def test_encode_uses_node_init_rows_verbatim():
@@ -96,12 +97,12 @@ def test_encode_uses_node_init_rows_verbatim():
     fresh = single(4, rng=rng)
     g = build_graph([fresh, merged], 2, (1, 4))
     rows = rng.standard_normal((2, CFG.node_dim))
-    eg = encode_graph(g, params, node_init=Tensor(rows))
-    assert np.array_equal(eg.node_phi.data, rows)
+    h, _ = encode_graph(g, params, node_init=Tensor(rows))
+    assert np.array_equal(h.data, rows)
     # without node_init the encoder runs
-    eg = encode_graph(build_graph([fresh], 2, (4, 4)), params)
+    h, _ = encode_graph(build_graph([fresh], 2, (4, 4)), params)
     want = manual_mlp(params.node_encoder, fresh.first.appearance.reshape(1, -1))
-    assert np.allclose(eg.node_phi.data[0], want[0], atol=1e-12)
+    assert np.allclose(h.data[0], want[0], atol=1e-12)
 
 
 def test_encode_rejects_bad_dims():
@@ -120,103 +121,103 @@ def test_encode_rejects_bad_dims():
         encode_graph(g3, params, node_init=Tensor(np.zeros((2, CFG.node_dim))))
 
 
+def passed(g, params, steps):
+    """The final edge rows of ``g`` from its encoder rows."""
+    return message_pass(g, *encode_graph(g, params), params, steps)
+
+
 def test_message_pass_no_edges_keeps_embeddings():
     params = init_model(np.random.default_rng(8), CFG)
     g = build_graph([single(1)], 2, (1, 1))
-    eg = message_pass(encode_graph(g, params), params, steps=5)
-    assert np.array_equal(eg.node_h.data, eg.node_phi.data)
+    h, e = encode_graph(g, params)
+    assert message_pass(g, h, e, params, steps=5) is e
 
 
 def test_edgeless_graph_takes_the_general_path():
     params = init_model(np.random.default_rng(10), CFG)
     g = build_graph([single(1), single(1, x=20.0)], 2, (1, 1))
     assert g.num_nodes == 2 and g.num_edges == 0
-    eg = encode_graph(g, params, node_init=Tensor(np.ones((2, CFG.node_dim))))
-    assert eg.edge_init.shape == (0, CFG.edge_dim)
-    eg = message_pass(eg, params, steps=2)
-    assert eg.edge_h.shape == (0, CFG.edge_dim)
-    assert classify_edges(eg, params).shape == (0, 1)
-    assert project_edges_for_spg(eg, params).shape == (0, CFG.text_dim)
+    h, e = encode_graph(g, params, node_init=Tensor(np.ones((2, CFG.node_dim))))
+    assert e.shape == (0, CFG.edge_dim)
+    e = message_pass(g, h, e, params, steps=2)
+    assert e.shape == (0, CFG.edge_dim)
+    assert classify_edges(e, params).shape == (0, 1)
+    assert project_edges_for_spg(e, params).shape == (0, CFG.text_dim)
 
 
 def test_message_pass_zero_weights_collapse():
     rng = np.random.default_rng(9)
     g = path_graph(rng)
     params = zero_params()
-    eg = message_pass(encode_graph(g, params), params, steps=1)
-    assert np.all(eg.node_h.data == 0.0)
-    assert np.all(eg.edge_h.data == 0.0)
+    assert np.all(passed(g, params, steps=1).data == 0.0)
 
 
 def test_message_pass_rejects_zero_steps():
     params = init_model(np.random.default_rng(10), CFG)
     g = path_graph(np.random.default_rng(11))
     with pytest.raises(ValueError):
-        message_pass(encode_graph(g, params), params, steps=0)
+        passed(g, params, steps=0)
+
+
+def oracle_rounds(g, params, h, e, steps):
+    """Message passing replayed without the tape: the node rows each round
+    reads, and the final edge rows.  The last round stops after its edge
+    update."""
+    node_rows = []
+    for step in range(steps):
+        hu, hv = h[g.edge_u], h[g.edge_v]
+        node_rows.append(h)
+        e = manual_mlp(params.edge_update, np.concatenate([hu, hv, e], axis=1))
+        if step == steps - 1:
+            break
+        past = manual_mlp(params.node_update_past, np.concatenate([hu, e], axis=1))
+        fut = manual_mlp(params.node_update_future, np.concatenate([hv, e], axis=1))
+        h = np.zeros_like(h)
+        np.add.at(h, g.edge_v, past)
+        np.add.at(h, g.edge_u, fut)
+    return node_rows, e
 
 
 def test_message_pass_matches_straight_line_numpy_oracle():
-    """Two steps on a 3-node path, replayed without the tape."""
+    """One to three rounds on a 3-node path, replayed without the tape."""
     rng = np.random.default_rng(0)
     params = init_model(rng, CFG)
     g = path_graph(np.random.default_rng(12))
-    eg = message_pass(encode_graph(g, params), params, steps=2)
+    h0 = manual_mlp(params.node_encoder, np.stack([t.first.appearance for t in g.nodes]))
+    e0 = manual_mlp(params.edge_encoder, g.edge_features)
+    for steps in (1, 2, 3):
+        e = passed(g, params, steps)
+        _, want_e = oracle_rounds(g, params, h0, e0, steps)
+        assert np.allclose(e.data, want_e, atol=1e-12)
 
-    apps = np.stack([t.first.appearance for t in g.nodes])
-    h = manual_mlp(params.node_encoder, apps)
-    e = manual_mlp(params.edge_encoder, g.edge_features)
-    incident = np.zeros(g.num_nodes, dtype=bool)
-    incident[g.edge_u] = True
-    incident[g.edge_v] = True
-    for _ in range(2):
-        hu, hv = h[g.edge_u], h[g.edge_v]
-        e = manual_mlp(params.edge_update, np.concatenate([hu, hv, e], axis=1))
-        past = manual_mlp(params.node_update_past, np.concatenate([hu, e], axis=1))
-        fut = manual_mlp(params.node_update_future, np.concatenate([hv, e], axis=1))
-        agg = np.zeros_like(h)
-        np.add.at(agg, g.edge_v, past)
-        np.add.at(agg, g.edge_u, fut)
-        h = np.where(incident[:, None], agg, h)
-    assert np.allclose(eg.node_h.data, h, atol=1e-12)
-    assert np.allclose(eg.edge_h.data, e, atol=1e-12)
-
-    probs = classify_edges(eg, params).data
-    want = manual_mlp(params.edge_classifier, e)
-    assert np.allclose(probs, np.clip(want, 1e-7, 1 - 1e-7), atol=1e-12)
+        probs = classify_edges(e, params).data
+        want = manual_mlp(params.edge_classifier, want_e)
+        assert np.allclose(probs, np.clip(want, 1e-7, 1 - 1e-7), atol=1e-12)
 
 
-def test_isolated_node_keeps_embedding_others_update():
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_node_update_runs_once_per_round_but_the_last(steps, monkeypatch):
     params = init_model(np.random.default_rng(13), CFG)
-    rng = np.random.default_rng(14)
-    # nodes at frames 1, 2 connected; frame-2 far node still reachable, so
-    # isolate by window: a node alone in its own graph section via knn on
-    # appearance is fragile; instead use 3 nodes where one is last-frame-only
-    # and receives/sends nothing after pruning to k=1 among 2 candidates.
-    a = single(1, x=0.0, rng=rng)
-    b = single(2, x=1.0, rng=rng)
-    g = build_graph([a, b], 1, (1, 2))
-    c_only = build_graph([single(5, rng=rng)], 1, (5, 5))
-    eg = message_pass(encode_graph(g, params), params, steps=3)
-    iso = message_pass(encode_graph(c_only, params), params, steps=3)
-    assert not np.allclose(eg.node_h.data, eg.node_phi.data)
-    assert np.array_equal(iso.node_h.data, iso.node_phi.data)
+    g = path_graph(np.random.default_rng(14))
+    calls = []
 
+    def spy(mlp, parts):
+        calls.append(mlp)
+        return gathered_mlp(mlp, parts)
 
-def test_classify_before_message_pass_is_state_error():
-    params = init_model(np.random.default_rng(15), CFG)
-    g = path_graph(np.random.default_rng(16))
-    eg = encode_graph(g, params)
-    with pytest.raises(RuntimeError):
-        classify_edges(eg, params)
-    with pytest.raises(RuntimeError):
-        project_edges_for_spg(eg, params)
+    gathered_mlp = model._gathered_mlp
+    monkeypatch.setattr(model, "_gathered_mlp", spy)
+    passed(g, params, steps)
+    blocks = ("edge_update", "node_update_past", "node_update_future")
+    name_of = {id(getattr(params, name)): name for name in blocks}
+    assert Counter(name_of[id(c)] for c in calls) == Counter(
+        edge_update=steps, node_update_past=steps - 1, node_update_future=steps - 1)
 
 
 def test_classifier_zero_weights_give_half():
     g = path_graph(np.random.default_rng(17))
     params = zero_params()
-    eg = message_pass(encode_graph(g, params), params, steps=1)
-    assert np.allclose(classify_edges(eg, params).data, 0.5)
+    assert np.allclose(classify_edges(passed(g, params, steps=1), params).data, 0.5)
 
 
 def test_probabilities_bounded_over_random_weights():
@@ -225,31 +226,32 @@ def test_probabilities_bounded_over_random_weights():
         params = init_model(np.random.default_rng(seed), CFG)
         for t in params.edge_classifier.named_tensors().values():
             t.data = t.data * 50.0  # exaggerate to push the sigmoid hard
-        eg = message_pass(encode_graph(g, params), params, steps=1)
-        p = classify_edges(eg, params).data
+        p = classify_edges(passed(g, params, steps=1), params).data
         assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
 def test_projection_shapes_and_zero_weights():
     params = init_model(np.random.default_rng(19), CFG)
     g = path_graph(np.random.default_rng(20))
-    eg = message_pass(encode_graph(g, params), params, steps=1)
-    assert project_nodes_for_isg(eg, params).shape == (3, CFG.text_dim)
-    assert project_edges_for_spg(eg, params).shape == (g.num_edges, CFG.text_dim)
+    h, e = encode_graph(g, params)
+    assert project_nodes_for_isg(h, params).shape == (3, CFG.text_dim)
+    e = message_pass(g, h, e, params, steps=1)
+    assert project_edges_for_spg(e, params).shape == (g.num_edges, CFG.text_dim)
     zp = zero_params()
-    eg0 = message_pass(encode_graph(g, zp), zp, steps=1)
-    assert np.all(project_nodes_for_isg(eg0, zp).data == 0.0)
-    assert np.all(project_edges_for_spg(eg0, zp).data == 0.0)
+    h0, e0 = encode_graph(g, zp)
+    assert np.all(project_nodes_for_isg(h0, zp).data == 0.0)
+    assert np.all(project_edges_for_spg(message_pass(g, h0, e0, zp, steps=1), zp).data == 0.0)
 
 
 def test_pre_vs_post_isg_source_differs():
     params = init_model(np.random.default_rng(21), CFG)
     g = path_graph(np.random.default_rng(22))
-    eg = message_pass(encode_graph(g, params), params, steps=2)
-    isg = project_nodes_for_isg(eg, params).data
-    pre = mlp_forward(params.isg_projection, eg.node_phi).data
-    post = mlp_forward(params.isg_projection, eg.node_h).data
-    assert np.array_equal(isg, pre)  # ISG reads the embeddings before message passing
+    h, e = encode_graph(g, params)
+    isg = project_nodes_for_isg(h, params).data
+    pre = manual_mlp(params.isg_projection, h.data)
+    node_rows, _ = oracle_rounds(g, params, h.data, e.data, steps=2)
+    post = manual_mlp(params.isg_projection, node_rows[-1])
+    assert np.allclose(isg, pre, atol=1e-12)  # ISG reads the embeddings before message passing
     assert not np.allclose(pre, post)
 
 
@@ -270,8 +272,8 @@ def test_permutation_equivariance():
         g = _random_graph(rng, int(rng.integers(2, 21)))
         if g.num_edges == 0:
             continue
-        eg = message_pass(encode_graph(g, params), params, CFG.message_passing_steps)
-        probs = classify_edges(eg, params).data
+        e = passed(g, params, CFG.message_passing_steps)
+        probs = classify_edges(e, params).data
 
         perm = rng.permutation(g.num_nodes)
         inv = np.argsort(perm)
@@ -282,9 +284,9 @@ def test_permutation_equivariance():
             g.edge_features,
             g.frame_span,
         )
-        peg = message_pass(encode_graph(pg, params), params, CFG.message_passing_steps)
-        pprobs = classify_edges(peg, params).data
-        assert np.allclose(peg.node_h.data, eg.node_h.data[perm], atol=1e-9)
+        pe = passed(pg, params, CFG.message_passing_steps)
+        pprobs = classify_edges(pe, params).data
+        assert np.allclose(pe.data, e.data, atol=1e-9)
         assert np.allclose(pprobs, probs, atol=1e-9)
 
 
@@ -293,16 +295,12 @@ def test_edge_order_permutation_permutes_probabilities():
     rng = np.random.default_rng(26)
     g = _random_graph(rng, 12)
     assert g.num_edges > 2
-    probs = classify_edges(
-        message_pass(encode_graph(g, params), params, 2), params
-    ).data
+    probs = classify_edges(passed(g, params, 2), params).data
     eperm = rng.permutation(g.num_edges)
     g2 = TrackGraph(
         g.nodes, g.edge_u[eperm], g.edge_v[eperm], g.edge_features[eperm], g.frame_span
     )
-    probs2 = classify_edges(
-        message_pass(encode_graph(g2, params), params, 2), params
-    ).data
+    probs2 = classify_edges(passed(g2, params, 2), params).data
     assert np.allclose(probs2, probs[eperm], atol=1e-9)
 
 
@@ -321,8 +319,8 @@ def test_symmetric_branches_get_identical_embeddings():
     ])
     g = TrackGraph([root, t1, t2], np.array([0, 0]), np.array([1, 2]), feats, (1, 2))
     for steps in (1, 2, 5):
-        eg = message_pass(encode_graph(g, params), params, steps)
-        assert np.allclose(eg.node_h.data[1], eg.node_h.data[2], atol=1e-12)
+        e = passed(g, params, steps).data
+        assert np.allclose(e[0], e[1], atol=1e-12)
 
 
 def test_forward_deterministic_bitwise():
@@ -331,8 +329,7 @@ def test_forward_deterministic_bitwise():
     outs = []
     for _ in range(2):
         params = init_model(np.random.default_rng(29), CFG)
-        eg = message_pass(encode_graph(g, params), params, 3)
-        outs.append(classify_edges(eg, params).data)
+        outs.append(classify_edges(passed(g, params, 3), params).data)
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -340,8 +337,8 @@ def test_params_round_trip_through_tensor_dict():
     params = init_model(np.random.default_rng(30), CFG)
     rebuilt = params_from_tensors(params.named_tensors(), CFG)
     g = _random_graph(np.random.default_rng(31), 8)
-    a = classify_edges(message_pass(encode_graph(g, params), params, 2), params).data
-    b = classify_edges(message_pass(encode_graph(g, rebuilt), rebuilt, 2), rebuilt).data
+    a = classify_edges(passed(g, params, 2), params).data
+    b = classify_edges(passed(g, rebuilt, 2), rebuilt).data
     assert np.array_equal(a, b)
 
 
