@@ -13,7 +13,9 @@ graph construction is deterministic and cheap: ``build_graph`` scores
 successors as arrays of gathered unit rows, in chunks of whole windows
 padded to the largest, and ranks only each row's near-ties to its k-th
 score with the exact per-pair key (score, frame gap, node index), so the
-graph is the one a per-pair ranking gives, bit for bit.  This module alone
+graph is the one a per-pair ranking gives, bit for bit; the array score
+takes its centre term as ``sqrt(a*a + b*b)`` of offsets already divided by
+the mean height, the exact key as ``hypot``.  This module alone
 knows how a level tiles a clip: level sizes nest by integer factors and
 grow until one window covers the whole clip, each tracklet belongs to the
 window its first frame falls in, and one ``build_graph`` call gives a
@@ -60,11 +62,22 @@ _PRUNE_GAP_WEIGHT = 0.01
 # linear in nodes per window, not quadratic; 1 << 15 float64 is 256 KB.
 _BLOCK_SCORES = 1 << 15
 
-# Relative width of the band kept around a row's k-th array score.  The array
-# score is off from the exact one by a few ulp plus about one ulp per
-# appearance dimension (the summation order of the dot product), far inside
-# this margin, so the exact top k always lies in the band.
+# Relative width of the band kept around a row's k-th array score, with an
+# absolute floor of the same size.  The array score is off from the exact
+# one by a few ulp plus about one ulp per appearance dimension (the summation
+# order of the dot product), far inside this margin, so the exact top k
+# always lies in the band.  Its centre term, sqrt(a*a + b*b) of the offsets
+# over the mean height, is within a few ulp of the exact key's hypot of the
+# offsets over it while a*a + b*b is normal; where that underflows, both are
+# below 2**-511, under the floor.  Where it overflows, the array term is inf
+# and the exact one 6.7e152 or more, so a row whose k-th array score passes
+# _SQUARE_SAFE keeps every successor in its band, and any other row has k
+# successors scored below every overflowed pair.
 _TIE_BAND = 1e-9
+_SQUARE_SAFE = 1e150
+
+# An end frame after every frame: padded rows end there.
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(eq=False)
@@ -373,6 +386,17 @@ class TrackGraph:
             if np.unique(self.edge_u * n + self.edge_v).size != self.num_edges:
                 raise ValueError("duplicate edges")
 
+    def sliced(self, a: int, b: int, e0: int, e1: int) -> "TrackGraph":
+        """Nodes ``a:b`` with edges ``e0:e1`` as a graph, for node ranges no
+        edge leaves and whose edges are that contiguous range (a run of
+        windows of a level graph).  A part of a checked graph needs no
+        checks, so none run."""
+        part = object.__new__(TrackGraph)
+        part.nodes, part.starts, part.ends = self.nodes[a:b], self.starts[a:b], self.ends[a:b]
+        part.edge_u, part.edge_v = self.edge_u[e0:e1] - a, self.edge_v[e0:e1] - a
+        part.edge_features, part.frame_span = self.edge_features[e0:e1], self.frame_span
+        return part
+
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
@@ -480,11 +504,16 @@ def build_graph(
     ``cos(a, b) = 1 - dot(a, b) / (|a| |b|)``, or 1 if either row is zero.
     Scores are computed as arrays, one padded batched product per chunk of
     whole windows (or per block of a large window's rows), so memory grows
-    linearly in nodes.  The products round differently from the exact
-    per-pair cosine, so they only pick each row's band: the successors
-    within a tiny margin of its k-th score, which always holds the exact
-    top k.  The band is ranked by the exact key and the first knn_k are
-    kept.  Edges come out ordered by ``u``, then by rank.
+    linearly in nodes; a successor is a pair with a positive frame gap,
+    padded columns and rows having none.  The array score's centre term is
+    ``sqrt(a*a + b*b)`` of the offsets a and b already divided by the mean
+    height, where the exact key takes ``hypot`` of the raw offsets and then
+    divides.  The products and that term round differently from the exact
+    per-pair key, so they only pick each row's band: the successors within a
+    tiny margin of its k-th score (all of them where that score is huge, see
+    ``_TIE_BAND``), which always holds the exact top k.  The band is ranked
+    by the exact key and the first knn_k are kept.  Edges come out ordered
+    by ``u``, then by rank.
 
     Edge features, 6 per edge: the centre offsets x and y over the mean
     box height, the log height and width ratios ``du / dv``, the frame gap,
@@ -532,21 +561,31 @@ def build_graph(
             valid = np.arange(wide) < counts[w0:w1, None]
             v_unit = unit[first[cols]].transpose(0, 2, 1)
             c = cols[:, None, :]
-            cx, cy, ch, cs = vx[c], vy[c], vh[c], starts[c]
+            cx, cy, ch = vx[c], vy[c], vh[c]
+            # a padded column starts before, and a padded row ends after, every
+            # frame, so only a real successor has a positive gap
+            col_start = np.where(valid, starts[cols], 0)[:, None, :]
+            row_end = np.where(valid, ends[cols], _NEVER)[..., None]
         # nodes are sorted by start frame, so row i's successors are columns > i
         r, k = cols[:, r0:r1, None], slice(r0, None)
         score = 1.0 - unit[last[r[..., 0]]] @ v_unit[..., k]
-        centre = np.hypot(cx[..., k] - ux[r], cy[..., k] - uy[r])
-        centre /= (uh[r] + ch[..., k]) / 2.0
-        score += _PRUNE_CENTER_WEIGHT * centre
-        score += _PRUNE_GAP_WEIGHT * (cs[..., k] - ends[r])
-        successor = (cs[..., k] > ends[r]) & valid[:, None, k] & valid[:, r0:r1, None]
+        gap = col_start[..., k] - row_end[:, r0:r1]
+        successor = gap > 0
+        # the centre offsets are scaled by the mean height before they are
+        # squared, so only a scaled offset near the float range's square root
+        # over- or underflows (see _TIE_BAND)
+        height = (uh[r] + ch[..., k]) / 2.0
+        dx = (cx[..., k] - ux[r]) / height
+        dy = (cy[..., k] - uy[r]) / height
+        score += _PRUNE_CENTER_WEIGHT * np.sqrt(dx * dx + dy * dy)
+        score += _PRUNE_GAP_WEIGHT * gap
         score[~successor] = np.inf
         if knn_k < wide - r0:
             kth = np.partition(score, knn_k - 1, axis=-1)[..., knn_k - 1]
         else:
             kth = np.full(score.shape[:-1], np.inf)
         cutoff = kth + _TIE_BAND * (1.0 + np.abs(kth))
+        cutoff[kth > _SQUARE_SAFE] = np.inf
         bw, bi, bj = np.nonzero((score <= cutoff[..., None]) & successor)
         bu, bv = cols[bw, bi + r0], cols[bw, bj + r0]
 

@@ -298,8 +298,7 @@ def track_video(
         accepted = []
         for w0, w1 in _batches(edges):
             a, b, e0, e1 = nodes[w0], nodes[w1], edges[w0], edges[w1]
-            g = TrackGraph(graph.nodes[a:b], graph.edge_u[e0:e1] - a, graph.edge_v[e0:e1] - a,
-                           graph.edge_features[e0:e1], graph.frame_span)
+            g = graph.sliced(a, b, e0, e1)
             accepted.append(e0 + round_edges(g, score(g, a), config.threshold))
         return merge_accepted(graph, np.concatenate(accepted))
 

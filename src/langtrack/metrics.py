@@ -1,13 +1,16 @@
 """MOT evaluation: CLEAR (MOTA/IDSW), ID measures (IDF1), and HOTA.
 
 All three families read plain (frame, track_id, box) records, sorted by
-(frame, track id) in one pass per sequence that also computes every
-same-frame IoU in bounded array blocks.  The pass keeps the overlapping
-pairs (IoU > 0) as flat arrays in frame order; every other same-frame pair
-has IoU exactly 0.  Per frame matching maximizes matched count and then
-total IoU via the Hungarian algorithm; exact ties resolve toward
-lexicographically smaller (gt, pred) pairs through an index perturbation
-far below metric tolerance.
+(frame, track id) in one pass per sequence that also computes same-frame
+IoUs in bounded array blocks.  The pass takes each pair's overlap on x
+first, as the IoU computes it, and a full IoU only for the pairs that
+overlap on x; it keeps the overlapping pairs (IoU > 0) as flat arrays in
+frame order, and every other same-frame pair has IoU exactly 0.  A
+sequence whose box magnitudes would over- or underflow an IoU is first
+scaled by a power of two, which leaves IoUs as they are.  Per frame
+matching maximizes matched count and then total IoU via the Hungarian
+algorithm; exact ties resolve toward lexicographically smaller (gt, pred)
+pairs through an index perturbation far below metric tolerance.
 MOTA applies the CLEAR persistence rule (a previous frame's pairing is
 kept while its IoU stays above threshold).  IDF1 solves the global
 trajectory matching exactly.  HOTA follows the reference two-pass scheme:
@@ -86,6 +89,10 @@ def records_from_result(result) -> list[BoxRecord]:
 # gt box), so its working arrays stay small however long the sequence is.
 _BLOCK_PAIRS = 1 << 14
 
+# Box magnitudes in [2**-510, 2**510) give the IoU no overflow, and the largest
+# box a normal area; a sequence past them is scaled into that range.
+_SAFE_EXP = 510
+
 
 @dataclass
 class _Sequence:
@@ -127,9 +134,24 @@ def _sorted_records(records: Iterable[BoxRecord]) -> tuple[np.ndarray, np.ndarra
     return frame, np.unique(track, return_inverse=True)[1], boxes
 
 
+def _rescaled(g_box: np.ndarray, p_box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The boxes of both sides, scaled by one power of two when their largest
+    magnitude lies outside [2**-510, 2**510): past it a right edge, an area or
+    a sum of two areas could overflow, and below it the largest box's area
+    underflows.  The scaling is exact for every value that stays normal, so
+    it changes no IoU that did not over- or underflow; other sequences keep
+    their bits."""
+    top = max(np.abs(g_box).max(initial=0.0), np.abs(p_box).max(initial=0.0))
+    exp = int(np.frexp(top)[1])  # top lies in [2**(exp - 1), 2**exp); 0 for none
+    if -_SAFE_EXP < exp <= _SAFE_EXP:
+        return g_box, p_box
+    return np.ldexp(g_box, _SAFE_EXP - exp), np.ldexp(p_box, _SAFE_EXP - exp)
+
+
 def _prepare(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> _Sequence:
     g_frame, g_pos, g_box = _sorted_records(gt)
     p_frame, p_pos, p_box = _sorted_records(pred)
+    g_box, p_box = _rescaled(g_box, p_box)
     frames = np.union1d(g_frame, p_frame)
     g_start = np.concatenate(([0], np.searchsorted(g_frame, frames, "right")))
     p_start = np.concatenate(([0], np.searchsorted(p_frame, frames, "right")))
@@ -137,12 +159,18 @@ def _prepare(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> _Sequence:
     width = np.diff(p_start)[at]  # pred boxes in each gt box's frame
     offsets = np.concatenate(([0], np.cumsum(width)))  # gt box i's pairs: offsets[i:i+2]
     shift = p_start[at] - offsets[:-1]  # pair index + shift = pred box index
+    g_left, p_left = g_box[:, 0], p_box[:, 0]
+    g_right, p_right = g_left + g_box[:, 2], p_left + p_box[:, 2]
     kept = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
     rows = max(1, _BLOCK_PAIRS // max(1, int(width.max(initial=0))))
     for r0 in range(0, g_frame.size, rows):
         r1 = min(r0 + rows, g_frame.size)
         g = np.repeat(np.arange(r0, r1), width[r0:r1])  # gt box of each pair
         p = np.arange(offsets[r0], offsets[r1]) + shift[g]
+        # the IoU's x side, as it computes it: a pair that does not overlap on x
+        # has no intersection, so it has IoU 0 and is not kept
+        over = np.minimum(g_right[g], p_right[p]) - np.maximum(g_left[g], p_left[p]) > 0.0
+        g, p = g[over], p[over]
         a, b = g_box[g], p_box[p]
         # elementwise, so bitwise equal to the scalar IoU
         lo = np.maximum(a[:, :2], b[:, :2])

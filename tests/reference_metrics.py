@@ -9,6 +9,11 @@ The private ``_mota``, ``_idf1`` and ``_hota`` below them are the per-frame
 scorers: one dense IoU matrix and one solver call per frame.  The scorers in
 ``langtrack.metrics`` solve only contested frames and must equal these bit
 for bit.  ``iou`` is the scalar IoU the IoU pass must equal bitwise.
+
+``ref_pair_pass`` is ``metrics._prepare``'s IoU pass as it ran before it
+skipped the pairs that do not overlap on x: a full IoU for every same-frame
+pair, in blocks of ``metrics._BLOCK_PAIRS``, keeping those above 0.
+``_prepare`` must give its pairs and IoUs bitwise.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from langtrack import metrics
 from langtrack.metrics import (
     HOTA_ALPHAS,
     _TIE_EPS,
@@ -29,6 +35,7 @@ from langtrack.metrics import (
     MotaResult,
     _frame,
     _match,
+    _sorted_records,
 )
 
 
@@ -258,6 +265,37 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     inter = ix * iy
     union = aw * ah + bw * bh - inter
     return inter / union if union > 0.0 else 0.0
+
+
+def ref_pair_pass(gt, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Frame index, gt box, pred box and IoU of every same-frame pair of the
+    records with IoU > 0, ordered by gt box, then pred box (as ``_prepare``
+    sorts and numbers them), from a full IoU of every same-frame pair."""
+    g_frame, _, g_box = _sorted_records(gt)
+    p_frame, _, p_box = _sorted_records(pred)
+    frames = np.union1d(g_frame, p_frame)
+    p_start = np.concatenate(([0], np.searchsorted(p_frame, frames, "right")))
+    at = np.searchsorted(frames, g_frame)  # frame index of each gt box
+    width = np.diff(p_start)[at]  # pred boxes in each gt box's frame
+    offsets = np.concatenate(([0], np.cumsum(width)))  # gt box i's pairs: offsets[i:i+2]
+    shift = p_start[at] - offsets[:-1]  # pair index + shift = pred box index
+    kept = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    rows = max(1, metrics._BLOCK_PAIRS // max(1, int(width.max(initial=0))))
+    for r0 in range(0, g_frame.size, rows):
+        r1 = min(r0 + rows, g_frame.size)
+        g = np.repeat(np.arange(r0, r1), width[r0:r1])  # gt box of each pair
+        p = np.arange(offsets[r0], offsets[r1]) + shift[g]
+        a, b = g_box[g], p_box[p]
+        lo = np.maximum(a[:, :2], b[:, :2])
+        hi = np.minimum(a[:, :2] + a[:, 2:], b[:, :2] + b[:, 2:])
+        side = np.maximum(hi - lo, 0.0)
+        inter = side[:, 0] * side[:, 1]
+        union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+        hit = iou > 0.0
+        kept.append((g[hit], p[hit], iou[hit]))
+    g, p, iou = (np.concatenate(part) for part in zip(*kept))
+    return at[g], g, p, iou
 
 
 @dataclass

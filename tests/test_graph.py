@@ -469,6 +469,56 @@ def test_build_graph_matches_per_pair_reference(case, block_scores):
     assert_same_graph(fast, ref_build_graph(tracklets, knn_k, window))
 
 
+@st.composite
+def extreme_windows(draw):
+    """A window whose box positions (of either sign) and sizes are drawn
+    independently and log-uniformly from 1e-300 to 1e300, so centre offsets
+    over mean heights reach from far below to far above the float range's
+    square roots."""
+    span = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 3, 16]))
+    apps = [rng.standard_normal(dim) for _ in range(3)]
+    tracklets = []
+    for _ in range(draw(st.integers(0, 20))):
+        start = draw(st.integers(1, span))
+        dets = []
+        for frame in range(start, min(start + draw(st.integers(1, 2)), span + 1)):
+            box = 10.0 ** rng.uniform(-300.0, 300.0, 4) * [*rng.choice([-1.0, 1.0], 2), 1.0, 1.0]
+            dets.append(Detection(frame, tuple(box.tolist()), apps[int(rng.integers(3))]))
+        tracklets.append(Tracklet(dets))
+    return tracklets, draw(st.integers(1, 6)), (1, span)
+
+
+@given(extreme_windows(), st.sampled_from([graph._BLOCK_SCORES, 40]))
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_per_pair_reference_at_extreme_scales(case, block_scores):
+    tracklets, knn_k, window = case
+    # offsets, scores and size ratios over- and underflow, alike in both
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(graph, "_BLOCK_SCORES", block_scores)
+        fast = build_graph(tracklets, knn_k, window)
+        ref = ref_build_graph(tracklets, knn_k, window)
+    assert_same_graph(fast, ref)
+
+
+def test_build_graph_keeps_a_successor_whose_array_score_overflows():
+    # centre offsets over unit mean heights: v1's (x, b) squares to a finite
+    # sum and v2's x_next to inf, yet hypot rounds both exact keys to x_next,
+    # so v2 (the smaller gap) ranks first though its array score is inf
+    x, b = 1.3407807929942596e154, 2.0 ** 485.5
+    x_next = math.nextafter(x, math.inf)
+    assert x * x + b * b < math.inf and x_next * x_next == math.inf
+    assert np.hypot(x, b) == x_next
+    u = single(1, x=-0.5, y=-0.5, w=1.0, h=1.0)
+    v1 = single(3, x=x, y=b, w=1.0, h=1.0)
+    v2 = single(2, x=x_next, y=-0.5, w=1.0, h=1.0)
+    with np.errstate(over="ignore"):
+        g = build_graph([u, v1, v2], 1, (1, 3))
+    assert_same_graph(g, ref_build_graph([u, v1, v2], 1, (1, 3)))
+    assert (g.edge_u.tolist(), g.edge_v.tolist()) == ([0, 1], [1, 2])
+
+
 def test_build_graph_matches_reference_on_every_window_of_a_tracked_clip(monkeypatch):
     # gt_oracle_scorer merges true links, so later levels rank multi-detection
     # tracklets; levels 5/10/20 double to 40 and 80 to cover the 80 frames
@@ -544,6 +594,30 @@ def test_level_graph_is_its_window_graphs_bitwise(case, block_scores):
     assert level.edge_u.dtype == ref.edge_u.dtype and level.edge_v.dtype == ref.edge_v.dtype
     got = window_offsets(level.starts, 1, size)
     assert got.tolist() == offsets.tolist()
+
+
+def test_a_slice_of_a_level_graph_is_its_checked_construction():
+    # runs of windows of a level, as tracking cuts it into batches
+    rng = np.random.default_rng(4)
+    tracklets = [single(int(f), x=float(rng.uniform(0, 90)), app=rng.standard_normal(4))
+                 for f in rng.integers(1, 41, 120)]
+    level = build_graph(tracklets, 3, (1, 40), 8)
+    nodes = window_offsets(level.starts, 1, 8).tolist()
+    edges = np.searchsorted(level.edge_u, nodes).tolist()
+    for w0, w1 in [(0, 1), (1, 3), (2, 5), (0, len(nodes) - 1)]:
+        a, b, e0, e1 = nodes[w0], nodes[w1], edges[w0], edges[w1]
+        part = level.sliced(a, b, e0, e1)
+        checked = TrackGraph(level.nodes[a:b], level.edge_u[e0:e1] - a, level.edge_v[e0:e1] - a,
+                             level.edge_features[e0:e1], level.frame_span)
+        assert part.num_edges == e1 - e0 > 0
+        assert part.frame_span == checked.frame_span
+        assert part.nodes.clip is checked.nodes.clip
+        for name in ("edge_u", "edge_v", "edge_features", "starts", "ends"):
+            got, want = getattr(part, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for name in ("rows", "offsets"):
+            assert np.array_equal(getattr(part.nodes, name), getattr(checked.nodes, name))
 
 
 def test_level_build_rejects_a_tracklet_leaving_its_window():

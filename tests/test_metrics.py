@@ -23,7 +23,7 @@ from langtrack.metrics import (
 from langtrack.metrics import _frame, _match, _prepare
 from langtrack.model import ModelConfig, init_model
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
-from reference_metrics import iou, per_frame, ref_hota, ref_idf1, ref_mota
+from reference_metrics import iou, per_frame, ref_hota, ref_idf1, ref_mota, ref_pair_pass
 
 
 def recs(rows):
@@ -162,6 +162,87 @@ class TestIou:
                 assert sim.shape == (len(g_boxes), len(p_boxes))
                 assert sim.tobytes() == scalar.tobytes()
                 assert len(g_pos) == len(g_boxes) and len(p_pos) == len(p_boxes)
+
+
+# boxes that touch BOX on an edge (an overlap of zero width on x or on y) or
+# at a corner, lie inside it, equal it, or reach below zero
+EDGE_CASE_BOXES = [
+    BOX,
+    (10.0, 0.0, 10.0, 10.0),
+    (0.0, 10.0, 10.0, 10.0),
+    (10.0, 10.0, 5.0, 5.0),
+    (-5.0, -5.0, 5.0, 5.0),
+    (-5.0, 2.0, 5.0, 3.0),
+    (2.0, 2.0, 3.0, 3.0),
+    (0.0, 0.0, 10.0, 3.0),
+    (-8.0, -3.0, 9.0, 6.0),
+    (-30.0, -30.0, 5.0, 5.0),
+    (20.0, 0.0, 10.0, 10.0),
+]
+
+
+def edge_case_scenario(rng):
+    """The edge-case boxes on both sides of frame 1, then frames of grid
+    boxes (which touch and coincide often) and of random boxes at multiples of
+    1/64 with coordinates of either sign, a frame with gt boxes only and one
+    with pred boxes only."""
+    gt = [(1, i, b) for i, b in enumerate(EDGE_CASE_BOXES)]
+    pred = [(1, i, b) for i, b in enumerate(EDGE_CASE_BOXES[::-1])]
+    for f in range(2, 8):
+        for side in (gt, pred):
+            for i in range(int(rng.integers(0, 12))):
+                if f % 2:
+                    box = [*rng.integers(-4, 5, 2), *rng.integers(1, 4, 2)]
+                else:
+                    box = [*np.round(rng.uniform(-20.0, 20.0, 2) * 64.0) / 64.0,
+                           *np.round(rng.uniform(0.5, 12.0, 2) * 64.0) / 64.0]
+                side.append((f, i, box))
+    gt.append((8, 0, BOX))
+    pred.append((9, 0, BOX))
+    return gt, pred
+
+
+def assert_same_pairs(seq, ref):
+    for got, want in zip((seq.frame, seq.gt, seq.pred, seq.iou), ref):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestIouPass:
+    @pytest.mark.parametrize("cap", [1, 7, metrics._BLOCK_PAIRS])
+    def test_pairs_are_the_unfiltered_pass_bitwise(self, cap, monkeypatch):
+        # _prepare takes a full IoU only of pairs that overlap on x
+        monkeypatch.setattr(metrics, "_BLOCK_PAIRS", cap)
+        rng = np.random.default_rng(cap)
+        for _ in range(5):
+            gt_rows, pred_rows = edge_case_scenario(rng)
+            # tiny and huge scales at which no area or edge over- or underflows
+            for scale in (1.0, 1e-150, 1e150):
+                gt = recs([(f, t, np.multiply(b, scale)) for f, t, b in gt_rows])
+                pred = recs([(f, t, np.multiply(b, scale)) for f, t, b in pred_rows])
+                ref = ref_pair_pass(gt, pred)
+                assert ref[3].size and (ref[3] == 1.0).any()
+                assert_same_pairs(_prepare(gt, pred), ref)
+            # past them, _prepare scales by a power of two back into range
+            ref = ref_pair_pass(recs(gt_rows), recs(pred_rows))
+            for exp in (-900, 600, 1000):
+                gt = recs([(f, t, np.ldexp(b, exp)) for f, t, b in gt_rows])
+                pred = recs([(f, t, np.ldexp(b, exp)) for f, t, b in pred_rows])
+                assert_same_pairs(_prepare(gt, pred), ref)
+
+    def test_scaling_by_a_power_of_two_keeps_the_report(self):
+        rng = np.random.default_rng(600)
+        for _ in range(10):
+            gt_rows, pred_rows = random_scenario(rng)
+            scaled = [recs([(f, t, np.ldexp(b, 600)) for f, t, b in rows])
+                      for rows in (gt_rows, pred_rows)]
+            assert evaluate(*scaled) == evaluate(recs(gt_rows), recs(pred_rows))
+
+    @pytest.mark.parametrize("side", [1e-200, 1e155, 1e200, 1e300])
+    def test_identical_boxes_at_extreme_scales_match(self, side):
+        # w * h and x + w of these boxes over- or underflow unscaled
+        gt = recs(straight_track(1, range(1, 4), (side, -side, side, side)))
+        rep = evaluate(gt, gt)
+        assert (rep.mota, rep.idf1, rep.hota) == (1.0, 1.0, 1.0)
 
 
 class TestMatchFrames:
