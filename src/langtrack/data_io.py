@@ -60,8 +60,10 @@ class MotRecord:
     visibility: float = -1.0
 
     def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame must be >= 1, got {self.frame}")
+        if not 1 <= self.frame < 1 << 63:
+            raise ValueError(f"frame must lie in [1, 2**63), got {self.frame}")
+        if not -(1 << 63) <= self.id < 1 << 63:
+            raise ValueError(f"id must lie in [-2**63, 2**63), got {self.id}")
         if not (self.visibility == -1.0 or 0.0 <= self.visibility <= 1.0):
             raise ValueError(f"visibility must be in [0, 1] or -1, got {self.visibility}")
 

@@ -45,7 +45,6 @@ __all__ = [
     "lift_detections",
     "build_graph",
     "tracklet_order",
-    "tracklet_sort_key",
     "window_offsets",
 ]
 
@@ -79,6 +78,12 @@ _SQUARE_SAFE = 1e150
 # An end frame after every frame: padded rows end there.
 _NEVER = np.iinfo(np.int64).max
 
+# Frames and level sizes stay at or below this, so the level loop's int64
+# arithmetic cannot overflow: a window that holds a frame ends before twice the
+# larger of that frame and the window's size, and the doubled top level is
+# under twice the last frame, both below 2**63.
+_MAX_FRAME = 1 << 62
+
 
 @dataclass(eq=False)
 class Detection:
@@ -92,8 +97,8 @@ class Detection:
     gt_id: int | None = None
 
     def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {self.frame}")
+        if not 1 <= self.frame <= _MAX_FRAME:
+            raise ValueError(f"frame index must lie in [1, 2**62], got {self.frame}")
         left, top, width, height = self.box
         # NaN fails every comparison, so this one test passes only finite boxes
         # of positive size; the messages tell the two faults apart
@@ -133,32 +138,12 @@ class Tracklet:
         return self.detections[-1].frame
 
     @property
-    def first(self) -> Detection:
-        return self.detections[0]
-
-    @property
-    def last(self) -> Detection:
-        return self.detections[-1]
-
-    @property
     def gt_id(self) -> int | None:
         """The common ground-truth id of all detections, or None if mixed/absent."""
         ids = {d.gt_id for d in self.detections}
         if len(ids) == 1:
             return next(iter(ids))
         return None
-
-
-def tracklet_sort_key(t: Tracklet):
-    """Deterministic total-order key; only indistinguishable tracklets tie."""
-    return (
-        t.start_frame,
-        t.end_frame,
-        t.first.box,
-        t.last.box,
-        t.first.appearance.tobytes(),
-        t.last.appearance.tobytes(),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +184,8 @@ class DetectionArrays:
 
     @functools.cached_property
     def unit_app(self) -> np.ndarray:
-        """``app``'s rows scaled to unit norm; zero rows stay zero."""
-        norms = np.linalg.norm(self.app, axis=-1, keepdims=True)
+        """``app``'s rows divided by ``norms``; zero rows stay zero."""
+        norms = self.norms[:, None]
         return np.divide(self.app, norms, out=np.zeros_like(self.app), where=norms > 0.0)
 
     def take(self, order: np.ndarray) -> "DetectionArrays":
@@ -223,17 +208,6 @@ class TrackletRows(Sequence[Tracklet]):
         self.clip = clip
         self.rows = np.asarray(rows, dtype=np.intp)
         self.offsets = np.asarray(offsets, dtype=np.intp)
-
-    @classmethod
-    def of(cls, tracklets: Sequence[Tracklet]) -> "TrackletRows":
-        """``tracklets`` itself if already rows, else rows of a new clip of
-        their detections, tracklet by tracklet."""
-        if isinstance(tracklets, TrackletRows):
-            return tracklets
-        tracklets = list(tracklets)
-        sizes = [len(t.detections) for t in tracklets]
-        clip = DetectionArrays.of([d for t in tracklets for d in t.detections])
-        return cls(clip, np.arange(len(clip.detections)), np.cumsum([0] + sizes))
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -319,9 +293,10 @@ def _lexsort_runs(keys: list[np.ndarray], tie_key: Callable[[int], object]) -> n
 
 
 def tracklet_order(nodes: TrackletRows) -> np.ndarray:
-    """The permutation that sorts ``nodes`` by :func:`tracklet_sort_key`:
-    start, end, first box and last box as arrays, and appearance bytes only
-    within runs that tie on all of those."""
+    """The permutation that sorts ``nodes`` by start frame, end frame, first
+    box and last box (as arrays), then, only within runs that tie on all of
+    those, by the first and last detections' appearance bytes; only
+    indistinguishable tracklets tie."""
     first, last, clip = nodes.firsts, nodes.lasts, nodes.clip
     return _lexsort_runs(
         [clip.frames[first], clip.frames[last], *clip.boxes[first].T, *clip.boxes[last].T],
@@ -351,8 +326,7 @@ class TrackGraph:
 
     Edges are stored as index arrays into ``nodes``; ``edge_u[i]`` always
     ends strictly before ``edge_v[i]`` starts.  ``starts`` and ``ends`` hold
-    each node's first and last frame.  Nodes given as a list of tracklets
-    become ``TrackletRows`` of their detections.
+    each node's first and last frame.
     """
 
     nodes: TrackletRows
@@ -369,7 +343,6 @@ class TrackGraph:
         self.edge_features = np.asarray(self.edge_features, dtype=np.float64).reshape(
             -1, EDGE_FEATURE_DIM
         )
-        self.nodes = TrackletRows.of(self.nodes)
         n = len(self.nodes)
         self.starts = self.nodes.clip.frames[self.nodes.firsts]
         self.ends = self.nodes.clip.frames[self.nodes.lasts]
@@ -407,11 +380,12 @@ class TrackGraph:
 
 
 def check_level_sizes(level_sizes: Sequence[int]) -> None:
-    """Sizes must be positive, strictly increase, and each must be a multiple
-    of the previous one, so every window is an exact union of child windows."""
+    """Sizes must lie in [1, 2**62], strictly increase, and each must be a
+    multiple of the previous one, so every window is an exact union of child
+    windows."""
     sizes = list(level_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"level sizes must be non-empty and positive, got {sizes}")
+    if not sizes or any(not 1 <= s <= _MAX_FRAME for s in sizes):
+        raise ValueError(f"level sizes must be non-empty and lie in [1, 2**62], got {sizes}")
     for prev, cur in zip(sizes, sizes[1:]):
         if cur <= prev or cur % prev != 0:
             raise ValueError(
@@ -481,7 +455,7 @@ def _chunks(counts: list[int], dim: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def build_graph(
-    tracklets: Sequence[Tracklet], knn_k: int, window: tuple[int, int], size: int | None = None
+    tracklets: TrackletRows, knn_k: int, window: tuple[int, int], size: int | None = None
 ) -> TrackGraph:
     """Connect each tracklet to its knn_k best temporal successors in its window.
 
@@ -492,11 +466,10 @@ def build_graph(
     of the window graphs, window by window, and
     ``window_offsets(graph.starts, window[0], size)`` slices it into them.
 
-    Nodes are sorted by :func:`tracklet_sort_key` first, so the result does
-    not depend on input order; they are rows of the clip of ``tracklets``
-    when those are ``TrackletRows``, else of a new clip of their detections.
-    A successor ``v`` of ``u`` starts after ``u`` ends; with ``du = u.last``
-    and ``dv = v.first`` it is ranked by
+    Nodes are sorted by :func:`tracklet_order` first, so the result does
+    not depend on input order.  A successor ``v`` of ``u`` starts after
+    ``u`` ends; with ``du`` the last detection of ``u`` and ``dv`` the first
+    of ``v`` it is ranked by
 
         cos(du, dv) + 0.05 * |centre offset| / mean height + 0.01 * gap
 
@@ -526,8 +499,7 @@ def build_graph(
         size = max(hi - lo + 1, 1)
     elif size < 1:
         raise ValueError(f"window size must be >= 1, got {size}")
-    nodes = TrackletRows.of(tracklets)
-    nodes = nodes.take(tracklet_order(nodes))
+    nodes = tracklets.take(tracklet_order(tracklets))
     first, last, clip = nodes.firsts, nodes.lasts, nodes.clip
     starts, ends = clip.frames[first], clip.frames[last]
     own_lo = lo + (starts - lo) // size * size  # each node's window

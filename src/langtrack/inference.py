@@ -32,7 +32,6 @@ from .graph import (
     Detection,
     DetectionArrays,
     TrackGraph,
-    Tracklet,
     TrackletRows,
     build_graph,
     check_level_sizes,
@@ -248,9 +247,9 @@ def _batches(edge_offsets: list[int]) -> Iterator[tuple[int, int]]:
 
 
 def run_levels(
-    tracklets: Sequence[Tracklet], num_frames: int, level_sizes: Sequence[int], knn_k: int,
-    merge: Callable[[TrackGraph, np.ndarray], Sequence[Tracklet]],
-) -> Iterator[tuple[TrackGraph, Sequence[Tracklet]]]:
+    tracklets: TrackletRows, num_frames: int, level_sizes: Sequence[int], knn_k: int,
+    merge: Callable[[TrackGraph, np.ndarray], TrackletRows],
+) -> Iterator[tuple[TrackGraph, TrackletRows]]:
     """The levels of ``graph.clip_level_sizes``: each builds one graph of all
     its windows, ``merge`` turns that level graph and its window node offsets
     (``graph.window_offsets``) into merged tracklets, and the next level sees

@@ -6,9 +6,9 @@ Teacher forcing is training's merge rule: each window's nodes join into one
 tracklet per ground-truth id, so at level L every object contributes one
 tracklet per level L-1 window (single detections at the bottom).  Like
 tracking's, every level's tracklets are rows of the clip's detection arrays,
-so teacher forcing regroups rows and a level's node rows and sizes are read
-off its graph's nodes.  Each level's bundle holds its one level graph, whose
-windows share no edges.
+so teacher forcing regroups rows, and ``train_step`` reads a level's node
+rows and sizes off its graph's nodes.  Each level's bundle holds its one
+level graph, whose windows share no edges.
 Tracklet embeddings are ``model.node_means`` of the encoder output, the rule
 tracking uses too, so gradients reach the encoder.  The loss per clip is the sum
 over levels of focal classification loss plus the weighted instance- and
@@ -140,8 +140,6 @@ class ClipData:
 @dataclass
 class _LevelBundle:
     graph: TrackGraph
-    rows: np.ndarray  # each node's detection rows, node by node
-    sizes: np.ndarray  # (nodes,) detections per node
     labels: np.ndarray  # (edges,)
     instance_targets: np.ndarray  # (nodes, text_dim)
 
@@ -225,11 +223,9 @@ def prepare_clip(
     levels: list[_LevelBundle] = []
     for graph, _ in run_levels(lift_detections(dets), int(dets.frames[-1]), cfg.level_sizes,
                                cfg.knn_k, _merge_by_identity):
-        nodes = graph.nodes
-        gt_ids = dets.gt[nodes.firsts]  # teacher-forced nodes are pure
+        gt_ids = dets.gt[graph.nodes.firsts]  # teacher-forced nodes are pure
         targets = instance_vectors[np.searchsorted(ids, gt_ids)]
-        levels.append(_LevelBundle(graph, nodes.rows, nodes.sizes,
-                                   edge_labels(graph, gt_ids), targets))
+        levels.append(_LevelBundle(graph, edge_labels(graph, gt_ids), targets))
     return ClipBundle(clip.name, dets.app, levels, scene_embedding)
 
 
@@ -255,7 +251,7 @@ def train_step(
     for bundle in bundles:
         enc = mlp_forward(params.node_encoder, as_tensor(bundle.appearance))
         for level in bundle.levels:
-            phi = node_means(enc, level.rows, level.sizes)
+            phi = node_means(enc, level.graph.nodes.rows, level.graph.nodes.sizes)
             h, e = encode_graph(level.graph, params, node_init=phi)
             if weights.alpha > 0.0:
                 term = isg_loss(project_nodes_for_isg(h, params), level.instance_targets)

@@ -28,10 +28,14 @@ in order.
 before it sorted rows of detection arrays; ``graph.tracklet_order`` must
 give its order.
 
-``ref_prepare_levels`` is ``trainer.prepare_clip``'s level loop in list
-form: ``run_levels`` over lists of ``Tracklet`` objects, with the dict walk
-teacher forcing merged by before it moved rows.  ``prepare_clip`` must
-reproduce its levels bitwise.
+``ref_prepare_levels`` is ``trainer.prepare_clip``'s level loop with the
+dict walk teacher forcing merged by before it moved rows: each level's
+merged ``Tracklet`` objects become rows of a new clip.  ``prepare_clip``
+must reproduce its levels bitwise.
+
+``tracklet_sort_key`` is the node order of ``graph.tracklet_order`` as one
+tuple per tracklet, and ``rows_of`` turns hand-made ``Tracklet`` objects into
+the ``TrackletRows`` the graph layer takes.
 """
 
 from __future__ import annotations
@@ -43,11 +47,12 @@ import numpy as np
 from langtrack.data_io import compose_instance_description
 from langtrack.graph import (
     EDGE_FEATURE_DIM,
+    DetectionArrays,
     TrackGraph,
     Tracklet,
+    TrackletRows,
     build_graph,
     clip_level_sizes,
-    tracklet_sort_key,
 )
 from langtrack.autodiff import Tensor
 from langtrack.inference import run_levels
@@ -58,6 +63,27 @@ from reference_merge import ref_merge_walk, ref_round_edges
 
 _PRUNE_CENTER_WEIGHT = 0.05
 _PRUNE_GAP_WEIGHT = 0.01
+
+
+def tracklet_sort_key(t: Tracklet):
+    """Deterministic total-order key; only indistinguishable tracklets tie."""
+    first, last = t.detections[0], t.detections[-1]
+    return (
+        t.start_frame,
+        t.end_frame,
+        first.box,
+        last.box,
+        first.appearance.tobytes(),
+        last.appearance.tobytes(),
+    )
+
+
+def rows_of(tracklets: Sequence[Tracklet]) -> TrackletRows:
+    """Rows of a new clip of the tracklets' detections, tracklet by tracklet."""
+    tracklets = list(tracklets)
+    sizes = [len(t.detections) for t in tracklets]
+    clip = DetectionArrays.of([d for t in tracklets for d in t.detections])
+    return TrackletRows(clip, np.arange(len(clip.detections)), np.cumsum([0] + sizes))
 
 
 def group_by_window(
@@ -80,7 +106,7 @@ def union_graph(graphs: Sequence[TrackGraph], frame_span: tuple[int, int]) -> Tr
     their nodes side by side, in graph order, and their edges re-indexed."""
     offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
     return TrackGraph(
-        nodes=[t for g in graphs for t in g.nodes],
+        nodes=rows_of([t for g in graphs for t in g.nodes]),
         edge_u=np.concatenate([g.edge_u + o for g, o in zip(graphs, offsets)]),
         edge_v=np.concatenate([g.edge_v + o for g, o in zip(graphs, offsets)]),
         edge_features=np.vstack([g.edge_features for g in graphs]),
@@ -92,11 +118,11 @@ def ref_level_graph(tracklets, knn_k, size, num_frames, build=build_graph):
     """One level as the union of its window graphs, each built alone by
     ``build``, over [1, num_frames], and each window's node offset (plus
     the node count)."""
-    graphs = [build(members, knn_k, window)
+    graphs = [build(rows_of(members), knn_k, window)
               for window, members in group_by_window(tracklets, size, num_frames)]
     offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
     if not graphs:
-        return build([], knn_k, (1, num_frames)), offsets
+        return build(rows_of([]), knn_k, (1, num_frames)), offsets
     return union_graph(graphs, (1, num_frames)), offsets
 
 
@@ -121,7 +147,7 @@ def ref_edge_features(u, v):
             f"edge endpoints must be temporally disjoint, got [{u.start_frame},{u.end_frame}]"
             f" -> [{v.start_frame},{v.end_frame}]"
         )
-    du, dv = u.last, v.first
+    du, dv = u.detections[-1], v.detections[0]
     xu, yu = ref_center(du)
     xv, yv = ref_center(dv)
     hu, hv = du.box[3], dv.box[3]
@@ -162,7 +188,8 @@ def ref_build_graph(tracklets, knn_k, window):
         ranked = sorted(
             later.tolist(),
             key=lambda vi: (
-                ref_pruning_score(u.last, nodes[vi].first, int(starts[vi] - ends[ui])),
+                ref_pruning_score(u.detections[-1], nodes[vi].detections[0],
+                                  int(starts[vi] - ends[ui])),
                 int(starts[vi] - ends[ui]),
                 vi,
             ),
@@ -172,7 +199,7 @@ def ref_build_graph(tracklets, knn_k, window):
             edge_v.append(vi)
             feats.append(ref_edge_features(u, nodes[vi]))
     features = np.stack(feats) if feats else np.zeros((0, EDGE_FEATURE_DIM))
-    return TrackGraph(nodes, np.array(edge_u), np.array(edge_v), features, tuple(window))
+    return TrackGraph(rows_of(nodes), np.array(edge_u), np.array(edge_v), features, tuple(window))
 
 
 def ref_teacher_forced_levels(clip, cfg, store):
@@ -191,20 +218,20 @@ def ref_teacher_forced_levels(clip, cfg, store):
         for _, members in group_by_window(singles, prev_size, num_frames):
             by_gt = {}
             for t in members:
-                by_gt.setdefault(t.first.gt_id, []).append(t.first)
+                by_gt.setdefault(t.gt_id, []).extend(t.detections)
             fragments.extend(Tracklet(by_gt[gid]) for gid in sorted(by_gt))
         nodes, edge_u, edge_v, feats = [], [], [], []
         for window, members in group_by_window(fragments, size, num_frames):
-            g = build_graph(members, cfg.knn_k, window)
+            g = build_graph(rows_of(members), cfg.knn_k, window)
             edge_u.append(g.edge_u + len(nodes))
             edge_v.append(g.edge_v + len(nodes))
             feats.append(g.edge_features)
             nodes.extend(g.nodes)
-        union = TrackGraph(nodes, np.concatenate(edge_u), np.concatenate(edge_v),
+        union = TrackGraph(rows_of(nodes), np.concatenate(edge_u), np.concatenate(edge_v),
                            np.vstack(feats), (1, num_frames))
         rows = np.array([row_of[d] for t in nodes for d in t.detections], dtype=np.intp)
         counts = np.array([len(t.detections) for t in nodes], dtype=np.intp)
-        gt_ids = [t.first.gt_id for t in nodes]
+        gt_ids = [t.gt_id for t in nodes]
         targets = np.stack([
             store.lookup(compose_instance_description(clip.annotations.instances[gid]))
             for gid in gt_ids
@@ -276,7 +303,7 @@ def ref_track_per_window(detections, params, config, edge_scorer=None):
     for size in clip_level_sizes(num_frames, config.level_sizes):
         merged = []
         for window, members in group_by_window(tracklets, size, num_frames):
-            g = build_graph(members, config.knn_k, window)
+            g = build_graph(rows_of(members), config.knn_k, window)
             merged.extend(ref_merge_walk(g, ref_round_edges(g, score(g), config.threshold)))
         tracklets = merged
     return sorted(tracklets, key=tracklet_sort_key)
@@ -289,21 +316,22 @@ def ref_merge_by_identity(graph, offsets):
     for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
         by_gt = {}
         for node in graph.nodes[a:b]:
-            by_gt.setdefault(node.first.gt_id, []).extend(node.detections)
+            by_gt.setdefault(node.detections[0].gt_id, []).extend(node.detections)
         merged.extend(Tracklet(dets) for dets in by_gt.values())
     return merged
 
 
 def ref_prepare_levels(clip, cfg, store):
-    """Per level of ``prepare_clip``'s hierarchy, run over lists of
-    tracklets: the level graph, each node's detection rows and count, edge
-    labels and instance targets."""
+    """Per level of ``prepare_clip``'s hierarchy, with the dict-walk merge:
+    the level graph, each node's detection rows and count, edge labels and
+    instance targets."""
     dets = sorted(clip.detections, key=lambda d: (d.frame, d.gt_id))
     row_of = {id(d): i for i, d in enumerate(dets)}
     levels = []
-    for graph, _ in run_levels([Tracklet([d]) for d in dets], dets[-1].frame,
-                               cfg.level_sizes, cfg.knn_k, ref_merge_by_identity):
-        gt_ids = [t.first.gt_id for t in graph.nodes]
+    for graph, _ in run_levels(rows_of([Tracklet([d]) for d in dets]), dets[-1].frame,
+                               cfg.level_sizes, cfg.knn_k,
+                               lambda g, offsets: rows_of(ref_merge_by_identity(g, offsets))):
+        gt_ids = [t.detections[0].gt_id for t in graph.nodes]
         targets = np.stack([
             store.lookup(compose_instance_description(clip.annotations.instances[gid]))
             for gid in gt_ids

@@ -14,15 +14,15 @@ tracklets, detection by detection and in the same order.
 union-find finds the components of the accepted edges, a second pass checks
 the one-successor, one-predecessor rule, each component's detections are
 re-sorted by frame, and the merged tracklets are sorted by
-``tracklet_sort_key``.  ``merge_accepted`` must give the same tracklets in
-the same detection order.
+``reference_graph.tracklet_sort_key``.  ``merge_accepted`` must give the
+same tracklets in the same detection order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from langtrack.graph import Tracklet, tracklet_sort_key
+from langtrack.graph import Tracklet
 
 
 def ref_round_edges(graph, probs, threshold):
@@ -108,6 +108,8 @@ def ref_aggregate(parts):
 
 
 def ref_merge_accepted(graph, accepted):
+    from reference_graph import tracklet_sort_key  # reference_graph imports this module
+
     pairs = [(int(graph.edge_u[i]), int(graph.edge_v[i])) for i in accepted]
     ref_check_degrees(pairs)
     merged = [

@@ -19,7 +19,7 @@ from gradcheck import check_gradients
 from langtrack.autodiff import as_tensor
 from langtrack.cli import main as cli_main
 from langtrack.data_io import SceneAttributes
-from langtrack.graph import Detection, TrackGraph, Tracklet, build_graph, lift_detections
+from langtrack.graph import Detection, TrackGraph, build_graph, lift_detections
 from langtrack.guidance import (
     GuidanceConfig,
     LanguageEmbeddingStore,
@@ -190,10 +190,10 @@ def test_03_metrics_match_brute_force_references():
 def _random_dag(rng: np.random.Generator) -> tuple[TrackGraph, np.ndarray]:
     n = int(rng.integers(2, 11))
     frames = rng.integers(1, 13, size=n)
-    nodes = [
-        Tracklet([Detection(frame=int(f), box=(float(i), 0.0, 4.0, 8.0), appearance=np.zeros(2))])
+    nodes = lift_detections([
+        Detection(frame=int(f), box=(float(i), 0.0, 4.0, 8.0), appearance=np.zeros(2))
         for i, f in enumerate(frames)
-    ]
+    ])
     uu, vv = [], []
     for i in range(n):
         for j in range(n):

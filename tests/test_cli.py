@@ -363,6 +363,22 @@ def trained_world(tmp_path_factory):
         (tmp / f"{name}.det.txt").write_text("\n".join([",".join(bad)] + det_rows[1:]) + "\n")
         shutil.copy(data / "seq00.appearance.csv", tmp / f"{name}.appearance.csv")
     (tmp / "levels.json").write_text(json.dumps(dict(SMALL_CONFIG, levels=[5, 7])))
+    (tmp / "levels_2_63.json").write_text(json.dumps(dict(SMALL_CONFIG, levels=[5, 5 * 2**61])))
+    # seq00's gt rows as detections (with its appearance sidecar), as training
+    # data and as eval gt: one row's frame or id past int64, or its frame past
+    # the level loop's bound; and the rows moved to end exactly at that bound
+    gt_rows = [r.split(",") for r in (data / "seq00.gt.txt").read_text().splitlines()]
+    shift = 2**62 - max(int(r[0]) for r in gt_rows)
+    for name, rows in (
+        ("frame_2_63", [[str(2**63)] + gt_rows[0][1:]] + gt_rows[1:]),
+        ("frame_2_63_less_1", [[str(2**63 - 1)] + gt_rows[0][1:]] + gt_rows[1:]),
+        ("id_2_63", [[gt_rows[0][0], str(2**63)] + gt_rows[0][2:]] + gt_rows[1:]),
+        ("at_bound", [[str(int(r[0]) + shift)] + r[1:] for r in gt_rows]),
+    ):
+        text = "".join(",".join(r) + "\n" for r in rows)
+        (tmp / f"{name}.det.txt").write_text(text)
+        shutil.copy(data / "seq00.appearance.csv", tmp / f"{name}.appearance.csv")
+        (shutil.copytree(data, tmp / f"{name}_data") / "seq00.gt.txt").write_text(text)
     (tmp / "typed.json").write_text(json.dumps(dict(SMALL_CONFIG, lr="fast")))
     annotations = json.loads((data / "seq00.annotations.json").read_text())
     del annotations["scene"]
@@ -502,6 +518,66 @@ BAD_INPUTS = {
         lambda w: _gen(w, "--out", str(w["tmp"] / "a_file" / "sub")), 2, "usage error"),
     "eval out a file": (lambda w: _eval(w, "--out", str(w["tmp"] / "a_file")), 2, "usage error"),
 }
+
+
+# name -> (argv, expected exit code, the bound the message names): values the
+# int64 level arithmetic cannot hold
+INT64_INPUTS = {
+    "track frame 2**63": (
+        lambda w: _track(w, str(w["tmp"] / "frame_2_63.det.txt")) + ["--config", w["config"]],
+        4, "2**63"),
+    "train frame 2**63": (
+        lambda w: _train(w, data=str(w["tmp"] / "frame_2_63_data")) + ["--config", w["config"]],
+        4, "2**63"),
+    "eval gt frame 2**63": (lambda w: _eval(w, gt=str(w["tmp"] / "frame_2_63.det.txt")),
+                            4, "2**63"),
+    "eval gt id 2**63": (lambda w: _eval(w, gt=str(w["tmp"] / "id_2_63.det.txt")), 4, "2**63"),
+    "train gt id 2**63": (
+        lambda w: _train(w, data=str(w["tmp"] / "id_2_63_data")) + ["--config", w["config"]],
+        4, "2**63"),
+    "eval result id 2**63": (
+        lambda w: ["eval", "--gt", str(w["tmp"] / "data" / "seq00.gt.txt"),
+                   "--result", str(w["tmp"] / "id_2_63.det.txt")],
+        4, "2**63"),
+    "track frame 2**63 - 1": (
+        lambda w: _track(w, str(w["tmp"] / "frame_2_63_less_1.det.txt"))
+        + ["--config", w["config"]],
+        4, "2**62"),
+    "train frame 2**63 - 1": (
+        lambda w: _train(w, data=str(w["tmp"] / "frame_2_63_less_1_data"))
+        + ["--config", w["config"]],
+        4, "2**62"),
+    "track levels past 2**62": (
+        lambda w: _track(w, w["det"]) + ["--config", str(w["tmp"] / "levels_2_63.json")],
+        3, "2**62"),
+}
+
+
+@pytest.mark.parametrize("name", list(INT64_INPUTS))
+def test_values_past_the_int64_bounds_exit_with_the_bound(name, trained_world, tmp_path, capsys):
+    argv, code, bound = INT64_INPUTS[name]
+    argv = argv(trained_world) + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert ("config error:" if code == 3 else "input error:") in err
+    assert bound in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_clip_ending_at_the_frame_bound_trains_tracks_and_scores(trained_world, tmp_path):
+    # its frames run up to 2**62, past which a detection is refused
+    w = trained_world
+    argv = _train(w, data=str(w["tmp"] / "at_bound_data")) + ["--config", w["config"]]
+    assert run(*argv, "--out", str(tmp_path / "train")) == 0
+    out = tmp_path / "track"
+    argv = _track(w, str(w["tmp"] / "at_bound.det.txt")) + ["--config", w["config"]]
+    assert run(*argv, "--out", str(out)) == 0
+    result = read_mot(out / "result.txt")
+    assert max(r.frame for r in result) == 2**62
+    gt = str(w["tmp"] / "at_bound.det.txt")
+    assert run("eval", "--gt", gt, "--result", str(out / "result.txt"),
+               "--out", str(tmp_path / "eval")) == 0
 
 
 @pytest.mark.parametrize("name", list(BAD_INPUTS))

@@ -15,12 +15,10 @@ from langtrack.graph import (
     Detection,
     TrackGraph,
     Tracklet,
-    TrackletRows,
     build_graph,
     check_level_sizes,
     clip_level_sizes,
     lift_detections,
-    tracklet_sort_key,
     window_offsets,
 )
 from langtrack.inference import TrackerConfig, gt_oracle_scorer, track_video
@@ -31,6 +29,8 @@ from reference_graph import (
     ref_detection_sort_key,
     ref_level_graph,
     ref_sorted_with_keys,
+    rows_of,
+    tracklet_sort_key,
 )
 
 
@@ -85,6 +85,20 @@ def test_hierarchy_rejects_non_multiple_sizes():
         check_level_sizes([0, 5])
     with pytest.raises(ValueError):
         clip_level_sizes(100, [5, 12])
+
+
+def test_frames_and_level_sizes_stop_at_the_int64_bound():
+    # 2**62: the doubled top level and every window end stay below 2**63
+    bound = 2**62
+    assert det(bound).frame == bound
+    for bad in (bound + 1, 2**63):
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*62\]"):
+            det(bad)
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*62\]"):
+            check_level_sizes([1, bad])
+    check_level_sizes([bound - 1])
+    assert clip_level_sizes(bound, [bound - 1]) == [bound - 1, 2**63 - 2]
+    assert clip_level_sizes(bound, [bound]) == [bound]
 
 
 def test_clip_level_sizes_double_until_one_window_covers_the_clip():
@@ -157,7 +171,7 @@ def test_lift_bijection():
     assert len(tracklets) == 3
     assert all(len(t.detections) == 1 for t in tracklets)
     assert tracklets[2].start_frame == tracklets[2].end_frame == 7
-    assert [t.first for t in tracklets] == dets  # Detection compares by identity
+    assert [t.detections[0] for t in tracklets] == dets  # Detection compares by identity
     assert len(lift_detections([])) == 0
 
 
@@ -187,7 +201,7 @@ def test_detection_validation():
 
 def edge_features(u, v):
     """The feature row build_graph gives the one candidate edge u -> v."""
-    g = build_graph([u, v], knn_k=1, window=(1, max(u.end_frame, v.end_frame)))
+    g = build_graph(rows_of([u, v]), knn_k=1, window=(1, max(u.end_frame, v.end_frame)))
     assert g.num_edges == 1
     assert g.nodes[g.edge_u[0]].detections == u.detections  # the same Detection objects
     assert g.nodes[g.edge_v[0]].detections == v.detections
@@ -232,9 +246,9 @@ def test_edge_features_uses_boundary_detections():
 def test_edge_features_rejects_overlap():
     # overlapping tracklets get no candidate edge, and a graph holding one is refused
     for u, v in [(single(2), single(2)), (Tracklet([det(1), det(3)]), single(2))]:
-        assert build_graph([u, v], knn_k=1, window=(1, 3)).num_edges == 0
+        assert build_graph(rows_of([u, v]), knn_k=1, window=(1, 3)).num_edges == 0
         with pytest.raises(ValueError):
-            TrackGraph([u, v], np.array([0]), np.array([1]), np.zeros((1, 6)), (1, 3))
+            TrackGraph(rows_of([u, v]), np.array([0]), np.array([1]), np.zeros((1, 6)), (1, 3))
 
 
 # frames 1, 2 and 2: node 2 overlaps node 1 in time
@@ -254,7 +268,7 @@ def test_edge_features_rejects_overlap():
 def test_track_graph_rejects_invalid_edges(edge_u, edge_v, message):
     nodes = [single(1), single(2), single(2, x=30.0)]
     with pytest.raises(ValueError, match=message):
-        TrackGraph(nodes, np.array(edge_u), np.array(edge_v),
+        TrackGraph(rows_of(nodes), np.array(edge_u), np.array(edge_v),
                    np.zeros((len(edge_v), 6)), (1, 2))
 
 
@@ -285,7 +299,7 @@ def tied_tracklets(draw):
 @given(tied_tracklets())
 @settings(max_examples=300, deadline=None)
 def test_node_order_is_the_tuple_key_order(tracklets):
-    order = graph.tracklet_order(TrackletRows.of(tracklets)).tolist()
+    order = graph.tracklet_order(rows_of(tracklets)).tolist()
     assert [id(tracklets[i]) for i in order] == [
         id(t) for t in sorted(tracklets, key=tracklet_sort_key)]
     ref, _ = ref_sorted_with_keys(tracklets)
@@ -315,7 +329,7 @@ def test_detection_order_is_the_tuple_key_order(detections):
 @given(tied_tracklets(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_tracklet_rows_index_slice_and_take_like_a_list(tracklets, data):
-    rows = TrackletRows.of(tracklets)
+    rows = rows_of(tracklets)
     as_ids = lambda ts: [[id(d) for d in t.detections] for t in ts]  # noqa: E731
     assert len(rows) == len(tracklets)
     assert as_ids(rows) == as_ids(tracklets)
@@ -335,14 +349,14 @@ def test_tracklet_rows_index_slice_and_take_like_a_list(tracklets, data):
 
 
 def test_build_graph_two_nodes():
-    g = build_graph([single(1), single(2)], knn_k=10, window=(1, 5))
+    g = build_graph(rows_of([single(1), single(2)]), knn_k=10, window=(1, 5))
     assert g.num_nodes == 2 and g.num_edges == 1
     assert g.nodes[g.edge_u[0]].start_frame == 1
     assert g.nodes[g.edge_v[0]].start_frame == 2
 
 
 def test_build_graph_single_node_no_edges():
-    g = build_graph([single(1)], knn_k=3, window=(1, 5))
+    g = build_graph(rows_of([single(1)]), knn_k=3, window=(1, 5))
     assert g.num_edges == 0
     assert g.edge_features.shape == (0, 6)
 
@@ -350,7 +364,7 @@ def test_build_graph_single_node_no_edges():
 def test_build_graph_knn_cap_counts():
     # 5 tracklets in each of 2 frames, k=2: every frame-1 node keeps 2 edges.
     tracklets = [single(f, x=10.0 * i, y=0.0) for f in (1, 2) for i in range(5)]
-    g = build_graph(tracklets, knn_k=2, window=(1, 2))
+    g = build_graph(rows_of(tracklets), knn_k=2, window=(1, 2))
     assert g.num_edges == 10
     from_first = [u for u in g.edge_u if g.nodes[u].start_frame == 1]
     assert len(from_first) == 10
@@ -360,10 +374,10 @@ def test_build_graph_knn_prefers_similar_appearance():
     u = single(1, app=(1.0, 0.0))
     near = single(2, app=(1.0, 0.05))
     far = single(2, x=10.4, app=(0.0, 1.0))
-    g = build_graph([u, near, far], knn_k=1, window=(1, 2))
+    g = build_graph(rows_of([u, near, far]), knn_k=1, window=(1, 2))
     assert g.num_edges == 1
     v = g.nodes[g.edge_v[0]]
-    assert np.allclose(v.first.appearance, near.first.appearance)
+    assert np.allclose(v.detections[0].appearance, near.detections[0].appearance)
 
 
 def test_build_graph_order_invariant():
@@ -373,9 +387,9 @@ def test_build_graph_order_invariant():
                app=tuple(rng.standard_normal(4)))
         for f in rng.integers(1, 11, size=12)
     ]
-    g1 = build_graph(tracklets, knn_k=3, window=(1, 10))
-    g2 = build_graph(list(reversed(tracklets)), knn_k=3, window=(1, 10))
-    assert [t.first.box for t in g1.nodes] == [t.first.box for t in g2.nodes]
+    g1 = build_graph(rows_of(tracklets), knn_k=3, window=(1, 10))
+    g2 = build_graph(rows_of(list(reversed(tracklets))), knn_k=3, window=(1, 10))
+    assert [t.detections[0].box for t in g1.nodes] == [t.detections[0].box for t in g2.nodes]
     assert np.array_equal(g1.edge_u, g2.edge_u)
     assert np.array_equal(g1.edge_v, g2.edge_v)
     assert np.array_equal(g1.edge_features, g2.edge_features)
@@ -383,9 +397,9 @@ def test_build_graph_order_invariant():
 
 def test_build_graph_validates_window_and_k():
     with pytest.raises(ValueError):
-        build_graph([single(6)], knn_k=1, window=(1, 5))
+        build_graph(rows_of([single(6)]), knn_k=1, window=(1, 5))
     with pytest.raises(ValueError):
-        build_graph([single(1)], knn_k=0, window=(1, 5))
+        build_graph(rows_of([single(1)]), knn_k=0, window=(1, 5))
 
 
 @given(st.integers(0, 40), st.integers(1, 8), st.integers(2, 20))
@@ -401,7 +415,7 @@ def test_build_graph_invariants_random(n, k, span):
         )
         for _ in range(n)
     ]
-    g = build_graph(tracklets, knn_k=k, window=(1, span))
+    g = build_graph(rows_of(tracklets), knn_k=k, window=(1, span))
     ends = np.array([t.end_frame for t in g.nodes])
     starts = np.array([t.start_frame for t in g.nodes])
     if g.num_edges:
@@ -465,7 +479,7 @@ def test_build_graph_matches_per_pair_reference(case, block_scores):
     tracklets, knn_k, window = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_SCORES", block_scores)
-        fast = build_graph(tracklets, knn_k, window)
+        fast = build_graph(rows_of(tracklets), knn_k, window)
     assert_same_graph(fast, ref_build_graph(tracklets, knn_k, window))
 
 
@@ -497,7 +511,7 @@ def test_build_graph_matches_per_pair_reference_at_extreme_scales(case, block_sc
     # offsets, scores and size ratios over- and underflow, alike in both
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
         mp.setattr(graph, "_BLOCK_SCORES", block_scores)
-        fast = build_graph(tracklets, knn_k, window)
+        fast = build_graph(rows_of(tracklets), knn_k, window)
         ref = ref_build_graph(tracklets, knn_k, window)
     assert_same_graph(fast, ref)
 
@@ -514,7 +528,7 @@ def test_build_graph_keeps_a_successor_whose_array_score_overflows():
     v1 = single(3, x=x, y=b, w=1.0, h=1.0)
     v2 = single(2, x=x_next, y=-0.5, w=1.0, h=1.0)
     with np.errstate(over="ignore"):
-        g = build_graph([u, v1, v2], 1, (1, 3))
+        g = build_graph(rows_of([u, v1, v2]), 1, (1, 3))
     assert_same_graph(g, ref_build_graph([u, v1, v2], 1, (1, 3)))
     assert (g.edge_u.tolist(), g.edge_v.tolist()) == ([0, 1], [1, 2])
 
@@ -588,7 +602,7 @@ def test_level_graph_is_its_window_graphs_bitwise(case, block_scores):
     tracklets, knn_k, size, num_frames = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_SCORES", block_scores)
-        level = build_graph(tracklets, knn_k, (1, num_frames), size)
+        level = build_graph(rows_of(tracklets), knn_k, (1, num_frames), size)
     ref, offsets = ref_level_graph(tracklets, knn_k, size, num_frames, build=ref_build_graph)
     assert_same_graph(level, ref)
     assert level.edge_u.dtype == ref.edge_u.dtype and level.edge_v.dtype == ref.edge_v.dtype
@@ -601,7 +615,7 @@ def test_a_slice_of_a_level_graph_is_its_checked_construction():
     rng = np.random.default_rng(4)
     tracklets = [single(int(f), x=float(rng.uniform(0, 90)), app=rng.standard_normal(4))
                  for f in rng.integers(1, 41, 120)]
-    level = build_graph(tracklets, 3, (1, 40), 8)
+    level = build_graph(rows_of(tracklets), 3, (1, 40), 8)
     nodes = window_offsets(level.starts, 1, 8).tolist()
     edges = np.searchsorted(level.edge_u, nodes).tolist()
     for w0, w1 in [(0, 1), (1, 3), (2, 5), (0, len(nodes) - 1)]:
@@ -624,10 +638,10 @@ def test_level_build_rejects_a_tracklet_leaving_its_window():
     # frames 4-6 start in window (1, 5) of size 5 and end outside it
     crossing = Tracklet([det(4), det(6)])
     with pytest.raises(ValueError, match=r"\[4,6\] outside window \(1, 5\)"):
-        build_graph([single(1), crossing], 3, (1, 10), 5)
+        build_graph(rows_of([single(1), crossing]), 3, (1, 10), 5)
     with pytest.raises(ValueError):
-        build_graph([single(1)], 3, (1, 10), 0)
-    assert build_graph([single(1), crossing], 3, (1, 10), 10).num_edges == 1
+        build_graph(rows_of([single(1)]), 3, (1, 10), 0)
+    assert build_graph(rows_of([single(1), crossing]), 3, (1, 10), 10).num_edges == 1
 
 
 def test_level_build_memory_stays_bounded():
@@ -663,7 +677,7 @@ def test_build_graph_memory_is_linear_in_nodes():
     n = len(tracklets)
     tracemalloc.start()
     try:
-        g = build_graph(tracklets, knn_k=3, window=(1, 150))
+        g = build_graph(rows_of(tracklets), knn_k=3, window=(1, 150))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

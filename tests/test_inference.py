@@ -41,7 +41,7 @@ from langtrack.model import (
 )
 from langtrack.nn import focal_bce_tape, load_checkpoint, mlp_forward
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
-from reference_graph import ref_learned_scorer, ref_track_per_window
+from reference_graph import ref_learned_scorer, ref_track_per_window, rows_of
 from reference_merge import ref_merge_accepted, ref_merge_walk, ref_round_edges
 
 
@@ -54,7 +54,7 @@ def single(frame, **kw):
 
 
 def chain_graph(n=3):
-    return build_graph([single(i + 1, x=2.0 * i) for i in range(n)], 5, (1, n))
+    return build_graph(rows_of([single(i + 1, x=2.0 * i) for i in range(n)]), 5, (1, n))
 
 
 # -- round_edges ------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_round_accepts_clean_chain():
 
 def test_round_resolves_predecessor_conflict_by_probability():
     a, b, c = single(1, x=0.0), single(2, x=10.0), single(3, x=5.0)
-    g = build_graph([a, b, c], 5, (1, 3))
+    g = build_graph(rows_of([a, b, c]), 5, (1, 3))
     probs = np.zeros(g.num_edges)
     idx = {}
     for i in range(g.num_edges):
@@ -112,7 +112,7 @@ def test_round_rejects_probabilities_outside_the_unit_interval(bad):
 
 
 def test_round_edgeless_graph_accepts_nothing():
-    g = build_graph([single(1), single(1, x=20.0)], 5, (1, 1))
+    g = build_graph(rows_of([single(1), single(1, x=20.0)]), 5, (1, 1))
     assert g.num_nodes == 2 and g.num_edges == 0
     accepted = round_edges(g, np.zeros(0), 0.5)
     assert accepted.shape == (0,) and accepted.dtype == np.intp
@@ -128,7 +128,7 @@ def test_round_feasible_and_maximal_randomized():
                    app=rng.standard_normal(3))
             for _ in range(n)
         ]
-        g = build_graph(tracklets, int(rng.integers(1, 5)), (1, span))
+        g = build_graph(rows_of(tracklets), int(rng.integers(1, 5)), (1, span))
         if g.num_edges == 0:
             continue
         probs = rng.uniform(0, 1, g.num_edges)
@@ -173,7 +173,7 @@ def test_round_visits_edges_in_sorted_key_order_on_exact_ties():
                    app=rng.standard_normal(3))
             for _ in range(int(rng.integers(2, 14)))
         ]
-        g = build_graph(tracklets, int(rng.integers(1, 6)), (1, span))
+        g = build_graph(rows_of(tracklets), int(rng.integers(1, 6)), (1, span))
         # three levels above the threshold, so most edges tie with others
         probs = rng.choice([0.6, 0.8, 0.9, 0.2], g.num_edges)
         assert round_edges(g, probs, 0.5).tolist() == greedy_by_sorted_key(g, probs, 0.5)
@@ -200,7 +200,7 @@ def scored_graphs(draw):
     pairs = pairs[:int(len(pairs) * draw(st.floats(0.0, 1.0)))]
     u = np.array([i for i, _ in pairs], dtype=np.intp)
     v = np.array([j for _, j in pairs], dtype=np.intp)
-    g = TrackGraph(nodes, u, v, np.zeros((len(pairs), 6)), (1, 14))
+    g = TrackGraph(rows_of(nodes), u, v, np.zeros((len(pairs), 6)), (1, 14))
     probs = rng.uniform(0.0, 1.0, g.num_edges)
     kind = draw(st.sampled_from(["uniform", "tenths", "equal"]))
     if kind == "tenths":
@@ -246,7 +246,7 @@ def dominance_chain(n):
     v = u + np.tile([1, 2], n)[: u.size]
     keep = v < n
     u, v = u[keep], v[keep]
-    g = TrackGraph(nodes, u, v, np.zeros((u.size, 6)), (1, n))
+    g = TrackGraph(rows_of(nodes), u, v, np.zeros((u.size, 6)), (1, n))
     return g, 0.99 - 0.4 * np.arange(u.size) / u.size
 
 
@@ -329,7 +329,7 @@ def test_assign_singletons():
 
 
 def test_assign_chain_merges_detections_in_frame_order():
-    g = build_graph([single(3), single(1), single(2)], 5, (1, 3))
+    g = build_graph(rows_of([single(3), single(1), single(2)]), 5, (1, 3))
     merged = merge_accepted(g, np.array(sorted([edge_index(g, 1, 2), edge_index(g, 2, 3)])))
     assert len(merged) == 1
     assert [d.frame for d in merged[0].detections] == [1, 2, 3]
@@ -345,7 +345,7 @@ def test_assign_parallel_chains_ordered_by_start():
 
 
 def test_assign_rejects_degree_violation():
-    g = build_graph([single(1), single(2), single(3)], 5, (1, 3))
+    g = build_graph(rows_of([single(1), single(2), single(3)]), 5, (1, 3))
     with pytest.raises(RuntimeError):
         merge_accepted(g, np.array(sorted([edge_index(g, 1, 3), edge_index(g, 2, 3)])))
     with pytest.raises(RuntimeError):
@@ -385,7 +385,7 @@ def accepted_windows(draw):
                 box, app = tuple(rng.uniform(1.0, 30.0, 4)), rng.standard_normal(3)
             dets.append(Detection(frame, box, app))
         tracklets.append(Tracklet(dets))
-    g = build_graph(tracklets, draw(st.integers(1, 8)), (1, span))
+    g = build_graph(rows_of(tracklets), draw(st.integers(1, 8)), (1, span))
     probs = rng.uniform(0.0, 1.0, g.num_edges)
     return g, round_edges(g, probs, draw(st.floats(0.05, 0.95)))
 
@@ -403,8 +403,8 @@ def test_merge_accepted_matches_union_find_reference(case):
     ref = ref_merge_accepted(g, accepted)
     assert sorted(merged_parts(merged)) == sorted(merged_parts(ref))
     # first-node order: the merged tracklets' heads come in node order
-    node_of = {id(node.first): i for i, node in enumerate(g.nodes)}
-    heads = [node_of[id(t.first)] for t in merged]
+    node_of = {id(node.detections[0]): i for i, node in enumerate(g.nodes)}
+    heads = [node_of[id(t.detections[0])] for t in merged]
     assert heads == sorted(heads)
 
 
@@ -477,7 +477,7 @@ def test_oracle_matches_pure_nodes_of_one_id_only():
              single(6), single(7)]
     u = [0, 0, 0, 3, 4, 1]
     v = [1, 2, 3, 4, 5, 5]
-    graph = TrackGraph(nodes, u, v, np.zeros((6, 6)), (1, 7))
+    graph = TrackGraph(rows_of(nodes), u, v, np.zeros((6, 6)), (1, 7))
     assert gt_oracle_scorer(graph).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
@@ -505,8 +505,8 @@ def test_run_levels_feeds_each_level_the_merges_of_the_one_before():
 
     def merge_windows(graph, offsets):
         windows.append(len(offsets) - 1)
-        return [Tracklet([d for t in graph.nodes[a:b] for d in t.detections])
-                for a, b in zip(offsets[:-1], offsets[1:])]
+        return rows_of([Tracklet([d for t in graph.nodes[a:b] for d in t.detections])
+                        for a, b in zip(offsets[:-1], offsets[1:])])
 
     singles = lift_detections([det(f, x=float(f)) for f in range(1, 41)])
     levels = list(inference.run_levels(singles, 40, [5, 10], 3, merge_windows))
@@ -516,6 +516,43 @@ def test_run_levels_feeds_each_level_the_merges_of_the_one_before():
     assert [len(merged) for _, merged in levels] == windows
     (whole,) = levels[-1][1]
     assert [d.frame for d in whole.detections] == list(range(1, 41))
+
+
+def test_level_nodes_iterate_as_the_graph_frames_and_node_ids():
+    # graph.nodes, iterated, gives Tracklets whose frames are the graph's
+    # starts and ends and whose gt ids are node_gt's (None where impure), on
+    # merged nodes, nodes mixing two ids and nodes without ground truth
+    rng = np.random.default_rng(5)
+    dets = [det(f, x=float(rng.uniform(0, 40)), gt_id=gt_id)
+            for f in range(1, 31) for gt_id in (0, 2, None)]
+
+    def merge_all(graph, offsets):
+        return merge_accepted(graph, round_edges(graph, np.full(graph.num_edges, 0.9), 0.5))
+
+    merged = impure = no_gt = False
+    for graph, _ in inference.run_levels(lift_detections(dets), 30, [5, 10], 3, merge_all):
+        nodes = list(graph.nodes)
+        gid, pure = graph.nodes.node_gt()
+        assert [t.start_frame for t in nodes] == graph.starts.tolist()
+        assert [t.end_frame for t in nodes] == graph.ends.tolist()
+        assert [t.gt_id for t in nodes] == [int(g) if p else None for g, p in zip(gid, pure)]
+        ids = [{d.gt_id for d in t.detections} for t in nodes]
+        merged |= any(len(t.detections) > 1 for t in nodes)
+        impure |= any(len(i - {None}) > 1 for i in ids)
+        no_gt |= {None} in ids
+    assert merged and impure and no_gt
+
+
+@pytest.mark.parametrize("level_sizes", [[5, 10, 20], [2**62 - 1], [2**62]])
+def test_a_clip_ending_at_the_frame_bound_tracks(level_sizes):
+    # frames up to 2**62, the largest a detection takes: the doubled levels
+    # (up to 2**63 - 2) and their windows' last frames stay inside int64
+    last = 2**62
+    frames = [*range(1, 6), *range(last - 4, last + 1)]
+    dets = [det(f, x=50.0 * k + i, gt_id=k + 1) for i, f in enumerate(frames) for k in range(2)]
+    config = TrackerConfig(level_sizes=level_sizes, knn_k=3)
+    result = track_video(dets, None, config, edge_scorer=gt_oracle_scorer)
+    assert sorted(map(len, result.trajectories.values())) == [10, 10]
 
 
 # -- batches of whole windows ------------------------------------------------------
@@ -638,8 +675,8 @@ def test_a_batch_merges_its_windows_in_window_order():
     # come out window by window, each window's in its own head order
     members = [[single(f, x=10.0 * k + f, app=(1.0, k, 0.0), gt_id=k)
                 for f in range(lo, lo + 3) for k in (1, 2)] for lo in (1, 6)]
-    windows = [build_graph(m, 3, (lo, lo + 4)) for m, lo in zip(members, (1, 6))]
-    batch = build_graph(members[0] + members[1], 3, (1, 10), 5)
+    windows = [build_graph(rows_of(m), 3, (lo, lo + 4)) for m, lo in zip(members, (1, 6))]
+    batch = build_graph(rows_of(members[0] + members[1]), 3, (1, 10), 5)
     merged = merge_accepted(batch, round_edges(batch, gt_oracle_scorer(batch), 0.5))
     alone = [t for g in windows
              for t in merge_accepted(g, round_edges(g, gt_oracle_scorer(g), 0.5))]

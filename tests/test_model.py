@@ -22,6 +22,7 @@ from langtrack.model import (
     project_nodes_for_isg,
 )
 from gradcheck import check_gradients
+from reference_graph import rows_of
 from reference_tape import gather_rows
 
 CFG = ModelConfig(
@@ -37,7 +38,7 @@ def single(frame, x=0.0, app=None, rng=None):
 
 def path_graph(rng, n=3):
     tracklets = [single(i + 1, x=3.0 * i, rng=rng) for i in range(n)]
-    return build_graph(tracklets, knn_k=2, window=(1, n))
+    return build_graph(rows_of(tracklets), knn_k=2, window=(1, n))
 
 
 def zero_params(cfg=CFG):
@@ -78,14 +79,14 @@ def test_encode_zero_weights_gives_zero_embeddings():
 def test_encode_identical_detections_identical_embeddings():
     params = init_model(np.random.default_rng(2), CFG)
     app = np.arange(5, dtype=float)
-    g = build_graph([single(1, app=app), single(2, app=app)], 2, (1, 2))
+    g = build_graph(rows_of([single(1, app=app), single(2, app=app)]), 2, (1, 2))
     h, _ = encode_graph(g, params)
     assert np.array_equal(h.data[0], h.data[1])
 
 
 def test_encode_single_node_graph_has_no_edge_embeddings():
     params = init_model(np.random.default_rng(3), CFG)
-    g = build_graph([single(1)], 2, (1, 1))
+    g = build_graph(rows_of([single(1)]), 2, (1, 1))
     _, e = encode_graph(g, params)
     assert e.shape == (0, CFG.edge_dim)
 
@@ -93,27 +94,27 @@ def test_encode_single_node_graph_has_no_edge_embeddings():
 def test_encode_uses_node_init_rows_verbatim():
     params = init_model(np.random.default_rng(4), CFG)
     rng = np.random.default_rng(5)
-    merged = Tracklet([single(1, rng=rng).first, single(2, rng=rng).first])
+    merged = Tracklet([single(1, rng=rng).detections[0], single(2, rng=rng).detections[0]])
     fresh = single(4, rng=rng)
-    g = build_graph([fresh, merged], 2, (1, 4))
+    g = build_graph(rows_of([fresh, merged]), 2, (1, 4))
     rows = rng.standard_normal((2, CFG.node_dim))
     h, _ = encode_graph(g, params, node_init=Tensor(rows))
     assert np.array_equal(h.data, rows)
     # without node_init the encoder runs
-    h, _ = encode_graph(build_graph([fresh], 2, (4, 4)), params)
-    want = manual_mlp(params.node_encoder, fresh.first.appearance.reshape(1, -1))
+    h, _ = encode_graph(build_graph(rows_of([fresh]), 2, (4, 4)), params)
+    want = manual_mlp(params.node_encoder, fresh.detections[0].appearance.reshape(1, -1))
     assert np.allclose(h.data[0], want[0], atol=1e-12)
 
 
 def test_encode_rejects_bad_dims():
     params = init_model(np.random.default_rng(6), CFG)
     bad = Tracklet([Detection(1, (0, 0, 1, 1), np.ones(7))])
-    g = build_graph([bad], 2, (1, 1))
+    g = build_graph(rows_of([bad]), 2, (1, 1))
     with pytest.raises(ValueError):
         encode_graph(g, params)
     multi = Tracklet([Detection(1, (0, 0, 1, 1), np.ones(5)),
                       Detection(2, (0, 0, 1, 1), np.ones(5))])
-    g2 = build_graph([multi], 2, (1, 2))
+    g2 = build_graph(rows_of([multi]), 2, (1, 2))
     with pytest.raises(ValueError):
         encode_graph(g2, params)
     g3 = path_graph(np.random.default_rng(7))
@@ -128,14 +129,14 @@ def passed(g, params, steps):
 
 def test_message_pass_no_edges_keeps_embeddings():
     params = init_model(np.random.default_rng(8), CFG)
-    g = build_graph([single(1)], 2, (1, 1))
+    g = build_graph(rows_of([single(1)]), 2, (1, 1))
     h, e = encode_graph(g, params)
     assert message_pass(g, h, e, params, steps=5) is e
 
 
 def test_edgeless_graph_takes_the_general_path():
     params = init_model(np.random.default_rng(10), CFG)
-    g = build_graph([single(1), single(1, x=20.0)], 2, (1, 1))
+    g = build_graph(rows_of([single(1), single(1, x=20.0)]), 2, (1, 1))
     assert g.num_nodes == 2 and g.num_edges == 0
     h, e = encode_graph(g, params, node_init=Tensor(np.ones((2, CFG.node_dim))))
     assert e.shape == (0, CFG.edge_dim)
@@ -183,7 +184,7 @@ def test_message_pass_matches_straight_line_numpy_oracle():
     rng = np.random.default_rng(0)
     params = init_model(rng, CFG)
     g = path_graph(np.random.default_rng(12))
-    h0 = manual_mlp(params.node_encoder, np.stack([t.first.appearance for t in g.nodes]))
+    h0 = manual_mlp(params.node_encoder, np.stack([t.detections[0].appearance for t in g.nodes]))
     e0 = manual_mlp(params.edge_encoder, g.edge_features)
     for steps in (1, 2, 3):
         e = passed(g, params, steps)
@@ -262,7 +263,7 @@ def _random_graph(rng, n_nodes, span=8):
         tracklets.append(
             single(f, x=float(rng.uniform(0, 40)), app=rng.standard_normal(5))
         )
-    return build_graph(tracklets, knn_k=3, window=(1, span))
+    return build_graph(rows_of(tracklets), knn_k=3, window=(1, span))
 
 
 def test_permutation_equivariance():
@@ -278,7 +279,7 @@ def test_permutation_equivariance():
         perm = rng.permutation(g.num_nodes)
         inv = np.argsort(perm)
         pg = TrackGraph(
-            [g.nodes[i] for i in perm],
+            g.nodes.take(perm),
             inv[g.edge_u],
             inv[g.edge_v],
             g.edge_features,
@@ -317,7 +318,7 @@ def test_symmetric_branches_get_identical_embeddings():
         np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.2]),
         np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.2]),
     ])
-    g = TrackGraph([root, t1, t2], np.array([0, 0]), np.array([1, 2]), feats, (1, 2))
+    g = TrackGraph(rows_of([root, t1, t2]), np.array([0, 0]), np.array([1, 2]), feats, (1, 2))
     for steps in (1, 2, 5):
         e = passed(g, params, steps).data
         assert np.allclose(e[0], e[1], atol=1e-12)

@@ -25,7 +25,12 @@ from langtrack.trainer import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_graph import ref_merge_by_identity, ref_prepare_levels, ref_teacher_forced_levels
+from reference_graph import (
+    ref_merge_by_identity,
+    ref_prepare_levels,
+    ref_teacher_forced_levels,
+    rows_of,
+)
 
 SCENE = SceneAttributes("medium", "static", "on a sunny day")
 
@@ -95,7 +100,7 @@ class TestEdgeLabels:
         tracklets = [
             Tracklet([det(1, 1)]), Tracklet([det(2, 1)]), Tracklet([det(3, 1)]),
         ]
-        graph = build_graph(tracklets, knn_k=5, window=(1, 3))
+        graph = build_graph(rows_of(tracklets), knn_k=5, window=(1, 3))
         labels = edge_labels(graph)
         for e in range(graph.num_edges):
             u, v = graph.nodes[int(graph.edge_u[e])], graph.nodes[int(graph.edge_v[e])]
@@ -104,7 +109,7 @@ class TestEdgeLabels:
 
     def test_skip_edge_negative_when_same_id_intervenes(self):
         tracklets = [Tracklet([det(1, 1)]), Tracklet([det(2, 1)]), Tracklet([det(5, 1)])]
-        graph = build_graph(tracklets, knn_k=5, window=(1, 5))
+        graph = build_graph(rows_of(tracklets), knn_k=5, window=(1, 5))
         labels = edge_labels(graph)
         skip = [
             e for e in range(graph.num_edges)
@@ -118,7 +123,7 @@ class TestEdgeLabels:
             Tracklet([det(1, 1)]), Tracklet([det(1, 2, x=50.0)]),
             Tracklet([det(2, 1)]), Tracklet([det(2, 2, x=50.0)]),
         ]
-        graph = build_graph(tracklets, knn_k=5, window=(1, 2))
+        graph = build_graph(rows_of(tracklets), knn_k=5, window=(1, 2))
         labels = edge_labels(graph)
         for e in range(graph.num_edges):
             u, v = graph.nodes[int(graph.edge_u[e])], graph.nodes[int(graph.edge_v[e])]
@@ -126,14 +131,14 @@ class TestEdgeLabels:
 
     def test_explicit_ids_override_node_ids(self):
         tracklets = [Tracklet([det(1, 1)]), Tracklet([det(2, 2, x=50.0)])]
-        graph = build_graph(tracklets, knn_k=2, window=(1, 2))
+        graph = build_graph(rows_of(tracklets), knn_k=2, window=(1, 2))
         assert edge_labels(graph).sum() == 0.0
         same = edge_labels(graph, [7] * graph.num_nodes)
         assert same.sum() == 1.0
 
     def test_missing_identity_rejected(self):
         tracklets = [Tracklet([det(1, 1)]), Tracklet([Detection(2, (0, 0, 10, 10), np.ones(8))])]
-        graph = build_graph(tracklets, knn_k=2, window=(1, 2))
+        graph = build_graph(rows_of(tracklets), knn_k=2, window=(1, 2))
         with pytest.raises(ValueError):
             edge_labels(graph)
 
@@ -145,7 +150,7 @@ class TestEdgeLabels:
             bundle = prepare_clip(clip, small_train_cfg(), store_for(clip))
             for level in bundle.levels:
                 graph = level.graph
-                gt_ids = [node.first.gt_id for node in graph.nodes]
+                gt_ids = [node.detections[0].gt_id for node in graph.nodes]
                 assert level.labels.tobytes() == loop_edge_labels(graph, gt_ids).tobytes()
                 # few shared ids: many same-identity nodes tie on (start, end)
                 shared = rng.integers(0, 3, graph.num_nodes).tolist()
@@ -155,7 +160,7 @@ class TestEdgeLabels:
         assert positives > 0
 
     def test_id_list_length_checked(self):
-        graph = build_graph([Tracklet([det(1, 1)]), Tracklet([det(2, 1)])], 2, (1, 2))
+        graph = build_graph(rows_of([Tracklet([det(1, 1)]), Tracklet([det(2, 1)])]), 2, (1, 2))
         with pytest.raises(ValueError):
             edge_labels(graph, [1])
 
@@ -181,9 +186,10 @@ class TestPrepareClip:
     def test_node_means_are_detection_means(self):
         clip, bundle = self.bundle()
         for depth, level in enumerate(bundle.levels):
-            assert level.sizes.shape == (level.graph.num_nodes,)
-            assert level.sizes.sum() == len(level.rows) == len(clip.detections)
-            merged = node_means(Tensor(bundle.appearance), level.rows, level.sizes).data
+            rows, sizes = level.graph.nodes.rows, level.graph.nodes.sizes
+            assert sizes.shape == (level.graph.num_nodes,)
+            assert sizes.sum() == len(rows) == len(clip.detections)
+            merged = node_means(Tensor(bundle.appearance), rows, sizes).data
             for i, node in enumerate(level.graph.nodes):
                 direct = np.mean([d.appearance for d in node.detections], axis=0)
                 np.testing.assert_allclose(merged[i], direct, atol=1e-12)
@@ -208,16 +214,16 @@ class TestPrepareClip:
             assert graph.frame_span == union.frame_span
             for got, want in (
                 (graph.edge_u, union.edge_u), (graph.edge_v, union.edge_v),
-                (graph.edge_features, union.edge_features), (level.rows, rows),
-                (level.sizes, sizes), (level.labels, labels), (level.instance_targets, targets),
+                (graph.edge_features, union.edge_features), (graph.nodes.rows, rows),
+                (graph.nodes.sizes, sizes), (level.labels, labels), (level.instance_targets, targets),
             ):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("objects,frames,knn_k", [(8, 150, 3), (4, 317, 10), (4, 1200, 3)])
     def test_bundle_matches_the_list_form_level_loop_bitwise(self, objects, frames, knn_k):
-        # the same levels run over lists of Tracklet objects, teacher forcing
-        # as a dict walk and node rows looked up by detection
+        # the same levels with teacher forcing as a dict walk over Tracklet
+        # objects and node rows looked up by detection
         cfg = small_train_cfg(level_sizes=(5, 25, 75, 150), knn_k=knn_k)
         clip = synth_clip("l", seed=9, num_objects=objects, num_frames=frames)
         store = store_for(clip)
@@ -229,8 +235,9 @@ class TestPrepareClip:
             assert level.graph.frame_span == graph.frame_span
             for got, want in (
                 (level.graph.edge_u, graph.edge_u), (level.graph.edge_v, graph.edge_v),
-                (level.graph.edge_features, graph.edge_features), (level.rows, rows),
-                (level.sizes, sizes), (level.labels, labels), (level.instance_targets, targets),
+                (level.graph.edge_features, graph.edge_features),
+                (level.graph.nodes.rows, rows), (level.graph.nodes.sizes, sizes),
+                (level.labels, labels), (level.instance_targets, targets),
             ):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
