@@ -10,12 +10,14 @@ order, so sorting, gathering and merging tracklets move index arrays, and a
 ``Tracklet`` object is made only when one is indexed.  A fixed pruning
 score keeps each node's candidate set at the k most plausible successors so
 graph construction is deterministic and cheap: ``build_graph`` scores
-successors as arrays of gathered unit rows, in chunks of whole windows
-padded to the largest, and ranks only each row's near-ties to its k-th
-score with the exact per-pair key (score, frame gap, node index), so the
-graph is the one a per-pair ranking gives, bit for bit; the array score
-takes its centre term as ``sqrt(a*a + b*b)`` of offsets already divided by
-the mean height, the exact key as ``hypot``.  This module alone
+each node only against its successors, a suffix of its window, as arrays
+of gathered unit rows in blocks of rows (of several windows at once where
+windows are small), and ranks only each row's near-ties to its k-th score,
+gathered over many blocks, with the exact per-pair key (score, frame gap,
+node index), so the graph is the one a per-pair ranking gives, bit for
+bit; the array score takes its centre term as ``sqrt(a*a + b*b)`` of
+offsets already divided by the mean height, the exact key as ``hypot``.
+This module alone
 knows how a level tiles a clip: level sizes nest by integer factors and
 grow until one window covers the whole clip, each tracklet belongs to the
 window its first frame falls in, and one ``build_graph`` call gives a
@@ -56,9 +58,11 @@ _INF = math.inf
 _PRUNE_CENTER_WEIGHT = 0.05
 _PRUNE_GAP_WEIGHT = 0.01
 
-# A chunk of pruning scores, and each of its gathered appearance arrays, holds
-# at most this many elements (or one row), so graph building needs memory
-# linear in nodes per window, not quadratic; 1 << 15 float64 is 256 KB.
+# A block of pruning scores, each of its gathered appearance arrays, and each
+# gathered part of a band being ranked hold at most this many elements (or
+# one row), and a band is ranked once it holds this many pairs, so graph
+# building needs memory linear in nodes per window, not quadratic; 1 << 15
+# float64 is 256 KB.
 _BLOCK_SCORES = 1 << 15
 
 # Relative width of the band kept around a row's k-th array score, with an
@@ -74,6 +78,10 @@ _BLOCK_SCORES = 1 << 15
 # successors scored below every overflowed pair.
 _TIE_BAND = 1e-9
 _SQUARE_SAFE = 1e150
+
+# A block of rows is cut short where scoring the rows after the cut apart
+# saves this many pairs: about what one block's fixed numpy calls cost.
+_BLOCK_SAVING = 2048
 
 # An end frame after every frame: padded rows end there.
 _NEVER = np.iinfo(np.int64).max
@@ -97,7 +105,11 @@ class Detection:
     gt_id: int | None = None
 
     def __post_init__(self):
-        if not 1 <= self.frame <= _MAX_FRAME:
+        try:
+            frame = operator.index(self.frame)
+        except TypeError:
+            raise ValueError(f"frame index must be an integer, got {self.frame!r}") from None
+        if not 1 <= frame <= _MAX_FRAME:
             raise ValueError(f"frame index must lie in [1, 2**62], got {self.frame}")
         left, top, width, height = self.box
         # NaN fails every comparison, so this one test passes only finite boxes
@@ -430,28 +442,76 @@ def _boundary(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def _chunks(counts: list[int], dim: int) -> Iterator[tuple[int, int, int, int]]:
-    """Windows ``w0:w1`` and rows ``r0:r1`` per chunk: consecutive whole
-    windows of ``counts`` nodes, padded to the widest, whose scores and
-    gathered ``dim``-column appearance rows hold at most ``_BLOCK_SCORES``
-    elements each; a window over that alone is split into blocks of rows,
-    whose scores span the columns from their first row on."""
-    groups = []
-    first, widest = 0, 0
-    for w, m in enumerate(counts):
-        wide = max(widest, m)
-        if w > first and (w + 1 - first) * wide * max(wide, dim) > _BLOCK_SCORES:
-            groups.append((first, w, widest))
-            first, wide = w, m
-        widest = wide
-    if counts:
-        groups.append((first, len(counts), widest))
-    for w0, w1, wide in groups:
-        r0 = 0
-        while r0 < wide:  # rows from r0 score columns from r0 on (see build_graph)
-            r1 = min(wide, r0 + max(1, _BLOCK_SCORES // ((w1 - w0) * max(wide - r0, dim))))
-            yield w0, w1, r0, r1
-            r0 = r1
+def _row_blocks(succ: np.ndarray, windows: int, dim: int) -> list[tuple[int, int, int]]:
+    """Blocks ``(r0, r1, c)`` of a chunk's rows whose padded successor counts
+    ``succ`` do not increase: rows r0:r1 score the last ``c = succ[r0]``
+    columns, in at most ``_BLOCK_SCORES`` scores and gathered ``dim``-column
+    rows (or one row), cut at the first row where scoring the rows after it
+    apart saves ``_BLOCK_SAVING`` pairs or more."""
+    steps = np.append(0, np.flatnonzero(succ[1:] != succ[:-1]) + 1)  # rows where succ drops
+    at, count = steps.tolist(), succ[steps].tolist()
+    blocks, r0, s = [], 0, 0  # rows r0 on hold count[s]
+    while r0 < succ.size:
+        c = count[s]
+        r1 = min(succ.size, r0 + max(1, _BLOCK_SCORES // (windows * max(c, dim))))
+        for t in range(s + 1, len(at)):
+            if at[t] >= r1:
+                break
+            if windows * (r1 - at[t]) * (c - count[t]) >= _BLOCK_SAVING:
+                r1 = at[t]
+                break
+        blocks.append((r0, r1, c))
+        r0 = r1
+        while s + 1 < len(at) and at[s + 1] <= r0:
+            s += 1
+    return blocks
+
+
+def _successor_blocks(
+    starts: np.ndarray, ends: np.ndarray, offsets: np.ndarray, dim: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]]:
+    """The successor pairs of nodes sorted by start frame, in windows of
+    nodes ``offsets[j]:offsets[j + 1]``, by chunks of consecutive windows.
+
+    A node's successors are the nodes of its window from its first successor
+    (the first later start) on, so they are a suffix of the window.  Per
+    chunk this gives (windows, rows) node indices of the rows that have a
+    successor, each window's by first successor; (windows, columns) node
+    indices of each window's last nodes; and ``_row_blocks`` over them,
+    whose last columns hold every successor of their rows.  Indices are -1
+    where a window has fewer rows or columns than the chunk.  A chunk's
+    scores, as one block, and its gathered ``dim``-column rows hold at most
+    ``_BLOCK_SCORES`` elements (or one window's), and so do its blocks' (or
+    one row's)."""
+    counts = np.diff(offsets)
+    window = np.repeat(np.arange(counts.size), counts)
+    end = offsets[1:][window]  # one past the last node of each node's window
+    first = np.minimum(np.searchsorted(starts, ends, side="right"), end)
+    succ = end - first  # successors per node
+    rows = np.flatnonzero(succ)
+    rows = rows[np.argsort(first[rows], kind="stable")]  # by window, then first successor
+    runs = np.bincount(window[rows], minlength=counts.size)  # rows per window
+    run_start = np.cumsum(runs) - runs
+    active = np.flatnonzero(runs)
+    widest = succ[rows[run_start[active]]]  # columns per active window
+    groups, g0, tall, wide = [], 0, 0, 0
+    for a, (r, c) in enumerate(zip(runs[active].tolist(), widest.tolist())):
+        t, w = max(tall, r), max(wide, c)
+        if a > g0 and (a + 1 - g0) * max(t, w) * max(w, dim) > _BLOCK_SCORES:
+            groups.append((g0, a))
+            g0, t, w = a, r, c
+        tall, wide = t, w
+    if active.size:
+        groups.append((g0, active.size))
+    for g0, g1 in groups:
+        ws, w = active[g0:g1], int(widest[g0:g1].max())
+        i = np.arange(runs[ws].max())
+        real = i < runs[ws, None]
+        chunk_rows = np.where(real, rows[np.where(real, run_start[ws, None] + i, 0)], -1)
+        cols = offsets[ws + 1, None] - w + np.arange(w)
+        cols[cols < offsets[ws, None]] = -1
+        padded = np.where(real, succ[chunk_rows], 0).max(axis=0)  # does not increase
+        yield chunk_rows, cols, _row_blocks(padded, ws.size, dim)
 
 
 def build_graph(
@@ -475,18 +535,24 @@ def build_graph(
 
     (lower is better), ties broken by (frame gap, sorted node index), where
     ``cos(a, b) = 1 - dot(a, b) / (|a| |b|)``, or 1 if either row is zero.
-    Scores are computed as arrays, one padded batched product per chunk of
-    whole windows (or per block of a large window's rows), so memory grows
-    linearly in nodes; a successor is a pair with a positive frame gap,
-    padded columns and rows having none.  The array score's centre term is
-    ``sqrt(a*a + b*b)`` of the offsets a and b already divided by the mean
-    height, where the exact key takes ``hypot`` of the raw offsets and then
-    divides.  The products and that term round differently from the exact
-    per-pair key, so they only pick each row's band: the successors within a
-    tiny margin of its k-th score (all of them where that score is huge, see
-    ``_TIE_BAND``), which always holds the exact top k.  The band is ranked
-    by the exact key and the first knn_k are kept.  Edges come out ordered
-    by ``u``, then by rank.
+    A node's successors are the nodes of its window from its first
+    successor on, so scores are computed as arrays over blocks of rows that
+    score only their windows' last columns, as many as the block's first row
+    has successors (``_successor_blocks``): a chunk's rows, several small
+    windows padded to one shape, are sorted by first successor, and a block
+    is cut where the count drops enough to pay for another block.  Every
+    block stays under ``_BLOCK_SCORES`` elements, so memory grows linearly in
+    nodes; a successor is a pair with a positive frame gap, padded columns
+    and rows having none.  The array score's centre term is ``sqrt(a*a +
+    b*b)`` of the offsets a and b already divided by the mean height, where
+    the exact key takes ``hypot`` of the raw offsets and then divides.  The
+    products and that term round differently from the exact per-pair key, so
+    they only pick each row's band: the successors within a tiny margin of
+    its k-th score (all of them where that score is huge, see
+    ``_TIE_BAND``), which always holds the exact top k.  The bands of many
+    blocks, up to ``_BLOCK_SCORES`` pairs, are ranked at once by the exact
+    key and each row's first knn_k are kept.  Edges come out ordered by
+    ``u``, then by rank.
 
     Edge features, 6 per edge: the centre offsets x and y over the mean
     box height, the log height and width ratios ``du / dv``, the frame gap,
@@ -520,67 +586,92 @@ def build_graph(
     app, unit = clip.app, clip.unit_app
     u_norm, v_norm = clip.norms[last], clip.norms[first]
     offsets = window_offsets(starts, lo, size)
-    counts = np.diff(offsets)
+    dim = app.shape[1]
 
-    kept_u, kept_v, kept_cos = [], [], []  # per chunk; there is at least one
-    chunk = None
-    for w0, w1, r0, r1 in _chunks(counts.tolist(), app.shape[1]):
-        if chunk != (w0, w1):  # a chunk's blocks of rows share its columns
-            chunk = (w0, w1)
-            # (windows, columns) node indices, each window padded with its last node
-            wide = int(counts[w0:w1].max())
-            cols = offsets[w0:w1, None] + np.minimum(np.arange(wide), counts[w0:w1, None] - 1)
-            valid = np.arange(wide) < counts[w0:w1, None]
-            v_unit = unit[first[cols]].transpose(0, 2, 1)
-            c = cols[:, None, :]
-            cx, cy, ch = vx[c], vy[c], vh[c]
-            # a padded column starts before, and a padded row ends after, every
-            # frame, so only a real successor has a positive gap
-            col_start = np.where(valid, starts[cols], 0)[:, None, :]
-            row_end = np.where(valid, ends[cols], _NEVER)[..., None]
-        # nodes are sorted by start frame, so row i's successors are columns > i
-        r, k = cols[:, r0:r1, None], slice(r0, None)
-        score = 1.0 - unit[last[r[..., 0]]] @ v_unit[..., k]
-        gap = col_start[..., k] - row_end[:, r0:r1]
-        successor = gap > 0
-        # the centre offsets are scaled by the mean height before they are
-        # squared, so only a scaled offset near the float range's square root
-        # over- or underflows (see _TIE_BAND)
-        height = (uh[r] + ch[..., k]) / 2.0
-        dx = (cx[..., k] - ux[r]) / height
-        dy = (cy[..., k] - uy[r]) / height
-        score += _PRUNE_CENTER_WEIGHT * np.sqrt(dx * dx + dy * dy)
-        score += _PRUNE_GAP_WEIGHT * gap
-        score[~successor] = np.inf
-        if knn_k < wide - r0:
-            kth = np.partition(score, knn_k - 1, axis=-1)[..., knn_k - 1]
-        else:
-            kth = np.full(score.shape[:-1], np.inf)
-        cutoff = kth + _TIE_BAND * (1.0 + np.abs(kth))
-        cutoff[kth > _SQUARE_SAFE] = np.inf
-        bw, bi, bj = np.nonzero((score <= cutoff[..., None]) & successor)
-        bu, bv = cols[bw, bi + r0], cols[bw, bj + r0]
+    kept = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    band_u, band_v, gathered = [], [], 0
 
-        # the band, ranked by the exact per-pair key
+    def rank_band():
+        """Rank the gathered band by the exact per-pair key; keep each row's first knn_k."""
+        bu, bv = np.concatenate(band_u), np.concatenate(band_v)
+        band_u.clear()
+        band_v.clear()
         gap = starts[bv] - ends[bu]
         heights = uh[bu] + vh[bv]
         un, vn = u_norm[bu], v_norm[bv]
-        cos = 1.0 - np.divide(np.vecdot(app[last[bu]], app[first[bv]]), un * vn,
-                              out=np.zeros(bu.size), where=(un != 0.0) & (vn != 0.0))
+        dot = np.empty(bu.size)
+        step = max(1, _BLOCK_SCORES // max(dim, 1))  # gathered rows stay bounded
+        for s in range(0, bu.size, step):
+            dot[s:s + step] = np.vecdot(app[last[bu[s:s + step]]], app[first[bv[s:s + step]]])
+        cos = 1.0 - np.divide(dot, un * vn, out=np.zeros(bu.size),
+                              where=(un != 0.0) & (vn != 0.0))
         exact = (
             cos
             + _PRUNE_CENTER_WEIGHT * (np.hypot(vx[bv] - ux[bu], vy[bv] - uy[bu]) / (heights / 2.0))
             + _PRUNE_GAP_WEIGHT * gap
         )
-        order = np.lexsort((bv, gap, exact, bu))
+        # a row's band comes out in column order, which is (gap, v) order, so
+        # two stable sorts give the order of (u, exact key, gap, v)
+        order = np.argsort(exact, kind="stable")
+        order = order[np.argsort(bu[order], kind="stable")]
         ranked_u = bu[order]
         rank = np.arange(order.size) - np.searchsorted(ranked_u, ranked_u, side="left")
         keep = order[rank < knn_k]
-        kept_u.append(bu[keep])
-        kept_v.append(bv[keep])
-        kept_cos.append(cos[keep])
+        kept.append((bu[keep], bv[keep], cos[keep]))
 
-    eu, ev = np.concatenate(kept_u), np.concatenate(kept_v)
+    for rows, cols, blocks in _successor_blocks(starts, ends, offsets, dim):
+        # a chunk's blocks share its columns
+        v_unit = unit[first[cols]].transpose(0, 2, 1)
+        c = cols[:, None, :]
+        cx, cy, ch = vx[c], vy[c], vh[c]
+        # a padded column starts before, and a padded row ends after, every
+        # frame, so only a real successor has a positive gap
+        col_start = np.where(cols >= 0, starts[cols], 0)[:, None, :]
+        row_end = np.where(rows >= 0, ends[rows], _NEVER)[..., None]
+        for r0, r1, width in blocks:
+            r, k = rows[:, r0:r1, None], slice(cols.shape[1] - width, None)
+            score = unit[last[r[..., 0]]] @ v_unit[..., k]
+            np.subtract(1.0, score, out=score)
+            gap = col_start[..., k] - row_end[:, r0:r1]
+            # the centre offsets are scaled by the mean height before they are
+            # squared, so only a scaled offset near the float range's square root
+            # over- or underflows (see _TIE_BAND); in place, which saves time
+            # on large blocks
+            height = (uh[r] + ch[..., k]) * 0.5
+            dx = cx[..., k] - ux[r]
+            dx /= height
+            dy = cy[..., k] - uy[r]
+            dy /= height
+            dx *= dx
+            dy *= dy
+            dx += dy
+            score += _PRUNE_CENTER_WEIGHT * np.sqrt(dx, out=dx)
+            score += _PRUNE_GAP_WEIGHT * gap
+            # NaN, which sorts last and passes no cutoff, marks a non-successor
+            score[gap <= 0] = np.nan
+            if knn_k < width:
+                kth = np.partition(score, knn_k - 1, axis=-1)[..., knn_k - 1]
+            else:
+                kth = np.full(score.shape[:-1], np.inf)
+            cutoff = kth + _TIE_BAND * (1.0 + np.abs(kth))
+            # kth is NaN where a row has fewer than knn_k successors
+            cutoff[~(kth <= _SQUARE_SAFE)] = np.inf
+            # flat indices: (window * rows + row) * width + column
+            band = np.flatnonzero(score <= cutoff[..., None])
+            band_u.append(rows[:, r0:r1].ravel()[band // width])
+            band_v.append(cols[:, k].ravel()[band // (width * (r1 - r0)) * width + band % width])
+            gathered += band.size
+            if gathered >= _BLOCK_SCORES:
+                rank_band()
+                gathered = 0
+    if band_u:
+        rank_band()
+
+    # blocks of a chunk's windows interleave their rows; within one u, kept
+    # edges are in rank order
+    eu, ev, cos = (np.concatenate(part) for part in zip(*kept))
+    order = np.argsort(eu, kind="stable")
+    eu, ev, cos = eu[order], ev[order], cos[order]
     heights = uh[eu] + vh[ev]
     features = np.column_stack([
         2.0 * (vx[ev] - ux[eu]) / heights,
@@ -588,6 +679,6 @@ def build_graph(
         np.log(uh[eu] / vh[ev]),
         np.log(uw[eu] / vw[ev]),
         (starts[ev] - ends[eu]).astype(np.float64),
-        np.concatenate(kept_cos),
+        cos,
     ])
     return TrackGraph(nodes, eu, ev, features, (lo, hi))

@@ -2,12 +2,16 @@
 
 All three families read plain (frame, track_id, box) records, sorted by
 (frame, track id) in one pass per sequence that also computes same-frame
-IoUs in bounded array blocks.  The pass takes each pair's overlap on x
-first, as the IoU computes it, and a full IoU only for the pairs that
-overlap on x; it keeps the overlapping pairs (IoU > 0) as flat arrays in
-frame order, and every other same-frame pair has IoU exactly 0.  A
-sequence whose box magnitudes would over- or underflow an IoU is first
-scaled by a power of two, which leaves IoUs as they are.  Per frame
+IoUs in bounded array blocks.  The pass is a sort and sweep: per frame the
+pred boxes are sorted by left edge, and each gt box takes as candidates
+only the preds whose left edge lies between its left edge less the widest
+pred (and a rounding margin) and its right edge, which holds every pred it
+overlaps on x.  Of those it takes each pair's overlap on x and on y, as the
+IoU computes them, and a full IoU only for the pairs that overlap on both;
+it keeps the overlapping pairs (IoU > 0) as flat arrays in frame order,
+and every other same-frame pair has IoU exactly 0.  A sequence whose box
+magnitudes would over- or underflow an IoU is first scaled by a power of
+two, which leaves IoUs as they are.  Per frame
 matching maximizes matched count and then total IoU via the Hungarian
 algorithm; exact ties resolve toward lexicographically smaller (gt, pred)
 pairs through an index perturbation far below metric tolerance.
@@ -36,6 +40,7 @@ same bits:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -114,18 +119,34 @@ class _Sequence:
     pred_count: np.ndarray
 
 
+def _int64_column(records: list[BoxRecord], name: str) -> np.ndarray:
+    """The records' ``name`` values as int64; a value that is not an integer
+    (``operator.index`` fails) or lies outside int64 raises."""
+    values = list(map(attrgetter(name), records))
+    column = np.array(values)
+    if column.dtype == np.int64 and column.ndim == 1:  # ints in range, the usual case
+        return column
+    for r, value in zip(records, values):
+        try:
+            ok = -(1 << 63) <= operator.index(value) < 1 << 63
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be an integer in [-2**63, 2**63), got {value!r} in {r}")
+    return np.fromiter(map(operator.index, values), np.int64, len(values))
+
+
 def _sorted_records(records: Iterable[BoxRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frames, id positions and boxes of the records, sorted by (frame, track
-    id); a box that is not finite or has no area, or a repeated (frame, track
-    id), raises."""
+    id); a box that is not finite or has no area, a frame or track id that is
+    not an int64 integer, or a repeated (frame, track id), raises."""
     records = list(records)
     boxes = np.array(list(map(attrgetter("box"), records)), dtype=np.float64).reshape(-1, 4)
     bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0.0) | (boxes[:, 3] <= 0.0)
     if bad.any():
         r = records[int(np.argmax(bad))]
         raise ValueError(f"degenerate box {r.box} at frame {r.frame}")
-    frame = np.fromiter(map(attrgetter("frame"), records), np.int64, len(records))
-    track = np.fromiter(map(attrgetter("track_id"), records), np.int64, len(records))
+    frame, track = _int64_column(records, "frame"), _int64_column(records, "track_id")
     order = np.lexsort((track, frame))
     frame, track, boxes = frame[order], track[order], boxes[order]
     twice = np.flatnonzero((frame[1:] == frame[:-1]) & (track[1:] == track[:-1]))
@@ -156,32 +177,56 @@ def _prepare(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> _Sequence:
     g_start = np.concatenate(([0], np.searchsorted(g_frame, frames, "right")))
     p_start = np.concatenate(([0], np.searchsorted(p_frame, frames, "right")))
     at = np.searchsorted(frames, g_frame)  # frame index of each gt box
-    width = np.diff(p_start)[at]  # pred boxes in each gt box's frame
-    offsets = np.concatenate(([0], np.cumsum(width)))  # gt box i's pairs: offsets[i:i+2]
-    shift = p_start[at] - offsets[:-1]  # pair index + shift = pred box index
-    g_left, p_left = g_box[:, 0], p_box[:, 0]
-    g_right, p_right = g_left + g_box[:, 2], p_left + p_box[:, 2]
+    # each box's edges and area as the IoU computes them
+    g_left, g_top, p_left, p_top = g_box[:, 0], g_box[:, 1], p_box[:, 0], p_box[:, 1]
+    g_right, g_bottom = g_left + g_box[:, 2], g_top + g_box[:, 3]
+    p_right, p_bottom = p_left + p_box[:, 2], p_top + p_box[:, 3]
+    g_area, p_area = g_box[:, 2] * g_box[:, 3], p_box[:, 2] * p_box[:, 3]
+    # a pred overlaps a gt box on x only if its left edge lies in (gt left -
+    # widest pred, gt right); the margin keeps a pred whose right edge rounds
+    # past the gt's left edge inside the bound
+    widest = p_box[:, 2].max(initial=0.0)
+    lo = (g_left - widest) - (np.abs(g_left) + widest) * 2.0**-40
+    # the preds and both bounds by frame, then by value (a tie either way
+    # is a pred without x overlap); a frame index sorts stably in one
+    # radix pass when it fits 16 bits
+    order = np.argsort(np.concatenate((p_left, lo, g_right)))
+    frame = np.concatenate((np.searchsorted(frames, p_frame), at, at))
+    order = order[np.argsort(frame.astype(np.min_scalar_type(frames.size))[order], kind="stable")]
+    is_pred = order < p_frame.size
+    by_left = order[is_pred]  # pred boxes by frame, then left edge
+    below = np.empty(order.size, np.intp)  # preds placed before each entry
+    below[order] = np.cumsum(is_pred) - is_pred
+    first, stop = below[p_frame.size:].reshape(2, -1)
+    count = stop - first  # candidates of each gt box: by_left[first:stop]
+    ends = np.cumsum(count)
+    shift = first - (ends - count)  # candidate index + shift = place in by_left
     kept = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    rows = max(1, _BLOCK_PAIRS // max(1, int(width.max(initial=0))))
-    for r0 in range(0, g_frame.size, rows):
-        r1 = min(r0 + rows, g_frame.size)
-        g = np.repeat(np.arange(r0, r1), width[r0:r1])  # gt box of each pair
-        p = np.arange(offsets[r0], offsets[r1]) + shift[g]
-        # the IoU's x side, as it computes it: a pair that does not overlap on x
-        # has no intersection, so it has IoU 0 and is not kept
-        over = np.minimum(g_right[g], p_right[p]) - np.maximum(g_left[g], p_left[p]) > 0.0
-        g, p = g[over], p[over]
-        a, b = g_box[g], p_box[p]
+    r0 = 0
+    while r0 < g_frame.size:
+        done = ends[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, "right")))
+        each = count[r0:r1]
+        g = np.repeat(np.arange(r0, r1), each)  # gt box of each pair
+        p = by_left[np.arange(done, ends[r1 - 1]) + np.repeat(shift[r0:r1], each)]
+        r0 = r1
+        # the IoU's sides, elementwise as it computes them; a pair without
+        # overlap on y or on x has no intersection, so it has IoU 0 and is not
+        # kept
+        side = np.minimum(g_bottom[g], p_bottom[p]) - np.maximum(g_top[g], p_top[p])
+        over = side > 0.0
+        g, p, y = g[over], p[over], side[over]
+        side = np.minimum(g_right[g], p_right[p]) - np.maximum(g_left[g], p_left[p])
+        over = side > 0.0
+        g, p, inter = g[over], p[over], side[over] * y[over]
         # elementwise, so bitwise equal to the scalar IoU
-        lo = np.maximum(a[:, :2], b[:, :2])
-        hi = np.minimum(a[:, :2] + a[:, 2:], b[:, :2] + b[:, 2:])
-        side = np.maximum(hi - lo, 0.0)
-        inter = side[:, 0] * side[:, 1]
-        union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+        union = g_area[g] + p_area[p] - inter
         iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
         hit = iou > 0.0
         kept.append((g[hit], p[hit], iou[hit]))
     g, p, iou = (np.concatenate(part) for part in zip(*kept))
+    order = np.argsort(g * max(p_frame.size, 1) + p)  # a gt box's candidates came by left edge
+    g, p, iou = g[order], p[order], iou[order]
     return _Sequence(
         g_pos, p_pos, g_start, p_start, at[g], g, p, iou, np.bincount(g_pos), np.bincount(p_pos)
     )

@@ -13,6 +13,7 @@ from langtrack import graph, inference
 from langtrack.data_io import SceneAttributes
 from langtrack.graph import (
     Detection,
+    DetectionArrays,
     TrackGraph,
     Tracklet,
     build_graph,
@@ -186,6 +187,11 @@ def test_detection_validation():
                 det(1, **{field: bad})
     with pytest.raises(ValueError, match="64 bits"):
         det(1, gt_id=2**63)
+    # a fractional frame would be stored truncated in DetectionArrays
+    for frame in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="frame index must be an integer"):
+            det(frame)
+    assert DetectionArrays.of([det(np.int64(2)), det(np.uint8(3))]).frames.tolist() == [2, 3]
     with pytest.raises(ValueError):
         Detection(1, (0, 0, 1, 1), np.ones(2), confidence=1.5)
     with pytest.raises(ValueError):
@@ -562,14 +568,44 @@ def test_build_graph_matches_reference_on_every_window_of_a_tracked_clip(monkeyp
 # -- one call per level ----------------------------------------------------------
 
 
-def test_chunks_join_whole_windows_and_split_a_large_one_into_rows(monkeypatch):
-    # 64 elements, 2 appearance columns: windows of 3, 2 and 4 nodes pad to
-    # 3 x 4 x 4 = 48 scores; the 9-node window alone needs 81, so it is split
-    # into rows, the later ones scoring fewer columns
-    monkeypatch.setattr(graph, "_BLOCK_SCORES", 64)
-    assert list(graph._chunks([3, 2, 4, 9, 1], 2)) == [
-        (0, 3, 0, 4), (3, 4, 0, 7), (3, 4, 7, 9), (4, 5, 0, 1)]
-    assert list(graph._chunks([], 2)) == []
+@given(st.data(), st.sampled_from([graph._BLOCK_SCORES, 40, 1]),
+       st.sampled_from([graph._BLOCK_SAVING, 1]), st.sampled_from([1, 2, 64]))
+@settings(max_examples=200, deadline=None)
+def test_successor_blocks_cover_every_successor_pair_once(data, block_scores, saving, dim):
+    # nodes sorted by start frame in windows of unequal size, whose end frames
+    # are not monotone in start order, and empty windows; a saving of 1 cuts
+    # a chunk of several windows into blocks
+    size = data.draw(st.integers(1, 6))
+    spans = data.draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), max_size=30))
+    spans = sorted((s, min(s + n, s // size * size + size - 1)) for s, n in spans)
+    starts = np.array([s for s, _ in spans], dtype=np.int64)
+    ends = np.array([e for _, e in spans], dtype=np.int64)
+    offsets = window_offsets(starts, 0, size)
+    window = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    want = {(u, v) for u in range(starts.size) for v in range(starts.size)
+            if window[u] == window[v] and starts[v] > ends[u]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_SCORES", block_scores)
+        mp.setattr(graph, "_BLOCK_SAVING", saving)
+        chunks = list(graph._successor_blocks(starts, ends, offsets, dim))
+    got = []
+    for rows, cols, blocks in chunks:
+        windows, wide = cols.shape
+        tall = rows.shape[1]
+        assert windows == 1 or windows * max(tall, wide) * max(wide, dim) <= block_scores
+        # each row of a chunk lies in one block, and the blocks run in order
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == tall
+        for r0, r1, c in blocks:
+            assert r1 - r0 == 1 or windows * (r1 - r0) * max(c, dim) <= block_scores
+            for w in range(windows):
+                real_cols = [v for v in cols[w, wide - c:].tolist() if v >= 0]
+                for u in rows[w, r0:r1].tolist():
+                    if u >= 0:
+                        assert {window[v] for v in real_cols} <= {window[u]}
+                        got += [(u, v) for v in real_cols if starts[v] > ends[u]]
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 @st.composite
@@ -608,6 +644,74 @@ def test_level_graph_is_its_window_graphs_bitwise(case, block_scores):
     assert level.edge_u.dtype == ref.edge_u.dtype and level.edge_v.dtype == ref.edge_v.dtype
     got = window_offsets(level.starts, 1, size)
     assert got.tolist() == offsets.tolist()
+
+
+@st.composite
+def merged_levels(draw):
+    """A level of merged tracklets: up to a window's frames each, with gaps,
+    so end frames are not monotone in start order, windows hold unequal
+    numbers of nodes, and a window's last nodes have no successor."""
+    size = draw(st.integers(2, 8))
+    num_frames = draw(st.integers(size, 4 * size))
+    dim = draw(st.sampled_from([1, 3, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    apps = [rng.standard_normal(dim) for _ in range(3)]
+    tracklets = []
+    for w0 in range(1, num_frames + 1, size):
+        span = np.arange(w0, min(w0 + size, num_frames + 1))
+        for _ in range(draw(st.integers(0, 14))):
+            frames = np.sort(rng.choice(span, draw(st.integers(1, span.size)), replace=False))
+            tracklets.append(Tracklet([
+                Detection(int(f), draw(st.sampled_from(TIE_BOXES)), apps[int(rng.integers(3))])
+                for f in frames
+            ]))
+    return tracklets, draw(st.integers(1, 4)), size, num_frames
+
+
+def assert_level_matches_reference(tracklets, knn_k, size, num_frames, block_scores, saving):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_SCORES", block_scores)
+        mp.setattr(graph, "_BLOCK_SAVING", saving)
+        level = build_graph(rows_of(tracklets), knn_k, (1, num_frames), size)
+    ref, _ = ref_level_graph(tracklets, knn_k, size, num_frames, build=ref_build_graph)
+    assert_same_graph(level, ref)
+
+
+@given(merged_levels(), st.sampled_from([graph._BLOCK_SCORES, 40, 1]),
+       st.sampled_from([graph._BLOCK_SAVING, 1]))
+@settings(max_examples=200, deadline=None)
+def test_merged_level_matches_per_pair_reference(case, block_scores, saving):
+    # a saving of 1 cuts rows at every drop in the successor count, so the
+    # blocks of a chunk's windows interleave; a score bound of 40 flushes
+    # the band within a chunk, and 1 scores row by row
+    assert_level_matches_reference(*case, block_scores, saving)
+
+
+def test_interleaved_blocks_of_unequal_windows_match_the_reference():
+    # windows of 9, 4 and 7 nodes in frames 1-6, 7-12 and 13-18; merged
+    # tracklets end out of start order, and each window's last rows have no
+    # successor
+    rng = np.random.default_rng(7)
+    spans = [[1, 6], [1, 2], [2, 5], [2, 3, 4], [3], [4], [1, 3, 5, 6], [5, 6], [6],
+             [7], [8, 9], [8, 12], [10, 12],
+             [13, 14], [13, 17], [14], [15, 16], [16, 18], [17], [18]]
+    tracklets = [Tracklet([det(f, x=float(rng.uniform(0, 40)), app=rng.standard_normal(2))
+                           for f in frames]) for frames in spans]
+    starts = np.array(sorted(frames[0] for frames in spans))
+    ends = np.array([frames[-1] for frames in sorted(spans)])
+    assert np.any(np.diff(ends) < 0)
+    offsets = window_offsets(starts, 1, 6)
+    assert np.diff(offsets).tolist() == [9, 4, 7]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_SAVING", 1)
+        (rows, cols, blocks), = graph._successor_blocks(starts, ends, offsets, 2)
+    real = (rows >= 0).sum(axis=1)
+    assert rows.shape[0] == 3 and len(set(real.tolist())) > 1 and len(blocks) > 1
+    assert np.all(real < np.diff(offsets))  # rows without a successor are left out
+    for block_scores in (graph._BLOCK_SCORES, 40, 1):
+        for saving in (graph._BLOCK_SAVING, 1):
+            for knn_k in (1, 2, 5):
+                assert_level_matches_reference(tracklets, knn_k, 6, 18, block_scores, saving)
 
 
 def test_a_slice_of_a_level_graph_is_its_checked_construction():

@@ -229,6 +229,48 @@ class TestIouPass:
                 pred = recs([(f, t, np.ldexp(b, exp)) for f, t, b in pred_rows])
                 assert_same_pairs(_prepare(gt, pred), ref)
 
+    @pytest.mark.parametrize("cap", [1, 7, metrics._BLOCK_PAIRS])
+    def test_crowded_frames_are_the_unfiltered_pass_bitwise(self, cap, monkeypatch):
+        # 64-96 boxes per frame, preds up to 60 wide against gts up to 6, and
+        # preds that touch a gt box at the sweep's bounds: a widest pred
+        # ending at the gt's left edge (its left edge on gt left - widest) or
+        # a float step either side of that, and preds starting at the gt's
+        # right edge or a float step before it
+        monkeypatch.setattr(metrics, "_BLOCK_PAIRS", cap)
+        rng = np.random.default_rng(cap)
+        widest = 60.0
+        gt_rows, pred_rows = [], []
+        for f in range(1, 5):
+            for i in range(int(rng.integers(64, 97))):
+                box = [rng.uniform(0.0, 300.0), rng.uniform(0.0, 40.0), *rng.uniform(1.0, 6.0, 2)]
+                gt_rows.append((f, i, box))
+            for i in range(int(rng.integers(64, 97))):
+                box = [rng.uniform(-40.0, 300.0), rng.uniform(-10.0, 40.0),
+                       rng.uniform(1.0, widest), rng.uniform(1.0, 20.0)]
+                pred_rows.append((f, i, box))
+            pred_rows.append((f, 1000, [-80.0, 0.0, widest, 400.0]))  # the widest pred
+            for _, i, (g_left, g_top, g_w, _) in gt_rows[-8:]:
+                touching = [
+                    (g_left - widest, widest),
+                    (math.nextafter(g_left - widest, math.inf), widest),
+                    (math.nextafter(g_left - widest, -math.inf), widest),
+                    (g_left + g_w, 3.0),
+                    (math.nextafter(g_left + g_w, -math.inf), 3.0),
+                ]
+                pred_rows += [(f, 1001 + 5 * i + j, [x, g_top, w, 4.0])
+                              for j, (x, w) in enumerate(touching)]
+        assert max(b[2] for _, _, b in pred_rows) == widest
+        ref = ref_pair_pass(recs(gt_rows), recs(pred_rows))
+        assert ref[3].size > 500
+        for scale in (1.0, 1e-150, 1e150):
+            gt = recs([(f, t, np.multiply(b, scale)) for f, t, b in gt_rows])
+            pred = recs([(f, t, np.multiply(b, scale)) for f, t, b in pred_rows])
+            assert_same_pairs(_prepare(gt, pred), ref_pair_pass(gt, pred))
+        for exp in (-900, 600, 1000):
+            gt = recs([(f, t, np.ldexp(b, exp)) for f, t, b in gt_rows])
+            pred = recs([(f, t, np.ldexp(b, exp)) for f, t, b in pred_rows])
+            assert_same_pairs(_prepare(gt, pred), ref)
+
     def test_scaling_by_a_power_of_two_keeps_the_report(self):
         rng = np.random.default_rng(600)
         for _ in range(10):
@@ -293,6 +335,31 @@ class TestMatchFrames:
         gt, pred = (broken, good) if side == "gt" else (good, broken)
         with pytest.raises(ValueError, match="degenerate box"):
             evaluate(gt, pred)
+
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    @pytest.mark.parametrize("frame, track, name", [
+        (2**63, 1, "frame"),
+        (1.5, 1, "frame"),
+        (2.0, 1, "frame"),
+        (1, 2**63, "track_id"),
+        (1, -2**63 - 1, "track_id"),
+        (1, 0.5, "track_id"),
+    ])
+    def test_frame_or_track_id_outside_int64_rejected(self, side, frame, track, name):
+        # the bad record comes last, after records that fit
+        good = recs(straight_track(1, range(1, 4)))
+        broken = good + [BoxRecord(frame, track, BOX)]
+        gt, pred = (broken, good) if side == "gt" else (good, broken)
+        value = frame if name == "frame" else track
+        with pytest.raises(ValueError, match=rf"{name} must be an integer .* got {value!r} in "):
+            evaluate(gt, pred)
+
+    def test_int64_bounds_and_numpy_integers_accepted(self):
+        rows = [BoxRecord(np.int64(-2**63), np.int32(5), BOX), BoxRecord(2**63 - 1, -2**63, BOX),
+                BoxRecord(True, 2**63 - 1, BOX)]
+        frame, _, _ = metrics._sorted_records(rows)
+        assert frame.dtype == np.int64 and frame.tolist() == [-2**63, 1, 2**63 - 1]
+        assert evaluate(rows, rows).idf1 == 1.0
 
 
 class TestMota:
