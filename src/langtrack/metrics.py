@@ -1,17 +1,20 @@
 """MOT evaluation: CLEAR (MOTA/IDSW), ID measures (IDF1), and HOTA.
 
-All three families read plain (frame, track_id, box) records, sorted by
-(frame, track id) in one pass per sequence that also computes same-frame
-IoUs in bounded array blocks.  The pass is a sort and sweep: per frame the
-pred boxes are sorted by left edge, and each gt box takes as candidates
-only the preds whose left edge lies between its left edge less the widest
-pred (and a rounding margin) and its right edge, which holds every pred it
-overlaps on x.  Of those it takes each pair's overlap on x and on y, as the
-IoU computes them, and a full IoU only for the pairs that overlap on both;
-it keeps the overlapping pairs (IoU > 0) as flat arrays in frame order,
-and every other same-frame pair has IoU exactly 0.  A sequence whose box
-magnitudes would over- or underflow an IoU is first scaled by a power of
-two, which leaves IoUs as they are.  Per frame
+All three families read (frame, track_id, box) boxes on each side, either as
+``BoxRecord``s or as one ``BoxColumns``: an int64 frame and track id column
+and an (n, 4) float64 box column, which ``records_from_result`` builds from
+a tracked clip.  Records are turned into columns once; both forms then take
+the same checks and are sorted by (frame, track id) in one pass per sequence
+that also computes same-frame IoUs in bounded array blocks.  The pass is a
+sort and sweep: per frame the pred boxes are sorted by left edge, and each
+gt box takes as candidates only the preds whose left edge lies between its
+left edge less the widest pred (and a rounding margin) and its right edge,
+which holds every pred it overlaps on x.  Of those it takes each pair's
+overlap on x and on y, as the IoU computes them, and a full IoU only for the
+pairs that overlap on both; it keeps the overlapping pairs (IoU > 0) as flat
+arrays in frame order, and every other same-frame pair has IoU exactly 0.
+A sequence whose box magnitudes would over- or underflow an IoU is first
+scaled by a power of two, which leaves IoUs as they are.  Per frame
 matching maximizes matched count and then total IoU via the Hungarian
 algorithm; exact ties resolve toward lexicographically smaller (gt, pred)
 pairs through an index perturbation far below metric tolerance.
@@ -21,20 +24,28 @@ trajectory matching exactly.  HOTA follows the reference two-pass scheme:
 a global alignment score from normalized per-frame similarities guides the
 per-frame matching, then 19 IoU thresholds are scored and averaged.
 
+HOTA's first pass builds no matrix.  A pair's normalized similarity
+x / ((column sum + row sum) - x) needs only its pred's column sum and its gt
+box's row sum in the frame's IoU matrix, and it takes each with the bits
+numpy's sum of that matrix gives it.  An axis-0 sum adds the rows in order,
+so a ``bincount`` over the pairs in (gt, pred) order gives a column sum; a
+one-column matrix is the exception, as numpy sums it as one contiguous row.
+A row sum is pairwise, in an order set by the row's length alone, so the gt
+rows of all frames with the same number of preds are stacked into dense
+blocks and summed along axis 1.  So one rule covers every frame: a pair
+that shares no box gets x / ((x + x) - x) = 1.0 (0 where x <= 1e-12, by the
+division guard).  Each pair's similarities add up in frame order.
+
 Only contested frames, where two candidate pairs share a box, get a dense
 IoU matrix and the solver.  The other frames are scored as arrays, with the
 same bits:
 
 - MOTA: where the pairs at IoU >= threshold share no box, the matching of
   maximal count is exactly those pairs, whatever the previous frame carries.
-- HOTA's first pass: where the overlapping pairs share no box, a pair's row
-  and column sums are both its IoU x, so its normalized similarity
-  x / ((x + x) - x) is exactly 1.0 (0 where x <= 1e-12, by the division
-  guard).  Each pair's similarities add up in frame order, as frame by frame.
-- HOTA's second pass: where, in addition, every overlapping pair scores
-  alignment * IoU above the largest tie-break perturbation an assignment of
-  the frame can carry, every optimum holds all of those pairs; the solver's
-  other pairs have IoU 0 and count at no threshold.
+- HOTA's second pass: where the overlapping pairs share no box and each
+  scores alignment * IoU above the largest tie-break perturbation an
+  assignment of the frame can carry, every optimum holds all of those
+  pairs; the solver's other pairs have IoU 0 and count at no threshold.
 - IDF1: overlaps are integer counts, so their order does not matter.
 """
 
@@ -42,14 +53,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "BoxRecord",
+    "BoxColumns",
     "MotaResult",
     "Idf1Result",
     "HotaResult",
@@ -82,16 +95,55 @@ class BoxRecord:
     box: tuple[float, float, float, float]
 
 
-def records_from_result(result) -> list[BoxRecord]:
-    """Flatten an inference TrackResult into metric records."""
-    return [
-        BoxRecord(det.frame, tid, tuple(det.box))
-        for tid, det in result.iter_detections()
-    ]
+@dataclass(frozen=True, eq=False)
+class BoxColumns:
+    """Tracked boxes as columns: box i lies at frame ``frame[i]`` on track
+    ``track_id[i]`` with (left, top, width, height) ``box[i]``.  The columns
+    are stored as int64, int64 and (n, 4) float64 arrays; a column whose
+    values do not cast safely to its type, or whose shape does not fit the
+    others, raises."""
+
+    frame: np.ndarray
+    track_id: np.ndarray
+    box: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("frame", np.int64), ("track_id", np.int64), ("box", np.float64)):
+            column = np.asarray(getattr(self, name))
+            if not np.can_cast(column.dtype, dtype):
+                raise ValueError(f"{name} must hold {np.dtype(dtype)} values, got {column.dtype}")
+            object.__setattr__(self, name, column.astype(dtype, copy=False))
+        n = self.frame.shape[:1]
+        if self.frame.ndim != 1 or self.track_id.shape != n or self.box.shape != (*n, 4):
+            raise ValueError(
+                f"columns must be frame (n,), track_id (n,) and box (n, 4), got "
+                f"{self.frame.shape}, {self.track_id.shape} and {self.box.shape}"
+            )
+
+
+Boxes = Union[Iterable[BoxRecord], BoxColumns]
+
+
+def records_from_result(result) -> BoxColumns:
+    """An inference TrackResult's boxes as columns, track by track in id
+    order and in frame order within a track.  Each ``Detection`` has checked
+    its frame and box; the track ids are checked here."""
+    ids = sorted(result.trajectories)
+    trajectories = [result.trajectories[tid] for tid in ids]
+    dets = list(chain.from_iterable(trajectories))
+    n = len(dets)
+    return BoxColumns(
+        np.fromiter(map(attrgetter("frame"), dets), np.int64, n),
+        np.repeat(_int64_column(ids, "track_id", map("trajectory {!r}".format, ids)),
+                  list(map(len, trajectories))),
+        np.fromiter(chain.from_iterable(map(attrgetter("box"), dets)), np.float64, 4 * n)
+        .reshape(n, 4),
+    )
 
 
 # The IoU pass takes gt boxes in blocks of at most this many box pairs (or one
-# gt box), so its working arrays stay small however long the sequence is.
+# gt box), so its working arrays stay small however long the sequence is;
+# HOTA's row sums stack at most this many matrix cells (or one row) at once.
 _BLOCK_PAIRS = 1 << 14
 
 # Box magnitudes in [2**-510, 2**510) give the IoU no overflow, and the largest
@@ -119,34 +171,49 @@ class _Sequence:
     pred_count: np.ndarray
 
 
-def _int64_column(records: list[BoxRecord], name: str) -> np.ndarray:
-    """The records' ``name`` values as int64; a value that is not an integer
-    (``operator.index`` fails) or lies outside int64 raises."""
-    values = list(map(attrgetter(name), records))
+def _int64_column(values: list, name: str, owners: Iterable) -> np.ndarray:
+    """The values as int64; a value that is not an integer (``operator.index``
+    fails) or lies outside int64 raises, naming its owner."""
     column = np.array(values)
     if column.dtype == np.int64 and column.ndim == 1:  # ints in range, the usual case
         return column
-    for r, value in zip(records, values):
+    for owner, value in zip(owners, values):
         try:
             ok = -(1 << 63) <= operator.index(value) < 1 << 63
         except TypeError:
             ok = False
         if not ok:
-            raise ValueError(f"{name} must be an integer in [-2**63, 2**63), got {value!r} in {r}")
+            raise ValueError(
+                f"{name} must be an integer in [-2**63, 2**63), got {value!r} in {owner}"
+            )
     return np.fromiter(map(operator.index, values), np.int64, len(values))
 
 
-def _sorted_records(records: Iterable[BoxRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frames, id positions and boxes of the records, sorted by (frame, track
-    id); a box that is not finite or has no area, a frame or track id that is
-    not an int64 integer, or a repeated (frame, track id), raises."""
-    records = list(records)
-    boxes = np.array(list(map(attrgetter("box"), records)), dtype=np.float64).reshape(-1, 4)
+def _columns(records: list[BoxRecord]) -> BoxColumns:
+    """The records as columns; a box that is not four values, or a frame or
+    track id that is not an int64 integer, raises, naming its record."""
+    boxes = list(map(attrgetter("box"), records))
+    if not set(map(len, boxes)) <= {4}:
+        r = next(r for r, box in zip(records, boxes) if len(box) != 4)
+        raise ValueError(f"box must hold 4 values (left, top, width, height), got {r.box} in {r}")
+    return BoxColumns(
+        _int64_column(list(map(attrgetter("frame"), records)), "frame", records),
+        _int64_column(list(map(attrgetter("track_id"), records)), "track_id", records),
+        np.fromiter(chain.from_iterable(boxes), np.float64, 4 * len(boxes)).reshape(-1, 4),
+    )
+
+
+def _sorted_records(records: Boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames, id positions and boxes, sorted by (frame, track id); records
+    are turned into columns first.  A box that is not finite or has no area,
+    or a repeated (frame, track id), raises."""
+    if not isinstance(records, BoxColumns):
+        records = _columns(list(records))
+    frame, track, boxes = records.frame, records.track_id, records.box
     bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0.0) | (boxes[:, 3] <= 0.0)
     if bad.any():
-        r = records[int(np.argmax(bad))]
-        raise ValueError(f"degenerate box {r.box} at frame {r.frame}")
-    frame, track = _int64_column(records, "frame"), _int64_column(records, "track_id")
+        i = int(np.argmax(bad))
+        raise ValueError(f"degenerate box {tuple(boxes[i].tolist())} at frame {frame[i]}")
     order = np.lexsort((track, frame))
     frame, track, boxes = frame[order], track[order], boxes[order]
     twice = np.flatnonzero((frame[1:] == frame[:-1]) & (track[1:] == track[:-1]))
@@ -169,7 +236,7 @@ def _rescaled(g_box: np.ndarray, p_box: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.ldexp(g_box, _SAFE_EXP - exp), np.ldexp(p_box, _SAFE_EXP - exp)
 
 
-def _prepare(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> _Sequence:
+def _prepare(gt: Boxes, pred: Boxes) -> _Sequence:
     g_frame, g_pos, g_box = _sorted_records(gt)
     p_frame, p_pos, p_box = _sorted_records(pred)
     g_box, p_box = _rescaled(g_box, p_box)
@@ -289,7 +356,7 @@ def check_iou_threshold(iou_threshold: float) -> None:
 
 
 def mota(
-    gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float = 0.5
+    gt: Boxes, pred: Boxes, iou_threshold: float = 0.5
 ) -> MotaResult:
     """CLEAR MOTA with match persistence and identity-switch counting.
 
@@ -359,7 +426,7 @@ class Idf1Result:
 
 
 def idf1(
-    gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float = 0.5
+    gt: Boxes, pred: Boxes, iou_threshold: float = 0.5
 ) -> Idf1Result:
     """ID measures: optimal global trajectory pairing, then IDF1.
 
@@ -410,9 +477,57 @@ class HotaResult:
     undefined: bool = False
 
 
-def hota(gt: Iterable[BoxRecord], pred: Iterable[BoxRecord]) -> HotaResult:
+def hota(gt: Boxes, pred: Boxes) -> HotaResult:
     """HOTA with DetA and AssA, averaged over the 19-threshold grid."""
     return _hota(_prepare(gt, pred))
+
+
+def _vector_sums(vector: np.ndarray, place: np.ndarray, width: np.ndarray,
+                 value: np.ndarray) -> np.ndarray:
+    """Each entry's sum over its vector, bitwise as numpy sums that vector as
+    a dense contiguous row: entry i holds ``value[i]`` at ``place[i]`` of
+    vector ``vector[i]``, which has ``width[i]`` places and 0 where no entry
+    sits; a vector's entries are consecutive.  numpy sums a contiguous row
+    pairwise, in an order set by its length alone, so the vectors of one
+    width are stacked as the rows of dense blocks of at most ``_BLOCK_PAIRS``
+    cells (or one row) and summed along axis 1."""
+    order = np.argsort(width.astype(np.min_scalar_type(width.max(initial=0))), kind="stable")
+    vector, place, width, value = vector[order], place[order], width[order], value[order]
+    new = np.ones(vector.size, dtype=bool)
+    new[1:] = vector[1:] != vector[:-1]
+    row = np.cumsum(new) - 1  # the row of each entry, rows by width
+    bounds = np.append(np.flatnonzero(new), vector.size)  # row r: bounds[r]:bounds[r + 1]
+    row_width = width[bounds[:-1]]
+    sums = np.empty(row_width.size)
+    r0 = 0
+    while r0 < row_width.size:
+        w = int(row_width[r0])
+        r1 = min(int(np.searchsorted(row_width, w, "right")), r0 + max(1, _BLOCK_PAIRS // w))
+        lo, hi = bounds[r0], bounds[r1]
+        block = np.zeros((r1 - r0, w))
+        block[row[lo:hi] - r0, place[lo:hi]] = value[lo:hi]
+        sums[r0:r1] = block.sum(axis=1)
+        r0 = r1
+    out = np.empty(vector.size)
+    out[order] = sums[row]
+    return out
+
+
+def _similarity(seq: _Sequence) -> np.ndarray:
+    """Each overlapping pair's normalized similarity x / ((column sum + row
+    sum) - x) in its frame's IoU matrix, bitwise as computed from that matrix
+    (0 where the denominator is at most 1e-12)."""
+    p_n = np.diff(seq.pred_start)[seq.frame]  # preds in each pair's frame
+    col_sum = np.bincount(seq.pred, seq.iou)[seq.pred]
+    one = np.flatnonzero(p_n == 1)  # numpy sums a one-column matrix pairwise, as one row
+    k = seq.frame[one]
+    col_sum[one] = _vector_sums(seq.pred[one], seq.gt[one] - seq.gt_start[k],
+                                np.diff(seq.gt_start)[k], seq.iou[one])
+    row_sum = _vector_sums(seq.gt, seq.pred - seq.pred_start[seq.frame], p_n, seq.iou)
+    denom = col_sum + row_sum - seq.iou
+    norm = np.zeros_like(seq.iou)
+    np.divide(seq.iou, denom, out=norm, where=denom > 1e-12)
+    return norm
 
 
 def _hota(seq: _Sequence) -> HotaResult:
@@ -427,19 +542,9 @@ def _hota(seq: _Sequence) -> HotaResult:
     gt_count, pred_count = seq.gt_count, seq.pred_count
     ng, np_ = gt_count.size, pred_count.size
     g, p = seq.gt_pos[seq.gt], seq.pred_pos[seq.pred]
-    row = seq.gt - seq.gt_start[seq.frame]  # each pair's place in its frame's matrix
-    col = seq.pred - seq.pred_start[seq.frame]
-    contested = _contested(seq, slice(None))
-    bounds = np.searchsorted(seq.frame, np.stack((contested, contested + 1), axis=1))
-    norm = np.where(seq.iou > 1e-12, 1.0, 0.0)  # x / ((x + x) - x) where no box is shared
-    for k, (lo, hi) in zip(contested.tolist(), bounds):
-        _, _, sim = _frame(seq, k)
-        denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
-        frame_norm = np.zeros_like(sim)
-        np.divide(sim, denom, out=frame_norm, where=denom > 1e-12)
-        norm[lo:hi] = frame_norm[row[lo:hi], col[lo:hi]]
-    potential = np.bincount(g * np_ + p, norm, minlength=ng * np_).reshape(ng, np_)
+    potential = np.bincount(g * np_ + p, _similarity(seq), minlength=ng * np_).reshape(ng, np_)
     alignment = potential / (gt_count[:, None] + pred_count[None, :] - potential)
+    contested = _contested(seq, slice(None))
     g_n = np.diff(seq.gt_start)[seq.frame]  # boxes in each pair's frame
     p_n = np.diff(seq.pred_start)[seq.frame]
     largest_rank = (g_n - 1) * (p_n + 1) + p_n - 1
@@ -505,7 +610,7 @@ class MetricReport:
 
 
 def _score(
-    gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float
+    gt: Boxes, pred: Boxes, iou_threshold: float
 ) -> tuple[MotaResult, Idf1Result, HotaResult]:
     """The three scorers on one preparation of a sequence."""
     check_iou_threshold(iou_threshold)
@@ -514,7 +619,7 @@ def _score(
 
 
 def evaluate(
-    gt: Iterable[BoxRecord], pred: Iterable[BoxRecord], iou_threshold: float = 0.5
+    gt: Boxes, pred: Boxes, iou_threshold: float = 0.5
 ) -> MetricReport:
     """All metrics for one sequence."""
     m, i, h = _score(gt, pred, iou_threshold)
@@ -537,7 +642,7 @@ def evaluate(
 
 
 def evaluate_sequences(
-    sequences: Mapping[str, tuple[Iterable[BoxRecord], Iterable[BoxRecord]]],
+    sequences: Mapping[str, tuple[Boxes, Boxes]],
     iou_threshold: float = 0.5,
 ) -> MetricReport:
     """Pool metrics over sequences (iterated in name order).

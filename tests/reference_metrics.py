@@ -14,6 +14,12 @@ for bit.  ``iou`` is the scalar IoU the IoU pass must equal bitwise.
 skipped the pairs that do not overlap on x: a full IoU for every same-frame
 pair, in blocks of ``metrics._BLOCK_PAIRS``, keeping those above 0.
 ``_prepare`` must give its pairs and IoUs bitwise.
+
+``pair_similarity`` is HOTA's normalized similarity of each overlapping
+pair, taken from its frame's dense IoU matrix as the per-frame ``_hota``
+takes it; ``metrics._similarity`` must equal it bitwise.  ``records_list``
+is a tracked clip's predictions as ``BoxRecord``s, the list that
+``metrics.records_from_result`` returned before it returned columns.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from langtrack import metrics
 from langtrack.metrics import (
     HOTA_ALPHAS,
     _TIE_EPS,
+    BoxRecord,
     HotaResult,
     Idf1Result,
     MotaResult,
@@ -296,6 +303,25 @@ def ref_pair_pass(gt, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         kept.append((g[hit], p[hit], iou[hit]))
     g, p, iou = (np.concatenate(part) for part in zip(*kept))
     return at[g], g, p, iou
+
+
+def records_list(result) -> list[BoxRecord]:
+    """A TrackResult's boxes as records, by track id, then in trajectory order."""
+    return [BoxRecord(d.frame, tid, tuple(d.box)) for tid, d in result.iter_detections()]
+
+
+def pair_similarity(seq) -> np.ndarray:
+    """Each overlapping pair's x / ((column sum + row sum) - x) in its frame's
+    dense IoU matrix of a ``metrics._Sequence``."""
+    out = np.zeros(seq.iou.size)
+    for k in range(seq.gt_start.size - 1):
+        lo, hi = np.searchsorted(seq.frame, (k, k + 1))
+        _, _, sim = _frame(seq, k)
+        denom = sim.sum(axis=0)[None, :] + sim.sum(axis=1)[:, None] - sim
+        norm = np.zeros_like(sim)
+        np.divide(sim, denom, out=norm, where=denom > 1e-12)
+        out[lo:hi] = norm[seq.gt[lo:hi] - seq.gt_start[k], seq.pred[lo:hi] - seq.pred_start[k]]
+    return out
 
 
 @dataclass

@@ -8,8 +8,10 @@ import pytest
 import reference_metrics as per_frame_ref
 from langtrack import metrics
 from langtrack.data_io import SceneAttributes
-from langtrack.inference import TrackerConfig, track_video
+from langtrack.graph import Detection
+from langtrack.inference import TrackerConfig, TrackResult, track_video
 from langtrack.metrics import (
+    BoxColumns,
     BoxRecord,
     HOTA_ALPHAS,
     evaluate,
@@ -17,13 +19,23 @@ from langtrack.metrics import (
     hota,
     idf1,
     mota,
+    records_from_result,
     render_report,
     render_table,
 )
 from langtrack.metrics import _frame, _match, _prepare
 from langtrack.model import ModelConfig, init_model
 from langtrack.synth import SynthConfig, gen_sequence, identity_profile
-from reference_metrics import iou, per_frame, ref_hota, ref_idf1, ref_mota, ref_pair_pass
+from reference_metrics import (
+    iou,
+    pair_similarity,
+    per_frame,
+    records_list,
+    ref_hota,
+    ref_idf1,
+    ref_mota,
+    ref_pair_pass,
+)
 
 
 def recs(rows):
@@ -361,6 +373,26 @@ class TestMatchFrames:
         assert frame.dtype == np.int64 and frame.tolist() == [-2**63, 1, 2**63 - 1]
         assert evaluate(rows, rows).idf1 == 1.0
 
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    @pytest.mark.parametrize("boxes", [
+        [(0, 0, 1, 1, 0, 0, 2, 2)],  # eight values, once scored from the first four
+        [(0, 0), (1, 1)],  # two values each, once an IndexError
+        [(0, 0, 1)],  # three values, once numpy's reshape error
+    ])
+    def test_box_of_other_than_four_values_rejected(self, side, boxes):
+        good = [BoxRecord(1, 1, (0, 0, 1, 1))]
+        broken = [BoxRecord(1, t, box) for t, box in enumerate(boxes, 1)]
+        gt, pred = (broken, good) if side == "gt" else (good, broken)
+        named = rf"box must hold 4 values .* got \({boxes[0][0]}, .* in BoxRecord\(frame=1, "
+        with pytest.raises(ValueError, match=named):
+            evaluate(gt, pred)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (2, 2), (1, 3), (4,), (1, 4, 1)])
+    def test_columns_with_a_box_not_n_by_4_rejected(self, shape):
+        n = shape[0] if len(shape) > 1 else 1
+        with pytest.raises(ValueError, match=r"box \(n, 4\)"):
+            BoxColumns(np.arange(n), np.arange(n), np.ones(shape))
+
 
 class TestMota:
     def test_perfect_tracking(self):
@@ -693,8 +725,8 @@ def dense_scenario(rng, boxes=7, frames=12):
 
 
 def tracked_clip(objects, frames, seed):
-    """Ground truth and the tracks of an untrained model on a synthetic clip;
-    the model's mistakes make switches and competing pairs."""
+    """Ground truth records and the tracking result of an untrained model on
+    a synthetic clip; the model's mistakes make switches and competing pairs."""
     dim = 16
     scene = SceneAttributes("medium", "static", "on a sunny day")
     cfg = SynthConfig(
@@ -706,7 +738,7 @@ def tracked_clip(objects, frames, seed):
         message_passing_steps=2, edge_dim=8, text_dim=8, node_dim=16, appearance_dim=dim))
     result = track_video(detections, params, TrackerConfig(level_sizes=[5, 25, 75, 150], knn_k=3))
     gt = [BoxRecord(d.frame, d.gt_id, tuple(d.box)) for d in detections]
-    return gt, metrics.records_from_result(result)
+    return gt, result
 
 
 class TestPerFrameReference:
@@ -766,11 +798,182 @@ class TestPerFrameReference:
 
     @pytest.mark.parametrize("objects,frames", [(4, 1200), (32, 150)])
     def test_tracked_clip(self, objects, frames, monkeypatch):
-        gt, pred = tracked_clip(objects, frames, seed=7)
+        gt, result = tracked_clip(objects, frames, seed=7)
+        pred = records_from_result(result)
         seq = _prepare(gt, pred)
         assert metrics._contested(seq, seq.iou >= 0.5).size > 0
         assert mota(gt, pred).idsw > 0
         assert_scores_match_per_frame_reference(gt, pred, 0.5, monkeypatch)
+
+
+def crowded_scenario(rng, pred_counts, gt_count=24):
+    """One frame per pred count, its preds in a row along x (pred j at 6j,
+    10 wide, so neighbours overlap) with ids in x order; the first gt box
+    spans the first preds, so column 0 has a gt that overlaps 3 or more preds,
+    and the other gt boxes lie at random, up to 60 wide.  A frame of one pred
+    has 2 * ``gt_count`` gt boxes that all overlap it."""
+    gt, pred = [], []
+    for f, count in enumerate(pred_counts, 1):
+        for j in range(count):
+            x, y = 6.0 * j + rng.normal(0.0, 0.5), rng.normal(0.0, 0.5)
+            pred.append((f, j, (x, y, 10.0 * rng.uniform(0.9, 1.1), 20.0 * rng.uniform(0.9, 1.1))))
+        if count == 1:
+            for t in range(2 * gt_count):
+                gt.append((f, t, (rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0), 10.0, 20.0)))
+            continue
+        gt.append((f, 0, (rng.uniform(0.0, 1.0), 0.0, rng.uniform(18.0, 24.0), 20.0)))
+        for t in range(1, gt_count):
+            left = rng.uniform(-5.0, 6.0 * count)
+            gt.append((f, t, (left, rng.normal(0.0, 2.0), rng.uniform(5.0, 60.0), 20.0)))
+    return gt, pred
+
+
+class TestFirstPass:
+    """HOTA's first pass takes each pair's row and column sums without a
+    matrix per frame, with the bits a frame's matrix gives them."""
+
+    PRED_COUNTS = [8, 9, 16, 17, 129, 300, 1, 1, 3]
+
+    @pytest.mark.parametrize("cap", [1, 7, metrics._BLOCK_PAIRS])
+    def test_crowded_frames_match_the_per_frame_reference(self, cap, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_PAIRS", cap)
+        rng = np.random.default_rng(cap)
+        for gt_count in (9, 24):
+            gt, pred = (recs(rows) for rows in crowded_scenario(rng, self.PRED_COUNTS, gt_count))
+            seq = _prepare(gt, pred)
+            per_gt = np.bincount(seq.gt, minlength=seq.gt_pos.size)
+            # gt boxes that overlap 3 or more preds, among them preds in column 0
+            first = seq.gt[seq.pred == seq.pred_start[seq.frame]]
+            assert (per_gt >= 3).sum() >= 10 and (per_gt[first] >= 3).any()
+            assert per_gt.max() >= 9
+            assert metrics._similarity(seq).tobytes() == pair_similarity(seq).tobytes()
+            assert_bitwise_equal(metrics._hota(seq), per_frame_ref._hota(per_frame(seq)))
+            assert_scores_match_per_frame_reference(gt, pred, 0.5, monkeypatch)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 8, 10_000])
+    def test_stacked_row_sums_are_the_per_frame_row_sums(self, rows, monkeypatch):
+        # rows of one width, split into frames of 1-40 rows, with 1-12 entries
+        # each of widely spread magnitudes, so that the order of the sum shows
+        rng = np.random.default_rng(rows)
+        for width in (3, 8, 9, 16, 17, 129, 300):
+            vector, place, value, want = [], [], [], []
+            r = 0
+            while r < rows:
+                g = min(rows - r, int(rng.integers(1, 41)))
+                sim = np.zeros((g, width))
+                for i in range(g):
+                    k = int(rng.integers(1, min(width, 12) + 1))
+                    sim[i, rng.choice(width, k, replace=False)] = rng.uniform(0.0, 1.0, k) ** 4
+                sim[0, 0] = 0.5
+                i, j = np.nonzero(sim)
+                vector.append(r + i)
+                place.append(j)
+                value.append(sim[i, j])
+                want.append(sim.sum(axis=1)[i])
+                r += g
+            vector, place, value, want = map(np.concatenate, (vector, place, value, want))
+            for cap in (1, 7, metrics._BLOCK_PAIRS):
+                monkeypatch.setattr(metrics, "_BLOCK_PAIRS", cap)
+                got = metrics._vector_sums(vector, place, np.full(vector.size, width), value)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("boxes", [1, 7, 8, 9, 17, 129, 300])
+    def test_a_one_column_matrix_sums_as_one_row(self, boxes):
+        rng = np.random.default_rng(boxes)
+        column = rng.uniform(0.0, 1.0, (boxes, 1)) ** 4 * (rng.random((boxes, 1)) < 0.7)
+        i = np.flatnonzero(column)
+        one = np.zeros(i.size, np.int64)
+        got = metrics._vector_sums(one, i, np.full(i.size, boxes), column[i, 0])
+        assert (got == column.sum(axis=0)[0]).all()
+
+    def test_vectors_of_mixed_widths_keep_their_entries(self):
+        # widths interleave and a vector's entries need not be sorted by place
+        vector = np.array([4, 4, 2, 9, 9, 9, 7])
+        place = np.array([2, 0, 1, 0, 5, 3, 0])
+        width = np.array([3, 3, 2, 6, 6, 6, 1])
+        value = np.array([0.25, 0.5, 1.0, 0.125, 2.0, 4.0, 8.0])
+        got = metrics._vector_sums(vector, place, width, value)
+        assert got.tolist() == [0.75, 0.75, 1.0, 6.125, 6.125, 6.125, 8.0]
+
+    def test_first_pass_memory_stays_linear(self):
+        # frames of 600 boxes a side, each gt overlapping 3-4 preds: one dense
+        # IoU matrix of a frame takes 600 * 600 * 8 B = 2.9 MB, and the pass
+        # from per-frame matrices peaked at 11.8 MB on 8 such frames
+        gt, pred = [], []
+        for f in range(1, 5):
+            for j in range(600):
+                pred.append(BoxRecord(f, j, (6.0 * j, 0.0, 10.0, 20.0)))
+                gt.append(BoxRecord(f, j, (6.0 * j + 3.0, 1.0, 12.0, 20.0)))
+        seq = _prepare(gt, pred)
+        assert seq.iou.size >= 3 * 2400
+        tracemalloc.start()
+        try:
+            metrics._similarity(seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 92 B per pair, and two blocks of stacked rows
+        assert peak < 150 * seq.iou.size + 16 * metrics._BLOCK_PAIRS
+
+
+class TestColumns:
+    """Predictions as ``BoxColumns`` take the checks and give the bits of the
+    same boxes as ``BoxRecord``s."""
+
+    def test_tracked_clip_columns_equal_the_record_list(self):
+        gt, result = tracked_clip(8, 150, seed=3)
+        cols = records_from_result(result)
+        listed = records_list(result)
+        assert isinstance(cols, BoxColumns) and cols.frame.size == len(listed)
+        assert (cols.frame.dtype, cols.track_id.dtype, cols.box.dtype, cols.box.shape) == (
+            np.int64, np.int64, np.float64, (len(listed), 4))
+        got, want = _prepare(gt, cols), _prepare(gt, listed)
+        for field in fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        assert render_report(evaluate(gt, cols)) == render_report(evaluate(gt, listed))
+        pooled = evaluate_sequences({"a": (gt, cols), "b": (listed, cols)})
+        assert pooled == evaluate_sequences({"a": (gt, listed), "b": (listed, listed)})
+
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    @pytest.mark.parametrize("rows", [
+        [(1, 1, (0.0, 0.0, math.nan, 10.0))],
+        [(1, 1, (0.0, 0.0, 0.0, 10.0))],
+        [(2.0, 1, BOX)],
+        [(1, 1.0, BOX)],
+        [(1, 1, BOX), (1, 1, (5.0, 0.0, 10.0, 10.0))],
+    ], ids=["nan", "zero-width", "float-frame", "float-id", "repeated"])
+    def test_bad_columns_rejected_as_records_are(self, side, rows):
+        good = recs(straight_track(1, range(1, 4)))
+        frame, track, box = (np.array(column) for column in zip(*rows))
+        for make in (lambda: [BoxRecord(*row) for row in rows],
+                     lambda: BoxColumns(frame, track, box)):
+            with pytest.raises(ValueError):
+                broken = make()
+                evaluate(*((broken, good) if side == "gt" else (good, broken)))
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="columns must be"):
+            BoxColumns(np.arange(2), np.arange(3), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="columns must be"):
+            BoxColumns(np.arange(3), np.arange(3), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="columns must be"):
+            BoxColumns(np.zeros((3, 1), np.int64), np.arange(3), np.ones((3, 4)))
+
+    def test_columns_take_integer_and_float_dtypes_that_cast_safely(self):
+        cols = BoxColumns(np.array([2, 1], np.int32), np.array([5, 5], np.uint8),
+                          np.array([[0, 0, 10, 10], [1, 0, 10, 10]], np.int16))
+        assert (cols.frame.dtype, cols.track_id.dtype, cols.box.dtype) == (
+            np.int64, np.int64, np.float64)
+        listed = [BoxRecord(2, 5, (0.0, 0.0, 10.0, 10.0)), BoxRecord(1, 5, (1.0, 0.0, 10.0, 10.0))]
+        assert evaluate(listed, cols) == evaluate(listed, listed)
+        with pytest.raises(ValueError, match="frame must hold int64"):
+            BoxColumns(np.array([1], np.uint64), np.array([1]), np.ones((1, 4)))
+
+    def test_result_with_a_fractional_track_id_rejected(self):
+        det = Detection(1, BOX, np.zeros(2))
+        with pytest.raises(ValueError, match=r"track_id must be .* got 1.5 in trajectory 1.5"):
+            records_from_result(TrackResult({1.5: [det]}))
 
 
 def test_clean_sequence_calls_the_solver_only_for_idf1(monkeypatch):
