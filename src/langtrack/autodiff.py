@@ -394,37 +394,29 @@ class Incidence:
         return self._matrix @ values
 
 
-def _incidence(index: Incidence | Sequence[int] | np.ndarray, num_rows: int) -> Incidence:
-    """``index`` as an Incidence into ``num_rows`` rows; one given is reused."""
-    if not isinstance(index, Incidence):
-        return Incidence(index, num_rows)
-    if index.num_rows != num_rows:
-        raise ValueError(f"incidence into {index.num_rows} rows used for {num_rows}")
-    return index
-
-
 def gathered_linear(
-    parts: Sequence[tuple[Tensor, Incidence | Sequence[int] | np.ndarray | None]],
+    parts: Sequence[tuple[Tensor, Incidence | None]],
     w: Tensor,
     b: Tensor,
     activation: str = "identity",
 ) -> Tensor:
     """``linear`` of the parts' selected rows side by side, as one tape node.
 
-    Each part is a tensor and the rows it gives, by index or incidence
-    (repeats allowed) or all of them in order (None).  ``w``'s rows split by
-    the parts' widths in order, and the node is ``act(Σ (t @ w_k)[index] +
-    b)``: each part is projected before it is gathered, so the work on
-    gathered rows is out-wide.
+    Each part is a tensor and the rows it gives, by an incidence into its
+    rows (repeats allowed) or all of them in order (None).  ``w``'s rows
+    split by the parts' widths in order, and the node is ``act(Σ (t @
+    w_k)[index] + b)``: each part is projected before it is gathered, so the
+    work on gathered rows is out-wide.
     """
-    tensors = tuple(t for t, _ in parts)
+    tensors, incs = zip(*parts)
     blocks, lo = [], 0
     for t in tensors:
         blocks.append(w.data[lo : lo + t.shape[1]])
         lo += t.shape[1]
     if lo != w.shape[0]:
         raise ValueError(f"parts have {lo} columns, weight has {w.shape[0]} rows")
-    incs = [None if index is None else _incidence(index, t.shape[0]) for t, index in parts]
+    if any(inc is not None and inc.num_rows != t.shape[0] for t, inc in parts):
+        raise ValueError("an incidence must index the rows of its part")
     projected = [
         t.data @ wk if inc is None else (t.data @ wk)[inc.index]
         for t, inc, wk in zip(tensors, incs, blocks)
@@ -451,11 +443,8 @@ def gathered_linear(
     return Tensor._make(data, tensors + (w, b), bw)
 
 
-def segment_sum(
-    t: Tensor, segment: Incidence | Sequence[int] | np.ndarray, num_segments: int
-) -> Tensor:
-    """Sum rows of `t` into `num_segments` buckets given per-row bucket ids."""
-    inc = _incidence(segment, num_segments)
+def segment_sum(t: Tensor, inc: Incidence) -> Tensor:
+    """Sum row i of `t` into row ``inc.index[i]`` of ``inc.num_rows`` rows."""
     if inc.index.size != t.shape[0]:
         raise ValueError("segment ids must cover every row")
 

@@ -271,7 +271,7 @@ def _load_clips(data_dir: Path) -> list[ClipData]:
         for required in (gt_path, app_path):
             if not required.exists():
                 raise _input_error(f"sequence {name}: missing {required.name}")
-        records = _read_file("gt", gt_path, lambda p: read_mot(p, gt_mode=True))
+        records = _read_file("gt", gt_path, read_mot)
         appearance = _read_file("appearance", app_path, read_appearance)
         try:
             detections = to_detections(records, appearance, use_gt_ids=True)
@@ -392,13 +392,6 @@ def _sidecar_for(det_path: Path) -> Path:
 # -- eval --------------------------------------------------------------
 
 
-def _box_records(records, kind: str) -> list[BoxRecord]:
-    try:
-        return [BoxRecord(r.frame, r.id, r.box) for r in records]
-    except ValueError as exc:
-        raise _input_error(f"{kind}: {exc}") from None
-
-
 def cmd_eval(args) -> int:
     try:
         check_iou_threshold(args.iou_threshold)
@@ -408,8 +401,8 @@ def cmd_eval(args) -> int:
     gt_path = _path_from(args, cfg, "gt")
     result_path = _path_from(args, cfg, "result")
     out = _path_from(args, cfg, "out")
-    gt = _box_records(_read_file("gt", gt_path, lambda p: read_mot(p, gt_mode=True)), "gt")
-    pred = _box_records(_read_file("result", result_path, read_mot), "result")
+    gt = [BoxRecord(r.frame, r.id, r.box) for r in _read_file("gt", gt_path, read_mot)]
+    pred = [BoxRecord(r.frame, r.id, r.box) for r in _read_file("result", result_path, read_mot)]
     try:
         report = evaluate(gt, pred, iou_threshold=args.iou_threshold)
     except ValueError as exc:

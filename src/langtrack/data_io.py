@@ -78,11 +78,9 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def read_mot(path, gt_mode: bool = False) -> list[MotRecord]:
-    """Parse a MOT file positionally, preserving row order.
-
-    gt_mode additionally enforces positive box sizes.
-    """
+def read_mot(path) -> list[MotRecord]:
+    """Parse a MOT file positionally, preserving row order.  Box sizes are
+    not checked here: a ``Detection`` or a scorer checks them on use."""
     records = []
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -98,10 +96,8 @@ def read_mot(path, gt_mode: bool = False) -> list[MotRecord]:
             left, top, width, height, conf = (float(p) for p in parts[2:7])
             class_id = int(float(parts[7])) if len(parts) > 7 else -1
             visibility = float(parts[8]) if len(parts) > 8 else -1.0
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an infinite class
             raise ValueError(f"line {lineno}: {exc}") from None
-        if gt_mode and (width <= 0.0 or height <= 0.0):
-            raise ValueError(f"line {lineno}: non-positive box size {width}x{height}")
         try:
             records.append(MotRecord(frame, track, left, top, width, height,
                                      conf, class_id, visibility))

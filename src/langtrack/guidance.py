@@ -123,17 +123,14 @@ def _mean_kl_to_targets(projected: Tensor, log_q: np.ndarray) -> Tensor:
     return per_row.mean(axis=0)
 
 
-def isg_loss(projected_nodes, instance_embeddings) -> GuidanceTerm:
+def isg_loss(projected_nodes, instance_embeddings: np.ndarray) -> GuidanceTerm:
     """Instance-level loss: mean KL(softmax(node_i) || softmax(phi_i)).
 
     Row i of `instance_embeddings` is the text embedding for node i's
-    instance description.  Accepts tape tensors or plain arrays.
+    instance description.  The nodes are a tape tensor or a plain array.
     """
     nodes = as_tensor(projected_nodes)
-    targets = np.asarray(
-        instance_embeddings.data if isinstance(instance_embeddings, Tensor) else instance_embeddings,
-        dtype=np.float64,
-    )
+    targets = np.asarray(instance_embeddings, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets.reshape(1, -1)
     if nodes.shape[0] == 0:
@@ -146,13 +143,10 @@ def isg_loss(projected_nodes, instance_embeddings) -> GuidanceTerm:
     return GuidanceTerm(_mean_kl_to_targets(nodes, log_softmax(targets)))
 
 
-def spg_loss(projected_edges, scene_embedding) -> GuidanceTerm:
+def spg_loss(projected_edges, scene_embedding: np.ndarray) -> GuidanceTerm:
     """Scene-level loss: mean KL(softmax(edge) || softmax(phi_s)) over edges."""
     edges = as_tensor(projected_edges)
-    scene = np.asarray(
-        scene_embedding.data if isinstance(scene_embedding, Tensor) else scene_embedding,
-        dtype=np.float64,
-    ).ravel()
+    scene = np.asarray(scene_embedding, dtype=np.float64).ravel()
     if edges.shape[0] == 0:
         return GuidanceTerm(Tensor(0.0))
     if edges.shape[1] != scene.size:

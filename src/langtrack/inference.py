@@ -55,12 +55,8 @@ __all__ = [
 ]
 
 # An edge scorer maps a graph to one probability in [0, 1] per edge: an oracle
-# in tests and diagnostics.  The learned model (``_learned_scorer``) is a level
-# scorer: given a level graph, it scores slices of it, each a graph of the
-# level's nodes from a first index on.
+# in tests and diagnostics, scoring each batch in place of the learned model.
 EdgeScorer = Callable[[TrackGraph], np.ndarray]
-BatchScorer = Callable[[TrackGraph, int], np.ndarray]
-LevelScorer = Callable[[TrackGraph], BatchScorer]
 
 # Tracking scores consecutive whole windows in batches of at most this many
 # candidate edges (a larger window is scored alone).  The widest batch array,
@@ -93,8 +89,8 @@ class TrackResult:
 
     def __post_init__(self):
         for tid, dets in self.trajectories.items():
-            if tid < 1:
-                raise ValueError(f"track ids must be positive, got {tid}")
+            if type(tid) is not int or not 1 <= tid < 1 << 63:
+                raise ValueError(f"track ids must be integers in [1, 2**63), got {tid!r}")
             frames = [d.frame for d in dets]
             if any(b <= a for a, b in zip(frames, frames[1:])) or not frames:
                 raise ValueError(f"trajectory {tid} frames must strictly increase")
@@ -211,26 +207,12 @@ def gt_oracle_scorer(graph: TrackGraph) -> np.ndarray:
     return (pure[u] & pure[v] & (gid[u] == gid[v])).astype(np.float64)
 
 
-def _learned_scorer(params: ModelParams, clip: DetectionArrays) -> LevelScorer:
-    """The learned model as a level scorer for graphs over rows of ``clip``.
-    As in training, nodes start from ``model.node_means`` of one clip-wide
-    encoder pass, whose tape is dropped: inference needs no gradients.  The
-    means are taken once per level graph; a batch's nodes are a run of the
-    level's, and each node's mean is the same bits wherever it is taken."""
-    enc = Tensor(mlp_forward(params.node_encoder, Tensor(clip.app)).data)
-
-    def for_level(level: TrackGraph) -> BatchScorer:
-        means = node_means(enc, level.nodes.rows, level.nodes.sizes).data
-
-        def score(graph: TrackGraph, first: int) -> np.ndarray:
-            node_init = Tensor(means[first : first + graph.num_nodes])
-            h, e = encode_graph(graph, params, node_init)
-            e = message_pass(graph, h, e, params, params.config.message_passing_steps)
-            return classify_edges(e, params).data.ravel()
-
-        return score
-
-    return for_level
+def _model_probs(graph: TrackGraph, params: ModelParams, node_init: np.ndarray) -> np.ndarray:
+    """The learned model's edge probabilities on ``graph``, whose node rows
+    start from ``node_init``."""
+    h, e = encode_graph(graph, params, Tensor(node_init))
+    e = message_pass(graph, h, e, params, params.config.message_passing_steps)
+    return classify_edges(e, params).data.ravel()
 
 
 def _batches(edge_offsets: list[int]) -> Iterator[tuple[int, int]]:
@@ -276,10 +258,13 @@ def track_video(
     and the level's accepted edges merge in one ``merge_accepted`` call.
     Levels past the configured ones double in size until one window covers
     the whole clip.  The learned model scores the batches unless
-    `edge_scorer` replaces it (params may then be None).  Language
-    embeddings are unreachable from here.  An edge probability outside
-    [0, 1] or non-finite (say, from a NaN parameter) raises ValueError in
-    ``round_edges``.
+    `edge_scorer` replaces it (params may then be None).  As in training,
+    nodes start from ``model.node_means`` of one clip-wide encoder pass,
+    whose tape is dropped, taken once per level; a batch's nodes are a run
+    of the level's, and each node's mean is the same bits wherever it is
+    taken.  Language embeddings are unreachable from here.  An edge
+    probability outside [0, 1] or non-finite (say, from a NaN parameter)
+    raises ValueError in ``round_edges``.
     """
     if not detections:
         raise ValueError("track_video needs at least one detection")
@@ -293,17 +278,19 @@ def track_video(
         # windows holds a contiguous range of nodes and one of edges
         nodes = offsets.tolist()
         edges = np.searchsorted(graph.edge_u, offsets).tolist()
-        score = for_level(graph)
+        if edge_scorer is None:
+            means = node_means(enc, graph.nodes.rows, graph.nodes.sizes).data
         accepted = []
         for w0, w1 in _batches(edges):
             a, b, e0, e1 = nodes[w0], nodes[w1], edges[w0], edges[w1]
             g = graph.sliced(a, b, e0, e1)
-            accepted.append(e0 + round_edges(g, score(g, a), config.threshold))
+            probs = _model_probs(g, params, means[a:b]) if edge_scorer is None else edge_scorer(g)
+            accepted.append(e0 + round_edges(g, probs, config.threshold))
         return merge_accepted(graph, np.concatenate(accepted))
 
     with language_access_forbidden():
-        for_level = (_learned_scorer(params, clip) if edge_scorer is None
-                     else lambda level: lambda graph, first: edge_scorer(graph))
+        if edge_scorer is None:
+            enc = Tensor(mlp_forward(params.node_encoder, Tensor(clip.app)).data)
         for _, tracklets in run_levels(
             lift_detections(clip), int(clip.frames[-1]), config.level_sizes, config.knn_k, merge
         ):

@@ -127,15 +127,14 @@ Boxes = Union[Iterable[BoxRecord], BoxColumns]
 def records_from_result(result) -> BoxColumns:
     """An inference TrackResult's boxes as columns, track by track in id
     order and in frame order within a track.  Each ``Detection`` has checked
-    its frame and box; the track ids are checked here."""
+    its frame and box, and the ``TrackResult`` its track ids."""
     ids = sorted(result.trajectories)
     trajectories = [result.trajectories[tid] for tid in ids]
     dets = list(chain.from_iterable(trajectories))
     n = len(dets)
     return BoxColumns(
         np.fromiter(map(attrgetter("frame"), dets), np.int64, n),
-        np.repeat(_int64_column(ids, "track_id", map("trajectory {!r}".format, ids)),
-                  list(map(len, trajectories))),
+        np.repeat(np.array(ids, dtype=np.int64), list(map(len, trajectories))),
         np.fromiter(chain.from_iterable(map(attrgetter("box"), dets)), np.float64, 4 * n)
         .reshape(n, 4),
     )

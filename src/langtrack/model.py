@@ -56,8 +56,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("message_passing_steps", "edge_dim", "text_dim", "node_dim", "appearance_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -215,7 +216,7 @@ def message_pass(
     for _ in range(steps - 1):
         past_msg = _gathered_mlp(params.node_update_past, [(h, u), (e, None)])
         future_msg = _gathered_mlp(params.node_update_future, [(h, v), (e, None)])
-        h = segment_sum(past_msg, v, n) + segment_sum(future_msg, u, n)
+        h = segment_sum(past_msg, v) + segment_sum(future_msg, u)
         e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
     return e
 

@@ -154,24 +154,19 @@ class ClipBundle:
     scene_embedding: np.ndarray
 
 
-def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None] | None = None) -> np.ndarray:
-    """1 for edges joining temporally consecutive same-identity nodes.
+def edge_labels(graph: TrackGraph, gt_ids: Sequence[int | None]) -> np.ndarray:
+    """1 for edges joining temporally consecutive same-identity nodes, where
+    node i's identity is ``gt_ids[i]``.
 
     Consecutive means no other node of the same identity starts between
-    the two; every other edge is 0.  Without ``gt_ids`` each node's id is
-    its ``Tracklet.gt_id``.
+    the two; every other edge is 0.
     """
-    if gt_ids is None:
-        ids, pure = graph.nodes.node_gt()
-        if not pure.all():
-            raise ValueError("every node needs a ground-truth id for labeling")
-    else:
-        ids = np.asarray(gt_ids)
-        if len(ids) != graph.num_nodes:
-            raise ValueError(f"{len(ids)} gt ids for {graph.num_nodes} nodes")
-        if ids.dtype == object and any(g is None for g in ids):
-            raise ValueError("every node needs a ground-truth id for labeling")
-        ids = ids.astype(np.int64).reshape(-1)
+    ids = np.asarray(gt_ids)
+    if len(ids) != graph.num_nodes:
+        raise ValueError(f"{len(ids)} gt ids for {graph.num_nodes} nodes")
+    if ids.dtype == object and any(g is None for g in ids):
+        raise ValueError("every node needs a ground-truth id for labeling")
+    ids = ids.astype(np.int64).reshape(-1)
     # each identity's nodes in time order, stably
     order = np.lexsort((graph.ends, graph.starts, ids))
     same = ids[order[1:]] == ids[order[:-1]]
@@ -282,7 +277,6 @@ def run_training(
     cfg: TrainConfig,
     model_cfg: ModelConfig,
     store: LanguageEmbeddingStore | None,
-    params: ModelParams | None = None,
 ) -> tuple[ModelParams, list[dict[str, float]]]:
     """Full training run: shuffled batches, one Adam step per batch.
 
@@ -291,7 +285,7 @@ def run_training(
     training reads it from the former and tracking from the latter.
     """
     bundles = _prepare_clips(clips, cfg, model_cfg, store)
-    return _train_on_bundles(bundles, cfg, model_cfg, params)
+    return _train_on_bundles(bundles, cfg, model_cfg)
 
 
 def _prepare_clips(
@@ -318,14 +312,12 @@ def _train_on_bundles(
     bundles: Sequence[ClipBundle],
     cfg: TrainConfig,
     model_cfg: ModelConfig,
-    params: ModelParams | None,
 ) -> tuple[ModelParams, list[dict[str, float]]]:
     """The training loop of :func:`run_training` on prepared clips.  Bundles
     depend only on the clips, the store, ``level_sizes`` and ``knn_k``, and
     training leaves them unchanged, so runs that share those share bundles."""
     rng = np.random.default_rng(cfg.seed)
-    if params is None:
-        params = init_model(rng, model_cfg)
+    params = init_model(rng, model_cfg)
     opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[dict[str, float]] = []
     for _ in range(cfg.epochs):
@@ -413,7 +405,7 @@ def run_experiment(
         results[seed] = {}
         for arm_name, alpha, beta in arms:
             arm_cfg = replace(cfg, alpha=alpha, beta=beta, seed=seed)
-            params, _ = _train_on_bundles(bundles, arm_cfg, model_cfg, None)
+            params, _ = _train_on_bundles(bundles, arm_cfg, model_cfg)
             reports = {
                 "in_domain": _evaluate_arm(params, spec.eval_in_domain, tracker_cfg),
                 "cross_domain": _evaluate_arm(params, spec.eval_cross_domain, tracker_cfg),

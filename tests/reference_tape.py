@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from langtrack.autodiff import Incidence, Tensor, _incidence, as_tensor
+from langtrack.autodiff import Incidence, Tensor, as_tensor
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -40,7 +40,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gather_rows(t: Tensor, index: Incidence | Sequence[int] | np.ndarray) -> Tensor:
     """Select rows by index (repeats allowed); gradient scatter-adds back."""
-    inc = _incidence(index, t.shape[0])
+    inc = index if isinstance(index, Incidence) else Incidence(index, t.shape[0])
     data = t.data[inc.index]
 
     def bw(out: Tensor):

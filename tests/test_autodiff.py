@@ -140,15 +140,15 @@ def test_segment_sum_grads_and_empty_segments():
     rng = np.random.default_rng(9)
     a = leaf(rng, 6, 3)
     seg = [0, 0, 2, 2, 2, 4]
-    out = segment_sum(a, seg, 5)
+    out = segment_sum(a, Incidence(seg, 5))
     assert out.shape == (5, 3)
     assert np.all(out.data[1] == 0.0) and np.all(out.data[3] == 0.0)
     w = Tensor(rng.standard_normal((5, 3)))
-    check_gradients(lambda ts: (segment_sum(ts[0], seg, 5) * w).sum(), [a])
+    check_gradients(lambda ts: (segment_sum(ts[0], Incidence(seg, 5)) * w).sum(), [a])
     # one incidence serves both sums, as message passing shares its endpoints
     inc = Incidence(seg, 5)
     check_gradients(
-        lambda ts: (segment_sum(ts[0], inc, 5) * w + segment_sum(ts[0] * ts[0], inc, 5)).sum(),
+        lambda ts: (segment_sum(ts[0], inc) * w + segment_sum(ts[0] * ts[0], inc)).sum(),
         [a],
     )
 
@@ -160,10 +160,11 @@ def test_incidence_rejects_bad_ids_and_row_counts():
     with pytest.raises(ValueError, match="1-D"):
         Incidence([[0, 1]], 5)
     inc = Incidence([0, 1, 1], 5)
-    with pytest.raises(ValueError, match="5 rows"):
-        segment_sum(Tensor(np.ones((3, 2))), inc, 4)
+    w, b = Tensor(np.ones((2, 1))), Tensor(np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="rows of its part"):
+        gathered_linear([(Tensor(np.ones((4, 2))), inc)], w, b)
     with pytest.raises(ValueError, match="cover"):
-        segment_sum(Tensor(np.ones((2, 2))), inc, 5)
+        segment_sum(Tensor(np.ones((2, 2))), inc)
 
 
 @st.composite
@@ -194,14 +195,14 @@ def test_incidence_sums_are_the_bincount_sums_bitwise(case):
     for _ in range(2):  # the matrix is built once and then reused
         got = inc.scatter(values)
         assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
-    assert segment_sum(Tensor(values), inc, num_segments).data.tobytes() == expected.tobytes()
-    # backward scatters, by plain ids and by the shared incidence: gather_rows'
+    assert segment_sum(Tensor(values), inc).data.tobytes() == expected.tobytes()
+    # backward scatters, by a fresh incidence and by the shared one: gather_rows'
     # gradient, and gathered_linear's through an identity block
     dim = values.shape[1]
     w = Tensor(np.vstack([np.eye(dim), np.ones((1, dim))]))
     b = Tensor(np.zeros((1, dim)))
     want = (np.zeros((num_segments, dim)) + expected).tobytes()
-    for index in (ids, inc):
+    for index in (Incidence(ids, num_segments), inc):
         h = Tensor(np.ones((num_segments, dim)), requires_grad=True)
         (gather_rows(h, index) * Tensor(values)).sum().backward()
         assert (np.zeros_like(h.data) if h.grad is None else h.grad).tobytes() == want
@@ -217,7 +218,8 @@ def test_segment_ops_scatter_bitwise_as_add_at(case):
     ids, values, num_segments = case
     expected = np.zeros((num_segments, values.shape[1]))
     np.add.at(expected, ids, values)
-    assert segment_sum(Tensor(values), ids, num_segments).data.tobytes() == expected.tobytes()
+    assert segment_sum(Tensor(values), Incidence(ids, num_segments)).data.tobytes() == (
+        expected.tobytes())
     # gather_rows' backward gets a column slice of the gradient, as concat_cols
     # passes back: upstream (values | ones) multiplies the concatenated rows
     h = Tensor(np.ones((num_segments, values.shape[1])), requires_grad=True)
@@ -320,18 +322,19 @@ def test_gathered_linear_grads(activation, shared):
     e = leaf(rng, 6, 2)
     w = leaf(rng, 8, 4)
     b = leaf(rng, 1, 4)
-    u = [0, 0, 2, 1, 2, 0]  # repeats; node 3 and 4 never named
-    v = [1, 2, 1, 2, 1, 1]
-    if shared:  # built once, used by both layers below and by their backward
-        u, v = Incidence(u, 5), Incidence(v, 5)
+    u_ids = [0, 0, 2, 1, 2, 0]  # repeats; node 3 and 4 never named
+    v_ids = [1, 2, 1, 2, 1, 1]
+    u, v = Incidence(u_ids, 5), Incidence(v_ids, 5)
     c = Tensor(rng.standard_normal((6, 4)))
 
     def f(ts):
         node, edge, weight, bias = ts
-        parts = [(node, u), (node, v), (edge, None)]
-        out = (gathered_linear(parts, weight, bias, activation) * c).sum()
+        # shared: built once, used by both layers below and by their backward
+        pu, pv = (u, v) if shared else (Incidence(u_ids, 5), Incidence(v_ids, 5))
+        out = (gathered_linear([(node, pu), (node, pv), (edge, None)], weight, bias, activation)
+               * c).sum()
         if shared:
-            again = gathered_linear([(node, v), (node, u), (edge, None)], weight, bias)
+            again = gathered_linear([(node, pv), (node, pu), (edge, None)], weight, bias)
             out = out + (again * c).sum()
         return out
 
@@ -348,7 +351,7 @@ def random_graphs(draw):
     m, k, out = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
     h = Tensor(rng.standard_normal((nodes, m)), requires_grad=True)
     e = Tensor(rng.standard_normal((edges, k)), requires_grad=True)
-    u, v = rng.integers(0, nodes, size=(2, edges))
+    u, v = (Incidence(ids, nodes) for ids in rng.integers(0, nodes, size=(2, edges)))
     w = Tensor(rng.standard_normal((2 * m + k, out)), requires_grad=True)
     b = Tensor(rng.standard_normal((1, out)), requires_grad=True)
     upstream = rng.standard_normal((edges, out))
@@ -377,10 +380,10 @@ def test_gathered_linear_rejects_bad_indices_and_widths():
     h = Tensor(np.ones((3, 2)))
     e = Tensor(np.ones((2, 1)))
     w, b = Tensor(np.ones((5, 4))), Tensor(np.zeros((1, 4)))
-    for bad in ([0, 3], [-1, 0]):
-        with pytest.raises(IndexError):
-            gathered_linear([(h, bad), (h, [0, 1]), (e, None)], w, b)
+    pair, triple = Incidence([0, 1], 3), Incidence([0, 1, 2], 3)
     with pytest.raises(ValueError, match="columns"):
-        gathered_linear([(h, [0, 1]), (e, None)], w, b)
-    with pytest.raises(ValueError, match="rows"):
-        gathered_linear([(h, [0, 1, 2]), (h, [0, 1, 2]), (e, None)], w, b)
+        gathered_linear([(h, pair), (e, None)], w, b)
+    with pytest.raises(ValueError, match="same number of rows"):
+        gathered_linear([(h, triple), (h, triple), (e, None)], w, b)
+    with pytest.raises(ValueError, match="rows of its part"):
+        gathered_linear([(h, Incidence([0, 1], 4)), (h, pair), (e, None)], w, b)

@@ -62,7 +62,7 @@ class TestGen:
 
     def test_gt_and_det_rows_align_with_sidecar(self, tmp_path, config_path):
         out = gen_data(tmp_path, config_path)
-        gt = read_mot(out / "seq00.gt.txt", gt_mode=True)
+        gt = read_mot(out / "seq00.gt.txt")
         det = read_mot(out / "seq00.det.txt")
         appearance = read_appearance(out / "seq00.appearance.csv")
         assert len(gt) == len(det) == appearance.shape[0]
@@ -72,7 +72,7 @@ class TestGen:
 
     def test_annotations_cover_every_gt_id(self, tmp_path, config_path):
         out = gen_data(tmp_path, config_path)
-        gt = read_mot(out / "seq00.gt.txt", gt_mode=True)
+        gt = read_mot(out / "seq00.gt.txt")
         ann = read_annotations(out / "seq00.annotations.json")
         assert {r.id for r in gt} <= set(ann.instances)
 
@@ -216,7 +216,7 @@ class TestTrack:
                    "--detections", str(data / "seq00.det.txt"), "--out", str(out))
         assert code == 0
         rows = read_mot(out / "result.txt")
-        gt_rows = read_mot(data / "seq00.gt.txt", gt_mode=True)
+        gt_rows = read_mot(data / "seq00.gt.txt")
         assert {r.frame for r in rows} == {r.frame for r in gt_rows}
         assert all(r.id >= 1 for r in rows)
 
@@ -366,7 +366,8 @@ def trained_world(tmp_path_factory):
     (tmp / "levels_2_63.json").write_text(json.dumps(dict(SMALL_CONFIG, levels=[5, 5 * 2**61])))
     # seq00's gt rows as detections (with its appearance sidecar), as training
     # data and as eval gt: one row's frame or id past int64, or its frame past
-    # the level loop's bound; and the rows moved to end exactly at that bound
+    # the level loop's bound, its width 0 or its class field infinite; and the
+    # rows moved to end exactly at that bound
     gt_rows = [r.split(",") for r in (data / "seq00.gt.txt").read_text().splitlines()]
     shift = 2**62 - max(int(r[0]) for r in gt_rows)
     for name, rows in (
@@ -374,6 +375,8 @@ def trained_world(tmp_path_factory):
         ("frame_2_63_less_1", [[str(2**63 - 1)] + gt_rows[0][1:]] + gt_rows[1:]),
         ("id_2_63", [[gt_rows[0][0], str(2**63)] + gt_rows[0][2:]] + gt_rows[1:]),
         ("at_bound", [[str(int(r[0]) + shift)] + r[1:] for r in gt_rows]),
+        ("zero_width", [gt_rows[0][:4] + ["0"] + gt_rows[0][5:]] + gt_rows[1:]),
+        ("inf_class", [gt_rows[0][:7] + ["inf"] + gt_rows[0][8:]] + gt_rows[1:]),
     ):
         text = "".join(",".join(r) + "\n" for r in rows)
         (tmp / f"{name}.det.txt").write_text(text)
@@ -404,6 +407,9 @@ def trained_world(tmp_path_factory):
     (tmp / "short_fixture.json").write_text(json.dumps(short))
     fixture["entries"] = list(fixture["entries"].values())
     (tmp / "list_entries.json").write_text(json.dumps(fixture))
+    checkpoint = json.loads(ckpt.read_text())
+    checkpoint["config"]["model"]["edge_dim"] = float(checkpoint["config"]["model"]["edge_dim"])
+    (tmp / "float_edge_dim.json").write_text(json.dumps(checkpoint))
     checkpoint = json.loads(ckpt.read_text())
     del checkpoint["tensors"][sorted(checkpoint["tensors"])[0]]
     (tmp / "one_tensor_short.json").write_text(json.dumps(checkpoint))
@@ -437,9 +443,9 @@ def _experiment(w, *flags):
     return ["experiment", "--config", w["config"], *EXPERIMENT_FLAGS, *flags]
 
 
-def _eval(w, *flags, gt=None):
+def _eval(w, *flags, gt=None, result=None):
     gt = gt or str(w["tmp"] / "data" / "seq00.gt.txt")
-    return ["eval", "--gt", gt, "--result", gt, *flags]
+    return ["eval", "--gt", gt, "--result", result or gt, *flags]
 
 
 # name -> (argv, expected exit code, message prefix); "--out" follows the
@@ -509,6 +515,20 @@ BAD_INPUTS = {
     "track checkpoint without tensors": (
         lambda w: _track(w, w["det"], str(w["tmp"] / "no_tensors.json"))
         + ["--config", w["config"]],
+        4, "input error"),
+    "track checkpoint with a float edge_dim": (
+        lambda w: _track(w, w["det"], str(w["tmp"] / "float_edge_dim.json"))
+        + ["--config", w["config"]],
+        4, "input error"),
+    "train zero-width gt row": (
+        lambda w: _train(w, data=str(w["tmp"] / "zero_width_data")) + ["--config", w["config"]],
+        4, "input error: sequence seq00"),
+    "eval zero-width gt row": (
+        lambda w: _eval(w, gt=str(w["tmp"] / "zero_width.det.txt"),
+                        result=str(w["tmp"] / "data" / "seq00.gt.txt")),
+        4, "input error"),
+    "eval result with an infinite class": (
+        lambda w: _eval(w, result=str(w["tmp"] / "inf_class.det.txt")),
         4, "input error"),
     "eval gt a directory": (lambda w: _eval(w, gt=str(w["tmp"])), 4, "input error"),
     "eval config a directory": (

@@ -60,12 +60,12 @@ class TestReadMot:
         frames = [r.frame for r in read_mot(p)]
         assert frames == [2, 1]
 
-    def test_gt_mode_rejects_zero_width(self, tmp_path):
-        p = tmp_path / "gt.txt"
-        p.write_text("1,2,100,200,0,120,1,1,1.0\n")
-        with pytest.raises(ValueError, match="line 1"):
-            read_mot(p, gt_mode=True)
-        read_mot(p)  # detections may carry degenerate boxes
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+    def test_infinite_class_field_reports_line(self, tmp_path, value):
+        p = tmp_path / "det.txt"
+        p.write_text(f"1,1,0,0,5,5,1,1,1.0\n1,2,0,0,5,5,1,{value},1.0\n")
+        with pytest.raises(ValueError, match="line 2: cannot convert float infinity"):
+            read_mot(p)
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "det.txt"

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,11 @@ def test_track_result_validation():
         TrackResult({1: [det(2), det(2)]})
     with pytest.raises(ValueError):
         TrackResult({1: []})
+    # write_result would write such an id into the MOT file as it is
+    for tid in (1.5, True, "2", 2**63):
+        with pytest.raises(ValueError, match=rf"\[1, 2\*\*63\), got {re.escape(repr(tid))}"):
+            TrackResult({tid: [det(1)]})
+    TrackResult({2**63 - 1: [det(1)]})
 
 
 # -- track_video -------------------------------------------------------------------

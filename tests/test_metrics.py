@@ -8,8 +8,7 @@ import pytest
 import reference_metrics as per_frame_ref
 from langtrack import metrics
 from langtrack.data_io import SceneAttributes
-from langtrack.graph import Detection
-from langtrack.inference import TrackerConfig, TrackResult, track_video
+from langtrack.inference import TrackerConfig, track_video
 from langtrack.metrics import (
     BoxColumns,
     BoxRecord,
@@ -969,11 +968,6 @@ class TestColumns:
         assert evaluate(listed, cols) == evaluate(listed, listed)
         with pytest.raises(ValueError, match="frame must hold int64"):
             BoxColumns(np.array([1], np.uint64), np.array([1]), np.ones((1, 4)))
-
-    def test_result_with_a_fractional_track_id_rejected(self):
-        det = Detection(1, BOX, np.zeros(2))
-        with pytest.raises(ValueError, match=r"track_id must be .* got 1.5 in trajectory 1.5"):
-            records_from_result(TrackResult({1.5: [det]}))
 
 
 def test_clean_sequence_calls_the_solver_only_for_idf1(monkeypatch):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from langtrack.autodiff import Tensor, segment_sum
+from langtrack.autodiff import Incidence, Tensor, segment_sum
 from langtrack.graph import Detection, TrackGraph, Tracklet, build_graph
 from langtrack import model
 from langtrack.model import (
@@ -64,6 +64,10 @@ def test_config_validation():
         ModelConfig(node_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(message_passing_steps=0)
+    # a checkpoint's JSON may hold 16.0 or true where an integer belongs
+    for name, value in (("edge_dim", 16.0), ("node_dim", True), ("text_dim", "32")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
+            ModelConfig(**{name: value})
 
 
 def test_encode_zero_weights_gives_zero_embeddings():
@@ -357,7 +361,7 @@ def test_named_tensor_count_matches_architecture():
 def gathered_means(enc, rows, sizes):
     """``node_means`` as a row gather, a segment sum and one scale."""
     node_ids = np.repeat(np.arange(len(sizes)), sizes)
-    summed = segment_sum(gather_rows(enc, rows), node_ids, len(sizes))
+    summed = segment_sum(gather_rows(enc, rows), Incidence(node_ids, len(sizes)))
     return summed * Tensor(1.0 / np.asarray(sizes, dtype=np.float64)[:, None])
 
 

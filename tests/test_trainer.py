@@ -95,13 +95,18 @@ def loop_edge_labels(graph, gt_ids):
     return labels
 
 
+def node_ids(graph):
+    """Each node's gt id (None for an impure node)."""
+    return [node.gt_id for node in graph.nodes]
+
+
 class TestEdgeLabels:
     def test_consecutive_same_id_edges_positive(self):
         tracklets = [
             Tracklet([det(1, 1)]), Tracklet([det(2, 1)]), Tracklet([det(3, 1)]),
         ]
         graph = build_graph(rows_of(tracklets), knn_k=5, window=(1, 3))
-        labels = edge_labels(graph)
+        labels = edge_labels(graph, node_ids(graph))
         for e in range(graph.num_edges):
             u, v = graph.nodes[int(graph.edge_u[e])], graph.nodes[int(graph.edge_v[e])]
             expected = 1.0 if v.start_frame == u.start_frame + 1 else 0.0
@@ -110,7 +115,7 @@ class TestEdgeLabels:
     def test_skip_edge_negative_when_same_id_intervenes(self):
         tracklets = [Tracklet([det(1, 1)]), Tracklet([det(2, 1)]), Tracklet([det(5, 1)])]
         graph = build_graph(rows_of(tracklets), knn_k=5, window=(1, 5))
-        labels = edge_labels(graph)
+        labels = edge_labels(graph, node_ids(graph))
         skip = [
             e for e in range(graph.num_edges)
             if graph.nodes[int(graph.edge_u[e])].start_frame == 1
@@ -124,7 +129,7 @@ class TestEdgeLabels:
             Tracklet([det(2, 1)]), Tracklet([det(2, 2, x=50.0)]),
         ]
         graph = build_graph(rows_of(tracklets), knn_k=5, window=(1, 2))
-        labels = edge_labels(graph)
+        labels = edge_labels(graph, node_ids(graph))
         for e in range(graph.num_edges):
             u, v = graph.nodes[int(graph.edge_u[e])], graph.nodes[int(graph.edge_v[e])]
             assert labels[e] == (1.0 if u.gt_id == v.gt_id else 0.0)
@@ -132,7 +137,7 @@ class TestEdgeLabels:
     def test_explicit_ids_override_node_ids(self):
         tracklets = [Tracklet([det(1, 1)]), Tracklet([det(2, 2, x=50.0)])]
         graph = build_graph(rows_of(tracklets), knn_k=2, window=(1, 2))
-        assert edge_labels(graph).sum() == 0.0
+        assert edge_labels(graph, node_ids(graph)).sum() == 0.0
         same = edge_labels(graph, [7] * graph.num_nodes)
         assert same.sum() == 1.0
 
@@ -140,7 +145,7 @@ class TestEdgeLabels:
         tracklets = [Tracklet([det(1, 1)]), Tracklet([Detection(2, (0, 0, 10, 10), np.ones(8))])]
         graph = build_graph(rows_of(tracklets), knn_k=2, window=(1, 2))
         with pytest.raises(ValueError):
-            edge_labels(graph)
+            edge_labels(graph, node_ids(graph))
 
     def test_matches_the_per_edge_loop(self):
         rng = np.random.default_rng(3)
