@@ -17,7 +17,18 @@ of a gather) goes through an :class:`Incidence`, whose matrix holds each
 output row's terms in input order and is built once, however many products
 use it; the CSR product adds them in that order from 0.0, so each sum has
 the bits of ``np.add.at``.  :func:`sparse_matmul` takes any such matrix
-(``model.node_means``' node membership) and transposes it for the gradient.
+(``model.node_means``' node membership) with a constant scale per output
+row, and transposes it for the gradient.
+
+The fused operations finish each product they make in place: ``linear``
+and ``gathered_linear`` add the other projections and the bias into the
+first product and relu multiplies it by its mask; ``sparse_matmul`` scales
+its product.  Backward, a fresh matrix product of a tensor's shape (or
+``segment_sum``'s gathered rows) becomes that tensor's first gradient as it
+is (``_accumulate``'s ``owned``).  This is safe because no other array or
+tensor holds such an array, and the in-place steps are the elementwise
+operations the unfused chain computes, in the same order, so every value
+keeps its bits.
 
 Finiteness is checked where values enter the tape and where they leave it:
 on leaves and constants (every ``Tensor(...)``), and on the loss when
@@ -108,9 +119,16 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:  # one pass; g + 0.0 turns -0.0 into 0.0, as 0.0 + g did
-            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``.grad``.  The first gradient is copied, unless
+        it is ``owned``: an array of this tensor's shape that the backward
+        step just made and nothing else holds, which becomes ``.grad``."""
+        if self.grad is None:  # g + 0.0 turns -0.0 into 0.0, as 0.0 + g did
+            if owned:
+                grad += 0.0
+                self.grad = grad
+            else:
+                self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += grad
 
@@ -324,10 +342,12 @@ def as_tensor(x) -> Tensor:
 
 
 def _activate(z: np.ndarray, activation: str):
-    """``act(z)`` and the map from the output's gradient to ``z``'s."""
+    """``act(z)`` and the map from the output's gradient to ``z``'s; ``z`` is
+    a fresh product, which relu masks in place."""
     if activation == "relu":
         mask = z > 0.0
-        return z * mask, lambda g: g * mask
+        z *= mask
+        return z, lambda g: g * mask
     if activation == "sigmoid":
         s = _sigmoid(z)
         return s, lambda g: g * s * (1.0 - s)
@@ -343,14 +363,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Ten
     """
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"matmul mismatch: {x.shape} @ {w.shape}")
-    data, grad_z = _activate(x.data @ w.data + b.data, activation)
+    z = x.data @ w.data
+    z += b.data
+    data, grad_z = _activate(z, activation)
 
     def bw(out: Tensor):
         g = grad_z(out.grad)
         if x.requires_grad:
-            x._accumulate(g @ w.data.T)
+            x._accumulate(g @ w.data.T, owned=True)
         if w.requires_grad:
-            w._accumulate(x.data.T @ g)
+            w._accumulate(x.data.T @ g, owned=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
@@ -423,7 +445,11 @@ def gathered_linear(
     ]
     if len({p.shape[0] for p in projected}) > 1:
         raise ValueError("parts must give the same number of rows")
-    data, grad_z = _activate(sum(projected[1:], projected[0]) + b.data, activation)
+    z = projected[0]
+    for p in projected[1:]:
+        z += p
+    z += b.data
+    data, grad_z = _activate(z, activation)
 
     def bw(out: Tensor):
         g = grad_z(out.grad)
@@ -432,11 +458,11 @@ def gathered_linear(
             if t.requires_grad or w.requires_grad:
                 s = g if inc is None else inc.scatter(g)
             if t.requires_grad:
-                t._accumulate(s @ wk.T)
+                t._accumulate(s @ wk.T, owned=True)
             if w.requires_grad:
                 w_grads.append(t.data.T @ s)
         if w.requires_grad:
-            w._accumulate(np.vstack(w_grads))
+            w._accumulate(np.vstack(w_grads), owned=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
@@ -450,20 +476,25 @@ def segment_sum(t: Tensor, inc: Incidence) -> Tensor:
 
     def bw(out: Tensor):
         if t.requires_grad and inc.index.size:
-            t._accumulate(out.grad[inc.index])
+            t._accumulate(out.grad[inc.index], owned=True)
 
     return Tensor._make(inc.scatter(t.data), (t,), bw)
 
 
-def sparse_matmul(m: sparse.csr_array, t: Tensor) -> Tensor:
-    """``m @ t`` for a constant sparse matrix ``m``, as one tape node; the
-    gradient is ``m.T @ grad``, exact where each column of ``m`` holds at
-    most one 1 (each row of ``t`` is used at most once, as itself)."""
+def sparse_matmul(m: sparse.csr_array, t: Tensor, scale: np.ndarray) -> Tensor:
+    """``(m @ t) * scale`` for a constant sparse matrix ``m`` and a constant
+    (rows of ``m``, 1) column ``scale``, as one tape node; the gradient is
+    ``m.T @ (grad * scale)``, exact where each column of ``m`` holds at most
+    one 1 (each row of ``t`` is used at most once, as itself)."""
     if m.shape[1] != t.shape[0]:
         raise ValueError(f"matmul mismatch: {m.shape} @ {t.shape}")
+    if scale.shape != (m.shape[0], 1):
+        raise ValueError(f"scale must be a ({m.shape[0]}, 1) column, got {scale.shape}")
+    data = m @ t.data
+    data *= scale
 
     def bw(out: Tensor):
         if t.requires_grad:
-            t._accumulate(m.T.tocsr() @ out.grad)
+            t._accumulate(m.T.tocsr() @ (out.grad * scale), owned=True)
 
-    return Tensor._make(m @ t.data, (t,), bw)
+    return Tensor._make(data, (t,), bw)

@@ -421,7 +421,8 @@ def window_offsets(starts: np.ndarray, first: int, size: int) -> np.ndarray:
     its start frame falls in, and window j of those that hold nodes holds
     nodes ``offsets[j]:offsets[j + 1]``."""
     window = (np.asarray(starts) - first) // size
-    return np.append(np.searchsorted(window, np.unique(window)), window.size)
+    # a window starts where the window index changes, and at the first node
+    return np.append(np.flatnonzero(np.diff(window, prepend=window[:1] - 1)), window.size)
 
 
 def lift_detections(detections: Sequence[Detection] | DetectionArrays) -> TrackletRows:

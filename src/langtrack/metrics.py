@@ -47,6 +47,14 @@ same bits:
   assignment of the frame can carry, every optimum holds all of those
   pairs; the solver's other pairs have IoU 0 and count at no threshold.
 - IDF1: overlaps are integer counts, so their order does not matter.
+
+HOTA's second pass takes the frames it solves in runs of consecutive frames.
+A run is one padded (frames, most gt boxes, most preds) stack of at most
+``_BLOCK_PAIRS`` cells, or a single frame larger than that.  The IoUs, each
+box's id position, the tie-break rank and the score are taken once per
+stack, elementwise as for a single frame; the solver is called once per
+frame, on that frame's corner of the stack.  The match counts per (gt id,
+pred id) are then built for one threshold at a time.
 """
 
 from __future__ import annotations
@@ -142,7 +150,8 @@ def records_from_result(result) -> BoxColumns:
 
 # The IoU pass takes gt boxes in blocks of at most this many box pairs (or one
 # gt box), so its working arrays stay small however long the sequence is;
-# HOTA's row sums stack at most this many matrix cells (or one row) at once.
+# HOTA's row sums stack at most this many matrix cells (or one row) at once,
+# and so do the frames its second pass solves (or one frame).
 _BLOCK_PAIRS = 1 << 14
 
 # Box magnitudes in [2**-510, 2**510) give the IoU no overflow, and the largest
@@ -202,22 +211,27 @@ def _columns(records: list[BoxRecord]) -> BoxColumns:
     )
 
 
-def _sorted_records(records: Boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sorted_records(records: Boxes, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frames, id positions and boxes, sorted by (frame, track id); records
     are turned into columns first.  A box that is not finite or has no area,
-    or a repeated (frame, track id), raises."""
+    or a repeated (frame, track id), raises, naming the side ("gt" or
+    "result") and the track."""
     if not isinstance(records, BoxColumns):
         records = _columns(list(records))
     frame, track, boxes = records.frame, records.track_id, records.box
     bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= 0.0) | (boxes[:, 3] <= 0.0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"degenerate box {tuple(boxes[i].tolist())} at frame {frame[i]}")
+        raise ValueError(
+            f"{side}: track {track[i]} has degenerate box {tuple(boxes[i].tolist())} "
+            f"at frame {frame[i]}"
+        )
     order = np.lexsort((track, frame))
     frame, track, boxes = frame[order], track[order], boxes[order]
     twice = np.flatnonzero((frame[1:] == frame[:-1]) & (track[1:] == track[:-1]))
     if twice.size:
-        raise ValueError(f"track {track[twice[0]]} appears twice in frame {frame[twice[0]]}")
+        i = twice[0]
+        raise ValueError(f"{side}: track {track[i]} appears twice in frame {frame[i]}")
     return frame, np.unique(track, return_inverse=True)[1], boxes
 
 
@@ -236,8 +250,8 @@ def _rescaled(g_box: np.ndarray, p_box: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _prepare(gt: Boxes, pred: Boxes) -> _Sequence:
-    g_frame, g_pos, g_box = _sorted_records(gt)
-    p_frame, p_pos, p_box = _sorted_records(pred)
+    g_frame, g_pos, g_box = _sorted_records(gt, "gt")
+    p_frame, p_pos, p_box = _sorted_records(pred, "result")
     g_box, p_box = _rescaled(g_box, p_box)
     frames = np.union1d(g_frame, p_frame)
     g_start = np.concatenate(([0], np.searchsorted(g_frame, frames, "right")))
@@ -529,6 +543,53 @@ def _similarity(seq: _Sequence) -> np.ndarray:
     return norm
 
 
+def _stacks(seq: _Sequence, frames: np.ndarray) -> list[tuple[int, int]]:
+    """The sorted frames as (first, last) runs of consecutive frames whose
+    (frames, most gt boxes, most preds) stack holds at most ``_BLOCK_PAIRS``
+    cells; a frame larger than that is a run of its own."""
+    runs = []  # [first, last, most gt boxes, most preds]
+    g_n, p_n = np.diff(seq.gt_start)[frames].tolist(), np.diff(seq.pred_start)[frames].tolist()
+    for k, g, p in zip(frames.tolist(), g_n, p_n):
+        if runs:
+            k0, k1, rows, cols = runs[-1]
+            rows, cols = max(rows, g), max(cols, p)
+            if k == k1 + 1 and (k - k0 + 1) * rows * cols <= _BLOCK_PAIRS:
+                runs[-1] = [k0, k, rows, cols]
+                continue
+        runs.append([k, k, g, p])
+    return [(k0, k1) for k0, k1, _, _ in runs]
+
+
+def _solve_stack(seq: _Sequence, alignment: np.ndarray, k0: int, k1: int):
+    """The optimal matching of HOTA's second pass in each of the frames k0 to
+    k1, as the gt and pred id positions and the IoU of each matched pair.
+    The frames' IoU matrices, each box's id position, the tie-break rank and
+    the score alignment * IoU - rank * eps are taken once for the stack, each
+    frame padded to the largest; the solver then reads each frame's corner."""
+    g0, g_end = seq.gt_start[k0 : k1 + 1], seq.gt_start[k0 + 1 : k1 + 2]
+    p0, p_end = seq.pred_start[k0 : k1 + 1], seq.pred_start[k0 + 1 : k1 + 2]
+    g_n, p_n = g_end - g0, p_end - p0
+    rows, cols = np.arange(g_n.max()), np.arange(p_n.max())
+    lo, hi = np.searchsorted(seq.frame, (k0, k1 + 1))
+    f = seq.frame[lo:hi] - k0
+    sim = np.zeros((k1 - k0 + 1, rows.size, cols.size))
+    sim[f, seq.gt[lo:hi] - g0[f], seq.pred[lo:hi] - p0[f]] = seq.iou[lo:hi]
+    # a padding cell reads the run's last box, and no solver sees it
+    g_pos = seq.gt_pos[np.minimum(g0[:, None] + rows, g_end[-1] - 1)]
+    p_pos = seq.pred_pos[np.minimum(p0[:, None] + cols, p_end[-1] - 1)]
+    # the score alignment * IoU - eps * rank, each step in place, negated for
+    # the solver; a rank is as the frame's own shape gives it
+    cost = alignment.take((g_pos * alignment.shape[1])[:, :, None] + p_pos[:, None, :])
+    cost *= sim
+    cost -= _TIE_EPS * (rows[:, None] * (p_n[:, None, None] + 1) + cols)
+    np.negative(cost, out=cost)
+    r, c = zip(*(linear_sum_assignment(cost[j, :g, :p])
+                 for j, (g, p) in enumerate(zip(g_n.tolist(), p_n.tolist()))))
+    j = np.repeat(np.arange(g_n.size), np.minimum(g_n, p_n))
+    r, c = np.concatenate(r), np.concatenate(c)
+    return g_pos[j, r], p_pos[j, c], sim[j, r, c]
+
+
 def _hota(seq: _Sequence) -> HotaResult:
     total_gt = int(seq.gt_count.sum())
     total_pred = int(seq.pred_count.sum())
@@ -542,7 +603,8 @@ def _hota(seq: _Sequence) -> HotaResult:
     ng, np_ = gt_count.size, pred_count.size
     g, p = seq.gt_pos[seq.gt], seq.pred_pos[seq.pred]
     potential = np.bincount(g * np_ + p, _similarity(seq), minlength=ng * np_).reshape(ng, np_)
-    alignment = potential / (gt_count[:, None] + pred_count[None, :] - potential)
+    both = gt_count[:, None] + pred_count[None, :]
+    alignment = potential / (both - potential)
     contested = _contested(seq, slice(None))
     g_n = np.diff(seq.gt_start)[seq.frame]  # boxes in each pair's frame
     p_n = np.diff(seq.pred_start)[seq.frame]
@@ -551,30 +613,25 @@ def _hota(seq: _Sequence) -> HotaResult:
     solve = np.union1d(contested, seq.frame[weak])
     easy = _outside(seq, solve)
     matched = [(g[easy], p[easy], seq.iou[easy])]  # every optimum holds these
-    for k in solve.tolist():
-        g_pos, p_pos, sim = _frame(seq, k)
-        rank = np.arange(sim.shape[0])[:, None] * (sim.shape[1] + 1) + np.arange(sim.shape[1])
-        score = alignment[g_pos[:, None], p_pos] * sim - _TIE_EPS * rank
-        rows, cols = linear_sum_assignment(-score)
-        matched.append((g_pos[rows], p_pos[cols], sim[rows, cols]))
+    matched += (_solve_stack(seq, alignment, k0, k1) for k0, k1 in _stacks(seq, solve))
     m_g, m_p, m_iou = (np.concatenate(part) for part in zip(*matched))
-    # one row per alpha; a frame's matched pairs are distinct
+    # one row per alpha; a frame's matched pairs are distinct, so a cell's
+    # count is 0 or 1 per frame and the matches of an alpha are its kept pairs
     keep = m_iou >= HOTA_ALPHAS[:, None] - 1e-12
-    cell = (np.arange(na)[:, None] * ng + m_g) * np_ + m_p
-    matches = np.bincount(cell[keep], minlength=na * ng * np_).reshape(na, ng, np_).astype(float)
-    tp = matches.sum(axis=(1, 2))
+    tp = np.count_nonzero(keep, axis=1).astype(float)
     fn = total_gt - tp
     fp = total_pred - tp
     deta_a = tp / (total_gt + total_pred - tp)
     ass_a = np.zeros(na)
+    cell = m_g * np_ + m_p
     for ai in range(na):
         if tp[ai] == 0:
             continue
-        mc = matches[ai]
-        pair_denom = gt_count[:, None] + pred_count[None, :] - mc
-        align = np.zeros_like(mc)
-        np.divide(mc, pair_denom, out=align, where=pair_denom > 0)
-        ass_a[ai] = float((mc * align).sum() / tp[ai])
+        mc = np.bincount(cell[keep[ai]], minlength=ng * np_).reshape(ng, np_).astype(float)
+        align = both - mc  # >= 1: a pair matches no more often than either id has boxes
+        np.divide(mc, align, out=align)
+        align *= mc
+        ass_a[ai] = float(align.sum() / tp[ai])
     hota_a = np.sqrt(deta_a * ass_a)
     return HotaResult(
         float(hota_a.mean()),

@@ -144,18 +144,21 @@ def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
 
     The sums are one product by the 0/1 (nodes, rows of ``enc``) matrix
     whose row i lists node i's rows in order, so each adds its rows in that
-    order from 0.0 and no gathered copy is made.  Each row of ``enc``
-    belongs to at most one node, so the gradient, the transposed product,
-    hands each row its node's gradient exactly.
+    order from 0.0 and no gathered copy is made; the product is scaled by
+    ``1 / sizes`` in place, in the same tape node.  Each row of ``enc``
+    belongs to at most one node, so the gradient, the transposed product of
+    the scaled output gradient, hands each row its node's gradient exactly.
     """
     rows, sizes = np.asarray(rows, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     if indptr[-1] != rows.size:
         raise ValueError(f"sizes add up to {indptr[-1]}, not to the {rows.size} rows")
+    if sizes.size and sizes.min() < 1:
+        raise ValueError(f"every node needs at least one row, got size {sizes.min()}")
     if rows.size and (rows.min() < 0 or rows.max() >= enc.shape[0]):
         raise IndexError("node_means row out of range")
     members = sparse.csr_array((np.ones(rows.size), rows, indptr), (sizes.size, enc.shape[0]))
-    return sparse_matmul(members, enc) * Tensor(1.0 / sizes.astype(np.float64)[:, None])
+    return sparse_matmul(members, enc, 1.0 / sizes.astype(np.float64)[:, None])
 
 
 def encode_graph(

@@ -278,8 +278,8 @@ def ref_pair_pass(gt, pred) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     """Frame index, gt box, pred box and IoU of every same-frame pair of the
     records with IoU > 0, ordered by gt box, then pred box (as ``_prepare``
     sorts and numbers them), from a full IoU of every same-frame pair."""
-    g_frame, _, g_box = _sorted_records(gt)
-    p_frame, _, p_box = _sorted_records(pred)
+    g_frame, _, g_box = _sorted_records(gt, "gt")
+    p_frame, _, p_box = _sorted_records(pred, "result")
     frames = np.union1d(g_frame, p_frame)
     p_start = np.concatenate(([0], np.searchsorted(p_frame, frames, "right")))
     at = np.searchsorted(frames, g_frame)  # frame index of each gt box

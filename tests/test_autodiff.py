@@ -376,6 +376,88 @@ def test_gathered_linear_matches_concatenated_linear(case, activation):
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+def _activated(z: Tensor, activation: str) -> Tensor:
+    """``z`` through the unfused activation."""
+    return {"relu": z.relu, "sigmoid": z.sigmoid, "identity": lambda: z}[activation]()
+
+
+def _unfused_linear(x, w, b, activation):
+    return _activated(matmul(x, w) + b, activation)
+
+
+def _projected_reference(parts, blocks, b, activation):
+    """``gathered_linear`` as unfused ops, in its order: each part times its
+    block of the weight, then gathered, the parts added in order, then the
+    bias and the activation."""
+    z = None
+    for (t, inc), wk in zip(parts, blocks):
+        p = matmul(t, wk) if inc is None else gather_rows(matmul(t, wk), inc)
+        z = p if z is None else z + p
+    return _activated(z + b, activation)
+
+
+def _signed_zeros(rng, shape):
+    """Normal entries with some -0.0, so that a sign of zero that leaked
+    through would show in the bytes."""
+    data = rng.standard_normal(shape)
+    data[rng.random(shape) < 0.15] = -0.0
+    return data
+
+
+def _backward_bytes(out, upstream, leaves, grads=None):
+    """The output's bytes and each leaf's gradient bytes after a backward
+    pass from ``(out * upstream).sum()``; no leaf's ``.data`` changes."""
+    before = [t.data.tobytes() for t in leaves]
+    (out * Tensor(upstream)).sum().backward()
+    assert [t.data.tobytes() for t in leaves] == before
+    grads = [t.grad for t in leaves] if grads is None else grads(leaves)
+    return [out.data.tobytes()] + [g.tobytes() for g in grads]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
+def test_linear_is_the_unfused_ops_bitwise_and_keeps_its_inputs(activation, seed):
+    # x, w and b each feed two layers, so each first gradient is a product
+    # the layer made, and the second is added to it
+    rng = np.random.default_rng(seed)
+    data = [_signed_zeros(rng, shape) for shape in ((7, 5), (5, 5), (1, 5), (5, 5), (1, 5))]
+    upstream = _signed_zeros(rng, (7, 5))
+    results = []
+    for layer in (linear, _unfused_linear):
+        x, w, b, v, c = (Tensor(d.copy(), requires_grad=True) for d in data)
+        out = layer(layer(x, w, b, activation), w, b, activation) + layer(x, v, c, activation)
+        results.append(_backward_bytes(out, upstream, [x, w, b, v, c]))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
+def test_gathered_linear_is_the_unfused_ops_bitwise_and_keeps_its_inputs(activation, seed):
+    # h is gathered twice, so its first gradient is a product the layer made
+    # and the second is added to it
+    rng = np.random.default_rng(seed)
+    h_data, e_data = _signed_zeros(rng, (6, 3)), _signed_zeros(rng, (9, 2))
+    w_data, b_data = _signed_zeros(rng, (8, 4)), _signed_zeros(rng, (1, 4))
+    u_ids, v_ids = rng.integers(0, 6, (2, 9))  # repeats, and nodes never named
+    upstream = _signed_zeros(rng, (9, 4))
+    results = []
+    for fused in (True, False):
+        h, e, b = (Tensor(d.copy(), requires_grad=True) for d in (h_data, e_data, b_data))
+        parts = [(h, Incidence(u_ids, 6)), (h, Incidence(v_ids, 6)), (e, None)]
+        if fused:
+            w = Tensor(w_data.copy(), requires_grad=True)
+            out = gathered_linear(parts, w, b, activation)
+            leaves, grads = [h, e, b, w], None
+        else:
+            blocks = [Tensor(w_data[lo:hi].copy(), requires_grad=True)
+                      for lo, hi in ((0, 3), (3, 6), (6, 8))]
+            out = _projected_reference(parts, blocks, b, activation)
+            leaves = [h, e, b, *blocks]
+            grads = lambda ts: [t.grad for t in ts[:3]] + [np.vstack([t.grad for t in ts[3:]])]
+        results.append(_backward_bytes(out, upstream, leaves, grads))
+    assert results[0] == results[1]
+
+
 def test_gathered_linear_rejects_bad_indices_and_widths():
     h = Tensor(np.ones((3, 2)))
     e = Tensor(np.ones((2, 1)))

@@ -526,7 +526,11 @@ BAD_INPUTS = {
     "eval zero-width gt row": (
         lambda w: _eval(w, gt=str(w["tmp"] / "zero_width.det.txt"),
                         result=str(w["tmp"] / "data" / "seq00.gt.txt")),
-        4, "input error"),
+        4, "input error: gt"),
+    "eval zero-width result row": (
+        lambda w: _eval(w, gt=str(w["tmp"] / "data" / "seq00.gt.txt"),
+                        result=str(w["tmp"] / "zero_width.det.txt")),
+        4, "input error: result"),
     "eval result with an infinite class": (
         lambda w: _eval(w, result=str(w["tmp"] / "inf_class.det.txt")),
         4, "input error"),

@@ -646,6 +646,26 @@ def test_level_graph_is_its_window_graphs_bitwise(case, block_scores):
     assert got.tolist() == offsets.tolist()
 
 
+@pytest.mark.parametrize("starts, first, size, want", [
+    ([], 1, 5, [0]),  # an empty level
+    ([3], 1, 5, [0, 1]),
+    ([1, 1, 2, 5], 1, 5, [0, 4]),  # one window
+    ([1, 5, 6, 6, 16], 1, 5, [0, 2, 4, 5]),  # windows 0, 1 and 3 hold nodes
+    ([0, 7, 8], 0, 8, [0, 2, 3]),
+])
+def test_window_offsets_cut_where_the_window_changes(starts, first, size, want):
+    got = window_offsets(np.array(starts, dtype=np.int64), first, size)
+    assert got.dtype == np.intp and got.tolist() == want
+
+
+@given(st.lists(st.integers(-50, 200), max_size=40), st.integers(-10, 10), st.integers(1, 30))
+def test_window_offsets_are_the_first_node_of_each_window(starts, first, size):
+    starts = np.sort(np.array(starts, dtype=np.int64))
+    window = (starts - first) // size
+    want = np.append(np.searchsorted(window, np.unique(window)), window.size)
+    assert window_offsets(starts, first, size).tolist() == want.tolist()
+
+
 @st.composite
 def merged_levels(draw):
     """A level of merged tracklets: up to a window's frames each, with gaps,

@@ -328,12 +328,18 @@ class TestMatchFrames:
         assert mota(gt, pred).tp == 2
 
     def test_duplicate_id_in_frame_rejected(self):
-        with pytest.raises(ValueError, match="twice"):
+        with pytest.raises(ValueError, match="^gt: track 1 appears twice in frame 1$"):
             mota(recs([(1, 1, BOX), (1, 1, BOX)]), [])
+        twice = BoxColumns(np.array([1, 2, 2]), np.array([7, 7, 7]), np.ones((3, 4)))
+        with pytest.raises(ValueError, match="^result: track 7 appears twice in frame 2$"):
+            mota(recs([(1, 1, BOX)]), twice)
 
     def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
+        named = r"^gt: track 1 has degenerate box \(0.0, 0.0, 0.0, 5.0\) at frame 1$"
+        with pytest.raises(ValueError, match=named):
             mota(recs([(1, 1, (0.0, 0.0, 0.0, 5.0))]), [])
+        with pytest.raises(ValueError, match=named.replace("gt", "result")):
+            mota(recs([(1, 2, BOX)]), recs([(1, 2, BOX), (1, 1, (0.0, 0.0, 0.0, 5.0))]))
 
     @pytest.mark.parametrize("side", ["gt", "pred"])
     @pytest.mark.parametrize("coord", range(4))
@@ -344,7 +350,8 @@ class TestMatchFrames:
         good = recs(straight_track(1, range(1, 4)))
         broken = good[:2] + recs([(3, 1, box)])
         gt, pred = (broken, good) if side == "gt" else (good, broken)
-        with pytest.raises(ValueError, match="degenerate box"):
+        named = "gt" if side == "gt" else "result"
+        with pytest.raises(ValueError, match=f"^{named}: track 1 has degenerate box"):
             evaluate(gt, pred)
 
     @pytest.mark.parametrize("side", ["gt", "pred"])
@@ -368,7 +375,7 @@ class TestMatchFrames:
     def test_int64_bounds_and_numpy_integers_accepted(self):
         rows = [BoxRecord(np.int64(-2**63), np.int32(5), BOX), BoxRecord(2**63 - 1, -2**63, BOX),
                 BoxRecord(True, 2**63 - 1, BOX)]
-        frame, _, _ = metrics._sorted_records(rows)
+        frame, _, _ = metrics._sorted_records(rows, "gt")
         assert frame.dtype == np.int64 and frame.tolist() == [-2**63, 1, 2**63 - 1]
         assert evaluate(rows, rows).idf1 == 1.0
 
@@ -913,6 +920,75 @@ class TestFirstPass:
             tracemalloc.stop()
         # about 92 B per pair, and two blocks of stacked rows
         assert peak < 150 * seq.iou.size + 16 * metrics._BLOCK_PAIRS
+
+
+def stacked_scenario(rng):
+    """Runs of contested frames: frames 1-12 and 16-20 crowd 2-9 gt boxes and
+    2-10 preds, of mixed counts, into a small area; frame 13 matches one box
+    exactly; frames 14 and 15 hold 130 gt boxes and 140 preds in a row, each
+    gt box overlapping 2-3 preds, so that one frame has 18200 cells."""
+    gt, pred = [], []
+    for f in [*range(1, 13), *range(16, 21)]:
+        for t in range(int(rng.integers(2, 10))):
+            x, y = rng.uniform(0.0, 25.0, 2)
+            gt.append((f, t, (x, y, 10.0, 14.0)))
+        for t in range(int(rng.integers(2, 11))):
+            x, y = rng.uniform(0.0, 25.0, 2)
+            pred.append((f, int(rng.integers(0, 12)) * 20 + t, (x, y, 10.0, 14.0)))
+    gt.append((13, 0, BOX))
+    pred.append((13, 0, BOX))
+    for f in (14, 15):
+        gt += [(f, 100 + j, (6.0 * j + 3.0 + rng.normal(0.0, 0.5), 1.0, 12.0, 20.0))
+               for j in range(130)]
+        pred += [(f, 100 + j, (6.0 * j, 0.0, 10.0, 20.0)) for j in range(140)]
+    return recs(gt), recs(pred)
+
+
+class TestSecondPass:
+    """HOTA's second pass solves its frames from padded stacks, with the bits
+    of one dense matrix and one solver call per frame."""
+
+    @pytest.mark.parametrize("cap", [1, 7, 300, metrics._BLOCK_PAIRS])
+    def test_stacked_frames_match_the_per_frame_reference(self, cap, monkeypatch):
+        gt, pred = stacked_scenario(np.random.default_rng(23))
+        runs = []
+        real = metrics._solve_stack
+        monkeypatch.setattr(metrics, "_BLOCK_PAIRS", cap)
+        monkeypatch.setattr(metrics, "_solve_stack",
+                            lambda seq, a, k0, k1: runs.append((k0, k1)) or real(seq, a, k0, k1))
+        seq = _prepare(gt, pred)
+        metrics._hota(seq)
+        monkeypatch.setattr(metrics, "_solve_stack", real)
+        shapes = [[(seq.gt_start[k + 1] - seq.gt_start[k], seq.pred_start[k + 1] - seq.pred_start[k])
+                   for k in range(k0, k1 + 1)] for k0, k1 in runs]
+        solved = [k for k0, k1 in runs for k in range(k0, k1 + 1)]
+        # frame indices: frame 13 (index 12) is matched without the solver
+        assert solved == sorted(set(solved)) and 12 not in solved and {13, 14} <= set(solved)
+        for frames in shapes:
+            g, p = max(g for g, _ in frames), max(p for _, p in frames)
+            assert len(frames) == 1 or len(frames) * g * p <= cap
+        assert [(130, 140)] in shapes  # frames 14 and 15 are larger than any cap here
+        if cap >= 300:
+            assert any(len(set(frames)) > 1 for frames in shapes)  # runs of mixed shapes
+        assert_scores_match_per_frame_reference(gt, pred, 0.5, monkeypatch)
+
+    def test_second_pass_memory_stays_bounded(self):
+        # 4 frames of 600 boxes a side, 600 ids each: the dense (19, gt ids,
+        # pred ids) match counts and their float copy peaked at 119 MB
+        gt, pred = [], []
+        for f in range(1, 5):
+            for j in range(600):
+                pred.append(BoxRecord(f, j, (6.0 * j, 0.0, 10.0, 20.0)))
+                gt.append(BoxRecord(f, j, (6.0 * j + 3.0, 1.0, 12.0, 20.0)))
+        seq = _prepare(gt, pred)
+        assert (seq.gt_count.size, seq.pred_count.size) == (600, 600)
+        tracemalloc.start()
+        try:
+            metrics._hota(seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestColumns:

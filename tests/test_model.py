@@ -376,11 +376,15 @@ def test_node_means_are_the_gathered_sums_bitwise_forward_and_backward(seed):
     cuts = np.sort(rng.choice(np.arange(1, rows.size), int(rng.integers(0, rows.size)), False))
     sizes = np.diff(np.concatenate(([0], cuts, [rows.size])))
     upstream = Tensor(rng.standard_normal((sizes.size, 6)))
+    # enc is also read by a second op, so the first gradient it gets is the
+    # product the backward step made, and the second is added to it
+    other = Tensor(rng.standard_normal(data.shape))
     results = []
     for means in (node_means, gathered_means):
-        enc = Tensor(data, requires_grad=True)
+        enc = Tensor(data.copy(), requires_grad=True)
         out = means(enc, rows, sizes)
-        (out * upstream).sum().backward()
+        ((out * upstream).sum() + (enc * other).sum()).backward()
+        assert enc.data.tobytes() == data.tobytes()
         results.append((out.data.tobytes(), enc.grad.tobytes()))
     assert results[0] == results[1]
 
@@ -396,3 +400,5 @@ def test_node_means_gradients_and_bad_rows():
         node_means(enc, np.array([0, 7]), np.array([2]))
     with pytest.raises(ValueError, match="add up"):
         node_means(enc, rows, np.array([2, 2]))
+    with pytest.raises(ValueError, match="at least one row"):
+        node_means(enc, rows, np.array([5, 0]))
