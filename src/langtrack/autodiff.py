@@ -18,7 +18,15 @@ output row's terms in input order and is built once, however many products
 use it; the CSR product adds them in that order from 0.0, so each sum has
 the bits of ``np.add.at``.  :func:`sparse_matmul` takes any such matrix
 (``model.node_means``' node membership) with a constant scale per output
-row, and transposes it for the gradient.
+row, and asks for its transpose only when it takes the gradient, so the
+matrix's owner can build both once and the transpose only where a gradient
+needs it.
+
+A loss term is one node too: :func:`mean_kl_rows` (the distillation KL)
+here and ``nn.focal_bce_tape``.  Their forward values have the bits of the
+unfused chains of row softmaxes and elementwise operations, but their
+gradients are closed forms, equal to the chains' up to rounding and not
+bit for bit.
 
 The fused operations finish each product they make in place: ``linear``
 and ``gathered_linear`` add the other projections and the bias into the
@@ -52,6 +60,7 @@ __all__ = [
     "as_tensor",
     "gathered_linear",
     "linear",
+    "mean_kl_rows",
     "segment_sum",
     "sparse_matmul",
 ]
@@ -216,33 +225,6 @@ class Tensor:
 
         return Tensor._make(s, (self,), bw)
 
-    def log(self) -> "Tensor":
-        if np.any(self.data <= 0.0):
-            raise ValueError("log of non-positive entry")
-
-        def bw(out: "Tensor"):
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), bw)
-
-    def powf(self, p: float) -> "Tensor":
-        """Elementwise power with a constant exponent, base must be >= 0."""
-        if np.any(self.data < 0.0):
-            raise ValueError("powf base must be non-negative")
-        data = self.data**p
-
-        def bw(out: "Tensor"):
-            if self.requires_grad:
-                if p == 0.0:
-                    return  # derivative of the constant 1
-                with np.errstate(divide="ignore"):
-                    d = p * self.data ** (p - 1.0)
-                d = np.where(np.isfinite(d), d, 0.0)
-                self._accumulate(out.grad * d)
-
-        return Tensor._make(data, (self,), bw)
-
     def clamp(self, lo: float, hi: float) -> "Tensor":
         """Clip to [lo, hi]; gradient is zero outside the open interval."""
         inside = (self.data > lo) & (self.data < hi)
@@ -273,36 +255,6 @@ class Tensor:
         else:
             n = self.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
-
-    # -- row-wise softmax family --------------------------------------------
-
-    def log_softmax_rows(self) -> "Tensor":
-        x = self.data
-        m = x.max(axis=1, keepdims=True)
-        z = x - m
-        lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-        data = z - lse
-        soft = np.exp(data)
-
-        def bw(out: "Tensor"):
-            if self.requires_grad:
-                g = out.grad
-                self._accumulate(g - soft * g.sum(axis=1, keepdims=True))
-
-        return Tensor._make(data, (self,), bw)
-
-    def softmax_rows(self) -> "Tensor":
-        x = self.data
-        z = np.exp(x - x.max(axis=1, keepdims=True))
-        p = z / z.sum(axis=1, keepdims=True)
-
-        def bw(out: "Tensor"):
-            if self.requires_grad:
-                g = out.grad
-                dot = (g * p).sum(axis=1, keepdims=True)
-                self._accumulate(p * (g - dot))
-
-        return Tensor._make(p, (self,), bw)
 
     # -- backward pass ---------------------------------------------------------
 
@@ -481,11 +433,15 @@ def segment_sum(t: Tensor, inc: Incidence) -> Tensor:
     return Tensor._make(inc.scatter(t.data), (t,), bw)
 
 
-def sparse_matmul(m: sparse.csr_array, t: Tensor, scale: np.ndarray) -> Tensor:
+def sparse_matmul(
+    m: sparse.csr_array, t: Tensor, scale: np.ndarray, transpose: Callable[[], sparse.csr_array]
+) -> Tensor:
     """``(m @ t) * scale`` for a constant sparse matrix ``m`` and a constant
-    (rows of ``m``, 1) column ``scale``, as one tape node; the gradient is
-    ``m.T @ (grad * scale)``, exact where each column of ``m`` holds at most
-    one 1 (each row of ``t`` is used at most once, as itself)."""
+    (rows of ``m``, 1) column ``scale``, as one tape node.  The gradient is
+    ``transpose() @ (grad * scale)``, where ``transpose()`` gives ``m``'s
+    transpose as CSR and is called only when the gradient is taken.  It is
+    exact where each column of ``m`` holds at most one 1 (each row of ``t``
+    is used at most once, as itself)."""
     if m.shape[1] != t.shape[0]:
         raise ValueError(f"matmul mismatch: {m.shape} @ {t.shape}")
     if scale.shape != (m.shape[0], 1):
@@ -495,6 +451,35 @@ def sparse_matmul(m: sparse.csr_array, t: Tensor, scale: np.ndarray) -> Tensor:
 
     def bw(out: Tensor):
         if t.requires_grad:
-            t._accumulate(m.T.tocsr() @ (out.grad * scale), owned=True)
+            t._accumulate(transpose() @ (out.grad * scale), owned=True)
 
     return Tensor._make(data, (t,), bw)
+
+
+def mean_kl_rows(x: Tensor, log_q: np.ndarray) -> Tensor:
+    """The mean over rows of KL(softmax(x_row) || exp(log_q_row)) as one (1, 1)
+    tape node, for constant log-probabilities ``log_q`` of shape (rows, t)
+    or (1, t).
+
+    One max, one exp and one log of the row sums give both ``p`` and
+    ``log p``; the value has the bits of the unfused chain.  The gradient is
+    the closed form ``g / rows * p * (log p - log q - KL_row)``.
+    """
+    n = x.shape[0]
+    if n == 0 or log_q.ndim != 2 or log_q.shape[0] not in (1, n) or log_q.shape[1] != x.shape[1]:
+        raise ValueError(f"KL of {x.shape} rows against log-probabilities {log_q.shape}")
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    sums = ez.sum(axis=1, keepdims=True)
+    p = ez / sums
+    d = z - np.log(sums) - log_q  # log p - log q
+    kl = (p * d).sum(axis=1, keepdims=True)
+
+    def bw(out: Tensor):
+        if x.requires_grad:
+            g = d - kl
+            g *= p
+            g *= out.grad[0, 0] / n
+            x._accumulate(g, owned=True)
+
+    return Tensor._make(kl.sum(axis=0, keepdims=True) * (1.0 / n), (x,), bw)

@@ -427,6 +427,8 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
         raise _usage_error(f"seeds must be comma-separated integers, got {raw!r}") from None
     if not seeds:
         raise _usage_error("at least one seed is required")
+    if min(seeds) < 0:
+        raise _usage_error(f"seeds must be >= 0, got {raw!r}")
     if len(set(seeds)) != len(seeds):
         raise _usage_error("seeds must be distinct")
     return seeds

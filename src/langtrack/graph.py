@@ -34,6 +34,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
+
+from .autodiff import Incidence
 
 __all__ = [
     "Detection",
@@ -214,12 +217,13 @@ class TrackletRows(Sequence[Tracklet]):
     1]]``, in frame order.  Indexing makes that ``Tracklet``; slicing gives a
     view that shares the clip."""
 
-    __slots__ = ("clip", "rows", "offsets")
+    __slots__ = ("clip", "rows", "offsets", "_members")
 
     def __init__(self, clip: DetectionArrays, rows: np.ndarray, offsets: np.ndarray):
         self.clip = clip
         self.rows = np.asarray(rows, dtype=np.intp)
         self.offsets = np.asarray(offsets, dtype=np.intp)
+        self._members = None
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -258,6 +262,30 @@ class TrackletRows(Sequence[Tracklet]):
     def lasts(self) -> np.ndarray:
         """Each tracklet's last detection row."""
         return self.rows[self.offsets[1:] - 1]
+
+    def members(self) -> sparse.csr_array:
+        """The 0/1 (tracklets, clip rows) CSR matrix whose row i lists
+        tracklet i's rows in order; checked and built on first use and kept,
+        however many products use it."""
+        if self._members is None:
+            sizes, num_rows = self.sizes, len(self.clip.detections)
+            if self.offsets[-1] != self.rows.size:
+                raise ValueError(f"sizes add up to {sizes.sum()}, not to the {self.rows.size} rows")
+            if sizes.size and sizes.min() < 1:
+                raise ValueError(f"every tracklet needs at least one row, got size {sizes.min()}")
+            if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= num_rows):
+                raise IndexError(f"tracklet row out of range for {num_rows} rows")
+            m = sparse.csr_array((np.ones(self.rows.size), self.rows, self.offsets),
+                                 (len(self), num_rows))
+            self._members = [m, None]
+        return self._members[0]
+
+    def members_t(self) -> sparse.csr_array:
+        """:meth:`members`' transpose as CSR, built on first use and kept."""
+        m = self.members()
+        if self._members[1] is None:
+            self._members[1] = m.T.tocsr()
+        return self._members[1]
 
     def take(self, order: np.ndarray, group: np.ndarray | None = None) -> "TrackletRows":
         """The tracklets ``order`` lists, in that order; where ``group`` (one
@@ -348,6 +376,7 @@ class TrackGraph:
     frame_span: tuple[int, int]
     starts: np.ndarray = field(init=False, repr=False)
     ends: np.ndarray = field(init=False, repr=False)
+    _incidences: tuple[Incidence, Incidence] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.edge_u = np.asarray(self.edge_u, dtype=np.intp)
@@ -380,7 +409,16 @@ class TrackGraph:
         part.nodes, part.starts, part.ends = self.nodes[a:b], self.starts[a:b], self.ends[a:b]
         part.edge_u, part.edge_v = self.edge_u[e0:e1] - a, self.edge_v[e0:e1] - a
         part.edge_features, part.frame_span = self.edge_features[e0:e1], self.frame_span
+        part._incidences = None
         return part
+
+    def incidences(self) -> tuple[Incidence, Incidence]:
+        """``edge_u`` and ``edge_v`` as incidences into the nodes, made on
+        first use and kept, so their matrices are built once per graph."""
+        if self._incidences is None:
+            n = self.num_nodes
+            self._incidences = Incidence(self.edge_u, n), Incidence(self.edge_v, n)
+        return self._incidences
 
     @property
     def num_nodes(self) -> int:

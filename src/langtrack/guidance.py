@@ -3,9 +3,12 @@
 Training-time only: node embeddings are pulled toward the frozen text
 embedding of their instance's description (per-node KL between softmaxed
 vectors), and final edge embeddings toward the scene description embedding.
-Both terms are weighted into the classification objective.  The inference
-path must never read the store; a context guard makes any such access blow
-up loudly, which the tests and the CLI rely on.
+Both terms are weighted into the classification objective.  Each term is
+one fused tape node, ``autodiff.mean_kl_rows``: its value has the bits of
+the unfused softmax chain, and its gradient is a closed form, equal to the
+chain's up to rounding but not bit for bit.  The inference path must never
+read the store; a context guard makes any such access blow up loudly, which
+the tests and the CLI rely on.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, as_tensor, mean_kl_rows
 from .ops import log_softmax
 
 __all__ = [
@@ -115,14 +118,6 @@ class GuidanceTerm:
         return self.value.item()
 
 
-def _mean_kl_to_targets(projected: Tensor, log_q: np.ndarray) -> Tensor:
-    """Mean over rows of KL(softmax(row) || exp(log_q_row))."""
-    p = projected.softmax_rows()
-    log_p = projected.log_softmax_rows()
-    per_row = (p * (log_p - Tensor(log_q))).sum(axis=1)
-    return per_row.mean(axis=0)
-
-
 def isg_loss(projected_nodes, instance_embeddings: np.ndarray) -> GuidanceTerm:
     """Instance-level loss: mean KL(softmax(node_i) || softmax(phi_i)).
 
@@ -140,7 +135,7 @@ def isg_loss(projected_nodes, instance_embeddings: np.ndarray) -> GuidanceTerm:
             f"projected nodes {nodes.shape} and instance embeddings "
             f"{targets.shape} must align row for row"
         )
-    return GuidanceTerm(_mean_kl_to_targets(nodes, log_softmax(targets)))
+    return GuidanceTerm(mean_kl_rows(nodes, log_softmax(targets)))
 
 
 def spg_loss(projected_edges, scene_embedding: np.ndarray) -> GuidanceTerm:
@@ -154,7 +149,7 @@ def spg_loss(projected_edges, scene_embedding: np.ndarray) -> GuidanceTerm:
             f"projected edges have dim {edges.shape[1]}, scene embedding {scene.size}"
         )
     log_q = log_softmax(scene).reshape(1, -1)
-    return GuidanceTerm(_mean_kl_to_targets(edges, log_q))
+    return GuidanceTerm(mean_kl_rows(edges, log_q))
 
 
 def total_loss(lc, l_isg, l_spg, cfg: GuidanceConfig):

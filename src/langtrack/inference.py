@@ -279,7 +279,7 @@ def track_video(
         nodes = offsets.tolist()
         edges = np.searchsorted(graph.edge_u, offsets).tolist()
         if edge_scorer is None:
-            means = node_means(enc, graph.nodes.rows, graph.nodes.sizes).data
+            means = node_means(enc, graph.nodes).data
         accepted = []
         for w0, w1 in _batches(edges):
             a, b, e0, e1 = nodes[w0], nodes[w1], edges[w0], edges[w1]

@@ -8,10 +8,12 @@ The last round stops after its edge update.  A sigmoid MLP head turns the
 final edge embeddings into association probabilities, and two linear
 projection heads map node/edge embeddings into the text-embedding space
 for the distillation losses.  A tracklet node starts from the mean encoder
-row of its detections (``node_means``, one sparse product per graph).
-Message passing gathers and sums through the incidences of the edge
-endpoints, built once per call and shared by every round, forward and
-backward.
+row of its detections (``node_means``, one sparse product by the nodes'
+membership matrix).  Message passing gathers and sums through the
+incidences of the edge endpoints (``TrackGraph.incidences``), shared by
+every round, forward and backward.  The graph and its nodes keep these
+matrices, so they are built once per graph however many passes use them:
+once for tracking, once per training run for a training bundle's graphs.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from scipy import sparse
-
-from .autodiff import Incidence, Tensor, gathered_linear, linear, segment_sum, sparse_matmul
-from .graph import EDGE_FEATURE_DIM, TrackGraph
+from .autodiff import Tensor, gathered_linear, linear, segment_sum, sparse_matmul
+from .graph import EDGE_FEATURE_DIM, TrackGraph, TrackletRows
 from .nn import MLPParams, init_mlp, mlp_forward
 from .ops import PROB_EPS
 
@@ -138,27 +138,22 @@ def params_from_tensors(tensors: dict[str, Tensor], config: ModelConfig) -> Mode
     return ModelParams(config=config, **blocks)
 
 
-def node_means(enc: Tensor, rows: np.ndarray, sizes: np.ndarray) -> Tensor:
-    """Node i's embedding, the mean of its ``sizes[i]`` rows of ``enc`` that
-    ``rows`` lists node by node; a single-row node is its row, bit for bit.
+def node_means(enc: Tensor, nodes: TrackletRows) -> Tensor:
+    """Node i's embedding, the mean of its ``nodes.sizes[i]`` rows of ``enc``,
+    which has one row per detection of ``nodes.clip``; a single-row node is
+    its row, bit for bit.
 
-    The sums are one product by the 0/1 (nodes, rows of ``enc``) matrix
-    whose row i lists node i's rows in order, so each adds its rows in that
-    order from 0.0 and no gathered copy is made; the product is scaled by
-    ``1 / sizes`` in place, in the same tape node.  Each row of ``enc``
-    belongs to at most one node, so the gradient, the transposed product of
-    the scaled output gradient, hands each row its node's gradient exactly.
+    The sums are one product by the nodes' 0/1 membership matrix
+    (``TrackletRows.members``), whose row i lists node i's rows in order, so
+    each adds its rows in that order from 0.0 and no gathered copy is made;
+    the product is scaled by ``1 / sizes`` in place, in the same tape node.
+    Each row of ``enc`` belongs to at most one node, so the gradient, the
+    transposed product of the scaled output gradient, hands each row its
+    node's gradient exactly.  The nodes keep both matrices; the transpose is
+    built only once a gradient needs it, so tracking never builds it.
     """
-    rows, sizes = np.asarray(rows, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    if indptr[-1] != rows.size:
-        raise ValueError(f"sizes add up to {indptr[-1]}, not to the {rows.size} rows")
-    if sizes.size and sizes.min() < 1:
-        raise ValueError(f"every node needs at least one row, got size {sizes.min()}")
-    if rows.size and (rows.min() < 0 or rows.max() >= enc.shape[0]):
-        raise IndexError("node_means row out of range")
-    members = sparse.csr_array((np.ones(rows.size), rows, indptr), (sizes.size, enc.shape[0]))
-    return sparse_matmul(members, enc, 1.0 / sizes.astype(np.float64)[:, None])
+    m = nodes.members()  # checks the sizes before they divide
+    return sparse_matmul(m, enc, 1.0 / nodes.sizes.astype(np.float64)[:, None], nodes.members_t)
 
 
 def encode_graph(
@@ -205,7 +200,7 @@ def message_pass(
     first layer projects node rows before gathering them to edges
     (:func:`~langtrack.autodiff.gathered_linear`).  Every gather to edges
     and every sum over them, forward and backward, goes through the two
-    incidences of ``edge_u`` and ``edge_v``, built once per call.  A node
+    incidences of ``edge_u`` and ``edge_v`` that the graph keeps.  A node
     with no edge gets 0, which no edge reads.  The last round stops after
     its edge update: nothing reads the node rows after it.
     """
@@ -213,8 +208,7 @@ def message_pass(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if graph.num_edges == 0:
         return e
-    n = graph.num_nodes
-    u, v = Incidence(graph.edge_u, n), Incidence(graph.edge_v, n)
+    u, v = graph.incidences()
     e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
     for _ in range(steps - 1):
         past_msg = _gathered_mlp(params.node_update_past, [(h, u), (e, None)])

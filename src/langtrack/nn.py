@@ -1,7 +1,9 @@
 """Small neural-network building blocks on top of the autodiff tape.
 
 Provides MLP parameter containers with seeded initialization, the forward
-pass, an Adam optimizer with decoupled weight decay, and a JSON checkpoint
+pass, the focal classification loss as one tape node (its gradient a
+closed form, equal to the unfused chain's up to rounding, not bit for bit),
+an Adam optimizer with decoupled weight decay, and a JSON checkpoint
 container for named parameter arrays plus their configuration.
 """
 
@@ -103,10 +105,16 @@ def mlp_forward(params: MLPParams, x: Tensor) -> Tensor:
 
 
 def focal_bce_tape(probs: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
-    """Mean focal BCE over a (n, 1) column of edge probabilities.
+    """Mean focal BCE over a (n, 1) column of edge probabilities, as one tape
+    node; `targets` is a constant 0/1 column of the same length.
 
-    Tape version of the scalar focal BCE; `targets` is a
-    constant 0/1 column of the same length.
+    With ``p`` clamped to [PROB_EPS, 1 - PROB_EPS], ``p_t`` the probability
+    of the true class and ``q = 1 - p_t``, the value is the mean of
+    ``-q**gamma * log(p_t)``, with the bits of the unfused chain (clamp,
+    mix, power, log, product, mean).  The gradient is the closed form
+    ``g / n * (gamma * q**(gamma - 1) * log(p_t) - q**gamma / p_t) * (2t - 1)``,
+    zero where the clamp cuts (outside the open interval); the power's
+    derivative counts as 0 where it is not finite (q = 0 with gamma < 1).
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
@@ -115,11 +123,26 @@ def focal_bce_tape(probs: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
         raise ValueError("probs must be (n, 1) with one target per row")
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ValueError("targets must be 0 or 1")
-    p = probs.clamp(PROB_EPS, 1.0 - PROB_EPS)
-    # p_t = p where target 1, (1 - p) where target 0
+    lo, hi = PROB_EPS, 1.0 - PROB_EPS
+    p = np.clip(probs.data, lo, hi)
     p_t = p * t + (1.0 - p) * (1.0 - t)
-    loss = -((1.0 - p_t).powf(gamma) * p_t.log())
-    return loss.mean()
+    q = 1.0 - p_t
+    w = q**gamma
+    log_pt = np.log(p_t)
+    n = t.shape[0]
+
+    def bw(out: Tensor):
+        if probs.requires_grad:
+            g = -(w / p_t)
+            if gamma != 0.0:  # else the power is the constant 1
+                with np.errstate(divide="ignore"):
+                    dw = gamma * q ** (gamma - 1.0)
+                g += np.where(np.isfinite(dw), dw, 0.0) * log_pt
+            g *= out.grad[0, 0] / n
+            g *= np.where((probs.data > lo) & (probs.data < hi), 2.0 * t - 1.0, 0.0)
+            probs._accumulate(g, owned=True)
+
+    return Tensor._make((-(w * log_pt)).sum(keepdims=True) * (1.0 / n), (probs,), bw)
 
 
 @dataclass

@@ -6,9 +6,10 @@ Teacher forcing is training's merge rule: each window's nodes join into one
 tracklet per ground-truth id, so at level L every object contributes one
 tracklet per level L-1 window (single detections at the bottom).  Like
 tracking's, every level's tracklets are rows of the clip's detection arrays,
-so teacher forcing regroups rows, and ``train_step`` reads a level's node
-rows and sizes off its graph's nodes.  Each level's bundle holds its one
-level graph, whose windows share no edges.
+so teacher forcing regroups rows, and ``train_step`` takes a level's node
+means over its graph's nodes.  Each level's bundle holds its one level
+graph, whose windows share no edges; the graph and its nodes keep their
+scatter matrices, so only the first step over a bundle builds them.
 Tracklet embeddings are ``model.node_means`` of the encoder output, the rule
 tracking uses too, so gradients reach the encoder.  The loss per clip is the sum
 over levels of focal classification loss plus the weighted instance- and
@@ -107,6 +108,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_level_sizes(self.level_sizes)
+        for name in ("batch_clips", "epochs", "knn_k", "message_passing_steps", "seed"):
+            # type(), not isinstance(): True must not pass as the count 1
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("lr", "weight_decay", "focal_gamma", "alpha", "beta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -122,6 +127,8 @@ class TrainConfig:
             raise ValueError("alpha and beta must be >= 0")
         if self.knn_k < 1 or self.message_passing_steps < 1:
             raise ValueError("knn_k and message_passing_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def use_guidance(self) -> bool:
@@ -246,7 +253,7 @@ def train_step(
     for bundle in bundles:
         enc = mlp_forward(params.node_encoder, as_tensor(bundle.appearance))
         for level in bundle.levels:
-            phi = node_means(enc, level.graph.nodes.rows, level.graph.nodes.sizes)
+            phi = node_means(enc, level.graph.nodes)
             h, e = encode_graph(level.graph, params, node_init=phi)
             if weights.alpha > 0.0:
                 term = isg_loss(project_nodes_for_isg(h, params), level.instance_targets)

@@ -282,12 +282,14 @@ def ref_node_rows(nodes, row_of):
 def ref_learned_scorer(params, dets):
     """The learned model over graphs of any tracklets of ``dets``: node rows
     looked up by detection, one clip-wide encoder pass."""
-    enc = Tensor(mlp_forward(params.node_encoder,
-                             Tensor(np.stack([d.appearance for d in dets]))).data)
+    clip = DetectionArrays.of(dets)
+    enc = Tensor(mlp_forward(params.node_encoder, Tensor(clip.app)).data)
     row_of = {id(d): i for i, d in enumerate(dets)}
 
     def score(graph):
-        h, e = encode_graph(graph, params, node_means(enc, *ref_node_rows(graph.nodes, row_of)))
+        rows, sizes = ref_node_rows(graph.nodes, row_of)
+        nodes = TrackletRows(clip, rows, np.concatenate(([0], np.cumsum(sizes))))
+        h, e = encode_graph(graph, params, node_means(enc, nodes))
         e = message_pass(graph, h, e, params, params.config.message_passing_steps)
         return classify_edges(e, params).data.ravel()
 

@@ -12,6 +12,12 @@ reference for ``gathered_linear([(t, idx), ...], w, b)``.
 ``scatter_rows`` is the row scatter the tape ran before its sums became
 products by ``autodiff.Incidence`` matrices: one ``bincount`` over flat
 positions.  ``Incidence.scatter`` must give the same bits.
+
+``softmax_rows``, ``log_softmax_rows``, ``log`` and ``powf`` are the tape
+operations the loss terms were chained from before each became one node:
+``unfused_mean_kl`` is the reference for ``autodiff.mean_kl_rows`` and
+``unfused_focal_bce`` the one for ``nn.focal_bce_tape``.  The fused values
+have the chains' bits; their closed-form gradients agree up to rounding.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from langtrack.autodiff import Incidence, Tensor, as_tensor
+from langtrack.ops import PROB_EPS
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -76,3 +83,76 @@ def scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.nda
     flat = (index[:, None] * cols + np.arange(cols)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=num_rows * cols)
     return sums.astype(np.float64, copy=False).reshape(num_rows, cols)  # ints if empty
+
+
+def softmax_rows(t: Tensor) -> Tensor:
+    """Row-wise softmax."""
+    x = t.data
+    z = np.exp(x - x.max(axis=1, keepdims=True))
+    p = z / z.sum(axis=1, keepdims=True)
+
+    def bw(out: Tensor):
+        if t.requires_grad:
+            g = out.grad
+            dot = (g * p).sum(axis=1, keepdims=True)
+            t._accumulate(p * (g - dot))
+
+    return Tensor._make(p, (t,), bw)
+
+
+def log_softmax_rows(t: Tensor) -> Tensor:
+    """Row-wise log-softmax."""
+    x = t.data
+    z = x - x.max(axis=1, keepdims=True)
+    data = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    soft = np.exp(data)
+
+    def bw(out: Tensor):
+        if t.requires_grad:
+            g = out.grad
+            t._accumulate(g - soft * g.sum(axis=1, keepdims=True))
+
+    return Tensor._make(data, (t,), bw)
+
+
+def log(t: Tensor) -> Tensor:
+    """Elementwise natural log of positive entries."""
+    if np.any(t.data <= 0.0):
+        raise ValueError("log of non-positive entry")
+
+    def bw(out: Tensor):
+        if t.requires_grad:
+            t._accumulate(out.grad / t.data)
+
+    return Tensor._make(np.log(t.data), (t,), bw)
+
+
+def powf(t: Tensor, p: float) -> Tensor:
+    """Elementwise power with a constant exponent of a non-negative base; a
+    derivative that is not finite counts as 0, and exponent 0 has none."""
+    if np.any(t.data < 0.0):
+        raise ValueError("powf base must be non-negative")
+
+    def bw(out: Tensor):
+        if t.requires_grad and p != 0.0:
+            with np.errstate(divide="ignore"):
+                d = p * t.data ** (p - 1.0)
+            t._accumulate(out.grad * np.where(np.isfinite(d), d, 0.0))
+
+    return Tensor._make(t.data**p, (t,), bw)
+
+
+def unfused_mean_kl(x: Tensor, log_q: np.ndarray) -> Tensor:
+    """Mean over rows of KL(softmax(x_row) || exp(log_q_row)), chained."""
+    per_row = (softmax_rows(x) * (log_softmax_rows(x) - Tensor(log_q))).sum(axis=1)
+    return per_row.mean(axis=0)
+
+
+def unfused_focal_bce(
+    probs: Tensor, targets: np.ndarray, gamma: float, eps: float = PROB_EPS
+) -> Tensor:
+    """Mean focal BCE of a (n, 1) probability column, chained."""
+    t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    p = probs.clamp(eps, 1.0 - eps)
+    p_t = p * t + (1.0 - p) * (1.0 - t)
+    return (-(powf(1.0 - p_t, gamma) * log(p_t))).mean()

@@ -11,10 +11,22 @@ from langtrack.autodiff import (
     as_tensor,
     gathered_linear,
     linear,
+    mean_kl_rows,
     segment_sum,
 )
+from langtrack.ops import log_softmax
 from gradcheck import check_gradients
-from reference_tape import concat_cols, gather_rows, matmul, scatter_rows
+from reference_tape import (
+    concat_cols,
+    gather_rows,
+    log,
+    log_softmax_rows,
+    matmul,
+    powf,
+    scatter_rows,
+    softmax_rows,
+    unfused_mean_kl,
+)
 
 
 def leaf(rng, rows, cols, scale=1.0, shift=0.0):
@@ -71,7 +83,7 @@ def test_sigmoid_log_grads():
     a = leaf(rng, 3, 3)
     check_gradients(lambda ts: ts[0].sigmoid().sum(), [a])
     pos = leaf(rng, 3, 3, scale=0.5, shift=2.0)
-    check_gradients(lambda ts: ts[0].log().sum(), [pos])
+    check_gradients(lambda ts: log(ts[0]).sum(), [pos])
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
@@ -84,10 +96,10 @@ def test_sigmoid_extreme_inputs_stay_finite():
 def test_powf_grads_and_zero_exponent():
     rng = np.random.default_rng(5)
     base = leaf(rng, 3, 2, scale=0.2, shift=1.0)
-    check_gradients(lambda ts: ts[0].powf(1.7).sum(), [base])
+    check_gradients(lambda ts: powf(ts[0], 1.7).sum(), [base])
     # gamma = 0 must behave as the constant 1 with zero gradient
     base.zero_grad()
-    out = base.powf(0.0)
+    out = powf(base, 0.0)
     assert np.array_equal(out.data, np.ones_like(base.data))
     s = out.sum()
     s.backward()
@@ -114,16 +126,15 @@ def test_sum_mean_axes():
 
 
 def test_softmax_rows_matches_ops_and_grads():
-    from langtrack.ops import log_softmax
     from reference_ops import softmax
 
     rng = np.random.default_rng(7)
     a = leaf(rng, 4, 5, scale=3.0)
-    assert np.allclose(a.softmax_rows().data, softmax(a.data), atol=1e-15)
-    assert np.allclose(a.log_softmax_rows().data, log_softmax(a.data), atol=1e-15)
+    assert np.allclose(softmax_rows(a).data, softmax(a.data), atol=1e-15)
+    assert np.allclose(log_softmax_rows(a).data, log_softmax(a.data), atol=1e-15)
     w = Tensor(rng.standard_normal((4, 5)))
-    check_gradients(lambda ts: (ts[0].softmax_rows() * w).sum(), [a])
-    check_gradients(lambda ts: (ts[0].log_softmax_rows() * w).sum(), [a])
+    check_gradients(lambda ts: (softmax_rows(ts[0]) * w).sum(), [a])
+    check_gradients(lambda ts: (log_softmax_rows(ts[0]) * w).sum(), [a])
 
 
 def test_concat_and_gather_grads():
@@ -287,7 +298,7 @@ def test_composite_mlp_like_gradcheck():
 
     def f(ts):
         h = matmul((matmul(x, ts[0]) + ts[1]).relu(), ts[2])
-        return (h.log_softmax_rows() * -1.0).mean()
+        return (log_softmax_rows(h) * -1.0).mean()
 
     check_gradients(f, [w1, b1, w2])
 
@@ -469,3 +480,62 @@ def test_gathered_linear_rejects_bad_indices_and_widths():
         gathered_linear([(h, triple), (h, triple), (e, None)], w, b)
     with pytest.raises(ValueError, match="rows of its part"):
         gathered_linear([(h, Incidence([0, 1], 4)), (h, pair), (e, None)], w, b)
+
+
+def assert_rel_close(got: np.ndarray, want: np.ndarray, rtol: float = 1e-12) -> None:
+    """Largest difference within ``rtol`` of the largest reference entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+KL_CASES = {
+    "instance targets": (6, 5, 6, 3.0),
+    "scene target": (7, 4, 1, 3.0),
+    "single row": (1, 5, 1, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KL_CASES))
+def test_fused_kl_matches_the_unfused_chain(case):
+    rows, t, target_rows, scale = KL_CASES[case]
+    rng = np.random.default_rng(len(case))
+    data = rng.standard_normal((rows, t)) * scale
+    log_q = log_softmax(rng.standard_normal((target_rows, t)) * scale)
+    other = Tensor(rng.standard_normal((rows, t)))
+    results = []
+    for kl in (mean_kl_rows, unfused_mean_kl):
+        x = Tensor(data.copy(), requires_grad=True)
+        value = kl(x, log_q)
+        # an upstream gradient other than 1, and a second reader of x
+        (value * 2.5 + (x * other).sum()).backward()
+        results.append((value.data, x.grad))
+    (fused, fused_grad), (chain, chain_grad) = results
+    assert fused.tobytes() == chain.tobytes()
+    assert_rel_close(fused_grad, chain_grad)
+    check_gradients(lambda ts: mean_kl_rows(ts[0], log_q), [Tensor(data, requires_grad=True)])
+
+
+def test_fused_kl_at_logits_of_700():
+    data = np.array([[700.0, -700.0, 0.0, 3.0], [-700.0, -700.0, 700.0, 699.0]])
+    log_q = log_softmax(np.array([[1.0, -2.0, 0.5, 0.0]]))
+    grads = []
+    for kl in (mean_kl_rows, unfused_mean_kl):
+        x = Tensor(data.copy(), requires_grad=True)
+        value = kl(x, log_q)
+        value.backward()
+        assert np.isfinite(value.item())
+        grads.append((value.data, x.grad))
+    (fused, fused_grad), (chain, chain_grad) = grads
+    assert fused.tobytes() == chain.tobytes()
+    assert np.all(np.isfinite(fused_grad))
+    assert_rel_close(fused_grad, chain_grad)
+    check_gradients(lambda ts: mean_kl_rows(ts[0], log_q), [Tensor(data, requires_grad=True)])
+
+
+def test_fused_kl_rejects_misaligned_targets():
+    x = Tensor(np.zeros((3, 4)))
+    for log_q in (np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            mean_kl_rows(x, log_q)
+    with pytest.raises(ValueError):
+        mean_kl_rows(Tensor(np.zeros((0, 4))), np.zeros((1, 4)))

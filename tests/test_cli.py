@@ -481,6 +481,8 @@ BAD_INPUTS = {
     "experiment appearance-dim 0": (
         lambda w: _experiment(w, "--appearance-dim", "0"), 2, "usage error"),
     "experiment objects 0": (lambda w: _experiment(w, "--objects", "0"), 2, "usage error"),
+    "experiment negative seed": (lambda w: _experiment(w, "--seeds=1,-1"), 2, "usage error"),
+    "gen seed=-1": (lambda w: _gen(w, "--set", "seed=-1"), 3, "config error"),
     "eval iou-threshold 2": (lambda w: _eval(w, "--iou-threshold", "2"), 2, "usage error"),
     "eval iou-threshold 0": (lambda w: _eval(w, "--iou-threshold", "0"), 2, "usage error"),
     "train malformed annotations": (

@@ -87,6 +87,7 @@ class TestRunConfig:
         {"weight_decay": -1e-9},
         {"threshold": 1.0},
         {"focal_gamma": -0.5},
+        {"seed": -1},
         {"paths": {"out": 3}},
     ])
     def test_invalid_values_rejected(self, kwargs):

@@ -618,10 +618,10 @@ def test_level_node_means_sliced_are_the_batch_node_means_bitwise(monkeypatch):
     clip = levels[0][0].nodes.clip
     enc = Tensor(mlp_forward(params.node_encoder, Tensor(clip.app)).data)
     for level, batches in levels:
-        means = node_means(enc, level.nodes.rows, level.nodes.sizes).data
+        means = node_means(enc, level.nodes).data
         a = 0
         for batch in batches:
-            alone = node_means(enc, batch.nodes.rows, batch.nodes.sizes).data
+            alone = node_means(enc, batch.nodes).data
             assert means[a : a + batch.num_nodes].tobytes() == alone.tobytes()
             a += batch.num_nodes
         assert a == level.num_nodes

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from langtrack.autodiff import Incidence, Tensor, segment_sum
-from langtrack.graph import Detection, TrackGraph, Tracklet, build_graph
+from langtrack.graph import (
+    Detection,
+    DetectionArrays,
+    TrackGraph,
+    Tracklet,
+    TrackletRows,
+    build_graph,
+)
 from langtrack import model
 from langtrack.model import (
     ModelConfig,
@@ -358,11 +365,19 @@ def test_named_tensor_count_matches_architecture():
     assert blocks == [f.name for f in dataclasses.fields(ModelParams) if f.name != "config"]
 
 
-def gathered_means(enc, rows, sizes):
+def tracklet_rows(num_rows, rows, sizes):
+    """``rows`` as tracklets of ``sizes`` rows each, of a clip of ``num_rows``
+    placeholder detections."""
+    dets = [Detection(1, (0.0, 0.0, 1.0, 1.0), np.zeros(1)) for _ in range(num_rows)]
+    return TrackletRows(DetectionArrays.of(dets), rows, np.concatenate(([0], np.cumsum(sizes))))
+
+
+def gathered_means(enc, nodes):
     """``node_means`` as a row gather, a segment sum and one scale."""
+    sizes = nodes.sizes
     node_ids = np.repeat(np.arange(len(sizes)), sizes)
-    summed = segment_sum(gather_rows(enc, rows), Incidence(node_ids, len(sizes)))
-    return summed * Tensor(1.0 / np.asarray(sizes, dtype=np.float64)[:, None])
+    summed = segment_sum(gather_rows(enc, nodes.rows), Incidence(node_ids, len(sizes)))
+    return summed * Tensor(1.0 / sizes.astype(np.float64)[:, None])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -374,15 +389,15 @@ def test_node_means_are_the_gathered_sums_bitwise_forward_and_backward(seed):
     data[rng.random(data.shape) < 0.1] = -0.0
     rows = rng.permutation(enc_rows)[: int(rng.integers(1, enc_rows + 1))]
     cuts = np.sort(rng.choice(np.arange(1, rows.size), int(rng.integers(0, rows.size)), False))
-    sizes = np.diff(np.concatenate(([0], cuts, [rows.size])))
-    upstream = Tensor(rng.standard_normal((sizes.size, 6)))
+    nodes = tracklet_rows(enc_rows, rows, np.diff(np.concatenate(([0], cuts, [rows.size]))))
+    upstream = Tensor(rng.standard_normal((len(nodes), 6)))
     # enc is also read by a second op, so the first gradient it gets is the
     # product the backward step made, and the second is added to it
     other = Tensor(rng.standard_normal(data.shape))
     results = []
     for means in (node_means, gathered_means):
         enc = Tensor(data.copy(), requires_grad=True)
-        out = means(enc, rows, sizes)
+        out = means(enc, nodes)
         ((out * upstream).sum() + (enc * other).sum()).backward()
         assert enc.data.tobytes() == data.tobytes()
         results.append((out.data.tobytes(), enc.grad.tobytes()))
@@ -393,12 +408,15 @@ def test_node_means_gradients_and_bad_rows():
     rng = np.random.default_rng(41)
     enc = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
     rows, sizes = np.array([4, 0, 2, 6, 5]), np.array([2, 1, 2])
+    nodes = tracklet_rows(7, rows, sizes)
     c = Tensor(rng.standard_normal((3, 3)))
-    check_gradients(lambda ts: (node_means(ts[0], rows, sizes) * c).sum(), [enc])
+    check_gradients(lambda ts: (node_means(ts[0], nodes) * c).sum(), [enc])
     assert np.all(enc.grad[[1, 3]] == 0.0)  # rows no node holds
+    with pytest.raises(ValueError, match="mismatch"):
+        node_means(Tensor(np.zeros((6, 3))), nodes)
     with pytest.raises(IndexError):
-        node_means(enc, np.array([0, 7]), np.array([2]))
+        node_means(enc, tracklet_rows(7, np.array([0, 7]), np.array([2])))
     with pytest.raises(ValueError, match="add up"):
-        node_means(enc, rows, np.array([2, 2]))
+        node_means(enc, tracklet_rows(7, rows, np.array([2, 2])))
     with pytest.raises(ValueError, match="at least one row"):
-        node_means(enc, rows, np.array([5, 0]))
+        node_means(enc, tracklet_rows(7, rows, np.array([5, 0])))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from langtrack import nn
 from langtrack.autodiff import Tensor
 from langtrack.nn import (
     AdamState,
@@ -16,7 +17,9 @@ from langtrack.nn import (
     mlp_forward,
     save_checkpoint,
 )
+from langtrack.ops import PROB_EPS
 from reference_ops import focal_bce
+from reference_tape import unfused_focal_bce
 from gradcheck import check_gradients
 
 
@@ -164,3 +167,46 @@ def test_named_tensors_order_stable():
     mlp = small_mlp()
     names = list(MLPParams(mlp.layers).named_tensors("m.").keys())
     assert names == ["m.0.w", "m.0.b", "m.1.w", "m.1.b"]
+
+
+# probabilities inside, at and outside the clamp bounds
+FOCAL_PROBS = np.array([
+    -0.25, 0.0, 1e-9, PROB_EPS, 2e-7, 0.3, 0.5, 0.7,
+    1.0 - 2e-7, 1.0 - PROB_EPS, 1.0 - 1e-9, 1.0, 1.5,
+])
+
+
+def fused_and_chained_focal(probs, targets, gamma, eps=PROB_EPS):
+    """Each loss's value and the gradient it hands ``probs``."""
+    out = []
+    for focal in (focal_bce_tape, lambda p, t, g: unfused_focal_bce(p, t, g, eps)):
+        p = Tensor(probs.copy(), requires_grad=True)
+        value = focal(p, targets, gamma)
+        (value * 3.0).backward()
+        out.append((value.data, p.grad))
+    return out
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("target", [0.0, 1.0])
+def test_fused_focal_matches_the_unfused_chain(gamma, target):
+    probs = FOCAL_PROBS.reshape(-1, 1)
+    targets = np.full(probs.shape[0], target)
+    (fused, fused_grad), (chain, chain_grad) = fused_and_chained_focal(probs, targets, gamma)
+    assert fused.tobytes() == chain.tobytes()
+    assert np.max(np.abs(fused_grad - chain_grad)) <= 1e-12 * np.max(np.abs(chain_grad))
+    cut = (FOCAL_PROBS <= PROB_EPS) | (FOCAL_PROBS >= 1.0 - PROB_EPS)
+    assert np.all(fused_grad[cut] == 0.0) and np.all(fused_grad[~cut] != 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+def test_fused_focal_where_the_true_class_has_probability_1(monkeypatch, gamma):
+    # with no clamp margin, p_t = 1 gives q = 1 - p_t = 0, where the power's
+    # derivative for gamma < 1 is infinite and counts as 0
+    monkeypatch.setattr(nn, "PROB_EPS", 0.0)
+    probs = np.array([[1.0], [0.0], [0.4], [0.9]])
+    targets = np.array([1.0, 0.0, 1.0, 0.0])
+    (fused, fused_grad), (chain, chain_grad) = fused_and_chained_focal(probs, targets, gamma, 0.0)
+    assert fused.tobytes() == chain.tobytes()
+    assert np.all(np.isfinite(fused_grad)) and np.all(fused_grad[:2] == 0.0)
+    assert np.max(np.abs(fused_grad - chain_grad)) <= 1e-12 * np.max(np.abs(chain_grad))

@@ -1,17 +1,30 @@
 """Training loop: labels, teacher forcing, gradient flow, reproducibility."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from langtrack import trainer
-from langtrack.autodiff import Tensor
+from langtrack.autodiff import Incidence, Tensor
+from langtrack.guidance import isg_loss, spg_loss
 from langtrack.data_io import AnnotationSet, InstanceAttributes, SceneAttributes
 from langtrack.graph import Detection, Tracklet, build_graph, lift_detections, window_offsets
 from langtrack.inference import TrackerConfig
 from langtrack.metrics import MetricReport
-from langtrack.model import ModelConfig, init_model, node_means
+from langtrack.model import (
+    ModelConfig,
+    classify_edges,
+    encode_graph,
+    init_model,
+    message_pass,
+    node_means,
+    project_edges_for_spg,
+    project_nodes_for_isg,
+)
+from langtrack.nn import AdamState, focal_bce_tape, mlp_forward
 from langtrack.synth import SynthConfig, embedding_store_for, gen_sequence, identity_profile
 from langtrack.trainer import (
     ClipData,
@@ -93,6 +106,18 @@ def loop_edge_labels(graph, gt_ids):
         if successor.get(int(graph.edge_u[e])) == int(graph.edge_v[e]):
             labels[e] = 1.0
     return labels
+
+
+def tape(*roots):
+    """Ids of every tensor the roots' tapes reach, the roots included."""
+    seen = {id(r) for r in roots}
+    stack = list(roots)
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return seen
 
 
 def node_ids(graph):
@@ -194,7 +219,7 @@ class TestPrepareClip:
             rows, sizes = level.graph.nodes.rows, level.graph.nodes.sizes
             assert sizes.shape == (level.graph.num_nodes,)
             assert sizes.sum() == len(rows) == len(clip.detections)
-            merged = node_means(Tensor(bundle.appearance), rows, sizes).data
+            merged = node_means(Tensor(bundle.appearance), level.graph.nodes).data
             for i, node in enumerate(level.graph.nodes):
                 direct = np.mean([d.appearance for d in node.detections], axis=0)
                 np.testing.assert_allclose(merged[i], direct, atol=1e-12)
@@ -353,6 +378,53 @@ class TestTrainStep:
             train_step([], params, AdamState(), cfg)
 
 
+    def test_each_loss_term_is_one_tape_node(self):
+        cfg = small_train_cfg()
+        (bundle,), params = self.setup_bundles(cfg, seeds=(3,))
+        level = bundle.levels[0]
+        enc = mlp_forward(params.node_encoder, Tensor(bundle.appearance))
+        h, e = encode_graph(level.graph, params, node_means(enc, level.graph.nodes))
+        e = message_pass(level.graph, h, e, params, cfg.message_passing_steps)
+        probs = classify_edges(e, params)
+        node_proj, edge_proj = project_nodes_for_isg(h, params), project_edges_for_spg(e, params)
+        base = tape(probs, h, e)
+        # a projection is one linear node beside its weight and bias
+        assert len(tape(node_proj) - base) == len(tape(edge_proj) - base) == 3
+        lc = focal_bce_tape(probs, level.labels, cfg.focal_gamma)
+        isg = isg_loss(node_proj, level.instance_targets).value
+        spg = spg_loss(edge_proj, bundle.scene_embedding).value
+        assert len(tape(lc)) == len(tape(probs)) + 1
+        assert len(tape(isg)) == len(tape(node_proj)) + 1
+        assert len(tape(spg)) == len(tape(edge_proj)) + 1
+        assert len(tape(lc, isg, spg)) == len(base) + (3 + 1) + (3 + 1) + 1
+
+    def test_a_second_step_builds_no_scatter_matrix(self, monkeypatch):
+        cfg = small_train_cfg()
+        bundles, params = self.setup_bundles(cfg)
+        built = Counter()
+        make_csr, make_incidence = sparse.csr_array, Incidence.__init__
+
+        def counted_csr(*args, **kwargs):
+            built["csr"] += 1
+            return make_csr(*args, **kwargs)
+
+        def counted_incidence(self, *args):
+            built["incidence"] += 1
+            make_incidence(self, *args)
+
+        monkeypatch.setattr(sparse, "csr_array", counted_csr)
+        monkeypatch.setattr(Incidence, "__init__", counted_incidence)
+        opt = AdamState(lr=cfg.lr)
+        train_step(bundles, params, opt, cfg)
+        levels = sum(len(b.levels) for b in bundles)
+        # each level's two endpoint incidences and their matrices, and its
+        # nodes' membership matrix
+        assert built == {"incidence": 2 * levels, "csr": 3 * levels}
+        built.clear()
+        train_step(bundles, params, opt, cfg)
+        assert not built
+
+
 class TestGradientFlow:
     """Which blocks move under each loss term (weight decay off)."""
 
@@ -408,6 +480,13 @@ class TestGradientFlow:
         run_training([clip], cfg, MODEL_CFG, store)
         for d, vec in snapshot.items():
             np.testing.assert_array_equal(store.lookup(d), vec)
+
+
+@pytest.mark.parametrize("name", ["batch_clips", "epochs", "knn_k", "message_passing_steps", "seed"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, np.int64(2), "2"])
+def test_train_config_counts_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=name):
+        small_train_cfg(**{name: value})
 
 
 class TestRunTraining:
