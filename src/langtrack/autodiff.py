@@ -12,15 +12,21 @@ tensors side by side (a message-passing layer's endpoints and edges): it
 projects each tensor before gathering, so no gathered input is formed.
 
 Every sum of rows selected by an index is a product by a constant 0/1
-``scipy.sparse`` CSR matrix.  A scatter (``segment_sum``, and the backward
-of a gather) goes through an :class:`Incidence`, whose matrix holds each
-output row's terms in input order and is built once, however many products
-use it; the CSR product adds them in that order from 0.0, so each sum has
-the bits of ``np.add.at``.  :func:`sparse_matmul` takes any such matrix
-(``model.node_means``' node membership) with a constant scale per output
-row, and asks for its transpose only when it takes the gradient, so the
-matrix's owner can build both once and the transpose only where a gradient
-needs it.
+``scipy.sparse`` CSR matrix.  A scatter (the backward of a gather, and the
+forward of :func:`scattered_linear`) goes through an :class:`Incidence`,
+whose matrix holds each output row's terms in input order and is built
+once, however many products use it; the CSR product adds them in that
+order from 0.0, so each sum has the bits of ``np.add.at``.
+:func:`scattered_linear` is message passing's node update: it sums rows
+into their output rows and then applies an affine layer to the sums, with
+the bias counted once per summed row (the incidence's degree, read from its
+matrix's row pointer).  That equals the layer run on every input row and
+then scattered, up to rounding: a sum of affine rows is the affine map of
+their sum, so an output row with no input row gets 0, not the bias.
+:func:`sparse_matmul` takes any such matrix (``model.node_means``' node
+membership) with a constant scale per output row, and asks for its
+transpose only when it takes the gradient, so the matrix's owner can build
+both once and the transpose only where a gradient needs it.
 
 A loss term is one node too: :func:`mean_kl_rows` (the distillation KL)
 here and ``nn.focal_bce_tape``.  Their forward values have the bits of the
@@ -32,11 +38,12 @@ The fused operations finish each product they make in place: ``linear``
 and ``gathered_linear`` add the other projections and the bias into the
 first product and relu multiplies it by its mask; ``sparse_matmul`` scales
 its product.  Backward, a fresh matrix product of a tensor's shape (or
-``segment_sum``'s gathered rows) becomes that tensor's first gradient as it
-is (``_accumulate``'s ``owned``).  This is safe because no other array or
-tensor holds such an array, and the in-place steps are the elementwise
-operations the unfused chain computes, in the same order, so every value
-keeps its bits.
+``scattered_linear``'s gathered rows) becomes that tensor's first gradient
+as it is (``_accumulate``'s ``owned``), and relu masks its node's own
+gradient in place.  This is safe because no other array or tensor holds
+such an array: ``_accumulate`` copies every gradient it is not handed as
+owned.  The in-place steps are the elementwise operations the unfused
+chain computes, in the same order, so every value keeps its bits.
 
 Finiteness is checked where values enter the tape and where they leave it:
 on leaves and constants (every ``Tensor(...)``), and on the loss when
@@ -61,7 +68,7 @@ __all__ = [
     "gathered_linear",
     "linear",
     "mean_kl_rows",
-    "segment_sum",
+    "scattered_linear",
     "sparse_matmul",
 ]
 
@@ -225,16 +232,6 @@ class Tensor:
 
         return Tensor._make(s, (self,), bw)
 
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        """Clip to [lo, hi]; gradient is zero outside the open interval."""
-        inside = (self.data > lo) & (self.data < hi)
-
-        def bw(out: "Tensor"):
-            if self.requires_grad:
-                self._accumulate(out.grad * inside)
-
-        return Tensor._make(np.clip(self.data, lo, hi), (self,), bw)
-
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis: int | None = None) -> "Tensor":
@@ -295,11 +292,12 @@ def as_tensor(x) -> Tensor:
 
 def _activate(z: np.ndarray, activation: str):
     """``act(z)`` and the map from the output's gradient to ``z``'s; ``z`` is
-    a fresh product, which relu masks in place."""
+    a fresh product, which relu masks in place.  Backward, relu masks the
+    output's own gradient in place too: only that node holds it."""
     if activation == "relu":
         mask = z > 0.0
         z *= mask
-        return z, lambda g: g * mask
+        return z, lambda g: np.multiply(g, mask, out=g)
     if activation == "sigmoid":
         s = _sigmoid(z)
         return s, lambda g: g * s * (1.0 - s)
@@ -350,13 +348,8 @@ class Incidence:
         self.num_rows = num_rows
         self._matrix = None
 
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Add row i of ``values`` into row ``index[i]`` of (num_rows, cols) zeros.
-
-        The CSR product adds each output row's terms in column order from
-        0.0, which is input order: the bits of ``np.add.at``, -0.0 + 0.0
-        included.
-        """
+    def matrix(self) -> sparse.csr_array:
+        """The 0/1 CSR matrix, built on the first call."""
         if self._matrix is None:
             n = self.index.size
             indptr = np.zeros(self.num_rows + 1, dtype=np.intp)
@@ -365,7 +358,21 @@ class Incidence:
             keys = self.index.astype(np.min_scalar_type(max(self.num_rows - 1, 0)))
             order = np.argsort(keys, kind="stable")
             self._matrix = sparse.csr_array((np.ones(n), order, indptr), shape=(self.num_rows, n))
-        return self._matrix @ values
+        return self._matrix
+
+    def degrees(self) -> np.ndarray:
+        """How many input rows each output row sums, as a (1, num_rows) float
+        row: the differences of the kept matrix's row pointer."""
+        return np.diff(self.matrix().indptr).astype(np.float64)[None, :]
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Add row i of ``values`` into row ``index[i]`` of (num_rows, cols) zeros.
+
+        The CSR product adds each output row's terms in column order from
+        0.0, which is input order: the bits of ``np.add.at``, -0.0 + 0.0
+        included.
+        """
+        return self.matrix() @ values
 
 
 def gathered_linear(
@@ -421,16 +428,46 @@ def gathered_linear(
     return Tensor._make(data, tensors + (w, b), bw)
 
 
-def segment_sum(t: Tensor, inc: Incidence) -> Tensor:
-    """Sum row i of `t` into row ``inc.index[i]`` of ``inc.num_rows`` rows."""
-    if inc.index.size != t.shape[0]:
-        raise ValueError("segment ids must cover every row")
+def scattered_linear(terms: Sequence[tuple[Tensor, Incidence, Tensor, Tensor]]) -> Tensor:
+    """``Σ_k (S_k x_k) @ w_k + d_k b_k`` as one tape node, for terms ``(x_k,
+    inc_k, w_k, b_k)``: ``S_k`` sums the rows of ``x_k`` into the rows of
+    ``inc_k`` and ``d_k`` is the column of ``inc_k``'s degrees.
+
+    It equals the sum over the terms of ``segment_sum(x_k @ w_k + b_k,
+    inc_k)`` (an identity layer run on every input row, then scattered),
+    because a sum of affine rows is the affine map of their sum with the
+    bias counted once per row; so the product by ``w_k`` runs once per
+    output row, not once per input row.  An output row with no input row in
+    a term gets 0 from it, not ``b_k``.  Backward, the rows of ``g @ w_kᵀ``
+    are gathered back to the rows of ``x_k``.
+    """
+    num_rows = {inc.num_rows for _, inc, _, _ in terms}
+    if len(num_rows) != 1:
+        raise ValueError("the terms must scatter into the same rows")
+    if any(inc.index.size != x.shape[0] for x, inc, _, _ in terms):
+        raise ValueError("an incidence must index the rows of its term")
+    if any(x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]) for x, _, w, b in terms):
+        raise ValueError("a term's weight and bias must fit its rows")
+    summed = [inc.scatter(x.data) for x, inc, _, _ in terms]
+    degrees = [inc.degrees() for _, inc, _, _ in terms]
+    z = None
+    for s, d, (_, _, w, b) in zip(summed, degrees, terms):
+        zk = s @ w.data
+        zk += d.T * b.data
+        z = zk if z is None else np.add(z, zk, out=z)
 
     def bw(out: Tensor):
-        if t.requires_grad and inc.index.size:
-            t._accumulate(out.grad[inc.index], owned=True)
+        g = out.grad
+        for s, d, (x, inc, w, b) in zip(summed, degrees, terms):
+            if x.requires_grad:
+                x._accumulate((g @ w.data.T)[inc.index], owned=True)
+            if w.requires_grad:
+                w._accumulate(s.T @ g, owned=True)
+            if b.requires_grad:
+                b._accumulate(d @ g, owned=True)
 
-    return Tensor._make(inc.scatter(t.data), (t,), bw)
+    parents = tuple(t for x, _, w, b in terms for t in (x, w, b))
+    return Tensor._make(z, parents, bw)
 
 
 def sparse_matmul(

@@ -2,10 +2,13 @@
 
 Node and edge encoders followed by time-aware message passing: every round
 refreshes each edge embedding from its endpoints, then sets every node to
-the sum of one message from edges arriving out of its past and one from
+the sum of the messages from edges arriving out of its past and those from
 edges leaving toward its future (separate MLPs for the two directions).
-The last round stops after its edge update.  A sigmoid MLP head turns the
-final edge embeddings into association probabilities, and two linear
+The node-update MLPs end in an identity layer, so a node sums its edges'
+hidden rows first and that layer runs once per node, its bias counted once
+per edge (exact up to rounding; a node with no edge in a direction gets 0
+from it).  The last round stops after its edge update.  A sigmoid MLP head
+turns the final edge embeddings into association probabilities, and two linear
 projection heads map node/edge embeddings into the text-embedding space
 for the distillation losses.  A tracklet node starts from the mean encoder
 row of its detections (``node_means``, one sparse product by the nodes'
@@ -22,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gathered_linear, linear, segment_sum, sparse_matmul
+from .autodiff import Tensor, gathered_linear, linear, scattered_linear, sparse_matmul
 from .graph import EDGE_FEATURE_DIM, TrackGraph, TrackletRows
 from .nn import MLPParams, init_mlp, mlp_forward
 from .ops import PROB_EPS
@@ -198,30 +201,48 @@ def message_pass(
 
     Each update MLP reads an edge's endpoint rows beside its edge row; its
     first layer projects node rows before gathering them to edges
-    (:func:`~langtrack.autodiff.gathered_linear`).  Every gather to edges
-    and every sum over them, forward and backward, goes through the two
-    incidences of ``edge_u`` and ``edge_v`` that the graph keeps.  A node
-    with no edge gets 0, which no edge reads.  The last round stops after
-    its edge update: nothing reads the node rows after it.
+    (:func:`~langtrack.autodiff.gathered_linear`).  A node's new row is the
+    sum of the past MLP over its incoming edges and the future MLP over its
+    outgoing ones.  Both MLPs end in an identity layer, and a sum of affine
+    rows is the affine map of their sum: over a node's edges, ``Σ (relu(x)
+    @ w + b)`` is ``(Σ relu(x)) @ w + degree · b``, up to rounding.  So one
+    :func:`~langtrack.autodiff.scattered_linear` sums the hidden rows into
+    the nodes and projects node rows, not edge rows.  A node with no edge
+    in a direction gets 0 from it, not the bias; a node with no edge at all
+    gets 0, which no edge reads.  Every gather to edges and every sum over
+    them, forward and backward, goes through the two incidences of
+    ``edge_u`` and ``edge_v`` that the graph keeps.  The last round stops
+    after its edge update: nothing reads the node rows after it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if graph.num_edges == 0:
         return e
     u, v = graph.incidences()
+    (past, past_out), (future, future_out) = (
+        params.node_update_past.layers,
+        params.node_update_future.layers,
+    )
     e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
     for _ in range(steps - 1):
-        past_msg = _gathered_mlp(params.node_update_past, [(h, u), (e, None)])
-        future_msg = _gathered_mlp(params.node_update_future, [(h, v), (e, None)])
-        h = segment_sum(past_msg, v) + segment_sum(future_msg, u)
+        x_past = gathered_linear([(h, u), (e, None)], past.w, past.b, past.activation)
+        x_future = gathered_linear([(h, v), (e, None)], future.w, future.b, future.activation)
+        h = scattered_linear(
+            [(x_past, v, past_out.w, past_out.b), (x_future, u, future_out.w, future_out.b)]
+        )
         e = _gathered_mlp(params.edge_update, [(h, u), (h, v), (e, None)])
     return e
 
 
 def classify_edges(e: Tensor, params: ModelParams) -> Tensor:
-    """Association probability per edge row, clamped strictly inside (0, 1)."""
+    """Association probability per edge row, clipped to [PROB_EPS, 1 -
+    PROB_EPS] in place on the sigmoid layer's output, not as a tape node of
+    its own: the loss, ``nn.focal_bce_tape``, gives no gradient to an entry
+    at either bound, which is where the clip puts every entry it cuts.
+    """
     probs = mlp_forward(params.edge_classifier, e)
-    return probs.clamp(PROB_EPS, 1.0 - PROB_EPS)
+    np.clip(probs.data, PROB_EPS, 1.0 - PROB_EPS, out=probs.data)
+    return probs
 
 
 def project_nodes_for_isg(h: Tensor, params: ModelParams) -> Tensor:

@@ -13,6 +13,13 @@ reference for ``gathered_linear([(t, idx), ...], w, b)``.
 products by ``autodiff.Incidence`` matrices: one ``bincount`` over flat
 positions.  ``Incidence.scatter`` must give the same bits.
 
+``segment_sum`` is the tape's row scatter as a node of its own: message
+passing summed each node's edge messages with it, 64 wide, before
+``autodiff.scattered_linear`` summed the hidden rows and projected the sums.
+
+``clamp`` is the tape node ``model.classify_edges`` ended in before it
+clamped its output in place; ``nn.focal_bce_tape`` masks what it masked.
+
 ``softmax_rows``, ``log_softmax_rows``, ``log`` and ``powf`` are the tape
 operations the loss terms were chained from before each became one node:
 ``unfused_mean_kl`` is the reference for ``autodiff.mean_kl_rows`` and
@@ -153,6 +160,30 @@ def unfused_focal_bce(
 ) -> Tensor:
     """Mean focal BCE of a (n, 1) probability column, chained."""
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    p = probs.clamp(eps, 1.0 - eps)
+    p = clamp(probs, eps, 1.0 - eps)
     p_t = p * t + (1.0 - p) * (1.0 - t)
     return (-(powf(1.0 - p_t, gamma) * log(p_t))).mean()
+
+
+def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
+    """Clip to [lo, hi] as a tape node; gradient is zero outside the open
+    interval."""
+    inside = (t.data > lo) & (t.data < hi)
+
+    def bw(out: Tensor):
+        if t.requires_grad:
+            t._accumulate(out.grad * inside)
+
+    return Tensor._make(np.clip(t.data, lo, hi), (t,), bw)
+
+
+def segment_sum(t: Tensor, inc: Incidence) -> Tensor:
+    """Sum row i of `t` into row ``inc.index[i]`` of ``inc.num_rows`` rows."""
+    if inc.index.size != t.shape[0]:
+        raise ValueError("segment ids must cover every row")
+
+    def bw(out: Tensor):
+        if t.requires_grad and inc.index.size:
+            t._accumulate(out.grad[inc.index], owned=True)
+
+    return Tensor._make(inc.scatter(t.data), (t,), bw)

@@ -12,11 +12,12 @@ from langtrack.autodiff import (
     gathered_linear,
     linear,
     mean_kl_rows,
-    segment_sum,
+    scattered_linear,
 )
 from langtrack.ops import log_softmax
 from gradcheck import check_gradients
 from reference_tape import (
+    clamp,
     concat_cols,
     gather_rows,
     log,
@@ -24,6 +25,7 @@ from reference_tape import (
     matmul,
     powf,
     scatter_rows,
+    segment_sum,
     softmax_rows,
     unfused_mean_kl,
 )
@@ -108,7 +110,7 @@ def test_powf_grads_and_zero_exponent():
 
 def test_clamp_grad_masks_outside():
     t = Tensor([[-1.0, 0.2, 0.8, 2.0]], requires_grad=True)
-    out = t.clamp(0.0, 1.0)
+    out = clamp(t, 0.0, 1.0)
     assert np.allclose(out.data, [[0.0, 0.2, 0.8, 1.0]])
     out.sum().backward()
     assert np.array_equal(t.grad, [[0.0, 1.0, 1.0, 0.0]])
@@ -467,6 +469,109 @@ def test_gathered_linear_is_the_unfused_ops_bitwise_and_keeps_its_inputs(activat
             grads = lambda ts: [t.grad for t in ts[:3]] + [np.vstack([t.grad for t in ts[3:]])]
         results.append(_backward_bytes(out, upstream, leaves, grads))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("fused", ["linear", "gathered_linear"])
+def test_relu_read_twice_masks_its_summed_gradient_in_place_bitwise(fused, seed):
+    # the relu layer's output y feeds a relu layer and an add: its first
+    # gradient is the product the layer made (owned), the add's copy is
+    # added to it, and only then is the sum masked, in place.  The
+    # reference masks with Tensor.relu's g * mask, a new array.
+    rng = np.random.default_rng(seed)
+    x_data, u_ids = _signed_zeros(rng, (6, 3)), rng.integers(0, 6, 9)
+    w_data, b_data = _signed_zeros(rng, (3, 4)), _signed_zeros(rng, (1, 4))
+    v_data, c_data = _signed_zeros(rng, (4, 4)), _signed_zeros(rng, (1, 4))
+    rows = 9 if fused == "gathered_linear" else 6
+    upstream = _signed_zeros(rng, (rows, 4))
+    results = []
+    for reference in (False, True):
+        x, w, b, v, c = (Tensor(d.copy(), requires_grad=True)
+                         for d in (x_data, w_data, b_data, v_data, c_data))
+        if fused == "linear":
+            y = _unfused_linear(x, w, b, "relu") if reference else linear(x, w, b, "relu")
+        elif reference:
+            y = _projected_reference([(x, Incidence(u_ids, 6))], [w], b, "relu")
+        else:
+            y = gathered_linear([(x, Incidence(u_ids, 6))], w, b, "relu")
+        second = _unfused_linear if reference else linear
+        out = second(y, v, c, "relu") + y
+        results.append(_backward_bytes(out, upstream, [x, w, b, v, c]))
+        if not reference:  # the fused layer left its own gradient masked
+            assert np.array_equal(y.grad, y.grad * (y.data > 0.0))
+    assert results[0] == results[1]
+
+
+def _per_row_then_scattered(terms):
+    """``scattered_linear`` as the layer on every input row, then a scatter."""
+    out = None
+    for x, inc, w, b in terms:
+        part = segment_sum(linear(x, w, b), inc)
+        out = part if out is None else out + part
+    return out
+
+
+def _scatter_terms(rng, rows, counts, width=3, out=4):
+    """One term per count of input rows, with random repeated row ids that
+    leave some output rows out, and their weights and biases."""
+    terms = []
+    for n in counts:
+        x = Tensor(rng.standard_normal((n, width)), requires_grad=True)
+        ids = rng.integers(0, rows, n)
+        w = Tensor(rng.standard_normal((width, out)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, out)) + 2.0, requires_grad=True)  # b != 0
+        terms.append((x, Incidence(ids, rows), w, b))
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scattered_linear_is_the_per_row_layer_then_scattered(seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 8))
+    terms = _scatter_terms(rng, rows, rng.integers(0, 12, size=int(rng.integers(1, 4))))
+    leaves = [t for x, _, w, b in terms for t in (x, w, b)]
+    upstream = Tensor(rng.standard_normal((rows, 4)))
+    results = []
+    for layer in (scattered_linear, _per_row_then_scattered):
+        for t in leaves:
+            t.zero_grad()
+        out = layer(terms)
+        (out * upstream).sum().backward()
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
+        results.append([out.data] + grads)
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_scattered_linear_grads_and_rows_with_no_input():
+    rng = np.random.default_rng(14)
+    # output row 0 has no input in the first term, row 3 none in the second,
+    # row 4 none in either; rows 1 and 2 repeat
+    (x1, _, w1, b1), (x2, _, w2, b2) = _scatter_terms(rng, 5, (5, 4))
+    inc1, inc2 = Incidence([1, 1, 2, 3, 2], 5), Incidence([0, 2, 2, 1], 5)
+    terms = [(x1, inc1, w1, b1), (x2, inc2, w2, b2)]
+    c = Tensor(rng.standard_normal((5, 4)))
+    check_gradients(lambda ts: (scattered_linear(terms) * c).sum(), [x1, w1, b1, x2, w2, b2])
+    assert np.array_equal(inc1.degrees(), [[0.0, 2.0, 2.0, 1.0, 0.0]])
+    first, second = scattered_linear(terms[:1]).data, scattered_linear(terms[1:]).data
+    assert np.all(first[[0, 4]] == 0.0) and np.all(second[[3, 4]] == 0.0)  # not the bias
+    assert np.all(scattered_linear(terms).data[4] == 0.0)
+    want = x2.data[[0]] @ w2.data + b2.data  # one input row, so the bias once
+    assert np.allclose(scattered_linear(terms).data[[0]], want, rtol=0.0, atol=1e-12)
+
+
+def test_scattered_linear_rejects_mismatched_terms():
+    rng = np.random.default_rng(15)
+    (x, inc, w, b), = _scatter_terms(rng, 4, (3,))
+    with pytest.raises(ValueError, match="same rows"):
+        scattered_linear([(x, inc, w, b), (x, Incidence([0, 1, 2], 5), w, b)])
+    with pytest.raises(ValueError, match="index the rows"):
+        scattered_linear([(x, Incidence([0, 1], 4), w, b)])
+    with pytest.raises(ValueError, match="fit its rows"):
+        scattered_linear([(x, inc, Tensor(np.ones((2, 4))), b)])
+    with pytest.raises(ValueError, match="fit its rows"):
+        scattered_linear([(x, inc, w, Tensor(np.ones((1, 3))))])
 
 
 def test_gathered_linear_rejects_bad_indices_and_widths():

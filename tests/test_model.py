@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from langtrack.autodiff import Incidence, Tensor, segment_sum
+from langtrack.autodiff import Incidence, Tensor
 from langtrack.graph import (
     Detection,
     DetectionArrays,
@@ -28,9 +28,11 @@ from langtrack.model import (
     project_edges_for_spg,
     project_nodes_for_isg,
 )
+from langtrack.nn import focal_bce_tape, mlp_forward
+from langtrack.ops import PROB_EPS
 from gradcheck import check_gradients
 from reference_graph import rows_of
-from reference_tape import gather_rows
+from reference_tape import clamp, gather_rows, segment_sum
 
 CFG = ModelConfig(
     message_passing_steps=2, edge_dim=4, text_dim=3, node_dim=8, appearance_dim=5
@@ -207,23 +209,106 @@ def test_message_pass_matches_straight_line_numpy_oracle():
         assert np.allclose(probs, np.clip(want, 1e-7, 1 - 1e-7), atol=1e-12)
 
 
+def test_message_pass_sums_then_projects_within_oracle_rounding():
+    """More edges than nodes, nodes named by many edges, the first node with
+    no incoming edge and the last with no outgoing one."""
+    params = init_model(np.random.default_rng(23), CFG)
+    g = path_graph(np.random.default_rng(24), n=6)
+    assert g.num_edges > g.num_nodes
+    assert 0 not in g.edge_v and 5 not in g.edge_u
+    assert len(set(g.edge_u)) < g.num_edges and len(set(g.edge_v)) < g.num_edges
+    h0 = manual_mlp(params.node_encoder, np.stack([t.detections[0].appearance for t in g.nodes]))
+    e0 = manual_mlp(params.edge_encoder, g.edge_features)
+    for steps in (2, 3):
+        _, want = oracle_rounds(g, params, h0, e0, steps)
+        got = passed(g, params, steps).data
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_a_node_gets_nothing_from_a_direction_it_has_no_edge_in():
+    params = init_model(np.random.default_rng(25), CFG)
+    g = path_graph(np.random.default_rng(26), n=6)
+    h, e = encode_graph(g, params)
+    u, v = g.incidences()
+    (past, past_out), (future, future_out) = (
+        params.node_update_past.layers, params.node_update_future.layers)
+    x_past = model.gathered_linear([(h, u), (e, None)], past.w, past.b, past.activation)
+    x_future = model.gathered_linear([(h, v), (e, None)], future.w, future.b, future.activation)
+    from_past = model.scattered_linear([(x_past, v, past_out.w, past_out.b)]).data
+    from_future = model.scattered_linear([(x_future, u, future_out.w, future_out.b)]).data
+    assert np.all(from_past[0] == 0.0) and np.all(from_future[5] == 0.0)
+    assert np.all(past_out.b.data != 0.0) and np.all(future_out.b.data != 0.0)
+    # the oracle's first node-update round: MLP per edge, then np.add.at
+    hu, hv = h.data[g.edge_u], h.data[g.edge_v]
+    want_past, want_future = np.zeros_like(h.data), np.zeros_like(h.data)
+    np.add.at(want_past, g.edge_v, manual_mlp(params.node_update_past, np.hstack([hu, e.data])))
+    np.add.at(want_future, g.edge_u, manual_mlp(params.node_update_future, np.hstack([hv, e.data])))
+    assert np.allclose(from_past, want_past, rtol=1e-12, atol=1e-12)
+    assert np.allclose(from_future, want_future, rtol=1e-12, atol=1e-12)
+
+
+def test_message_pass_gradients_through_the_summed_node_update():
+    params = init_model(np.random.default_rng(27), CFG)
+    g = path_graph(np.random.default_rng(28), n=4)
+    h, e = encode_graph(g, params)
+    h, e = Tensor(h.data, requires_grad=True), Tensor(e.data, requires_grad=True)
+    c = Tensor(np.random.default_rng(29).standard_normal((g.num_edges, CFG.edge_dim)))
+    blocks = ("node_update_past", "node_update_future")
+    leaves = [h, e] + [t for b in blocks for t in getattr(params, b).named_tensors().values()]
+    check_gradients(lambda ts: (message_pass(g, h, e, params, 2) * c).sum(), leaves)
+
+
 @pytest.mark.parametrize("steps", [1, 2, 5])
 def test_node_update_runs_once_per_round_but_the_last(steps, monkeypatch):
+    """Each block's layers are counted by the weight each fused node reads:
+    the edge update runs every round, each node update every round but the
+    last, its first layer gathered and its last scattered."""
     params = init_model(np.random.default_rng(13), CFG)
     g = path_graph(np.random.default_rng(14))
-    calls = []
+    layer_of = {
+        id(layer.w): (name, i)
+        for name in ("edge_update", "node_update_past", "node_update_future")
+        for i, layer in enumerate(getattr(params, name).layers)
+    }
+    uses = Counter()
 
-    def spy(mlp, parts):
-        calls.append(mlp)
-        return gathered_mlp(mlp, parts)
+    def counted(fn, weights):
+        def spy(*args, **kwargs):
+            uses.update(layer_of[id(w)] for w in weights(*args))
+            return fn(*args, **kwargs)
+        return spy
 
-    gathered_mlp = model._gathered_mlp
-    monkeypatch.setattr(model, "_gathered_mlp", spy)
+    for name, weights in (
+        ("gathered_linear", lambda parts, w, *rest: [w]),
+        ("linear", lambda x, w, *rest: [w]),
+        ("scattered_linear", lambda terms: [w for _, _, w, _ in terms]),
+    ):
+        monkeypatch.setattr(model, name, counted(getattr(model, name), weights))
     passed(g, params, steps)
-    blocks = ("edge_update", "node_update_past", "node_update_future")
-    name_of = {id(getattr(params, name)): name for name in blocks}
-    assert Counter(name_of[id(c)] for c in calls) == Counter(
-        edge_update=steps, node_update_past=steps - 1, node_update_future=steps - 1)
+    assert uses == Counter({
+        ("edge_update", 0): steps, ("edge_update", 1): steps,
+        ("node_update_past", 0): steps - 1, ("node_update_past", 1): steps - 1,
+        ("node_update_future", 0): steps - 1, ("node_update_future", 1): steps - 1,
+    })
+
+
+def test_message_pass_records_no_edge_row_of_node_width():
+    """Node updates scatter their hidden rows before projecting them, so no
+    (edges, node_dim) array is on the tape."""
+    params = init_model(np.random.default_rng(30), CFG)
+    g = path_graph(np.random.default_rng(31), n=6)
+    assert g.num_edges > g.num_nodes and CFG.node_dim not in (CFG.edge_dim, CFG.node_dim // 2)
+    out = passed(g, params, steps=3)
+    shapes, stack, seen = [], [out], {id(out)}
+    while stack:
+        t = stack.pop()
+        shapes.append(t.shape)
+        for p in t._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert (g.num_nodes, CFG.node_dim) in shapes
+    assert (g.num_edges, CFG.node_dim) not in shapes
 
 
 def test_classifier_zero_weights_give_half():
@@ -240,6 +325,35 @@ def test_probabilities_bounded_over_random_weights():
             t.data = t.data * 50.0  # exaggerate to push the sigmoid hard
         p = classify_edges(passed(g, params, steps=1), params).data
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+
+def test_classify_edges_records_no_clamp_node_and_keeps_the_gradient_bits():
+    """The probabilities are the sigmoid layer's own node, clipped in place;
+    behind the focal loss every gradient has the bits it had behind a clamp
+    node, with entries cut at both bounds."""
+    g = path_graph(np.random.default_rng(34), n=6)
+    labels = (np.arange(g.num_edges) % 2).astype(float)
+    cut = set()
+    for seed in range(8):
+        params = init_model(np.random.default_rng(seed), CFG)
+        head = params.edge_classifier.layers[-1]
+        head.w.data = head.w.data * 400.0  # push the sigmoid past both bounds
+        leaves = list(params.named_tensors().values())
+        results = []
+        for reference in (False, True):
+            params.zero_grad()
+            e = passed(g, params, steps=2)
+            if reference:
+                probs = clamp(mlp_forward(params.edge_classifier, e), PROB_EPS, 1.0 - PROB_EPS)
+            else:
+                probs = classify_edges(e, params)
+                assert probs._parents[1:] == (head.w, head.b)
+                cut.update(probs.data[(probs.data == PROB_EPS) | (probs.data == 1.0 - PROB_EPS)])
+            focal_bce_tape(probs, labels, 2.0).backward()
+            results.append([probs.data.tobytes()] + [
+                None if t.grad is None else t.grad.tobytes() for t in leaves])
+        assert results[0] == results[1]
+    assert cut == {PROB_EPS, 1.0 - PROB_EPS}
 
 
 def test_projection_shapes_and_zero_weights():
